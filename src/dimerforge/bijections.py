@@ -19,9 +19,9 @@ from .errors import (
 )
 from .gliding import DUAL, FRAME, glide, path_edgeset, shift_edges
 from .matchings import Matching
-from .planar import PlanarGraph, SymmetryCertificate, remove_vertices
+from .planar import PlanarGraph, SymmetryCertificate, _ccw_positions, remove_vertices
 from .refine import DualRefinement, PlusMinusInstance, SmashedGraph, smash_in
-from .trees import RootedForest, make_forest
+from .trees import RootedForest, _orient_dual, make_forest
 
 # ---------------------------------------------------------------------------
 # Path families for the plus/minus bijection
@@ -174,17 +174,7 @@ def temperley_tree_to_matching(ref: DualRefinement, tree: RootedForest) -> Match
             raise PreconditionViolated(f"non-tree edge {eid} is a bridge")
         adj[fa].append((eid, fb))
         adj[fb].append((eid, fa))
-    seen = {inf}
-    stack = [inf]
-    while stack:
-        f = stack.pop()
-        for eid, other in sorted(adj[f]):
-            if other not in seen:
-                seen.add(other)
-                stack.append(other)
-                chosen.add(ref.graph.edge_between(ref.center_of_face[other],
-                                                  ref.mid_of_edge[eid]).id)
-    if seen != set(adj):
+    if _orient_dual(ref, adj, inf, chosen) != set(adj):
         raise PreconditionViolated("dual complement is not a spanning tree")
     mu = Matching(host.graph_id, frozenset(chosen))
     mu.cover_map(host)
@@ -254,24 +244,19 @@ class TransportInstance:
 
     def removal_sequence(self, primed: bool) -> tuple[int, ...]:
         """Alternating marks v_1, f_2, v_3, ..., v_{2n+1} as refinement ids."""
-        marks = self.prime if primed else self.plain
-        out = []
-        for i, v in enumerate(marks, 1):
-            out.append(self.smashed.face_of[v] if i % 2 == 0 else v)
-        return tuple(out)
+        return _removal_sequence(self.smashed, self.prime if primed else self.plain)
+
+
+def _removal_sequence(smashed: SmashedGraph, marks) -> tuple[int, ...]:
+    return tuple(smashed.face_of[v] if i % 2 else v for i, v in enumerate(marks))
 
 
 def _check_cyclic_order(g: PlanarGraph, sequence: list[int]):
-    cyc = g.trace_faces().infinite_face.cycle
-    verts = [v for v, _ in reversed(cyc)]  # counterclockwise
-    for v in sequence:
-        if verts.count(v) != 1:
-            raise ConditionViolated("iii", f"vertex {v} not exactly once on the boundary")
-    pos = [verts.index(v) for v in sequence]
-    shift = pos.index(min(pos))
-    rotated = pos[shift:] + pos[:shift]
-    if rotated != sorted(rotated):
-        raise ConditionViolated("iii", f"marks are not in counterclockwise order: {sequence}")
+    _ccw_positions(
+        g.ccw_boundary(), sequence,
+        lambda v: ConditionViolated("iii", f"vertex {v} not exactly once on the boundary"),
+        lambda: ConditionViolated(
+            "iii", f"marks are not in counterclockwise order: {sequence}"))
 
 
 def _check_run(g: PlanarGraph, marks, which: str, require_path: bool):
@@ -314,14 +299,10 @@ def transport_instance(g: PlanarGraph, plain, prime, *,
         smashed = smash_in(ref, targets)
     except DimerforgeError as exc:
         raise ConditionViolated("iv", str(exc)) from exc
-    inst_plain = []
-    for i, v in enumerate(plain, 1):
-        inst_plain.append(smashed.face_of[v] if i % 2 == 0 else v)
-    inst_prime = []
-    for i, v in enumerate(prime, 1):
-        inst_prime.append(smashed.face_of[v] if i % 2 == 0 else v)
-    host_plain = remove_vertices(smashed.graph, inst_plain, name="host-plain")
-    host_prime = remove_vertices(smashed.graph, inst_prime, name="host-prime")
+    host_plain = remove_vertices(smashed.graph, _removal_sequence(smashed, plain),
+                                 name="host-plain")
+    host_prime = remove_vertices(smashed.graph, _removal_sequence(smashed, prime),
+                                 name="host-prime")
     forest_graph = remove_vertices(g, targets, name="forest-graph")
     return TransportInstance(smashed, plain, prime, host_plain, host_prime,
                              forest_graph,

@@ -13,7 +13,7 @@ import click
 
 from . import aztec as aztec_mod
 from . import bijections, generators, refine, report, trees
-from .errors import ConfigError, DimerforgeError
+from .errors import ConfigError, DimerforgeError, NotAMatching, ParseError
 from .matchings import (
     Matching,
     count_matchings,
@@ -41,30 +41,34 @@ def _load(path: str, lenient: bool = False):
         raise _ConfigFail(str(exc)) from exc
 
 
-def _directives(path: str) -> dict[str, str]:
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("#!"):
-                key, _, value = line[2:].strip().partition(" ")
-                out[key] = value.strip()
-    return out
-
-
 def _ids(text: str) -> list[int]:
     return [int(t) for t in text.replace(",", " ").split()]
 
 
-def _read_matchings(path: str, host) -> list[Matching]:
-    out = []
+def _read_id_lines(path: str):
+    """(line number, ids) for each non-blank line of an id-list file, where
+    ``#`` starts a comment; a malformed id raises ParseError naming the line."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            mu = Matching(host.graph_id, frozenset(_ids(line)))
+            try:
+                ids = _ids(line)
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            yield lineno, ids
+
+
+def _read_matchings(path: str, host) -> list[Matching]:
+    out = []
+    for lineno, ids in _read_id_lines(path):
+        mu = Matching(host.graph_id, frozenset(ids))
+        try:
             mu.cover_map(host)
-            out.append(mu)
+        except NotAMatching as exc:
+            raise NotAMatching(f"{path}:{lineno}: {exc}") from exc
+        out.append(mu)
     return out
 
 
@@ -231,14 +235,10 @@ def temperley(direction, file, input_file, root):
     g = _load(file)
     ref = refine.dual_refinement(g)
     if direction == "t2m":
-        with open(input_file, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                tree = trees.orient_edge_set(g, _ids(line), (root,))
-                mu = bijections.temperley_tree_to_matching(ref, tree)
-                click.echo(" ".join(map(str, mu.sorted_edges())))
+        for _, ids in _read_id_lines(input_file):
+            tree = trees.orient_edge_set(g, ids, (root,))
+            mu = bijections.temperley_tree_to_matching(ref, tree)
+            click.echo(" ".join(map(str, mu.sorted_edges())))
     else:
         host = bijections.refinement_host(ref, [root])
         for mu in _read_matchings(input_file, host):
@@ -274,7 +274,7 @@ def tea_transport_cmd(file, matchings_file, plain, prime, subset, constraint):
         try:
             mus = _read_matchings(matchings_file, host)
             break
-        except ValueError:
+        except NotAMatching:
             continue
     else:
         raise _Fail("matchings fit neither host")
@@ -367,15 +367,10 @@ def tec(direction, file, input_file, plain, prime):
             forest = trees.tec_matching_to_forest(inst, mu)
             click.echo(" ".join(map(str, sorted(forest.edge_set))))
     else:
-        with open(input_file, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                forest = trees.orient_edge_set(inst.forest_graph, _ids(line),
-                                               inst.prime_odd)
-                mu = trees.tec_forest_to_matching(inst, forest)
-                click.echo(" ".join(map(str, mu.sorted_edges())))
+        for _, ids in _read_id_lines(input_file):
+            forest = trees.orient_edge_set(inst.forest_graph, ids, inst.prime_odd)
+            mu = trees.tec_forest_to_matching(inst, forest)
+            click.echo(" ".join(map(str, mu.sorted_edges())))
 
 
 @cli.command()

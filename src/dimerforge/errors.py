@@ -103,6 +103,10 @@ class RootNotOnInfiniteFace(DimerforgeError):
     pass
 
 
+class NotAMatching(DimerforgeError):
+    """An edge set is not a perfect matching of the graph it names."""
+
+
 class ConstraintPathMismatch(DimerforgeError):
     pass
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import DimerforgeError, GenerationExhausted
 from .planar import Edge, PlanarGraph, Vertex, check_reflection_symmetry
-from .refine import list_peaks, section_instance, trimmed_square
+from .refine import _is_connected, list_peaks, section_instance, trimmed_square
 
 WEIGHT_POOL = [Fraction(1), Fraction(1), Fraction(1), Fraction(2),
                Fraction(1, 2), Fraction(3), Fraction(1, 3)]
@@ -45,10 +45,6 @@ def grid_graph(cols: int, rows: int, weights=None) -> PlanarGraph:
             edges.append(((x, y), (x, y + 1)))
     g, _ = build_from_points(points, edges, weights, name=f"grid{cols}x{rows}")
     return g
-
-
-def square_grid(k: int) -> PlanarGraph:
-    return grid_graph(k, k)
 
 
 def diamond_graph() -> PlanarGraph:
@@ -236,7 +232,7 @@ def random_symmetric(seed: int, need_matchings: bool = False,
                     continue
                 pm = (p[0], -p[1])
                 rest = points - {p, pm}
-                if rest and _points_connected(rest):
+                if _is_connected(rest):
                     candidates.append(p)
             if not candidates:
                 break
@@ -280,7 +276,7 @@ def random_plane_graph(seed: int, max_vertices: int = 12,
         points = {(x, y) for x in range(cols) for y in range(rows)}
         for _ in range(rng.randint(0, len(points) // 2)):
             candidates = [p for p in sorted(points)
-                          if len(points) > 3 and _points_connected(points - {p})]
+                          if len(points) > 3 and _is_connected(points - {p})]
             if not candidates:
                 break
             points -= {rng.choice(candidates)}
@@ -299,20 +295,6 @@ def random_plane_graph(seed: int, max_vertices: int = 12,
             continue
         return g
     raise GenerationExhausted(f"no valid plane graph for seed {seed}")
-
-
-def _points_connected(points) -> bool:
-    points = set(points)
-    start = next(iter(sorted(points)))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x, y = stack.pop()
-        for q in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if q in points and q not in seen:
-                seen.add(q)
-                stack.append(q)
-    return len(seen) == len(points)
 
 
 def random_trimmed(seed: int, n: int | None = None, require_connected: bool = False):
@@ -361,7 +343,7 @@ def random_transport(seed: int, require_plain_path: bool = True):
                 g = grid_graph(cols, rows, None)
                 weights = {e.id: rng.choice(WEIGHT_POOL) for e in g.edges.values()}
                 g = _reweight(g, weights)
-                boundary = _ccw_vertices(g)
+                boundary = list(dict.fromkeys(v for v, _ in g.ccw_boundary()))
                 i = rng.randrange(len(boundary))
                 j = (i + rng.randrange(1, len(boundary))) % len(boundary)
                 if boundary[i] == boundary[j]:
@@ -411,35 +393,10 @@ def random_transport(seed: int, require_plain_path: bool = True):
     raise GenerationExhausted(f"no valid transport instance for seed {seed}")
 
 
-def random_instance(kind: str, seed: int, **bounds):
-    """Dispatch to the per-construction generators; every output passes the
-    validators of the construction it feeds."""
-    if kind == "section2":
-        return random_section2(seed, **bounds)
-    if kind == "symmetric":
-        return random_symmetric(seed, **bounds)
-    if kind == "tea":
-        return random_transport(seed, require_plain_path=True)
-    if kind == "tec":
-        return random_transport(seed, require_plain_path=False)
-    if kind == "trimmed":
-        return random_trimmed(seed, **bounds)
-    raise ValueError(f"unknown instance kind {kind!r}")
-
-
 def _reweight(g: PlanarGraph, weights: dict[int, Fraction]) -> PlanarGraph:
     edges = {eid: Edge(eid, e.u, e.v, weights.get(eid, e.weight))
              for eid, e in g.edges.items()}
     return PlanarGraph.build(dict(g.vertices), edges, name=g.name)
-
-
-def _ccw_vertices(g: PlanarGraph) -> list[int]:
-    cyc = g.trace_faces().infinite_face.cycle
-    seen = []
-    for v, _e in reversed(cyc):
-        if v not in seen:
-            seen.append(v)
-    return seen
 
 
 def _cell_faces(g: PlanarGraph, lower_left_corners) -> list[int]:

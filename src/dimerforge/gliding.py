@@ -20,21 +20,11 @@ DUAL = "dual"
 
 
 @dataclass(frozen=True)
-class GlideState:
-    vertex: int
-    mode: str
-    cover: dict[int, int]  # vertex -> matched edge id
-
-
-@dataclass(frozen=True)
 class GlidePath:
     vertices: tuple[int, ...]
     mode: str
     blocked_target: int | None  # the absent vertex that stopped the glide
     blocked_at_infinite: bool = False
-
-    def __len__(self):
-        return len(self.vertices)
 
 
 def _first_site_from_mid(host: PlanarGraph, ref: DualRefinement,
@@ -78,27 +68,26 @@ def glide(host: PlanarGraph, ref: DualRefinement, cover: dict[int, int],
         seen.add(site)
     else:
         site = start
-    state = GlideState(site, mode, cover)
     while True:
-        eid = state.cover.get(state.vertex)
+        eid = cover.get(site)
         if eid is None:
-            raise PreconditionViolated(f"vertex {state.vertex} is not matched")
-        mid = host.edges[eid].other(state.vertex)
+            raise PreconditionViolated(f"vertex {site} is not matched")
+        mid = host.edges[eid].other(site)
         if host.vertices[mid].tag.kind != "edge-mid":
             raise PreconditionViolated(
-                f"matched edge {eid} at {state.vertex} does not lead to a midpoint")
+                f"matched edge {eid} at {site} does not lead to a midpoint")
         if mid in seen:
             raise CycleDetected(f"glide revisited midpoint {mid}")
         path.append(mid)
         seen.add(mid)
         primal = ref.primal_edge_of(mid)
-        if state.mode == FRAME:
-            nxt = ref.source.edges[primal].other(state.vertex)
+        if mode == FRAME:
+            nxt = ref.source.edges[primal].other(site)
             if nxt not in host.vertices:
                 return GlidePath(tuple(path), mode, nxt)
         else:
             fa, fb = ref.sides_of_primal_edge(primal)
-            other = fb if fa == ref.face_of(state.vertex) else fa
+            other = fb if fa == ref.face_of(site) else fa
             if other == inf:
                 return GlidePath(tuple(path), mode, None, blocked_at_infinite=True)
             nxt = ref.center_of_face[other]
@@ -108,7 +97,7 @@ def glide(host: PlanarGraph, ref: DualRefinement, cover: dict[int, int],
             raise CycleDetected(f"glide revisited vertex {nxt}")
         path.append(nxt)
         seen.add(nxt)
-        state = GlideState(nxt, mode, cover)
+        site = nxt
 
 
 def path_edgeset(graph: PlanarGraph, vertices) -> list[int]:

@@ -16,10 +16,8 @@ from typing import Iterator
 
 import mpmath
 
-from .errors import PrecisionExhausted
+from .errors import NotAMatching, PrecisionExhausted
 from .planar import PlanarGraph
-
-WeightSum = Fraction
 
 
 @dataclass(frozen=True)
@@ -36,13 +34,15 @@ class Matching:
         """vertex -> matched edge id; validates the matching on the way."""
         cover: dict[int, int] = {}
         for eid in self.edges:
-            e = g.edges[eid]
+            e = g.edges.get(eid)
+            if e is None:
+                raise NotAMatching(f"edge {eid} is not in the graph")
             for w in (e.u, e.v):
                 if w in cover:
-                    raise ValueError(f"vertex {w} covered twice")
+                    raise NotAMatching(f"vertex {w} covered twice")
                 cover[w] = eid
         if len(cover) != len(g.vertices):
-            raise ValueError("matching does not cover every vertex")
+            raise NotAMatching("matching does not cover every vertex")
         return cover
 
     def weight(self, g: PlanarGraph) -> Fraction:
@@ -50,16 +50,6 @@ class Matching:
         for eid in self.edges:
             w *= g.edges[eid].weight
         return w
-
-
-def is_perfect_matching(g: PlanarGraph, edge_ids) -> bool:
-    seen: set[int] = set()
-    for eid in edge_ids:
-        e = g.edges[eid]
-        if e.u in seen or e.v in seen:
-            return False
-        seen.update((e.u, e.v))
-    return len(seen) == len(g.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +122,7 @@ def _elimination_order(g: PlanarGraph) -> list[int]:
     return order
 
 
-def count_matchings(g: PlanarGraph) -> WeightSum:
+def count_matchings(g: PlanarGraph) -> Fraction:
     """Exact matching generating function: sum over perfect matchings of the
     product of edge weights (the count when all weights are 1)."""
     n = len(g.vertices)

@@ -288,9 +288,6 @@ class PlanarGraph:
             self._id = hashlib.sha256(dump_graph(self).encode()).hexdigest()[:12]
         return self._id
 
-    def position(self, v: int) -> Point:
-        return self.vertices[v].pos
-
     # -- faces ----------------------------------------------------------------
 
     def trace_faces(self) -> FaceDecomposition:
@@ -355,10 +352,27 @@ class PlanarGraph:
     def infinite_face_edges(self) -> frozenset[int]:
         return self.trace_faces().infinite_face.edge_set
 
+    def ccw_boundary(self) -> list[tuple[int, int]]:
+        """(vertex, edge to the next vertex) pairs of the infinite face walk
+        in counterclockwise order around the graph, starting from the tail
+        of the last clockwise dart."""
+        cyc = self.trace_faces().infinite_face.cycle  # clockwise darts (tail, edge)
+        return [(cyc[k][0], cyc[k - 1][1]) for k in range(len(cyc) - 1, -1, -1)]
 
-def trace_faces(g: PlanarGraph) -> FaceDecomposition:
-    """Face decomposition from the rotation system (cached per graph)."""
-    return g.trace_faces()
+
+def _ccw_positions(walk: list[tuple[int, int]], marks, not_once, out_of_order) -> list[int]:
+    """Index of each mark in a counterclockwise boundary walk.  Raises
+    ``not_once(mark)`` for a mark that is not on the walk exactly once and
+    ``out_of_order()`` when the marks do not follow the walk cyclically."""
+    verts = [v for v, _ in walk]
+    for m in marks:
+        if verts.count(m) != 1:
+            raise not_once(m)
+    pos = [verts.index(m) for m in marks]
+    shift = pos.index(min(pos))
+    if pos[shift:] + pos[:shift] != sorted(pos):
+        raise out_of_order()
+    return pos
 
 
 def remove_vertices(g: PlanarGraph, removed, *, name: str = "") -> PlanarGraph:
@@ -570,12 +584,6 @@ class SymmetryCertificate:
     vertex_map: dict[int, int]
     edge_map: dict[int, int]
     axis_vertices: tuple[int, ...]  # ordered left to right
-
-    def reflect_vertex(self, v: int) -> int:
-        return self.vertex_map[v]
-
-    def reflect_edge(self, e: int) -> int:
-        return self.edge_map[e]
 
 
 def check_reflection_symmetry(g: PlanarGraph, axis_y: Fraction) -> SymmetryCertificate:

@@ -26,6 +26,7 @@ from .planar import (
     MarkedBoundary,
     PlanarGraph,
     Vertex,
+    _face_centroid,
     edge_mid_tag,
     face_center_tag,
     remove_vertices,
@@ -46,10 +47,6 @@ class DualRefinement:
     mid_of_edge: dict[int, int]      # source edge id -> refinement vertex id
     center_of_face: dict[int, int]   # source face index -> refinement vertex id
 
-    @property
-    def originals(self) -> tuple[int, ...]:
-        return tuple(self.source.vertices)
-
     def primal_edge_of(self, mid_vertex: int) -> int:
         tag = self.graph.vertices[mid_vertex].tag
         if tag.kind != "edge-mid":
@@ -68,9 +65,6 @@ class DualRefinement:
     def is_boundary_edge(self, edge_id: int) -> bool:
         inf = self.source.trace_faces().infinite_index
         return inf in self.sides_of_primal_edge(edge_id)
-
-    def boundary_originals(self) -> frozenset[int]:
-        return self.source.infinite_face_vertices()
 
 
 def dual_refinement(g: PlanarGraph,
@@ -103,9 +97,7 @@ def dual_refinement(g: PlanarGraph,
         next_id += 1
     center_of_face: dict[int, int] = {}
     for f in faces.bounded:
-        pts = [g.vertices[v].pos for v in sorted(set(f.vertex_seq))]
-        pos = (sum(p[0] for p in pts) / len(pts), sum(p[1] for p in pts) / len(pts))
-        vertices[next_id] = Vertex(next_id, pos, face_center_tag(f.index))
+        vertices[next_id] = Vertex(next_id, _face_centroid(g, f), face_center_tag(f.index))
         center_of_face[f.index] = next_id
         next_id += 1
 
@@ -251,17 +243,23 @@ class PlusMinusInstance:
     mids: tuple[int, ...]        # refinement vertex ids of m_1..m_{2n}
 
 
+def _trim(refinement: DualRefinement, mb: MarkedBoundary):
+    """The marked midpoints m_1..m_{2n}, the refinement graph minus the even
+    path vertices v_0, v_2, ..., v_{2n}, and its plus and minus halves."""
+    if mb.leaves is None or mb.boundary_edges is None:
+        raise PreconditionViolated("boundary must be augmented with leaves first")
+    mids = tuple(refinement.mid_of_edge[e] for e in mb.boundary_edges)
+    trimmed = remove_vertices(refinement.graph, mb.full_path[0::2], name="trimmed")
+    plus = remove_vertices(trimmed, mids[0::2], name="plus")
+    minus = remove_vertices(trimmed, mids[1::2], name="minus")
+    return mids, trimmed, plus, minus
+
+
 def build_plus_minus(refinement: DualRefinement,
                      mb: MarkedBoundary) -> tuple[PlanarGraph, PlanarGraph]:
     """The two vertex-deleted refinement graphs whose matchings are swapped
     by the gliding bijection."""
-    if mb.leaves is None or mb.boundary_edges is None:
-        raise PreconditionViolated("boundary must be augmented with leaves first")
-    mids = tuple(refinement.mid_of_edge[e] for e in mb.boundary_edges)
-    evens = mb.full_path[0::2]
-    trimmed = remove_vertices(refinement.graph, evens, name="trimmed")
-    plus = remove_vertices(trimmed, mids[0::2], name="plus")
-    minus = remove_vertices(trimmed, mids[1::2], name="minus")
+    _, _, plus, minus = _trim(refinement, mb)
     return plus, minus
 
 
@@ -269,11 +267,7 @@ def section_instance(g0: PlanarGraph, path: list[int],
                      dual_weights: dict[int, Fraction] | None = None) -> PlusMinusInstance:
     g, mb = augment_with_leaves(g0, path)
     ref = dual_refinement(g, dual_weights)
-    mids = tuple(ref.mid_of_edge[e] for e in mb.boundary_edges)
-    evens = mb.full_path[0::2]
-    trimmed = remove_vertices(ref.graph, evens, name="trimmed")
-    plus = remove_vertices(trimmed, mids[0::2], name="plus")
-    minus = remove_vertices(trimmed, mids[1::2], name="minus")
+    mids, trimmed, plus, minus = _trim(ref, mb)
     return PlusMinusInstance(g0, g, mb, ref, trimmed, plus, minus, mids)
 
 
@@ -288,12 +282,8 @@ def symmetrize(refinement: DualRefinement, mb: MarkedBoundary) -> PlanarGraph:
     axis by an exactly validated offset and the whole drawing is mirrored,
     which yields a genuine symmetric straight-line embedding.
     """
-    if mb.leaves is None or mb.boundary_edges is None:
-        raise PreconditionViolated("boundary must be augmented with leaves first")
-    mids = tuple(refinement.mid_of_edge[e] for e in mb.boundary_edges)
-    evens = mb.full_path[0::2]
+    mids, trimmed, _, _ = _trim(refinement, mb)
     odds = mb.inner[0::2]
-    trimmed = remove_vertices(refinement.graph, evens)
 
     axis_y = {trimmed.vertices[m].pos[1] for m in mids}
     if len(axis_y) != 1:

@@ -47,15 +47,12 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
 
-    def render(self, timings: bool = False) -> str:
+    def render(self) -> str:
         lines = [f"seed {self.seed}"]
         lines += [r.render() for r in self.results]
         lines.append(f"{'PASS' if self.passed else 'FAIL'} "
                      f"({sum(r.passed for r in self.results)}/{len(self.results)} checks)")
-        text = "\n".join(lines) + "\n"
-        if timings:
-            text += "".join(f"# {r.name}: {r.wall_time:.3f}s\n" for r in self.results)
-        return text
+        return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

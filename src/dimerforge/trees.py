@@ -22,7 +22,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .matchings import Matching
-from .planar import PlanarGraph, SymmetryCertificate
+from .planar import PlanarGraph, SymmetryCertificate, _ccw_positions
 
 # ---------------------------------------------------------------------------
 # Rooted forests
@@ -48,12 +48,6 @@ class RootedForest:
     @property
     def edge_set(self) -> frozenset[int]:
         return frozenset(e for _, e, _ in self.assignments)
-
-    def parent_edge(self, v: int) -> int:
-        for w, e, _ in self.assignments:
-            if w == v:
-                return e
-        raise KeyError(f"{v} is a root or absent")
 
     def weight(self, g: PlanarGraph) -> Fraction:
         w = Fraction(1)
@@ -99,7 +93,9 @@ def orient_edge_set(g: PlanarGraph, edges, roots) -> RootedForest:
     """Orient a forest given as an edge set toward the given roots."""
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
     for eid in edges:
-        e = g.edges[eid]
+        e = g.edges.get(eid)
+        if e is None:
+            raise PreconditionViolated(f"edge {eid} is not in the graph")
         adj[e.u].append((eid, e.v))
         adj[e.v].append((eid, e.u))
     parent: dict[int, tuple[int, int]] = {}
@@ -117,6 +113,14 @@ def orient_edge_set(g: PlanarGraph, edges, roots) -> RootedForest:
     if len(seen) != len(g.vertices):
         raise PreconditionViolated("edge set does not span the graph from the roots")
     return make_forest(g, roots, parent)
+
+
+def _find(par: dict[int, int], x: int) -> int:
+    """Union-find root of ``x``, halving the path on the way."""
+    while par[x] != x:
+        par[x] = par[par[x]]
+        x = par[x]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -137,17 +141,10 @@ def enumerate_spanning_trees(g: PlanarGraph, root: int) -> Iterator[RootedForest
 
     def connected_with(active_parent: dict[int, int], from_idx: int) -> bool:
         par = dict(active_parent)
-
-        def find(x):
-            while par[x] != x:
-                par[x] = par[par[x]]
-                x = par[x]
-            return x
-
-        comps = len({find(v) for v in g.vertices})
+        comps = len({_find(par, v) for v in g.vertices})
         for eid in edge_ids[from_idx:]:
             e = g.edges[eid]
-            ru, rv = find(e.u), find(e.v)
+            ru, rv = _find(par, e.u), _find(par, e.v)
             if ru != rv:
                 par[ru] = rv
                 comps -= 1
@@ -161,15 +158,9 @@ def enumerate_spanning_trees(g: PlanarGraph, root: int) -> Iterator[RootedForest
             return
         if idx == len(edge_ids):
             return
-
-        def find(x):
-            while par[x] != x:
-                x = par[x]
-            return x
-
         eid = edge_ids[idx]
         e = g.edges[eid]
-        ru, rv = find(e.u), find(e.v)
+        ru, rv = _find(par, e.u), _find(par, e.v)
         if ru != rv:
             child = dict(par)
             child[ru] = rv
@@ -313,13 +304,6 @@ def dual_forest(g: PlanarGraph, forest_edges) -> DualForest:
     inf = faces.infinite_index
     forest_edges = set(forest_edges)
     par = {f.index: f.index for f in faces.bounded}
-
-    def find(x):
-        while par[x] != x:
-            par[x] = par[par[x]]
-            x = par[x]
-        return x
-
     used = []
     for eid in sorted(g.edges):
         if eid in forest_edges:
@@ -327,14 +311,14 @@ def dual_forest(g: PlanarGraph, forest_edges) -> DualForest:
         fa, fb = faces.sides_of_edge(g.edges[eid])
         if inf in (fa, fb) or fa == fb:
             continue
-        ra, rb = find(fa), find(fb)
+        ra, rb = _find(par, fa), _find(par, fb)
         if ra == rb:
             raise NotBanded(f"dual edges form a cycle at primal edge {eid}")
         par[ra] = rb
         used.append(eid)
     groups: dict[int, set[int]] = {}
     for f in faces.bounded:
-        groups.setdefault(find(f.index), set()).add(f.index)
+        groups.setdefault(_find(par, f.index), set()).add(f.index)
     comps = tuple(sorted((frozenset(s) for s in groups.values()), key=min))
     return DualForest(tuple(used), comps)
 
@@ -355,36 +339,22 @@ class BandedForestCertificate:
     components: tuple[ComponentLabel, ...]
 
 
-def _ccw_boundary(g: PlanarGraph) -> list[tuple[int, int]]:
-    """(vertex, edge to the next vertex) pairs of the infinite face walk in
-    counterclockwise order around the graph."""
-    cyc = g.trace_faces().infinite_face.cycle  # clockwise darts (tail, edge)
-    m = len(cyc)
-    return [(cyc[(m - t) % m][0], cyc[(m - 1 - t) % m][1]) for t in range(m)]
-
-
 def _boundary_arcs(g: PlanarGraph, marks: list[int]) -> dict[int, int]:
     """Map each boundary edge to the index of the arc between consecutive
     marks (arc i runs counterclockwise from marks[i] to marks[i+1]); the
     marks themselves must sit on the boundary in this cyclic order."""
-    cycle = _ccw_boundary(g)
-    verts = [v for v, _ in cycle]
-    for m in marks:
-        if verts.count(m) != 1:
-            raise ClassificationFailed(
-                f"boundary mark {m} does not appear exactly once on the infinite face")
-    pos = {m: verts.index(m) for m in marks}
-    seq = [pos[m] for m in marks]
-    shift = seq.index(min(seq))
-    if seq[shift:] + seq[:shift] != sorted(seq):
-        raise NotBanded(
-            f"distinguished points are not in counterclockwise order: {marks}")
-    start = pos[marks[0]]
-    rotated = cycle[start:] + cycle[:start]
+    cycle = g.ccw_boundary()
+    pos = _ccw_positions(
+        cycle, marks,
+        lambda m: ClassificationFailed(
+            f"boundary mark {m} does not appear exactly once on the infinite face"),
+        lambda: NotBanded(
+            f"distinguished points are not in counterclockwise order: {marks}"))
+    start = pos[0]
     arc_of_edge = {}
     arc = 0
-    for v, e in rotated:
-        if v in pos:
+    for v, e in cycle[start:] + cycle[:start]:
+        if v in marks:
             arc = marks.index(v)
         arc_of_edge[e] = arc
     return arc_of_edge
@@ -407,28 +377,21 @@ def classify_components(ambient: PlanarGraph, forest: RootedForest,
     forest_edges = forest.edge_set
     dual = dual_forest(ambient, forest_edges)
     par = {v: v for v in forest_graph.vertices}
-
-    def find(x):
-        while par[x] != x:
-            par[x] = par[par[x]]
-            x = par[x]
-        return x
-
     for eid in forest_edges:
         e = ambient.edges[eid]
-        par[find(e.u)] = find(e.v)
+        par[_find(par, e.u)] = _find(par, e.v)
     comp_of: dict[int, set[int]] = {}
     for v in forest_graph.vertices:
-        comp_of.setdefault(find(v), set()).add(v)
+        comp_of.setdefault(_find(par, v), set()).add(v)
     if len(comp_of) != len(pairs):
         raise NotBanded(
             f"forest has {len(comp_of)} components for {len(pairs)} pairs")
     band_components = []
     for u, up in pairs:
-        if find(u) != find(up):
+        if _find(par, u) != _find(par, up):
             raise BandPairingViolated(f"{u} and {up} lie in different components")
-        band_components.append(frozenset(comp_of[find(u)]))
-    if len({find(u) for u, _ in pairs}) != len(pairs):
+        band_components.append(frozenset(comp_of[_find(par, u)]))
+    if len({_find(par, u) for u, _ in pairs}) != len(pairs):
         raise BandPairingViolated("two distinguished pairs share a component")
     # counterclockwise order u_1..u_k, u'_k..u'_1 along the infinite face
     marks = [u for u, _ in pairs] + [up for _, up in reversed(pairs)]
@@ -537,6 +500,26 @@ def _check_channel_pairing(instance, forest: RootedForest):
                 f"faces {fa} and {fb} lie in different dual components")
 
 
+def _orient_dual(ref, adj: dict[int, list[tuple[int, int]]], root: int,
+                 chosen: set[int]) -> set[int]:
+    """Orient a dual tree away from the face ``root``: a depth-first search
+    over ``adj`` (face -> (primal edge, neighbouring face) pairs, visited in
+    sorted order) that adds to ``chosen`` the refinement half-edge from each
+    newly reached face center to the midpoint of the edge crossed into it.
+    Returns the faces reached."""
+    seen = {root}
+    stack = [root]
+    while stack:
+        f = stack.pop()
+        for eid, other in sorted(adj.get(f, ())):
+            if other not in seen:
+                seen.add(other)
+                stack.append(other)
+                chosen.add(ref.graph.edge_between(ref.center_of_face[other],
+                                                  ref.mid_of_edge[eid]).id)
+    return seen
+
+
 def tec_forest_to_matching(instance, forest: RootedForest) -> Matching:
     """Inverse construction: tail half-edges of the forest, of the channels
     rooted at the primed centers, and of the augmented bays."""
@@ -595,20 +578,8 @@ def tec_forest_to_matching(instance, forest: RootedForest) -> Matching:
             face_root[members] = f
             chosen.add(hgraph.edge_between(ref.center_of_face[f],
                                            ref.mid_of_edge[eid]).id)
-    # orient each dual component toward its root; tail half-edges go in
     for members in dual.components:
-        root = face_root[members]
-        seen = {root}
-        stack = [root]
-        while stack:
-            f = stack.pop()
-            for eid, other in sorted(dual_adj.get(f, ())):
-                if other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-                    chosen.add(hgraph.edge_between(ref.center_of_face[other],
-                                                   ref.mid_of_edge[eid]).id)
-        if seen != set(members):
+        if _orient_dual(ref, dual_adj, face_root[members], chosen) != set(members):
             raise ClassificationFailed("dual component is not connected")
     mu = Matching(host.graph_id, frozenset(chosen))
     mu.cover_map(host)

@@ -1,11 +1,18 @@
 """Command-line surface and the suite runner."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from click.testing import CliRunner
 
+import dimerforge
+from dimerforge.bijections import transport_instance
 from dimerforge.cli import cli
 from dimerforge.errors import ConfigError
 from dimerforge.generators import grid_graph, hexagon_graph
+from dimerforge.matchings import enumerate_matchings
 from dimerforge.planar import dump_graph, load_graph
 from dimerforge.report import parse_suite_config, run_suite
 
@@ -125,6 +132,58 @@ def test_verify_bijection_commands(runner, square_file, tmp_path):
                           "--plain", ",".join(map(str, plain)),
                           "--prime", ",".join(map(str, prime))])
     assert res.output.startswith("PASS")
+
+
+def test_tea_transport_reads_plain_host_matchings(runner, tmp_path):
+    # every matching of the plain host uses an edge id the primed host lacks
+    g, plain, prime = hexagon_graph(1)
+    inst = transport_instance(g, plain, prime)
+    hexfile = tmp_path / "hex.txt"
+    hexfile.write_text(dump_graph(g))
+    mfile = tmp_path / "plain.txt"
+    mfile.write_text("".join(" ".join(map(str, mu.sorted_edges())) + "\n"
+                             for mu in enumerate_matchings(inst.host_plain)))
+    res = invoke(runner, ["tea-transport", str(hexfile), str(mfile),
+                          "--plain", ",".join(map(str, plain)),
+                          "--prime", ",".join(map(str, prime))])
+    lines = res.output.splitlines()
+    assert len(lines) == 4
+    assert sorted(lines) == sorted(" ".join(map(str, mu.sorted_edges()))
+                                   for mu in enumerate_matchings(inst.host_prime))
+
+
+def _main(*args):
+    """Run the command-line entry point in a fresh interpreter, so an
+    uncaught exception shows up as a traceback on stderr."""
+    src = os.path.dirname(os.path.dirname(dimerforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "dimerforge.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("command, lines, error", [
+    (["aztec", "biject", "2", "IDS"], "0 99\n", "NotAMatching"),
+    (["aztec", "biject", "2", "IDS"], "0 1\n", "NotAMatching"),
+    (["aztec", "biject", "2", "IDS"], "0\n", "NotAMatching"),
+    (["aztec", "biject", "2", "IDS"], "x y\n", "ParseError"),
+    (["temperley", "m2t", "SQUARE", "IDS", "--root", "0"], "0 1 2\n", "NotAMatching"),
+    (["temperley", "t2m", "SQUARE", "IDS", "--root", "0"], "# trees\n\n1,z\n", "ParseError"),
+    (["temperley", "t2m", "SQUARE", "IDS", "--root", "0"], "0 1 99\n",
+     "PreconditionViolated"),
+    (["tec", "f2m", "HEX", "IDS", "--plain", "2", "--prime", "4"], "1 x\n", "ParseError"),
+], ids=["unknown-edge", "covered-twice", "uncovered", "not-an-int", "tree-as-matching",
+        "tree-not-an-int", "tree-unknown-edge", "forest-not-an-int"])
+def test_malformed_id_files_exit_1_without_traceback(tmp_path, square_file,
+                                                     command, lines, error):
+    ids = tmp_path / "ids.txt"
+    ids.write_text(lines)
+    hexfile = tmp_path / "hex.txt"
+    hexfile.write_text(dump_graph(hexagon_graph(1)[0]))
+    files = {"IDS": str(ids), "SQUARE": square_file, "HEX": str(hexfile)}
+    res = _main(*(files.get(a, a) for a in command))
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.startswith(f"error: {error}: "), res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_parity_command(runner, square_file):

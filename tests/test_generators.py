@@ -60,6 +60,17 @@ def test_random_transport_valid():
         assert again.host_plain.graph_id == inst.host_plain.graph_id
 
 
+def test_random_transport_grid_draws_are_pinned():
+    # both seeds draw the corner-marked grid shape, whose marks are picked
+    # by index along the counterclockwise boundary
+    for seed, plain, prime, gid in ((12, (0,), (2,), "c663852e787b"),
+                                    (13, (1,), (0,), "fd7d94b45eaa")):
+        inst, paths = random_transport(seed)
+        source = inst.smashed.refinement.source
+        assert source.name == "grid2x2" and paths == {}
+        assert (inst.plain, inst.prime, source.graph_id) == (plain, prime, gid)
+
+
 def test_random_trimmed_deterministic():
     g1, n1, rem1 = random_trimmed(7)
     g2, n2, rem2 = random_trimmed(7)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dimerforge.errors import NotAMatching
 from dimerforge.generators import grid_graph, path_graph, random_plane_graph
 from dimerforge.matchings import (
     count_matchings,
@@ -122,5 +123,5 @@ def test_matching_host_mismatch_detected():
     g = grid_graph(2, 2)
     mus = list(enumerate_matchings(g))
     other = grid_graph(2, 4)
-    with pytest.raises(Exception):
+    with pytest.raises(NotAMatching):
         mus[0].cover_map(other)

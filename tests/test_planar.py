@@ -101,6 +101,15 @@ def test_faces_of_3x3_grid():
     assert faces.infinite_face.area2 == -8
 
 
+def test_ccw_boundary_of_3x3_grid_is_pinned():
+    # random_transport indexes marks into this walk, so its start matters
+    g = grid_graph(3, 3)
+    walk = g.ccw_boundary()
+    assert [v for v, _ in walk] == [3, 6, 7, 8, 5, 2, 1, 0]
+    for (v, e), (w, _) in zip(walk, walk[1:] + walk[:1]):
+        assert g.edges[e].ends == {v, w}
+
+
 def test_dual_of_square_is_one_vertex():
     dual = planar_dual(load_graph(SQUARE))
     assert len(dual.graph.vertices) == 1

@@ -41,6 +41,14 @@ def test_enumerate_counts():
     assert sum(1 for _ in enumerate_spanning_trees(grid_graph(3, 3), 0)) == 192
 
 
+def test_enumeration_order_is_pinned():
+    got = [sorted(t.edge_set) for t in enumerate_spanning_trees(grid_graph(3, 2), 0)]
+    assert got == [[0, 1, 2, 4, 5], [0, 1, 2, 4, 6], [0, 1, 2, 5, 6], [0, 1, 3, 4, 5],
+                   [0, 1, 3, 4, 6], [0, 1, 3, 5, 6], [0, 1, 4, 5, 6], [0, 2, 3, 4, 5],
+                   [0, 2, 3, 4, 6], [0, 2, 3, 5, 6], [0, 2, 4, 5, 6], [1, 2, 3, 4, 5],
+                   [1, 2, 3, 4, 6], [1, 2, 3, 5, 6], [1, 2, 4, 5, 6]]
+
+
 def test_single_edge_tree():
     g = grid_graph(2, 1)
     trees = list(enumerate_spanning_trees(g, 0))
