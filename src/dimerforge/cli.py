@@ -45,6 +45,41 @@ def _ids(text: str) -> list[int]:
     return [int(t) for t in text.replace(",", " ").split()]
 
 
+def _peaks(text: str) -> list[tuple[int, int]]:
+    """Trimmed-square peaks written 'i,j;i,j;...'."""
+    peaks = []
+    for part in text.split(";") if text else ():
+        i, j = part.split(",")
+        peaks.append((int(i), int(j)))
+    return peaks
+
+
+def _site_path(text: str) -> tuple[int, list[int]]:
+    """A constrained path written 'INDEX=v1-v2-...'."""
+    idx, sep, seq = text.partition("=")
+    if not sep:
+        raise ValueError("expected INDEX=v1-v2-...")
+    return int(idx), [int(t) for t in seq.split("-")]
+
+
+class _Parsed(click.ParamType):
+    """An option value read by ``parse``; a malformed value is a usage error
+    naming the option."""
+
+    def __init__(self, name: str, parse):
+        self.name = name
+        self.parse = parse
+
+    def convert(self, value, param, ctx):
+        try:
+            return self.parse(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            self.fail(f"{value!r}: {exc}", param, ctx)
+
+
+_IDS = _Parsed("ids", _ids)
+
+
 def _read_id_lines(path: str):
     """(line number, ids) for each non-blank line of an id-list file, where
     ``#`` starts a comment; a malformed id raises ParseError naming the line."""
@@ -170,22 +205,18 @@ def squarish_cmd(value):
 @cli.command()
 @click.argument("kind", type=click.Choice(["hg", "plus", "minus", "bar", "smash", "trimmed"]))
 @click.argument("file", type=click.Path(), required=False)
-@click.option("--path", "path_", help="comma-separated boundary path vertex ids")
-@click.option("--targets", help="comma-separated vertices to smash")
+@click.option("--path", "path_", type=_IDS, help="comma-separated boundary path vertex ids")
+@click.option("--targets", type=_IDS, help="comma-separated vertices to smash")
 @click.option("--n", "order", type=int, help="half side for trimmed squares")
-@click.option("--removals", help="peaks as 'i,j;i,j;...'")
+@click.option("--removals", type=_Parsed("peaks", _peaks), default="",
+              help="peaks as 'i,j;i,j;...'")
 @click.option("-o", "--out", type=click.Path(), help="output file (default stdout)")
 def build(kind, file, path_, targets, order, removals, out):
     """Build a derived graph and write it in the graph-file format."""
     if kind == "trimmed":
         if order is None:
             raise click.UsageError("trimmed needs --n")
-        peaks = []
-        if removals:
-            for part in removals.split(";"):
-                i, j = part.split(",")
-                peaks.append((int(i), int(j)))
-        _emit(dump_graph(refine.trimmed_square(order, peaks)), out)
+        _emit(dump_graph(refine.trimmed_square(order, removals)), out)
         return
     if file is None:
         raise click.UsageError(f"{kind} needs a graph file")
@@ -194,7 +225,7 @@ def build(kind, file, path_, targets, order, removals, out):
         if not targets:
             raise click.UsageError("smash needs --targets")
         ref = refine.dual_refinement(g)
-        smashed = refine.smash_in(ref, _ids(targets))
+        smashed = refine.smash_in(ref, targets)
         _emit(dump_graph(smashed.graph), out)
         return
     if kind == "hg":
@@ -202,7 +233,7 @@ def build(kind, file, path_, targets, order, removals, out):
         return
     if not path_:
         raise click.UsageError(f"{kind} needs --path")
-    inst = refine.section_instance(g, _ids(path_))
+    inst = refine.section_instance(g, path_)
     if kind == "plus":
         _emit(dump_graph(inst.plus), out)
     elif kind == "minus":
@@ -214,11 +245,11 @@ def build(kind, file, path_, targets, order, removals, out):
 @cli.command()
 @click.argument("file", type=click.Path())
 @click.argument("matchings_file", type=click.Path())
-@click.option("--path", "path_", required=True, help="boundary path vertex ids")
+@click.option("--path", "path_", type=_IDS, required=True, help="boundary path vertex ids")
 @click.option("--inverse", is_flag=True, help="map from the minus side instead")
 def phi(file, matchings_file, path_, inverse):
     """Map matchings between the plus and minus graphs (one per line)."""
-    inst = refine.section_instance(_load(file), _ids(path_))
+    inst = refine.section_instance(_load(file), path_)
     host = inst.minus if inverse else inst.plus
     for mu in _read_matchings(matchings_file, host):
         img = bijections.psi(inst, mu) if inverse else bijections.phi(inst, mu)
@@ -248,28 +279,24 @@ def temperley(direction, file, input_file, root):
 
 def _transport_from_options(file, plain, prime, constraint):
     g = _load(file)
-    inst = bijections.transport_instance(g, _ids(plain), _ids(prime))
-    paths = {}
-    for spec_text in constraint:
-        idx, _, seq = spec_text.partition("=")
-        sites = [int(t) for t in seq.split("-")]
-        paths[int(idx)] = bijections.site_path_to_refinement(
-            inst.smashed.refinement, sites)
+    inst = bijections.transport_instance(g, plain, prime)
+    paths = {idx: bijections.site_path_to_refinement(inst.smashed.refinement, sites)
+             for idx, sites in constraint}
     return inst, paths
 
 
 @cli.command("tea-transport")
 @click.argument("file", type=click.Path())
 @click.argument("matchings_file", type=click.Path())
-@click.option("--plain", required=True, help="marked run v1,v2,...")
-@click.option("--prime", required=True, help="marked run v'1,v'2,...")
-@click.option("--I", "subset", default="", help="constrained indices, e.g. 1,3")
-@click.option("--constraint", multiple=True,
+@click.option("--plain", type=_IDS, required=True, help="marked run v1,v2,...")
+@click.option("--prime", type=_IDS, required=True, help="marked run v'1,v'2,...")
+@click.option("--I", "subset", type=_IDS, default="", help="constrained indices, e.g. 1,3")
+@click.option("--constraint", type=_Parsed("site-path", _site_path), multiple=True,
               help="path as INDEX=v1-v2-...; repeatable")
 def tea_transport_cmd(file, matchings_file, plain, prime, subset, constraint):
     """Transport matchings between the two marked-run hosts."""
     inst, paths = _transport_from_options(file, plain, prime, constraint)
-    chosen = set(_ids(subset)) if subset else set()
+    chosen = set(subset)
     for host in (inst.host_prime, inst.host_plain):
         try:
             mus = _read_matchings(matchings_file, host)
@@ -286,17 +313,17 @@ def tea_transport_cmd(file, matchings_file, plain, prime, subset, constraint):
 @cli.command("verify-bijection")
 @click.argument("kind", type=click.Choice(["phi", "temperley", "tea"]))
 @click.argument("file", type=click.Path())
-@click.option("--path", "path_", help="boundary path (phi)")
+@click.option("--path", "path_", type=_IDS, help="boundary path (phi)")
 @click.option("--root", type=int, help="root vertex (temperley)")
-@click.option("--plain", help="marked run (tea)")
-@click.option("--prime", help="marked run (tea)")
+@click.option("--plain", type=_IDS, help="marked run (tea)")
+@click.option("--prime", type=_IDS, help="marked run (tea)")
 def verify_bijection(kind, file, path_, root, plain, prime):
     """Exhaustively verify a bijection on one instance; exit 0/1."""
     g = _load(file)
     if kind == "phi":
         if not path_:
             raise click.UsageError("phi needs --path")
-        inst = refine.section_instance(g, _ids(path_))
+        inst = refine.section_instance(g, path_)
         plus = list(enumerate_matchings(inst.plus))
         images = [bijections.phi(inst, mu) for mu in plus]
         ok = (len({m.edges for m in images}) == len(images)
@@ -355,13 +382,12 @@ def trees_enumerate(file, root):
 @click.argument("direction", type=click.Choice(["f2m", "m2f"]))
 @click.argument("file", type=click.Path())
 @click.argument("input_file", type=click.Path())
-@click.option("--plain", required=True)
-@click.option("--prime", required=True)
+@click.option("--plain", type=_IDS, required=True)
+@click.option("--prime", type=_IDS, required=True)
 def tec(direction, file, input_file, plain, prime):
     """Convert between banded forests and matchings of the smashed host."""
     g = _load(file)
-    inst = bijections.transport_instance(g, _ids(plain), _ids(prime),
-                                         require_plain_path=False)
+    inst = bijections.transport_instance(g, plain, prime, require_plain_path=False)
     if direction == "m2f":
         for mu in _read_matchings(input_file, inst.host_prime):
             forest = trees.tec_matching_to_forest(inst, mu)
@@ -379,11 +405,12 @@ def tec(direction, file, input_file, plain, prime):
 @click.option("--kind", type=click.Choice(["exit", "hv"]), default="exit")
 @click.option("--samples", type=int, default=0)
 @click.option("--seed", type=int, default=0)
-@click.option("--axis", default="0", help="axis height y=c")
+@click.option("--axis", type=_Parsed("fraction", Fraction), default="0",
+              help="axis height y=c")
 def independence(file, root, kind, samples, seed, axis):
     """Joint exit-indicator distribution for the uniform spanning tree."""
     g = _load(file)
-    cert = check_reflection_symmetry(g, Fraction(axis))
+    cert = check_reflection_symmetry(g, axis)
     rep = trees.independence_report(g, cert, root,
                                     "exit-side" if kind == "exit" else "hv",
                                     samples=samples, seed=seed)
@@ -394,12 +421,12 @@ def independence(file, root, kind, samples, seed, axis):
 
 @cli.command()
 @click.argument("file", type=click.Path())
-@click.option("--cycle", required=True, help="comma-separated cycle vertices")
+@click.option("--cycle", type=_IDS, required=True, help="comma-separated cycle vertices")
 def parity(file, cycle):
     """Interior vertex/edge/face count of a simple cycle."""
     from .parity import interior_vertex_count
 
-    ic = interior_vertex_count(_load(file), _ids(cycle))
+    ic = interior_vertex_count(_load(file), cycle)
     click.echo(f"vertices={ic.vertices} edges={ic.edges} faces={ic.faces} "
                f"total={ic.total} ({ic.parity})")
 

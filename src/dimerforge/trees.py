@@ -197,28 +197,39 @@ def _bareiss_det(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _forced_tree_weight(g: PlanarGraph, root: int, forced: dict[int, list[int]]) -> Fraction:
+    """Total weight of the spanning trees oriented toward ``root`` in which
+    each vertex of ``forced`` exits along one of its listed edge ids.
+
+    By the directed matrix-tree theorem (Tutte 1948; Chaiken 1982) this is
+    the determinant of the out-Laplacian with the root's row and column
+    deleted, where a forced vertex's row is built from its listed edges
+    alone.  Weights are scaled to integers by one common denominator and the
+    determinant is taken fraction-free.
+    """
+    verts = [v for v in sorted(g.vertices) if v != root]
+    idx = {v: i for i, v in enumerate(verts)}
+    scale = lcm(*[e.weight.denominator for e in g.edges.values()]) if g.edges else 1
+    lap = [[0] * len(verts) for _ in verts]
+    for v in verts:
+        row = lap[idx[v]]
+        for eid in forced.get(v, g.adj[v]):
+            w = int(g.edges[eid].weight * scale)
+            row[idx[v]] += w
+            u = g.edges[eid].other(v)
+            if u != root:
+                row[idx[u]] -= w
+    return Fraction(_bareiss_det(lap), scale ** len(verts))
+
+
 def count_spanning_trees(g: PlanarGraph) -> Fraction:
     """Weighted spanning tree count from a reduced-Laplacian determinant,
     computed fraction-free over exact integers."""
-    verts = sorted(g.vertices)
-    n = len(verts)
-    if n == 0:
+    if not g.vertices:
         return Fraction(0)
-    if n == 1:
+    if len(g.vertices) == 1:
         return Fraction(1)
-    idx = {v: i for i, v in enumerate(verts)}
-    scale = lcm(*[e.weight.denominator for e in g.edges.values()]) if g.edges else 1
-    lap = [[0] * n for _ in range(n)]
-    for e in g.edges.values():
-        w = int(e.weight * scale)
-        i, j = idx[e.u], idx[e.v]
-        lap[i][i] += w
-        lap[j][j] += w
-        lap[i][j] -= w
-        lap[j][i] -= w
-    minor = [row[:-1] for row in lap[:-1]]
-    det = _bareiss_det(minor)
-    return Fraction(det, scale ** (n - 1))
+    return _forced_tree_weight(g, max(g.vertices), {})
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +348,7 @@ class BandedForestCertificate:
     bands: tuple[tuple[int, int], ...]           # distinguished pairs (u_i, u'_i)
     band_components: tuple[frozenset[int], ...]  # vertex sets, aligned with bands
     components: tuple[ComponentLabel, ...]
+    dual: DualForest                             # the dual forest that was classified
 
 
 def _boundary_arcs(g: PlanarGraph, marks: list[int]) -> dict[int, int]:
@@ -440,7 +452,7 @@ def classify_components(ambient: PlanarGraph, forest: RootedForest,
         else:
             labels.append(ComponentLabel("bay", tuple(touch),
                                          tuple(edges_used), tuple(arcs), members))
-    return BandedForestCertificate(tuple(pairs), tuple(band_components), tuple(labels))
+    return BandedForestCertificate(tuple(pairs), tuple(band_components), tuple(labels), dual)
 
 
 # ---------------------------------------------------------------------------
@@ -481,15 +493,15 @@ def tec_matching_to_forest(instance, mu: Matching) -> RootedForest:
         primal = ref.primal_edge_of(mid)
         parent[v] = (primal, ref.source.edges[primal].other(v))
     forest = make_forest(g0, roots, parent)
-    classify_components(ref.source, forest,
-                        list(zip(instance.plain_odd, instance.prime_odd)), g0)
-    _check_channel_pairing(instance, forest)
+    cert = classify_components(ref.source, forest,
+                               list(zip(instance.plain_odd, instance.prime_odd)), g0)
+    _check_channel_pairing(instance, cert.dual)
     return forest
 
 
-def _check_channel_pairing(instance, forest: RootedForest):
-    ref = instance.smashed.refinement
-    dual = dual_forest(ref.source, forest.edge_set)
+def _check_channel_pairing(instance, dual: DualForest):
+    """Each plain even face must share its dual component with its primed
+    partner."""
     comp_of_face = {}
     for members in dual.components:
         for f in members:
@@ -531,9 +543,9 @@ def tec_forest_to_matching(instance, forest: RootedForest) -> Matching:
         raise PreconditionViolated("forest does not span the expected graph")
     if set(forest.roots) != set(instance.prime_odd):
         raise PreconditionViolated("forest roots differ from the primed marks")
-    classify_components(src, forest,
-                        list(zip(instance.plain_odd, instance.prime_odd)), g0)
-    _check_channel_pairing(instance, forest)
+    dual = classify_components(src, forest,
+                               list(zip(instance.plain_odd, instance.prime_odd)), g0).dual
+    _check_channel_pairing(instance, dual)
 
     hgraph = ref.graph
     chosen: set[int] = set()
@@ -542,7 +554,6 @@ def tec_forest_to_matching(instance, forest: RootedForest) -> Matching:
         chosen.add(hgraph.edge_between(v, mid).id)
 
     forest_edges = forest.edge_set
-    dual = dual_forest(src, forest_edges)
     faces = src.trace_faces()
     inf = faces.infinite_index
     dual_adj: dict[int, list[tuple[int, int]]] = {}
@@ -595,7 +606,8 @@ def class_weight(g: PlanarGraph, cert: SymmetryCertificate, root: int,
                  marked_edges: list[int], chosen: set[int] | frozenset[int]) -> Fraction:
     """Total weight of the spanning trees rooted at ``root`` in which the
     axis endpoint of each marked edge exits along the edge itself (index in
-    ``chosen``) or along its mirror image (otherwise)."""
+    ``chosen``) or along its mirror image (otherwise): one determinant, with
+    each axis endpoint forced to its wanted edge."""
     axis = set(cert.axis_vertices)
     if root not in axis:
         raise HypothesisViolated(f"root {root} is not on the axis")
@@ -615,18 +627,9 @@ def class_weight(g: PlanarGraph, cert: SymmetryCertificate, root: int,
             raise HypothesisViolated("marked edges are not pairwise disjoint")
         seen_vertices.update((e.u, e.v))
         anchors.append((onax[0], eid))
-    total = Fraction(0)
-    for tree in enumerate_spanning_trees(g, root):
-        parent = tree.parent
-        ok = True
-        for i, (a, eid) in enumerate(anchors, 1):
-            want = eid if i in chosen else cert.edge_map[eid]
-            if parent[a][0] != want:
-                ok = False
-                break
-        if ok:
-            total += tree.weight(g)
-    return total
+    return _forced_tree_weight(
+        g, root, {a: [eid if i in chosen else cert.edge_map[eid]]
+                  for i, (a, eid) in enumerate(anchors, 1)})
 
 
 @dataclass(frozen=True)
@@ -687,10 +690,13 @@ def independence_report(g: PlanarGraph, cert: SymmetryCertificate, root: int,
     """Joint distribution of the per-axis-vertex exit indicators under the
     (weighted) uniform spanning tree rooted at ``root``.
 
-    With ``samples = 0`` the distribution is computed exactly by enumeration
-    and PASS means all cells carry equal weight; otherwise the tree is
-    sampled and PASS means a chi-square test against the uniform law is not
-    rejected at the given significance.
+    With ``samples = 0`` the distribution is computed exactly, one
+    determinant per cell with each variable forced to exit along the edges
+    that give its bit, and PASS means all cells carry equal weight;
+    otherwise the tree is sampled and PASS means a chi-square test against
+    the uniform law is not rejected at the given significance.  A variable
+    with an edge that gives no indicator value raises HypothesisViolated,
+    whether or not any tree exits along it.
     """
     if root not in cert.axis_vertices:
         raise HypothesisViolated(f"root {root} is not on the axis")
@@ -698,23 +704,21 @@ def independence_report(g: PlanarGraph, cert: SymmetryCertificate, root: int,
         raise HypothesisViolated(f"root {root} is not on the infinite face")
     variables = independence_variables(g, cert, root, kind)
     n = len(variables)
-    cells: dict[tuple[int, ...], Fraction] = {
-        bits: Fraction(0) for bits in _all_bits(n)}
+    # the exit edges of each variable, split by the indicator value they give
+    exits = {v: ([], []) for v in variables}
+    for v in variables:
+        for eid in g.adj[v]:
+            exits[v][_exit_bit(g, cert, kind, v, g.edges[eid].other(v))].append(eid)
     if samples == 0:
-        for tree in enumerate_spanning_trees(g, root):
-            parent = tree.parent
-            bits = tuple(_exit_bit(g, cert, kind, v, parent[v][1]) for v in variables)
-            cells[bits] += tree.weight(g)
-        values = list(cells.values())
-        passed = all(v == values[0] for v in values)
-        return IndependenceReport(kind, variables,
-                                  tuple(sorted(cells.items())), passed)
-    counts = {bits: 0 for bits in cells}
+        cells = {bits: _forced_tree_weight(g, root, {v: exits[v][b]
+                                                     for v, b in zip(variables, bits)})
+                 for bits in _all_bits(n)}
+        passed = len(set(cells.values())) == 1
+        return IndependenceReport(kind, variables, tuple(sorted(cells.items())), passed)
+    counts = {bits: 0 for bits in _all_bits(n)}
     for k in range(samples):
-        tree = ust_sample(g, root, split_seed(seed, k))
-        parent = tree.parent
-        bits = tuple(_exit_bit(g, cert, kind, v, parent[v][1]) for v in variables)
-        counts[bits] += 1
+        parent = ust_sample(g, root, split_seed(seed, k)).parent
+        counts[tuple(int(parent[v][0] in exits[v][1]) for v in variables)] += 1
     expected = samples / 2 ** n
     stat = sum((c - expected) ** 2 / expected for c in counts.values())
     p = chi_square_sf(stat, 2 ** n - 1)

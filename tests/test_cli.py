@@ -186,6 +186,31 @@ def test_malformed_id_files_exit_1_without_traceback(tmp_path, square_file,
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("command, option", [
+    (["build", "plus", "SQUARE", "--path", "0,x"], "--path"),
+    (["build", "smash", "SQUARE", "--targets", "1;2"], "--targets"),
+    (["build", "trimmed", "--n", "2", "--removals", "1"], "--removals"),
+    (["tea-transport", "HEX", "IDS", "--plain", "2,a", "--prime", "4"], "--plain"),
+    (["tec", "m2f", "HEX", "IDS", "--plain", "2", "--prime", "4.5"], "--prime"),
+    (["tea-transport", "HEX", "IDS", "--plain", "2", "--prime", "4", "--I", "1,?"], "--I"),
+    (["tea-transport", "HEX", "IDS", "--plain", "2", "--prime", "4",
+      "--constraint", "1=2-x"], "--constraint"),
+    (["parity", "SQUARE", "--cycle", "0,1,3,two"], "--cycle"),
+    (["independence", "SQUARE", "--root", "0", "--axis", "1/0"], "--axis"),
+], ids=["path", "targets", "removals", "plain", "prime", "I", "constraint", "cycle", "axis"])
+def test_malformed_option_values_exit_2_without_traceback(tmp_path, square_file,
+                                                          command, option):
+    ids = tmp_path / "ids.txt"
+    ids.write_text("")
+    hexfile = tmp_path / "hex.txt"
+    hexfile.write_text(dump_graph(hexagon_graph(1)[0]))
+    files = {"IDS": str(ids), "SQUARE": square_file, "HEX": str(hexfile)}
+    res = _main(*(files.get(a, a) for a in command))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith(f"usage error: Invalid value for '{option}': "), res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_parity_command(runner, square_file):
     res = invoke(runner, ["parity", square_file, "--cycle", "0,1,3,2"])
     assert "total=1 (odd)" in res.output

@@ -17,9 +17,11 @@ from dimerforge.generators import (
     random_symmetric,
 )
 from dimerforge.matchings import enumerate_matchings
-from dimerforge.planar import Edge, PlanarGraph, check_reflection_symmetry
+from dimerforge.planar import Edge, PlanarGraph, Vertex, check_reflection_symmetry
 from dimerforge.bijections import transport_instance
+from dimerforge import trees
 from dimerforge.trees import (
+    _forced_tree_weight,
     chi_square_sf,
     class_weight,
     classify_components,
@@ -333,3 +335,132 @@ def test_independence_requires_axis_root():
     off_axis = next(v for v in g.vertices if v not in cert.axis_vertices)
     with pytest.raises(errors.HypothesisViolated):
         independence_report(g, cert, off_axis, "exit-side")
+
+
+# -- determinant routes against the enumeration oracle ------------------------
+
+
+def _constrained_weight(g, root, forced):
+    """Oracle: total weight of the enumerated spanning trees toward ``root``
+    in which each vertex of ``forced`` exits along one of its listed edges."""
+    return sum((t.weight(g) for t in enumerate_spanning_trees(g, root)
+                if all(t.parent[v][0] in eids for v, eids in forced.items())),
+               Fraction(0))
+
+
+def test_count_matches_enumeration_at_a_middle_root():
+    for seed in range(4):
+        g = random_plane_graph(seed, weighted=True)
+        root = sorted(g.vertices)[len(g.vertices) // 2]
+        total = count_spanning_trees(g)
+        assert total == _constrained_weight(g, root, {})
+        assert all(_forced_tree_weight(g, v, {}) == total for v in g.vertices)
+
+
+def test_class_weight_matches_enumeration():
+    checked = 0
+    for seed in range(10):
+        g, cert = random_symmetric(seed)
+        axis = cert.axis_vertices
+        root = axis[seed % 2 - 1]
+        marked = []
+        for a in axis:
+            ups = [e for e in sorted(g.adj[a])
+                   if g.vertices[g.edges[e].other(a)].pos[1] > 0]
+            if a != root and ups and g.edges[ups[0]].other(a) != root:
+                marked.append(ups[0])
+        for bits in range(2 ** len(marked)):
+            chosen = {i + 1 for i in range(len(marked)) if bits >> i & 1}
+            forced = {next(v for v in (g.edges[e].u, g.edges[e].v) if v in axis):
+                      [e if i in chosen else cert.edge_map[e]]
+                      for i, e in enumerate(marked, 1)}
+            assert class_weight(g, cert, root, marked, chosen) == \
+                _constrained_weight(g, root, forced)
+            checked += 1
+    assert checked >= 20
+
+
+def test_independence_hv_table_matches_enumeration():
+    dg = diagonal_grid(3)
+    cert = check_reflection_symmetry(dg, Fraction(0))
+    root = cert.axis_vertices[0]
+    rep = independence_report(dg, cert, root, "hv")
+    assert rep.variables == cert.axis_vertices[1:]
+    cells = {}
+    for tree in enumerate_spanning_trees(dg, root):
+        bits = []
+        for v in rep.variables:
+            here, there = dg.vertices[v].pos, dg.vertices[tree.parent[v][1]].pos
+            bits.append(int((there[0] > here[0]) != (there[1] > here[1])))
+        cells[tuple(bits)] = cells.get(tuple(bits), 0) + tree.weight(dg)
+    assert dict(rep.table) == cells
+    assert len(cells) == 4
+
+
+def test_tree_swap_weights_match_enumeration():
+    from dimerforge.generators import random_section2
+    from dimerforge.report import check_tree_swap
+
+    seed = 11
+    assert check_tree_swap(5, seed)[0]
+    for k in range(5):
+        inst = random_section2(split_seed(seed, k))
+        g0, path, n = inst.base, inst.boundary.inner, inst.boundary.n
+        assert all(e.weight == 1 for e in g0.edges.values())
+        fwd = {path[2 * i - 1]: [g0.edge_between(path[2 * i - 1], path[2 * i]).id]
+               for i in range(1, n)}
+        bwd = {path[2 * i - 1]: [g0.edge_between(path[2 * i - 1], path[2 * i - 2]).id]
+               for i in range(1, n)}
+        lhs = _constrained_weight(g0, path[-1], fwd)
+        assert lhs == _constrained_weight(g0, path[0], bwd)
+        assert _forced_tree_weight(g0, path[-1], fwd) == lhs
+        assert _forced_tree_weight(g0, path[0], bwd) == lhs
+
+
+def test_independence_hv_rejects_axis_parallel_exits():
+    g = grid_graph(3, 3)
+    cert = check_reflection_symmetry(g, Fraction(1))
+    with pytest.raises(errors.HypothesisViolated):
+        independence_report(g, cert, cert.axis_vertices[0], "hv")
+
+
+def test_independence_rejects_an_axis_parallel_edge_no_tree_exits_along():
+    # diagonal_grid(3) with a vertical pendant edge above and below its middle
+    # axis vertex: the pendants always hang from it, so no tree exits along
+    # those edges, but they give no indicator value
+    dg = diagonal_grid(3)
+    mid = next(v.id for v in dg.vertices.values() if v.pos == (2, 0))
+    vertices, edges = dict(dg.vertices), dict(dg.edges)
+    for y in (1, -1):
+        vid, eid = len(vertices), len(edges)
+        vertices[vid] = Vertex(vid, (Fraction(2), Fraction(y)))
+        edges[eid] = Edge(eid, mid, vid)
+    g = PlanarGraph.build(vertices, edges)
+    cert = check_reflection_symmetry(g, Fraction(0))
+    with pytest.raises(errors.HypothesisViolated):
+        independence_report(g, cert, cert.axis_vertices[0], "hv")
+
+
+@pytest.mark.parametrize("k, variables", [(5, 4), (7, 6)])
+def test_independence_hv_exact_on_larger_diagonal_grids(k, variables):
+    dg = diagonal_grid(k)
+    cert = check_reflection_symmetry(dg, Fraction(0))
+    rep = independence_report(dg, cert, cert.axis_vertices[0], "hv")
+    assert len(rep.variables) == variables
+    assert len(rep.table) == 2 ** variables
+    assert rep.passed
+    assert rep.table[0][1] * 2 ** variables == count_spanning_trees(dg)
+
+
+def test_banded_conversions_build_the_dual_forest_once(monkeypatch):
+    g, plain, prime = hexagon_graph(1)
+    inst = transport_instance(g, plain, prime, require_plain_path=False)
+    mu = next(enumerate_matchings(inst.host_prime))
+    calls = []
+    real = trees.dual_forest
+    monkeypatch.setattr(trees, "dual_forest",
+                        lambda *args: calls.append(args) or real(*args))
+    forest = tec_matching_to_forest(inst, mu)
+    assert len(calls) == 1
+    assert tec_forest_to_matching(inst, forest).edges == mu.edges
+    assert len(calls) == 2
