@@ -25,7 +25,7 @@ from .bijections import (
 from .errors import LiftFailed
 from .generators import hexagon_graph
 from .matchings import Matching, enumerate_matchings
-from .planar import Edge, PlanarGraph, Vertex
+from .planar import Edge, PlanarGraph, Vertex, remove_vertices
 
 
 def aztec_formula(n: int) -> int:
@@ -108,8 +108,8 @@ def _build_side(n: int, variant: str, inst: TransportInstance,
         on_path = set(cpath)
         below = {v for v in host.vertices
                  if v not in on_path and _below_staircase(_scaled(host.vertices[v].pos))}
-        below_graph = _induced(host, below)
-        below_matchings = list(enumerate_matchings(below_graph))
+        below_matchings = list(enumerate_matchings(
+            remove_vertices(host, set(host.vertices) - below)))
         if len(below_matchings) != 1:
             raise LiftFailed(
                 f"strip below the staircase has {len(below_matchings)} matchings")
@@ -128,12 +128,6 @@ def _build_side(n: int, variant: str, inst: TransportInstance,
         raise LiftFailed("region adjacency does not match the refinement subgraph")
     return AztecInstance(n, variant, inst, host, graph, tuple(sorted(cells)),
                          region_to_host, cindex, cpath, fixed)
-
-
-def _induced(g: PlanarGraph, keep) -> PlanarGraph:
-    from .planar import remove_vertices
-
-    return remove_vertices(g, set(g.vertices) - set(keep))
 
 
 @lru_cache(maxsize=None)
@@ -220,10 +214,11 @@ def aztec_bijection(n: int, mu: Matching) -> Matching:
 # ---------------------------------------------------------------------------
 
 
-def tiling_svg(instance: AztecInstance, mu: Matching, scale: int = 20) -> str:
+def tiling_svg(instance: AztecInstance, mu: Matching) -> str:
     """Dominoes of a tiling as an SVG drawing (purely cosmetic)."""
     if mu.host != instance.graph.graph_id:
         raise LiftFailed("matching does not belong to this region")
+    scale = 20  # pixels per cell
     xs = [c[0] for c in instance.cells]
     ys = [c[1] for c in instance.cells]
     x0, y1 = min(xs), max(ys)

@@ -21,7 +21,7 @@ from .gliding import DUAL, FRAME, glide, path_edgeset, shift_edges
 from .matchings import Matching
 from .planar import PlanarGraph, SymmetryCertificate, _ccw_positions, remove_vertices
 from .refine import DualRefinement, PlusMinusInstance, SmashedGraph, smash_in
-from .trees import RootedForest, _orient_dual, make_forest
+from .trees import RootedForest, _forest_to_matching, _matching_to_forest, dual_forest
 
 # ---------------------------------------------------------------------------
 # Path families for the plus/minus bijection
@@ -145,7 +145,9 @@ def refinement_host(ref: DualRefinement, removed) -> PlanarGraph:
 def temperley_tree_to_matching(ref: DualRefinement, tree: RootedForest) -> Matching:
     """Tail half-edges of the rooted tree plus tail half-edges of its dual
     tree rooted at the infinite face; a perfect matching of the refinement
-    minus the root."""
+    minus the root.  This is the all-bays case of the banded-forest
+    conversion: each dual component hangs off the infinite face by its
+    single boundary exit."""
     g = ref.source
     if tree.host != g.graph_id:
         raise PreconditionViolated("tree does not span the source graph")
@@ -154,31 +156,8 @@ def temperley_tree_to_matching(ref: DualRefinement, tree: RootedForest) -> Match
     root = tree.roots[0]
     if root not in g.infinite_face_vertices():
         raise RootNotOnInfiniteFace(f"root {root} is not on the infinite face")
-    host = refinement_host(ref, [root])
-    chosen: set[int] = set()
-    for v, eid, _p in tree.assignments:
-        chosen.add(ref.graph.edge_between(v, ref.mid_of_edge[eid]).id)
-
-    faces = g.trace_faces()
-    inf = faces.infinite_index
-    tree_edges = tree.edge_set
-    # dual tree on bounded faces plus the infinite face, rooted at the latter
-    adj: dict[int, list[tuple[int, int]]] = {inf: []}
-    for f in faces.bounded:
-        adj[f.index] = []
-    for eid in sorted(g.edges):
-        if eid in tree_edges:
-            continue
-        fa, fb = faces.sides_of_edge(g.edges[eid])
-        if fa == fb:
-            raise PreconditionViolated(f"non-tree edge {eid} is a bridge")
-        adj[fa].append((eid, fb))
-        adj[fb].append((eid, fa))
-    if _orient_dual(ref, adj, inf, chosen) != set(adj):
-        raise PreconditionViolated("dual complement is not a spanning tree")
-    mu = Matching(host.graph_id, frozenset(chosen))
-    mu.cover_map(host)
-    return mu
+    return _forest_to_matching(ref, refinement_host(ref, [root]), tree,
+                               dual_forest(g, tree.edge_set), ())
 
 
 def temperley_matching_to_tree(ref: DualRefinement, mu: Matching,
@@ -191,15 +170,7 @@ def temperley_matching_to_tree(ref: DualRefinement, mu: Matching,
     host = refinement_host(ref, [root])
     if mu.host != host.graph_id:
         raise PreconditionViolated("matching host does not agree with the root")
-    cover = mu.cover_map(host)
-    parent = {}
-    for v in g.vertices:
-        if v == root:
-            continue
-        mid = host.edges[cover[v]].other(v)
-        primal = ref.primal_edge_of(mid)
-        parent[v] = (primal, g.edges[primal].other(v))
-    return make_forest(g, (root,), parent)
+    return _matching_to_forest(ref, host, mu, g, (root,))
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,12 @@ from fractions import Fraction
 from .errors import DimerforgeError, GenerationExhausted
 from .planar import Edge, PlanarGraph, Vertex, check_reflection_symmetry
 from .refine import _is_connected, list_peaks, section_instance, trimmed_square
+from .trees import split_seed
 
 WEIGHT_POOL = [Fraction(1), Fraction(1), Fraction(1), Fraction(2),
                Fraction(1, 2), Fraction(3), Fraction(1, 3)]
+MAX_SECTION2_REFINEMENT = 30  # most vertices of a random_section2 refinement
+MAX_VERTICES = 12             # most vertices of a random_symmetric or random_plane_graph
 
 
 # ---------------------------------------------------------------------------
@@ -131,22 +134,16 @@ def fan_square() -> PlanarGraph:
 # ---------------------------------------------------------------------------
 
 
-def _sub_seed(seed: int, k: int) -> int:
-    from .trees import split_seed
-
-    return split_seed(seed, k)
-
-
 def _random_weights(rng: random.Random, pairs) -> dict:
     return {p: rng.choice(WEIGHT_POOL) for p in pairs}
 
 
-def random_section2(seed: int, max_refinement_vertices: int = 30):
+def random_section2(seed: int):
     """A random marked-boundary instance: a grid strip whose even-indexed
     bottom vertices have no upward edges, randomly peeled from above."""
-    edge_budget = (max_refinement_vertices - 5) // 2
+    edge_budget = (MAX_SECTION2_REFINEMENT - 5) // 2
     for attempt in range(200):
-        rng = random.Random(_sub_seed(seed, attempt))
+        rng = random.Random(split_seed(seed, attempt))
         n = rng.choice([1, 2, 2, 3, 3])
         cols = 2 * n - 1
         h = rng.choice([1, 2, 2])
@@ -208,20 +205,19 @@ def random_section2(seed: int, max_refinement_vertices: int = 30):
             inst = section_instance(g, path)
         except DimerforgeError:
             continue
-        if len(inst.refinement.graph.vertices) <= max_refinement_vertices:
+        if len(inst.refinement.graph.vertices) <= MAX_SECTION2_REFINEMENT:
             return inst
     raise GenerationExhausted(f"no valid marked-boundary instance for seed {seed}")
 
 
-def random_symmetric(seed: int, need_matchings: bool = False,
-                     max_vertices: int = 12):
+def random_symmetric(seed: int, need_matchings: bool = False):
     """A random horizontally symmetric graph with exact rational weights
     constant on reflection orbits; retries until connected (and, optionally,
     until perfect matchings exist)."""
     from .matchings import count_matchings
 
     for attempt in range(300):
-        rng = random.Random(_sub_seed(seed, attempt))
+        rng = random.Random(split_seed(seed, attempt))
         w = 3
         h = 1
         points = {(x, y) for x in range(w + 1) for y in range(-h, h + 1)}
@@ -238,7 +234,7 @@ def random_symmetric(seed: int, need_matchings: bool = False,
                 break
             p = rng.choice(candidates)
             points -= {p, (p[0], -p[1])}
-        if len(points) > max_vertices or len(points) < 4:
+        if len(points) > MAX_VERTICES or len(points) < 4:
             continue
         edge_pairs = set()
         for (x, y) in sorted(points):
@@ -265,12 +261,11 @@ def random_symmetric(seed: int, need_matchings: bool = False,
     raise GenerationExhausted(f"no valid symmetric instance for seed {seed}")
 
 
-def random_plane_graph(seed: int, max_vertices: int = 12,
-                       weighted: bool = False) -> PlanarGraph:
-    """A random connected grid subgraph with at most ``max_vertices``
+def random_plane_graph(seed: int, weighted: bool = False) -> PlanarGraph:
+    """A random connected grid subgraph with at most ``MAX_VERTICES``
     vertices (and optional random rational weights)."""
     for attempt in range(200):
-        rng = random.Random(_sub_seed(seed, attempt))
+        rng = random.Random(split_seed(seed, attempt))
         cols = rng.choice([2, 3, 4])
         rows = rng.choice([2, 3])
         points = {(x, y) for x in range(cols) for y in range(rows)}
@@ -280,7 +275,7 @@ def random_plane_graph(seed: int, max_vertices: int = 12,
             if not candidates:
                 break
             points -= {rng.choice(candidates)}
-        if len(points) > max_vertices or len(points) < 2:
+        if len(points) > MAX_VERTICES or len(points) < 2:
             continue
         edge_pairs = set()
         for (x, y) in sorted(points):
@@ -335,7 +330,7 @@ def random_transport(seed: int, require_plain_path: bool = True):
     )
 
     for attempt in range(100):
-        rng = random.Random(_sub_seed(seed, attempt))
+        rng = random.Random(split_seed(seed, attempt))
         shape = rng.choice(["grid0", "hex1", "ladder", "ladder", "hex2"])
         try:
             if shape == "grid0":
@@ -394,9 +389,12 @@ def random_transport(seed: int, require_plain_path: bool = True):
 
 
 def _reweight(g: PlanarGraph, weights: dict[int, Fraction]) -> PlanarGraph:
+    """``g`` with new edge weights; the drawing and rotation are ``g``'s, so
+    only the weights are checked again."""
     edges = {eid: Edge(eid, e.u, e.v, weights.get(eid, e.weight))
              for eid, e in g.edges.items()}
-    return PlanarGraph.build(dict(g.vertices), edges, name=g.name)
+    return PlanarGraph.trusted(dict(g.vertices), edges, rotation=g.rotation,
+                               geometric=True, name=g.name)
 
 
 def _cell_faces(g: PlanarGraph, lower_left_corners) -> list[int]:

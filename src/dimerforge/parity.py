@@ -93,7 +93,7 @@ def interior_vertex_count(g: PlanarGraph, cycle: list[int]) -> InteriorCount:
     return count
 
 
-def simple_cycles(g: PlanarGraph, max_cycles: int | None = None):
+def simple_cycles(g: PlanarGraph):
     """All simple cycles, each as a vertex list starting at its smallest
     vertex with the smaller neighbor second (so each cycle appears once)."""
     out = []
@@ -107,8 +107,6 @@ def simple_cycles(g: PlanarGraph, max_cycles: int | None = None):
                 if w == s and len(path) >= 3:
                     if path[1] < path[-1]:
                         out.append(list(path))
-                        if max_cycles is not None and len(out) >= max_cycles:
-                            return out
                 elif w > s and w not in seen:
                     stack.append((w, path + [w], seen | {w}))
     return out

@@ -90,7 +90,9 @@ def make_forest(g: PlanarGraph, roots, parent: dict[int, tuple[int, int]]) -> Ro
 
 
 def orient_edge_set(g: PlanarGraph, edges, roots) -> RootedForest:
-    """Orient a forest given as an edge set toward the given roots."""
+    """Orient a forest given as an edge set toward the given roots; the set
+    must be exactly the forest's edges."""
+    edges = sorted(edges)
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
     for eid in edges:
         e = g.edges.get(eid)
@@ -112,6 +114,9 @@ def orient_edge_set(g: PlanarGraph, edges, roots) -> RootedForest:
                     stack.append(w)
     if len(seen) != len(g.vertices):
         raise PreconditionViolated("edge set does not span the graph from the roots")
+    if edges != sorted(e for e, _ in parent.values()):
+        raise PreconditionViolated("edge set is not a forest: it has edges beyond the "
+                                   "parent edges toward the roots")
     return make_forest(g, roots, parent)
 
 
@@ -308,6 +313,7 @@ class DualForest:
 
     primal_edges: tuple[int, ...]
     components: tuple[frozenset[int], ...]  # face-index sets
+    exits: dict[int, list[int]]  # bounded face -> its missing boundary edges
 
 
 def dual_forest(g: PlanarGraph, forest_edges) -> DualForest:
@@ -316,11 +322,15 @@ def dual_forest(g: PlanarGraph, forest_edges) -> DualForest:
     forest_edges = set(forest_edges)
     par = {f.index: f.index for f in faces.bounded}
     used = []
+    exits: dict[int, list[int]] = {}
     for eid in sorted(g.edges):
         if eid in forest_edges:
             continue
         fa, fb = faces.sides_of_edge(g.edges[eid])
-        if inf in (fa, fb) or fa == fb:
+        if fa == fb:
+            continue
+        if inf in (fa, fb):
+            exits.setdefault(fb if fa == inf else fa, []).append(eid)
             continue
         ra, rb = _find(par, fa), _find(par, fb)
         if ra == rb:
@@ -331,7 +341,7 @@ def dual_forest(g: PlanarGraph, forest_edges) -> DualForest:
     for f in faces.bounded:
         groups.setdefault(_find(par, f.index), set()).add(f.index)
     comps = tuple(sorted((frozenset(s) for s in groups.values()), key=min))
-    return DualForest(tuple(used), comps)
+    return DualForest(tuple(used), comps, exits)
 
 
 @dataclass(frozen=True)
@@ -409,22 +419,9 @@ def classify_components(ambient: PlanarGraph, forest: RootedForest,
     marks = [u for u, _ in pairs] + [up for _, up in reversed(pairs)]
     arc_of_edge = _boundary_arcs(ambient, marks)
     k = len(pairs)
-
-    faces = ambient.trace_faces()
-    inf = faces.infinite_index
-    contact: dict[int, list[int]] = {}
-    for eid in sorted(ambient.edges):
-        if eid in forest_edges:
-            continue
-        fa, fb = faces.sides_of_edge(ambient.edges[eid])
-        if inf not in (fa, fb) or fa == fb:
-            continue
-        f = fb if fa == inf else fa
-        contact.setdefault(f, []).append(eid)
-
     labels = []
     for members in dual.components:
-        touch = sorted(f for f in members if f in contact)
+        touch = sorted(f for f in members if f in dual.exits)
         if not touch:
             raise ClassificationFailed(
                 f"dual component {sorted(members)} has no contact with the infinite face")
@@ -434,12 +431,12 @@ def classify_components(ambient: PlanarGraph, forest: RootedForest,
         edges_used = []
         arcs = []
         for f in touch:
-            arcset = sorted({arc_of_edge[e] for e in contact[f]})
+            arcset = sorted({arc_of_edge[e] for e in dual.exits[f]})
             if len(arcset) != 1:
                 raise ClassificationFailed(
                     f"contact face {f} touches the infinite face on several arcs")
             arcs.append(arcset[0])
-            edges_used.append(min(contact[f]))
+            edges_used.append(min(dual.exits[f]))
         if len(touch) == 2:
             a, b = sorted(arcs)
             # the two crossings must sit on the opposite arcs of one band gap:
@@ -473,128 +470,107 @@ def banded_forest_weight(instance, forest: RootedForest) -> Fraction:
     return w
 
 
-def tec_matching_to_forest(instance, mu: Matching) -> RootedForest:
-    """Read the banded spanning forest off a matching of the primed-deleted
-    host: each non-root vertex exits along the primal edge containing its
-    matched half-edge."""
-    ref = instance.smashed.refinement
-    host = instance.host_prime
-    if mu.host != host.graph_id:
-        raise PreconditionViolated("matching does not belong to the primed-deleted host")
+def _matching_to_forest(ref, host: PlanarGraph, mu: Matching, g: PlanarGraph,
+                        roots) -> RootedForest:
+    """Read a forest of ``g`` off a matching of ``host``: each non-root
+    vertex exits along the primal edge containing its matched half-edge."""
     cover = mu.cover_map(host)
-    g0 = instance.forest_graph
-    roots = instance.prime_odd
     parent = {}
-    for v in g0.vertices:
+    for v in g.vertices:
         if v in roots:
             continue
-        eid = cover[v]
-        mid = host.edges[eid].other(v)
-        primal = ref.primal_edge_of(mid)
+        primal = ref.primal_edge_of(host.edges[cover[v]].other(v))
         parent[v] = (primal, ref.source.edges[primal].other(v))
-    forest = make_forest(g0, roots, parent)
-    cert = classify_components(ref.source, forest,
-                               list(zip(instance.plain_odd, instance.prime_odd)), g0)
-    _check_channel_pairing(instance, cert.dual)
-    return forest
+    return make_forest(g, roots, parent)
 
 
-def _check_channel_pairing(instance, dual: DualForest):
-    """Each plain even face must share its dual component with its primed
-    partner."""
-    comp_of_face = {}
+def _forest_to_matching(ref, host: PlanarGraph, forest: RootedForest, dual: DualForest,
+                        primed_faces) -> Matching:
+    """The matching of ``host`` read off a forest and its dual forest: the
+    forest's tail half-edges, then those of each dual component oriented
+    away from its root face.  The root face is the component's primed
+    center; a component without one (a bay) is rooted at the face of its
+    single boundary exit whose midpoint is in ``host``, and that exit's stub
+    half-edge is taken too."""
+    hgraph = ref.graph
+    chosen = {hgraph.edge_between(v, ref.mid_of_edge[eid]).id
+              for v, eid, _p in forest.assignments}
+    faces = ref.source.trace_faces()
+    dual_adj: dict[int, list[tuple[int, int]]] = {}
+    for eid in dual.primal_edges:
+        fa, fb = faces.sides_of_edge(ref.source.edges[eid])
+        dual_adj.setdefault(fa, []).append((eid, fb))
+        dual_adj.setdefault(fb, []).append((eid, fa))
     for members in dual.components:
-        for f in members:
-            comp_of_face[f] = members
+        primes_here = [f for f in primed_faces if f in members]
+        if len(primes_here) > 1:
+            raise ChannelPairingViolated(
+                f"dual component {sorted(members)} contains two primed centers")
+        if primes_here:
+            root = primes_here[0]
+        else:
+            candidates = [(f, eid) for f in sorted(members) for eid in dual.exits.get(f, ())
+                          if ref.mid_of_edge[eid] in host.vertices]
+            if len(candidates) != 1:
+                raise ClassificationFailed(
+                    f"bay {sorted(members)} has {len(candidates)} boundary exits")
+            root, eid = candidates[0]
+            chosen.add(hgraph.edge_between(ref.center_of_face[root],
+                                           ref.mid_of_edge[eid]).id)
+        # depth-first from the root face: each newly reached face takes the
+        # half-edge from its center to the midpoint of the edge crossed into it
+        seen = {root}
+        stack = [root]
+        while stack:
+            f = stack.pop()
+            for eid, other in sorted(dual_adj.get(f, ())):
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+                    chosen.add(hgraph.edge_between(ref.center_of_face[other],
+                                                   ref.mid_of_edge[eid]).id)
+    mu = Matching(host.graph_id, frozenset(chosen))
+    mu.cover_map(host)
+    return mu
+
+
+def _banded_certificate(instance, forest: RootedForest) -> BandedForestCertificate:
+    """Classify a forest of the instance's forest graph against its mark
+    pairs, and check that each plain even face shares its dual component
+    with its primed partner."""
+    cert = classify_components(instance.smashed.refinement.source, forest,
+                               list(zip(instance.plain_odd, instance.prime_odd)),
+                               instance.forest_graph)
+    comp_of_face = {f: members for members in cert.dual.components for f in members}
     for fa, fb in zip(instance.plain_even_faces, instance.prime_even_faces):
         if comp_of_face[fa] is not comp_of_face[fb]:
             raise ChannelPairingViolated(
                 f"faces {fa} and {fb} lie in different dual components")
+    return cert
 
 
-def _orient_dual(ref, adj: dict[int, list[tuple[int, int]]], root: int,
-                 chosen: set[int]) -> set[int]:
-    """Orient a dual tree away from the face ``root``: a depth-first search
-    over ``adj`` (face -> (primal edge, neighbouring face) pairs, visited in
-    sorted order) that adds to ``chosen`` the refinement half-edge from each
-    newly reached face center to the midpoint of the edge crossed into it.
-    Returns the faces reached."""
-    seen = {root}
-    stack = [root]
-    while stack:
-        f = stack.pop()
-        for eid, other in sorted(adj.get(f, ())):
-            if other not in seen:
-                seen.add(other)
-                stack.append(other)
-                chosen.add(ref.graph.edge_between(ref.center_of_face[other],
-                                                  ref.mid_of_edge[eid]).id)
-    return seen
+def tec_matching_to_forest(instance, mu: Matching) -> RootedForest:
+    """The banded spanning forest of a matching of the primed-deleted host,
+    rooted at the primed odd marks."""
+    host = instance.host_prime
+    if mu.host != host.graph_id:
+        raise PreconditionViolated("matching does not belong to the primed-deleted host")
+    forest = _matching_to_forest(instance.smashed.refinement, host, mu,
+                                 instance.forest_graph, instance.prime_odd)
+    _banded_certificate(instance, forest)
+    return forest
 
 
 def tec_forest_to_matching(instance, forest: RootedForest) -> Matching:
     """Inverse construction: tail half-edges of the forest, of the channels
     rooted at the primed centers, and of the augmented bays."""
-    ref = instance.smashed.refinement
-    src = ref.source
-    g0 = instance.forest_graph
-    host = instance.host_prime
-    if forest.host != g0.graph_id:
+    if forest.host != instance.forest_graph.graph_id:
         raise PreconditionViolated("forest does not span the expected graph")
     if set(forest.roots) != set(instance.prime_odd):
         raise PreconditionViolated("forest roots differ from the primed marks")
-    dual = classify_components(src, forest,
-                               list(zip(instance.plain_odd, instance.prime_odd)), g0).dual
-    _check_channel_pairing(instance, dual)
-
-    hgraph = ref.graph
-    chosen: set[int] = set()
-    for v, eid, _p in forest.assignments:
-        mid = ref.mid_of_edge[eid]
-        chosen.add(hgraph.edge_between(v, mid).id)
-
-    forest_edges = forest.edge_set
-    faces = src.trace_faces()
-    inf = faces.infinite_index
-    dual_adj: dict[int, list[tuple[int, int]]] = {}
-    for eid in dual.primal_edges:
-        fa, fb = faces.sides_of_edge(src.edges[eid])
-        dual_adj.setdefault(fa, []).append((eid, fb))
-        dual_adj.setdefault(fb, []).append((eid, fa))
-    face_root: dict[frozenset[int], int] = {}
-    for members in dual.components:
-        primes_here = [f for f in instance.prime_even_faces if f in members]
-        if primes_here:
-            if len(primes_here) > 1:
-                raise ChannelPairingViolated(
-                    f"dual component {sorted(members)} contains two primed centers")
-            face_root[members] = primes_here[0]
-        else:
-            # bay: unique boundary exit among non-forest boundary edges whose
-            # midpoints survived the smashing
-            candidates = []
-            for eid in sorted(src.edges):
-                if eid in forest_edges:
-                    continue
-                fa, fb = faces.sides_of_edge(src.edges[eid])
-                if (fa == inf) == (fb == inf):
-                    continue
-                f = fb if fa == inf else fa
-                if f in members and ref.mid_of_edge[eid] in host.vertices:
-                    candidates.append((f, eid))
-            if len(candidates) != 1:
-                raise ClassificationFailed(
-                    f"bay {sorted(members)} has {len(candidates)} boundary exits")
-            f, eid = candidates[0]
-            face_root[members] = f
-            chosen.add(hgraph.edge_between(ref.center_of_face[f],
-                                           ref.mid_of_edge[eid]).id)
-    for members in dual.components:
-        if _orient_dual(ref, dual_adj, face_root[members], chosen) != set(members):
-            raise ClassificationFailed("dual component is not connected")
-    mu = Matching(host.graph_id, frozenset(chosen))
-    mu.cover_map(host)
-    return mu
+    dual = _banded_certificate(instance, forest).dual
+    return _forest_to_matching(instance.smashed.refinement, instance.host_prime, forest,
+                               dual, instance.prime_even_faces)
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +662,7 @@ def independence_variables(g: PlanarGraph, cert: SymmetryCertificate, root: int,
 
 def independence_report(g: PlanarGraph, cert: SymmetryCertificate, root: int,
                         kind: str = "exit-side", samples: int = 0,
-                        seed: int = 0, significance: float = 1e-6) -> IndependenceReport:
+                        seed: int = 0) -> IndependenceReport:
     """Joint distribution of the per-axis-vertex exit indicators under the
     (weighted) uniform spanning tree rooted at ``root``.
 
@@ -694,7 +670,7 @@ def independence_report(g: PlanarGraph, cert: SymmetryCertificate, root: int,
     determinant per cell with each variable forced to exit along the edges
     that give its bit, and PASS means all cells carry equal weight;
     otherwise the tree is sampled and PASS means a chi-square test against
-    the uniform law is not rejected at the given significance.  A variable
+    the uniform law is not rejected at significance 1e-6.  A variable
     with an edge that gives no indicator value raises HypothesisViolated,
     whether or not any tree exits along it.
     """
@@ -724,7 +700,7 @@ def independence_report(g: PlanarGraph, cert: SymmetryCertificate, root: int,
     p = chi_square_sf(stat, 2 ** n - 1)
     return IndependenceReport(kind, variables,
                               tuple(sorted((b, Fraction(c)) for b, c in counts.items())),
-                              p >= significance, sampled=True, samples=samples,
+                              p >= 1e-6, sampled=True, samples=samples,
                               chi_square=stat, p_value=p)
 
 

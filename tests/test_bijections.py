@@ -1,6 +1,7 @@
 """Glide paths, the plus/minus swap, tree/matching correspondence, run
 transport, reflection swaps."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -21,9 +22,12 @@ from dimerforge.bijections import (
 )
 from dimerforge.generators import (
     diamond_graph,
+    fan_square,
     grid_graph,
     hexagon_graph,
     ladder_graph,
+    path_graph,
+    random_plane_graph,
     random_section2,
     random_transport,
 )
@@ -197,6 +201,24 @@ def test_temperley_oriented_edge_filter():
         if half in mu.edges:
             with_half.append(t)
     assert with_edge == with_half
+
+
+def test_temperley_matchings_are_pinned():
+    # every spanning tree at every boundary root, including the cut vertex
+    # of a path and the pendant vertices of a random grid subgraph
+    graphs = [grid_graph(2, 2), grid_graph(3, 2), path_graph(3), fan_square(),
+              random_plane_graph(3, weighted=True)]
+    rows = []
+    for g in graphs:
+        ref = dual_refinement(g)
+        for root in sorted(g.infinite_face_vertices()):
+            for tree in enumerate_spanning_trees(g, root):
+                mu = temperley_tree_to_matching(ref, tree)
+                assert temperley_matching_to_tree(ref, mu, root) == tree
+                rows.append((root, sorted(tree.edge_set), sorted(mu.edges)))
+    assert len(rows) == 260
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        "4d6afcccd735bd101495053b41f15eaafd4e1d2494c4d23f6c8de53dbcad930f"
 
 
 def test_temperley_root_must_be_on_infinite_face():

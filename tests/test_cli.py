@@ -170,9 +170,14 @@ def _main(*args):
     (["temperley", "t2m", "SQUARE", "IDS", "--root", "0"], "# trees\n\n1,z\n", "ParseError"),
     (["temperley", "t2m", "SQUARE", "IDS", "--root", "0"], "0 1 99\n",
      "PreconditionViolated"),
+    (["temperley", "t2m", "SQUARE", "IDS", "--root", "0"], "0 1 2 3\n",
+     "PreconditionViolated"),
     (["tec", "f2m", "HEX", "IDS", "--plain", "2", "--prime", "4"], "1 x\n", "ParseError"),
+    (["tec", "f2m", "HEX", "IDS", "--plain", "2", "--prime", "4"], "0 1 2 3 4\n",
+     "PreconditionViolated"),
 ], ids=["unknown-edge", "covered-twice", "uncovered", "not-an-int", "tree-as-matching",
-        "tree-not-an-int", "tree-unknown-edge", "forest-not-an-int"])
+        "tree-not-an-int", "tree-unknown-edge", "tree-with-cycle", "forest-not-an-int",
+        "forest-with-cycle"])
 def test_malformed_id_files_exit_1_without_traceback(tmp_path, square_file,
                                                      command, lines, error):
     ids = tmp_path / "ids.txt"

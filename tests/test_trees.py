@@ -1,8 +1,10 @@
 """Spanning tree enumeration/counting, sampling, banded forests, class
 weights, independence reports."""
 
+import hashlib
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -15,6 +17,7 @@ from dimerforge.generators import (
     ladder_graph,
     random_plane_graph,
     random_symmetric,
+    random_transport,
 )
 from dimerforge.matchings import enumerate_matchings
 from dimerforge.planar import Edge, PlanarGraph, Vertex, check_reflection_symmetry
@@ -84,6 +87,18 @@ def test_forest_validation():
     e10 = g.edge_between(1, 0).id
     with pytest.raises(errors.PreconditionViolated):
         make_forest(g, (3,), {0: (e01, 1), 1: (e10, 0), 2: (g.edge_between(2, 3).id, 3)})
+
+
+def test_orient_edge_set_rejects_edges_beyond_a_forest():
+    with pytest.raises(errors.PreconditionViolated):
+        orient_edge_set(grid_graph(2, 2), [0, 1, 2, 3], (0,))  # the whole 4-cycle
+    g = grid_graph(3, 2)
+    with pytest.raises(errors.PreconditionViolated):
+        # a spanning tree toward 0 plus the edge that closes its left square
+        orient_edge_set(g, [0, 1, 2, 4, 5, 3], (0,))
+    with pytest.raises(errors.PreconditionViolated):
+        orient_edge_set(g, [0, 1, 2, 4, 5, 5], (0,))  # a repeated id
+    assert orient_edge_set(g, [0, 1, 2, 4, 5], (0,)).edge_set == {0, 1, 2, 4, 5}
 
 
 def test_ust_deterministic_and_uniform():
@@ -227,6 +242,39 @@ def test_tec_constrained_sets_correspond():
         forest = tec_matching_to_forest(inst, mu)
         has_forced = forced_path_matching(ref.graph, top, drop_start=False) <= mu.edges
         assert has_forced == (top_edges <= forest.edge_set)
+
+
+def test_tec_forests_and_round_trips_are_pinned():
+    # one instance of each shape: hexagon1, grid3x2, two ladders, grid3x3,
+    # and the first 60 matchings of hexagon2, the one with channels
+    rows = []
+    for k, first in [(0, None), (1, None), (2, None), (3, None), (9, None), (14, 60)]:
+        inst, _ = random_transport(split_seed(11, k), require_plain_path=False)
+        for mu in islice(enumerate_matchings(inst.host_prime), first):
+            forest = tec_matching_to_forest(inst, mu)
+            back = tec_forest_to_matching(inst, forest)
+            assert back.edges == mu.edges
+            rows.append((k, forest.roots, forest.assignments, sorted(back.edges)))
+    assert len(rows) == 273
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        "2866dd2e2e5716d5cdcc19d4c44575db7b328057cb7a288f6f3deecbd4a0755c"
+
+
+def test_check_banded_builds_the_dual_forest_twice_per_matching(monkeypatch):
+    # the brute-force forest count is replaced, so only the two conversions
+    # per matching are counted
+    from dimerforge import report
+
+    inst, _ = random_transport(split_seed(9, 0), require_plain_path=False)
+    matchings = sum(1 for _ in enumerate_matchings(inst.host_prime))
+    monkeypatch.setattr(report, "_enumerate_banded", lambda inst: matchings)
+    calls = []
+    real = trees.dual_forest
+    monkeypatch.setattr(trees, "dual_forest",
+                        lambda *args: calls.append(args) or real(*args))
+    assert report.check_banded(1, 9)[0]
+    assert matchings == 4
+    assert len(calls) == 2 * matchings
 
 
 def test_tec_reduces_to_tree_correspondence():
