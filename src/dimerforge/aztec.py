@@ -78,6 +78,7 @@ def _below_staircase(cell: tuple[int, int]) -> bool:
 
 
 def _region_graph(cells, name: str) -> tuple[PlanarGraph, dict[tuple[int, int], int]]:
+    # a grid subgraph on distinct cells: a valid drawing by construction
     order = sorted(cells)
     vid = {c: i for i, c in enumerate(order)}
     vertices = {i: Vertex(i, (Fraction(c[0]), Fraction(c[1]))) for c, i in vid.items()}
@@ -88,7 +89,7 @@ def _region_graph(cells, name: str) -> tuple[PlanarGraph, dict[tuple[int, int], 
             if d in vid:
                 edges[eid] = Edge(eid, vid[c], vid[d])
                 eid += 1
-    return PlanarGraph.build(vertices, edges, name=name), vid
+    return PlanarGraph.trusted(vertices, edges, geometric=True, name=name), vid
 
 
 def _build_side(n: int, variant: str, inst: TransportInstance,

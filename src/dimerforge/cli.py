@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from itertools import islice
 
 import click
 
@@ -78,6 +79,7 @@ class _Parsed(click.ParamType):
 
 
 _IDS = _Parsed("ids", _ids)
+_POSITIVE = click.IntRange(min=1)
 
 
 def _read_id_lines(path: str):
@@ -170,23 +172,18 @@ def count(file, lenient):
 
 @cli.command("enumerate")
 @click.argument("file", type=click.Path())
-@click.option("--limit", type=int, default=None, help="stop after this many")
+@click.option("--limit", type=click.IntRange(min=0), help="stop after this many")
 @click.option("--lenient", "-L", is_flag=True,
               help="admit disconnected graphs (derived graphs may be)")
 def enumerate_cmd(file, limit, lenient):
     """List perfect matchings as sorted edge-id lines."""
-    g = _load(file, lenient)
-    emitted = 0
-    for mu in enumerate_matchings(g):
+    for mu in islice(enumerate_matchings(_load(file, lenient)), limit):
         click.echo(" ".join(map(str, mu.sorted_edges())))
-        emitted += 1
-        if limit is not None and emitted >= limit:
-            break
 
 
 @cli.command("grid-count")
-@click.argument("m", type=int)
-@click.argument("n", type=int)
+@click.argument("m", type=_POSITIVE)
+@click.argument("n", type=_POSITIVE)
 def grid_count(m, n):
     """Closed-form count for the 2m x 2n grid graph."""
     click.echo(str(kasteleyn_grid_count(m, n)))
@@ -207,7 +204,7 @@ def squarish_cmd(value):
 @click.argument("file", type=click.Path(), required=False)
 @click.option("--path", "path_", type=_IDS, help="comma-separated boundary path vertex ids")
 @click.option("--targets", type=_IDS, help="comma-separated vertices to smash")
-@click.option("--n", "order", type=int, help="half side for trimmed squares")
+@click.option("--n", "order", type=_POSITIVE, help="half side for trimmed squares")
 @click.option("--removals", type=_Parsed("peaks", _peaks), default="",
               help="peaks as 'i,j;i,j;...'")
 @click.option("-o", "--out", type=click.Path(), help="output file (default stdout)")
@@ -437,13 +434,13 @@ def aztec():
 
 
 @aztec.command("formula")
-@click.argument("n", type=int)
+@click.argument("n", type=_POSITIVE)
 def aztec_formula_cmd(n):
     click.echo(str(aztec_mod.aztec_formula(n)))
 
 
 @aztec.command("count")
-@click.argument("n", type=int)
+@click.argument("n", type=_POSITIVE)
 @click.argument("variant", type=click.Choice(["T", "Tp", "both"]), default="both")
 def aztec_count(n, variant):
     for name in (("T", "Tp") if variant == "both" else (variant,)):
@@ -452,7 +449,7 @@ def aztec_count(n, variant):
 
 
 @aztec.command("graph")
-@click.argument("n", type=int)
+@click.argument("n", type=_POSITIVE)
 @click.argument("variant", type=click.Choice(["T", "Tp"]))
 @click.option("-o", "--out", type=click.Path())
 def aztec_graph_cmd(n, variant, out):
@@ -461,7 +458,7 @@ def aztec_graph_cmd(n, variant, out):
 
 
 @aztec.command("biject")
-@click.argument("n", type=int)
+@click.argument("n", type=_POSITIVE)
 @click.argument("matchings_file", type=click.Path())
 @click.option("--variant", type=click.Choice(["T", "Tp"]), default="T")
 @click.option("--svg", type=click.Path(), help="render the first image as SVG")

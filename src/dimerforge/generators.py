@@ -27,6 +27,9 @@ MAX_VERTICES = 12             # most vertices of a random_symmetric or random_pl
 
 
 def build_from_points(points, edges_by_points, weights=None, name=""):
+    """Graph on distinct lattice points, not validated: every caller draws a
+    connected grid subgraph (or its image under a lattice map) or a
+    non-crossing four-cycle, so edges meet only at shared ends."""
     pts = sorted(points)
     vid = {p: i for i, p in enumerate(pts)}
     vertices = {i: Vertex(i, (Fraction(p[0]), Fraction(p[1]))) for p, i in vid.items()}
@@ -34,7 +37,7 @@ def build_from_points(points, edges_by_points, weights=None, name=""):
     for eid, (a, b) in enumerate(sorted(edges_by_points)):
         w = Fraction(1) if weights is None else weights.get((a, b), Fraction(1))
         edges[eid] = Edge(eid, vid[a], vid[b], w)
-    return PlanarGraph.build(vertices, edges, name=name), vid
+    return PlanarGraph.trusted(vertices, edges, geometric=True, name=name), vid
 
 
 def grid_graph(cols: int, rows: int, weights=None) -> PlanarGraph:
@@ -249,12 +252,9 @@ def random_symmetric(seed: int, need_matchings: bool = False):
                 weights[(a, b)] = weights[mirror]
             else:
                 weights[(a, b)] = rng.choice(WEIGHT_POOL)
-        try:
-            g, vid = build_from_points(points, edge_pairs, weights,
-                                       name=f"symmetric-{seed}")
-            cert = check_reflection_symmetry(g, Fraction(0))
-        except DimerforgeError:
-            continue
+        # mirrored removals and mirrored weights: symmetric by construction
+        g, _ = build_from_points(points, edge_pairs, weights, name=f"symmetric-{seed}")
+        cert = check_reflection_symmetry(g, Fraction(0))
         if need_matchings and count_matchings(g) == 0:
             continue
         return g, cert
@@ -283,12 +283,7 @@ def random_plane_graph(seed: int, weighted: bool = False) -> PlanarGraph:
                 if q in points:
                     edge_pairs.add(((x, y), q))
         weights = _random_weights(rng, sorted(edge_pairs)) if weighted else None
-        try:
-            g, _ = build_from_points(points, edge_pairs, weights,
-                                     name=f"plane-{seed}")
-        except DimerforgeError:
-            continue
-        return g
+        return build_from_points(points, edge_pairs, weights, name=f"plane-{seed}")[0]
     raise GenerationExhausted(f"no valid plane graph for seed {seed}")
 
 

@@ -1,11 +1,10 @@
 """Embedded plane graphs: loading, validation, faces, duals, marked boundaries.
 
 The embedding source of truth is the set of exact rational straight-line
-coordinates.  Rotation systems are recomputed from angles with exact cross
-products whenever a graph is loaded; graphs produced by internal surgery
-(dual refinements, symmetrizations, duals) carry combinatorially derived or
-schematic coordinates and skip the geometric checks, since only their
-abstract structure feeds the counting and bijection engines.
+coordinates.  Validation happens once, at the input boundary: the geometric
+validator of ``PlanarGraph.build`` runs on parsed graph files and on the trial
+lifts of ``refine.symmetrize``; ``PlanarGraph.trusted`` makes every other graph,
+valid by construction (for a reason stated where it is built) or cosmetic.
 """
 
 from __future__ import annotations
@@ -163,10 +162,9 @@ class PlanarGraph:
     def trusted(cls, vertices: dict[int, Vertex], edges: dict[int, Edge], *,
                 rotation: dict[int, tuple[int, ...]] | None = None,
                 geometric: bool = False, name: str = "") -> "PlanarGraph":
-        """Constructor for graphs derived by surgery from validated inputs.
-
-        Structural invariants (simplicity) are still enforced; the geometric
-        checks are not, because synthesized coordinates are cosmetic.
+        """Constructor for graphs the program builds itself: a geometric
+        drawing is valid by construction, other coordinates are cosmetic.
+        Simplicity is still enforced; the geometric checks are not.
         """
         g = cls(vertices, edges, geometric=geometric, rotation=rotation, name=name)
         g._check_simple()
@@ -191,8 +189,6 @@ class PlanarGraph:
         for e in self.edges.values():
             if e.u == e.v:
                 raise NotSimple(f"edge {e.id} is a loop")
-            if e.u not in self.vertices or e.v not in self.vertices:
-                raise ParseError(f"edge {e.id} references unknown vertex")
             if e.weight < 0:
                 raise ParseError(f"edge {e.id} has negative weight")
             key = e.ends
@@ -376,17 +372,17 @@ def _ccw_positions(walk: list[tuple[int, int]], marks, not_once, out_of_order) -
 
 
 def remove_vertices(g: PlanarGraph, removed, *, name: str = "") -> PlanarGraph:
-    """Induced subgraph on the complement of ``removed`` (edges incident to a
-    removed vertex disappear with it).  Deleting vertices cannot break an
-    embedding, so the geometric flag is inherited."""
+    """Induced subgraph on the complement of ``removed``.  Deleting vertices
+    keeps an embedding valid and a simple graph simple, so the geometric
+    flag is inherited and nothing is checked again."""
     removed = set(removed)
     vertices = {i: v for i, v in g.vertices.items() if i not in removed}
     edges = {i: e for i, e in g.edges.items()
              if e.u not in removed and e.v not in removed}
     rotation = {v: tuple(e for e in rot if e in edges)
                 for v, rot in g.rotation.items() if v not in removed}
-    return PlanarGraph.trusted(vertices, edges, rotation=rotation,
-                               geometric=g.geometric, name=name or g.name)
+    return PlanarGraph(vertices, edges, geometric=g.geometric, rotation=rotation,
+                       name=name or g.name)
 
 
 # ---------------------------------------------------------------------------

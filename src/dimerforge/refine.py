@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _geom
 from .errors import (
     BelowDiagonal,
+    Disconnected,
     EmbeddingError,
     NotAPeak,
     NotDegreeTwo,
@@ -166,22 +168,14 @@ _LEAF_RADII = [Fraction(1, 4), Fraction(1, 16), Fraction(1, 64), Fraction(1, 256
 
 def _leaf_candidates(g: PlanarGraph, anchor: int, taken: set):
     apos = g.vertices[anchor].pos
-    from . import _geom
     for r in _LEAF_RADII:
         for dx, dy in _LEAF_DIRS:
             p = (apos[0] + r * dx, apos[1] + r * dy)
             if p in taken or any(v.pos == p for v in g.vertices.values()):
                 continue
-            ok = True
-            for e in g.edges.values():
-                a, b = g.vertices[e.u].pos, g.vertices[e.v].pos
-                if _geom.segments_conflict(apos, p, a, b):
-                    ok = False
-                    break
-                if _geom.point_on_segment(p, a, b):
-                    ok = False
-                    break
-            if ok:
+            if not any(_geom.segments_conflict(apos, p, g.vertices[e.u].pos,
+                                               g.vertices[e.v].pos)
+                       for e in g.edges.values()):
                 yield p
 
 
@@ -189,30 +183,27 @@ def augment_with_leaves(g0: PlanarGraph, path: list[int]) -> tuple[PlanarGraph, 
     """Attach leaf vertices before and after the marked boundary path, drawn
     in the infinite face."""
     mb = validate_boundary_path(g0, path)
+    if not g0.is_connected():
+        raise Disconnected("graph is not connected")
     v1, v_last = mb.inner[0], mb.inner[-1]
     leaf0 = max(g0.vertices) + 1
     leaf1 = leaf0 + 1
     e0 = max(g0.edges, default=-1) + 1
     e1 = e0 + 1
-    from . import _geom
     for p0 in _leaf_candidates(g0, v1, set()):
         for p1 in _leaf_candidates(g0, v_last, {p0}):
-            if v1 == v_last and p0 == p1:
-                continue
             if _geom.segments_conflict(g0.vertices[v1].pos, p0,
                                        g0.vertices[v_last].pos, p1):
                 continue
+            # valid by construction: the leaves avoid each other and all of g0
             vertices = dict(g0.vertices)
             vertices[leaf0] = Vertex(leaf0, p0)
             vertices[leaf1] = Vertex(leaf1, p1)
             edges = dict(g0.edges)
             edges[e0] = Edge(e0, leaf0, v1)
             edges[e1] = Edge(e1, v_last, leaf1)
-            try:
-                g = PlanarGraph.build(vertices, edges,
-                                      name=f"{g0.name or g0.graph_id}+leaves")
-            except EmbeddingError:
-                continue
+            g = PlanarGraph.trusted(vertices, edges, geometric=True,
+                                    name=f"{g0.name or g0.graph_id}+leaves")
             onb = g.infinite_face_vertices()
             if leaf0 not in onb or leaf1 not in onb:
                 continue
@@ -297,7 +288,6 @@ def symmetrize(refinement: DualRefinement, mb: MarkedBoundary) -> PlanarGraph:
             raise ReembeddingFailed(
                 f"vertex {v.id} does not lie strictly above the marked line")
 
-    top = None
     delta = Fraction(1, 4)
     for _ in range(12):
         vertices = {}
@@ -314,7 +304,7 @@ def symmetrize(refinement: DualRefinement, mb: MarkedBoundary) -> PlanarGraph:
             break
         except EmbeddingError:
             delta /= 4
-    if top is None:
+    else:
         raise ReembeddingFailed("could not lift the path vertices off the axis")
 
     mirror_of: dict[int, int] = {m: m for m in mids}
@@ -337,8 +327,9 @@ def symmetrize(refinement: DualRefinement, mb: MarkedBoundary) -> PlanarGraph:
         if (mu, mv) != (e.u, e.v):
             edges[next_eid] = Edge(next_eid, mu, mv, e.weight)
             next_eid += 1
-    return PlanarGraph.build(vertices, edges, name="symmetrized",
-                             require_connected=False)
+    # the validated top half lies above the axis and meets it only at the
+    # shared midpoints, so it and its mirror image cannot cross
+    return PlanarGraph.trusted(vertices, edges, geometric=True, name="symmetrized")
 
 
 # ---------------------------------------------------------------------------

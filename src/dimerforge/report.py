@@ -465,6 +465,12 @@ def check_euler_file(path: str) -> tuple[bool, str, str | None]:
 # Suite runner
 # ---------------------------------------------------------------------------
 
+def _aztec_order(text: str) -> int:
+    if not 1 <= int(text) <= 5:
+        raise ValueError("must be from 1 to 5, the orders with a closed-form value")
+    return int(text)
+
+
 _CHECKS = {
     "grid-kasteleyn": (check_grid_kasteleyn, (int, int), False),
     "section2": (check_section2, (int,), True),
@@ -474,7 +480,7 @@ _CHECKS = {
     "temperley": (check_temperley, (int,), True),
     "tree-swap": (check_tree_swap, (int,), True),
     "transport": (check_transport, (int,), True),
-    "aztec": (check_aztec, (int,), False),
+    "aztec": (check_aztec, (_aztec_order,), False),
     "banded": (check_banded, (int,), True),
     "cycle-parity": (check_cycle_parity, (int,), True),
     "class-weights": (check_class_weights, (int,), True),
@@ -519,8 +525,10 @@ def parse_suite_config(text: str, seed_override: int | None = None) -> tuple[lis
             for value, typ in zip(raw_args, argtypes):
                 try:
                     args.append(typ(value))
+                    if typ is int and args[-1] < 1:
+                        raise ValueError("counts must be at least 1")
                 except ValueError as exc:
-                    raise ConfigError(f"line {lineno}: bad argument {value!r}") from exc
+                    raise ConfigError(f"line {lineno}: bad argument {value!r}: {exc}") from exc
             if parts[1].endswith("-file"):
                 if not raw_args:
                     raise ConfigError(f"line {lineno}: missing file argument")

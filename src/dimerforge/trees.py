@@ -103,6 +103,8 @@ def orient_edge_set(g: PlanarGraph, edges, roots) -> RootedForest:
     parent: dict[int, tuple[int, int]] = {}
     seen = set()
     for r in roots:
+        if r not in adj:
+            raise PreconditionViolated(f"root {r} not in graph")
         stack = [r]
         seen.add(r)
         while stack:
@@ -253,6 +255,8 @@ def ust_sample(g: PlanarGraph, root: int, seed: int) -> RootedForest:
     product, via loop-erased random walks.  Deterministic for a fixed seed;
     the generator is Python's Mersenne Twister seeded with ``seed`` and the
     walk steps draw integers below the per-vertex scaled weight totals."""
+    if root not in g.vertices:
+        raise PreconditionViolated(f"root {root} not in graph")
     rng = random.Random(seed)
     succ: dict[int, tuple[list[int], list[int], int]] = {}
     for v in sorted(g.vertices):
@@ -266,8 +270,15 @@ def ust_sample(g: PlanarGraph, root: int, seed: int) -> RootedForest:
             nbrs.append(eid)
             cums.append(total)
         succ[v] = (nbrs, cums, total)
+    # a walk ends only if the positive-weight edges connect its start to the root
+    par = {v: v for v in g.vertices}
+    for v, (nbrs, _, _) in succ.items():
+        for eid in nbrs:
+            par[_find(par, v)] = _find(par, g.edges[eid].other(v))
+    if len({_find(par, v) for v in par}) != 1:
+        raise PreconditionViolated("graph is not connected by positive-weight edges")
     in_tree = {root}
-    parent: dict[int, tuple[int, int]] = {}
+    assignments = []
     for start in sorted(g.vertices):
         if start in in_tree:
             continue
@@ -290,10 +301,10 @@ def ust_sample(g: PlanarGraph, root: int, seed: int) -> RootedForest:
                 pos[w] = len(path)
                 path.append(w)
         for a, b in zip(path, path[1:]):
-            parent[a] = (g.edge_between(a, b).id, b)
+            assignments.append((a, g.edge_between(a, b).id, b))
             in_tree.add(a)
-        in_tree.add(path[-1])
-    return make_forest(g, (root,), parent)
+    # each walk stops on the tree grown so far: a spanning tree by construction
+    return RootedForest(g.graph_id, (root,), tuple(sorted(assignments)))
 
 
 def chi_square_sf(stat: float, dof: int) -> float:

@@ -47,6 +47,12 @@ def test_count_and_enumerate(runner, square_file):
     assert out == sorted(out)
 
 
+def test_enumerate_limit(runner, square_file):
+    assert invoke(runner, ["enumerate", square_file, "--limit", "0"]).output == ""
+    assert len(invoke(runner, ["enumerate", square_file, "--limit", "1"]).output
+               .splitlines()) == 1
+
+
 def test_grid_count_and_squarish(runner):
     assert invoke(runner, ["grid-count", "2", "2"]).output.strip() == "36"
     assert invoke(runner, ["squarish", "72"]).output.strip() == "2*6^2"
@@ -172,11 +178,14 @@ def _main(*args):
      "PreconditionViolated"),
     (["temperley", "t2m", "SQUARE", "IDS", "--root", "0"], "0 1 2 3\n",
      "PreconditionViolated"),
+    (["temperley", "t2m", "SQUARE", "IDS", "--root", "9"], "0 1 2\n",
+     "PreconditionViolated"),
     (["tec", "f2m", "HEX", "IDS", "--plain", "2", "--prime", "4"], "1 x\n", "ParseError"),
     (["tec", "f2m", "HEX", "IDS", "--plain", "2", "--prime", "4"], "0 1 2 3 4\n",
      "PreconditionViolated"),
 ], ids=["unknown-edge", "covered-twice", "uncovered", "not-an-int", "tree-as-matching",
-        "tree-not-an-int", "tree-unknown-edge", "tree-with-cycle", "forest-not-an-int",
+        "tree-not-an-int", "tree-unknown-edge", "tree-with-cycle", "tree-unknown-root",
+        "forest-not-an-int",
         "forest-with-cycle"])
 def test_malformed_id_files_exit_1_without_traceback(tmp_path, square_file,
                                                      command, lines, error):
@@ -202,7 +211,16 @@ def test_malformed_id_files_exit_1_without_traceback(tmp_path, square_file,
       "--constraint", "1=2-x"], "--constraint"),
     (["parity", "SQUARE", "--cycle", "0,1,3,two"], "--cycle"),
     (["independence", "SQUARE", "--root", "0", "--axis", "1/0"], "--axis"),
-], ids=["path", "targets", "removals", "plain", "prime", "I", "constraint", "cycle", "axis"])
+    (["grid-count", "0", "1"], "M"),
+    (["aztec", "formula", "0"], "N"),
+    (["aztec", "count", "0"], "N"),
+    (["aztec", "graph", "0", "T"], "N"),
+    (["aztec", "biject", "0", "IDS"], "N"),
+    (["build", "trimmed", "--n", "0"], "--n"),
+    (["enumerate", "SQUARE", "--limit", "-1"], "--limit"),
+], ids=["path", "targets", "removals", "plain", "prime", "I", "constraint", "cycle", "axis",
+        "grid-count", "aztec-formula", "aztec-count", "aztec-graph", "aztec-biject",
+        "trimmed-n", "limit"])
 def test_malformed_option_values_exit_2_without_traceback(tmp_path, square_file,
                                                           command, option):
     ids = tmp_path / "ids.txt"
@@ -280,6 +298,13 @@ def test_suite_config_errors(tmp_path):
         parse_suite_config("seed zebra\n")
     with pytest.raises(ConfigError):
         parse_suite_config("frobnicate 1\n")
+    # counts are at least 1, and there are five closed-form aztec values
+    for line in ("grid-kasteleyn 0 0", "independence-sampled 0", "section2 -1",
+                 "transport 0", "aztec 0", "aztec 6"):
+        with pytest.raises(ConfigError):
+            parse_suite_config(f"check {line}\n")
+    items, _ = parse_suite_config("check aztec 5\ncheck grid-kasteleyn 1 1\n")
+    assert [item.args for item in items] == [(5,), (1, 1)]
 
 
 def test_suite_file_checks(tmp_path):

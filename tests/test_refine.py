@@ -79,6 +79,14 @@ def test_augment_single_vertex():
     assert len(g.edges) == 2
 
 
+def test_augment_rejects_disconnected_graph():
+    g = grid_graph(2, 2)
+    split = PlanarGraph.build(dict(g.vertices), {0: g.edges[0], 3: g.edges[3]},
+                              require_connected=False)
+    with pytest.raises(errors.Disconnected):
+        augment_with_leaves(split, [0])
+
+
 def test_augment_degree_violation():
     g = grid_graph(3, 3)
     bottom = sorted(g.vertices, key=lambda v: (g.vertices[v].pos[1], g.vertices[v].pos[0]))[:3]

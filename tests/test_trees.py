@@ -115,6 +115,44 @@ def test_ust_deterministic_and_uniform():
         assert abs(value - expect) <= 5 * sigma
 
 
+def test_ust_sampled_trees_are_pinned():
+    # the walk's tree for each seed is part of the reproducibility contract
+    rows = []
+    dg = diagonal_grid(5)
+    for k in range(40):
+        t = ust_sample(dg, min(dg.vertices), split_seed(21, k))
+        rows.append((t.host, t.roots, t.assignments))
+    for s in range(10):
+        g = random_plane_graph(s, weighted=True)
+        for k in range(4):
+            t = ust_sample(g, max(g.vertices), split_seed(s, k))
+            rows.append((t.host, t.roots, t.assignments))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        "90c8bb3b70ba80d41a4c53b673e5037829b15e69c6e753754c95451315e8141a"
+
+
+def test_ust_sample_is_a_valid_forest():
+    # make_forest re-walks every parent chain: the oracle for the sampler
+    graphs = [diagonal_grid(4), diagonal_grid(5)]
+    graphs += [random_plane_graph(s, weighted=True) for s in range(8)]
+    for i, g in enumerate(graphs):
+        root = sorted(g.vertices)[i % len(g.vertices)]
+        for k in range(25):
+            t = ust_sample(g, root, split_seed(i, k))
+            assert make_forest(g, (root,), t.parent) == t
+
+
+def test_ust_sample_rejects_bad_root_and_disconnected_graphs():
+    with pytest.raises(errors.PreconditionViolated):
+        ust_sample(grid_graph(2, 2), 9, 0)
+    g = grid_graph(2, 2)
+    # two disjoint edges: a walk from the far edge never meets the root
+    split = PlanarGraph.build(dict(g.vertices), {0: g.edges[0], 3: g.edges[3]},
+                              require_connected=False)
+    with pytest.raises(errors.PreconditionViolated):
+        ust_sample(split, 0, 0)
+
+
 def test_ust_weighted_frequencies():
     g = grid_graph(2, 2)
     edges = {eid: Edge(eid, e.u, e.v, Fraction(2) if eid == 0 else Fraction(1))
