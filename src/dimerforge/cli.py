@@ -274,14 +274,6 @@ def temperley(direction, file, input_file, root):
             click.echo(" ".join(map(str, sorted(tree.edge_set))))
 
 
-def _transport_from_options(file, plain, prime, constraint):
-    g = _load(file)
-    inst = bijections.transport_instance(g, plain, prime)
-    paths = {idx: bijections.site_path_to_refinement(inst.smashed.refinement, sites)
-             for idx, sites in constraint}
-    return inst, paths
-
-
 @cli.command("tea-transport")
 @click.argument("file", type=click.Path())
 @click.argument("matchings_file", type=click.Path())
@@ -292,7 +284,9 @@ def _transport_from_options(file, plain, prime, constraint):
               help="path as INDEX=v1-v2-...; repeatable")
 def tea_transport_cmd(file, matchings_file, plain, prime, subset, constraint):
     """Transport matchings between the two marked-run hosts."""
-    inst, paths = _transport_from_options(file, plain, prime, constraint)
+    inst = bijections.transport_instance(_load(file), plain, prime)
+    paths = {idx: bijections.site_path_to_refinement(inst.smashed.refinement, sites)
+             for idx, sites in constraint}
     chosen = set(subset)
     for host in (inst.host_prime, inst.host_plain):
         try:
@@ -315,45 +309,25 @@ def tea_transport_cmd(file, matchings_file, plain, prime, subset, constraint):
 @click.option("--plain", type=_IDS, help="marked run (tea)")
 @click.option("--prime", type=_IDS, help="marked run (tea)")
 def verify_bijection(kind, file, path_, root, plain, prime):
-    """Exhaustively verify a bijection on one instance; exit 0/1."""
+    """Exhaustively verify a bijection on one instance with the suite's
+    per-instance check; exit 0/1."""
     g = _load(file)
     if kind == "phi":
         if not path_:
             raise click.UsageError("phi needs --path")
-        inst = refine.section_instance(g, path_)
-        plus = list(enumerate_matchings(inst.plus))
-        images = [bijections.phi(inst, mu) for mu in plus]
-        ok = (len({m.edges for m in images}) == len(images)
-              and {m.edges for m in images}
-              == {m.edges for m in enumerate_matchings(inst.minus)}
-              and all(bijections.psi(inst, img).edges == mu.edges
-                      for mu, img in zip(plus, images)))
-        click.echo(f"{'PASS' if ok else 'FAIL'}: {len(plus)} matchings")
+        checked, fault = report.phi_fault(refine.section_instance(g, path_))
     elif kind == "temperley":
         if root is None:
             raise click.UsageError("temperley needs --root")
-        ref = refine.dual_refinement(g)
-        ok = True
-        n_trees = 0
-        for tree in trees.enumerate_spanning_trees(g, root):
-            mu = bijections.temperley_tree_to_matching(ref, tree)
-            ok = ok and bijections.temperley_matching_to_tree(ref, mu, root) == tree
-            n_trees += 1
-        ok = ok and count_matchings(bijections.refinement_host(ref, [root])) == n_trees
-        click.echo(f"{'PASS' if ok else 'FAIL'}: {n_trees} trees")
+        checked, fault = report.temperley_fault(g, refine.dual_refinement(g), root)
     else:
         if not plain or not prime:
             raise click.UsageError("tea needs --plain and --prime")
-        inst, _ = _transport_from_options(file, plain, prime, ())
-        mus = list(enumerate_matchings(inst.host_prime))
-        images = [bijections.tea_transport(inst, mu) for mu in mus]
-        ok = (len({m.edges for m in images}) == len(images)
-              and all(bijections.tea_transport(inst, img).edges == mu.edges
-                      for mu, img in zip(mus, images))
-              and count_matchings(inst.host_plain) == count_matchings(inst.host_prime))
-        click.echo(f"{'PASS' if ok else 'FAIL'}: {len(mus)} matchings")
-    if not ok:
-        raise _Fail("bijection check failed")
+        checked, fault = report.transport_fault(bijections.transport_instance(g, plain, prime), {})
+    noun = "trees" if kind == "temperley" else "matchings"
+    click.echo(f"{'PASS' if fault is None else 'FAIL'}: {checked} {noun}")
+    if fault:
+        raise _Fail(f"bijection check failed: {fault[0]} at {fault[1]}")
 
 
 @cli.group("trees")
@@ -400,7 +374,7 @@ def tec(direction, file, input_file, plain, prime):
 @click.argument("file", type=click.Path())
 @click.option("--root", type=int, required=True)
 @click.option("--kind", type=click.Choice(["exit", "hv"]), default="exit")
-@click.option("--samples", type=int, default=0)
+@click.option("--samples", type=click.IntRange(min=0), default=0)
 @click.option("--seed", type=int, default=0)
 @click.option("--axis", type=_Parsed("fraction", Fraction), default="0",
               help="axis height y=c")

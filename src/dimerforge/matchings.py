@@ -17,7 +17,7 @@ from typing import Iterator
 import mpmath
 
 from .errors import NotAMatching, PrecisionExhausted
-from .planar import PlanarGraph
+from .planar import PlanarGraph, remove_vertices
 
 
 @dataclass(frozen=True)
@@ -166,6 +166,18 @@ def count_matchings(g: PlanarGraph) -> Fraction:
         if not states:
             return Fraction(0)
     return states.get(frozenset(), Fraction(0))
+
+
+def _forced_matching_weight(g: PlanarGraph, forced) -> Fraction:
+    """Total weight of the perfect matchings of ``g`` that contain the edge
+    set F = ``forced``: each is F plus a matching of G - V(F), so the sum is
+    w(F) * M(G - V(F)), or 0 when an edge of F is not in ``g`` or two share
+    a vertex."""
+    edges = [g.edges.get(eid) for eid in forced]
+    ends = [v for e in edges if e is not None for v in (e.u, e.v)]
+    if None in edges or len(set(ends)) < len(ends):
+        return Fraction(0)
+    return math.prod(e.weight for e in edges) * count_matchings(remove_vertices(g, ends))
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import ConfigError, DimerforgeError
 from .matchings import count_matchings, enumerate_matchings, kasteleyn_grid_count, squarish
-from .trees import split_seed
+from .trees import RootedForest, split_seed
 
 # ---------------------------------------------------------------------------
 # Results
@@ -53,6 +54,86 @@ class VerificationReport:
         lines.append(f"{'PASS' if self.passed else 'FAIL'} "
                      f"({sum(r.passed for r in self.results)}/{len(self.results)} checks)")
         return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Per-instance bijection verifiers (shared by the suite and verify-bijection)
+# ---------------------------------------------------------------------------
+
+
+def _round_trip_fault(domain, forward, backward, same_weight=None):
+    """The first x in ``domain`` with ``backward(forward(x)) != x``, or whose
+    image weighs otherwise (x priced in ``same_weight[0]``, its image in
+    ``same_weight[1]``), as a fault ``(what, edge ids of x)``; else None.
+
+    A round trip that holds on every element makes ``forward`` injective,
+    and round trips both ways between two finite sets make it a bijection,
+    so no separate collision or image test is needed."""
+    for x in domain:
+        y = forward(x)
+        if backward(y) != x:
+            what = "round trip failed"
+        elif same_weight and x.weight(same_weight[0]) != y.weight(same_weight[1]):
+            what = "weight not preserved"
+        else:
+            continue
+        return what, str(sorted(x.edge_set if isinstance(x, RootedForest) else x.edges))
+    return None
+
+
+def phi_fault(inst):
+    """Gliding: phi and psi are mutually inverse between all matchings of
+    the plus and the minus graph.  Returns (plus matchings, fault)."""
+    from .bijections import phi, psi
+
+    forward, backward = partial(phi, inst), partial(psi, inst)
+    plus = list(enumerate_matchings(inst.plus))
+    fault = (_round_trip_fault(plus, forward, backward)
+             or _round_trip_fault(enumerate_matchings(inst.minus), backward, forward))
+    return len(plus), fault
+
+
+def temperley_fault(g, ref, root):
+    """Temperley: the spanning trees of ``g`` toward ``root`` and the
+    matchings of the refinement ``ref`` minus the root correspond
+    bijectively and with equal weights.  Returns (trees, fault)."""
+    from .bijections import refinement_host, temperley_matching_to_tree, temperley_tree_to_matching
+    from .trees import enumerate_spanning_trees
+
+    to_matching = partial(temperley_tree_to_matching, ref)
+    to_tree = partial(temperley_matching_to_tree, ref, root=root)
+    tree_list = list(enumerate_spanning_trees(g, root))
+    fault = (_round_trip_fault(tree_list, to_matching, to_tree, (g, ref.graph))
+             or _round_trip_fault(enumerate_matchings(refinement_host(ref, [root])),
+                                  to_tree, to_matching))
+    return len(tree_list), fault
+
+
+def transport_fault(inst, paths):
+    """Run transport: for every subset of the constraint indices, the
+    matchings of the two hosts that contain the forced path edges carry
+    equal weight, and transport is an involution on the primed host's
+    class.  Returns (primed host matchings, fault)."""
+    from .bijections import forced_path_matching, tea_transport
+    from .matchings import _forced_matching_weight
+
+    hgraph = inst.smashed.refinement.graph
+    mus = list(enumerate_matchings(inst.host_prime))
+    indices = sorted(paths)
+    for bits in range(2 ** len(indices)):
+        chosen = {indices[i] for i in range(len(indices)) if bits >> i & 1}
+        forced_a = set().union(*(forced_path_matching(hgraph, paths[i], True) for i in chosen))
+        forced_b = set().union(*(forced_path_matching(hgraph, paths[i], False) for i in chosen))
+        wa = _forced_matching_weight(inst.host_plain, forced_a)
+        wb = _forced_matching_weight(inst.host_prime, forced_b)
+        if wa != wb:
+            return len(mus), (f"constrained weights differ for {sorted(chosen)}",
+                              f"{wa} vs {wb}")
+        move = partial(tea_transport, inst, chosen=chosen, constraint_paths=paths)
+        fault = _round_trip_fault([m for m in mus if forced_b <= m.edges], move, move)
+        if fault:
+            return len(mus), fault
+    return len(mus), None
 
 
 # ---------------------------------------------------------------------------
@@ -101,24 +182,12 @@ def check_section2(count: int, seed: int) -> tuple[bool, str, str | None]:
 
 
 def check_phi_roundtrip(count: int, seed: int) -> tuple[bool, str, str | None]:
-    from .bijections import phi, psi
     from .generators import random_section2
 
     for k in range(count):
-        inst = random_section2(split_seed(seed, k))
-        plus = list(enumerate_matchings(inst.plus))
-        minus = list(enumerate_matchings(inst.minus))
-        images = [phi(inst, mu) for mu in plus]
-        if len({m.edges for m in images}) != len(images):
-            return False, f"instance {k}: collision", None
-        if {m.edges for m in images} != {m.edges for m in minus}:
-            return False, f"instance {k}: image is not the full minus side", None
-        for mu, img in zip(plus, images):
-            if psi(inst, img).edges != mu.edges:
-                return False, f"instance {k}: inverse failed", str(sorted(mu.edges))
-        for mu in minus:
-            if phi(inst, psi(inst, mu)).edges != mu.edges:
-                return False, f"instance {k}: other inverse failed", str(sorted(mu.edges))
+        _, fault = phi_fault(random_section2(split_seed(seed, k)))
+        if fault:
+            return False, f"instance {k}: {fault[0]}", fault[1]
     return True, f"{count} instances checked exhaustively", None
 
 
@@ -153,14 +222,10 @@ def check_trimmed_squarish(count: int, seed: int) -> tuple[bool, str, str | None
 
 
 def check_temperley(count: int, seed: int) -> tuple[bool, str, str | None]:
-    from .bijections import (
-        refinement_host,
-        temperley_matching_to_tree,
-        temperley_tree_to_matching,
-    )
+    from .bijections import refinement_host
     from .generators import grid_graph, random_plane_graph
     from .refine import dual_refinement
-    from .trees import count_spanning_trees, enumerate_spanning_trees
+    from .trees import count_spanning_trees
 
     g33 = grid_graph(3, 3)
     if count_spanning_trees(g33) != 192:
@@ -174,14 +239,9 @@ def check_temperley(count: int, seed: int) -> tuple[bool, str, str | None]:
             if count_matchings(host) != trees_total:
                 return False, f"instance {k}: root {v} breaks the correspondence", \
                     f"trees={trees_total} matchings={count_matchings(host)}"
-        root = min(g.infinite_face_vertices())
-        for tree in enumerate_spanning_trees(g, root):
-            mu = temperley_tree_to_matching(ref, tree)
-            back = temperley_matching_to_tree(ref, mu, root)
-            if back != tree:
-                return False, f"instance {k}: round trip failed", str(tree.assignments)
-            if tree.weight(g) != mu.weight(ref.graph):
-                return False, f"instance {k}: weight not preserved", str(tree.assignments)
+        _, fault = temperley_fault(g, ref, min(g.infinite_face_vertices()))
+        if fault:
+            return False, f"instance {k}: {fault[0]}", fault[1]
     return True, f"3x3 grid =192; {count} instances: root independence and round trips", None
 
 
@@ -205,33 +265,12 @@ def check_tree_swap(count: int, seed: int) -> tuple[bool, str, str | None]:
 
 
 def check_transport(count: int, seed: int) -> tuple[bool, str, str | None]:
-    from .bijections import forced_path_matching, tea_transport
     from .generators import random_transport
 
     for k in range(count):
-        inst, paths = random_transport(split_seed(seed, k))
-        ref = inst.smashed.refinement
-        mus_a = [(m, m.weight(inst.host_plain)) for m in enumerate_matchings(inst.host_plain)]
-        mus_b = [(m, m.weight(inst.host_prime)) for m in enumerate_matchings(inst.host_prime)]
-        wa = sum(w for _, w in mus_a)
-        wb = sum(w for _, w in mus_b)
-        if wa != wb:
-            return False, f"instance {k}: host weights differ", f"{wa} vs {wb}"
-        indices = sorted(paths)
-        forced_a = {i: forced_path_matching(ref.graph, paths[i], True) for i in indices}
-        forced_b = {i: forced_path_matching(ref.graph, paths[i], False) for i in indices}
-        for bits in range(2 ** len(indices)):
-            chosen = {indices[i] for i in range(len(indices)) if bits >> i & 1}
-            sel_a = [(m, w) for m, w in mus_a if all(forced_a[i] <= m.edges for i in chosen)]
-            sel_b = [(m, w) for m, w in mus_b if all(forced_b[i] <= m.edges for i in chosen)]
-            if sum(w for _, w in sel_a) != sum(w for _, w in sel_b):
-                return False, f"instance {k}: constrained weights differ for {sorted(chosen)}", None
-            for mu, _ in sel_b:
-                out = tea_transport(inst, mu, chosen, paths)
-                back = tea_transport(inst, out, chosen, paths)
-                if back.edges != mu.edges:
-                    return False, f"instance {k}: transport round trip failed", \
-                        str(sorted(mu.edges))
+        _, fault = transport_fault(*random_transport(split_seed(seed, k)))
+        if fault:
+            return False, f"instance {k}: {fault[0]}", fault[1]
     return True, f"{count} instances: weights equal for every index subset; transport involutive", None
 
 
@@ -248,16 +287,14 @@ def check_aztec(nmax_enum: int = 3) -> tuple[bool, str, str | None]:
         if not (ct == ctp == expected[n - 1]):
             return False, f"n={n}: counts disagree", f"{ct} {ctp} vs {expected[n - 1]}"
     for n in range(1, nmax_enum + 1):
-        t, tp = aztec_pair(n)
-        mus = list(enumerate_matchings(t.graph))
+        mus = list(enumerate_matchings(aztec_pair(n)[0].graph))
         if len(mus) != expected[n - 1]:
             return False, f"n={n}: enumeration count off", str(len(mus))
-        images = [aztec_bijection(n, mu) for mu in mus]
-        if len({m.edges for m in images}) != len(images):
-            return False, f"n={n}: bijection not injective", None
-        for mu, img in zip(mus, images):
-            if aztec_bijection(n, img).edges != mu.edges:
-                return False, f"n={n}: round trip failed", str(sorted(mu.edges))
+        # an injection between two sets of the same finite size is a bijection
+        flip = partial(aztec_bijection, n)
+        fault = _round_trip_fault(mus, flip, flip)
+        if fault:
+            return False, f"n={n}: {fault[0]}", fault[1]
     return True, (f"counts {expected} match the closed form for both variants; "
                   f"bijection involutive for n <= {nmax_enum}"), None
 
@@ -270,17 +307,11 @@ def check_banded(count: int, seed: int) -> tuple[bool, str, str | None]:
     for k in range(count):
         inst, _paths = random_transport(split_seed(seed, k), require_plain_path=False)
         mus = list(enumerate_matchings(inst.host_prime))
-        forests = []
-        for mu in mus:
-            forest = tec_matching_to_forest(inst, mu)
-            back = tec_forest_to_matching(inst, forest)
-            if back.edges != mu.edges:
-                return False, f"instance {k}: forest round trip failed", str(sorted(mu.edges))
-            if forest.weight(inst.forest_graph) != mu.weight(inst.host_prime):
-                return False, f"instance {k}: weight not preserved", str(sorted(mu.edges))
-            forests.append(forest)
-        if len(set(forests)) != len(forests):
-            return False, f"instance {k}: forest map not injective", None
+        fault = _round_trip_fault(mus, partial(tec_matching_to_forest, inst),
+                                  partial(tec_forest_to_matching, inst),
+                                  (inst.host_prime, inst.forest_graph))
+        if fault:
+            return False, f"instance {k}: {fault[0]}", fault[1]
         if len(inst.forest_graph.edges) <= 14:
             qualifying = _enumerate_banded(inst)
             if qualifying != len(mus):
@@ -332,6 +363,7 @@ def check_class_weights(count: int, seed: int) -> tuple[bool, str, str | None]:
 
     from .bijections import reflect_swap
     from .generators import random_symmetric
+    from .matchings import _forced_matching_weight
     from .trees import class_weight
 
     for k in range(count):
@@ -350,22 +382,19 @@ def check_class_weights(count: int, seed: int) -> tuple[bool, str, str | None]:
                 e = rng.choice(sorted(options))
                 marked.append(e)
                 used |= {g.edges[e].u, g.edges[e].v}
-        mus = list(enumerate_matchings(g))
-        if marked and mus:
-            weights = {}
-            for bits in range(2 ** len(marked)):
-                chosen = {i + 1 for i in range(len(marked)) if bits >> i & 1}
-                susbet = [m for m in mus if _in_class(g, cert, m, marked, chosen)]
-                weights[bits] = sum(m.weight(g) for m in susbet)
-                for m in susbet:
-                    anchor = _axis_anchor(g, cert, marked[0])
-                    swapped = reflect_swap(g, cert, m, anchor)
-                    if swapped.weight(g) != m.weight(g):
-                        return False, f"instance {k}: swap changed the weight", None
-                    if reflect_swap(g, cert, swapped, anchor).edges != m.edges:
-                        return False, f"instance {k}: swap is not an involution", None
+        if marked:
+            # the class of ``bits`` forces each marked edge (bit set) or its mirror
+            weights = {bits: _forced_matching_weight(
+                g, {e if bits >> i & 1 else cert.edge_map[e] for i, e in enumerate(marked)})
+                for bits in range(2 ** len(marked))}
             if len(set(weights.values())) != 1:
                 return False, f"instance {k}: matching class weights differ", str(weights)
+            e0 = g.edges[marked[0]]
+            anchor = e0.u if e0.u in cert.axis_vertices else e0.v
+            swap = partial(reflect_swap, g, cert, axis_vertex=anchor)
+            fault = _round_trip_fault(enumerate_matchings(g), swap, swap, (g, g))
+            if fault:
+                return False, f"instance {k}: swap {fault[0]}", fault[1]
         # tree level
         root_options = [v for v in (axis[0], axis[-1])
                         if not any(v in (g.edges[e].u, g.edges[e].v) for e in marked)]
@@ -381,22 +410,6 @@ def check_class_weights(count: int, seed: int) -> tuple[bool, str, str | None]:
             if len(set(tree_weights.values())) != 1:
                 return False, f"instance {k}: tree class weights differ", str(tree_weights)
     return True, f"{count} symmetric instances: class weights constant, swaps involutive", None
-
-
-def _axis_anchor(g, cert, eid):
-    e = g.edges[eid]
-    for v in (e.u, e.v):
-        if v in cert.axis_vertices:
-            return v
-    raise DimerforgeError("marked edge misses the axis")
-
-
-def _in_class(g, cert, mu, marked, chosen) -> bool:
-    for i, eid in enumerate(marked, 1):
-        want = eid if i in chosen else cert.edge_map[eid]
-        if want not in mu.edges:
-            return False
-    return True
 
 
 def check_independence(count: int, seed: int) -> tuple[bool, str, str | None]:
@@ -450,17 +463,6 @@ def check_matchings_file(path: str, expected: str | None = None) -> tuple[bool, 
     return True, f"{path}: weight {total}", None
 
 
-def check_euler_file(path: str) -> tuple[bool, str, str | None]:
-    from .planar import load_graph
-
-    with open(path, encoding="utf-8") as fh:
-        g = load_graph(fh.read())
-    faces = g.trace_faces()
-    v, e, f = len(g.vertices), len(g.edges), len(faces.faces)
-    ok = v - e + f == 2
-    return ok, f"{path}: V={v} E={e} F={f}", None
-
-
 # ---------------------------------------------------------------------------
 # Suite runner
 # ---------------------------------------------------------------------------
@@ -487,7 +489,6 @@ _CHECKS = {
     "independence": (check_independence, (int,), True),
     "independence-sampled": (check_independence_sampled, (int,), True),
     "matchings-file": (check_matchings_file, (str, str), False),
-    "euler-file": (check_euler_file, (str,), False),
 }
 
 

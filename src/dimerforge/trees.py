@@ -89,10 +89,10 @@ def make_forest(g: PlanarGraph, roots, parent: dict[int, tuple[int, int]]) -> Ro
                         tuple(sorted((v, e, p) for v, (e, p) in parent.items())))
 
 
-def orient_edge_set(g: PlanarGraph, edges, roots) -> RootedForest:
-    """Orient a forest given as an edge set toward the given roots; the set
-    must be exactly the forest's edges."""
-    edges = sorted(edges)
+def _search_parents(g: PlanarGraph, edges, roots) -> dict[int, tuple[int, int]]:
+    """Search the edge set outward from each root in turn; every vertex
+    reached, other than a root, maps to the (edge, vertex) it was first
+    reached from."""
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
     for eid in edges:
         e = g.edges.get(eid)
@@ -114,7 +114,15 @@ def orient_edge_set(g: PlanarGraph, edges, roots) -> RootedForest:
                     seen.add(w)
                     parent[w] = (eid, v)
                     stack.append(w)
-    if len(seen) != len(g.vertices):
+    return parent
+
+
+def orient_edge_set(g: PlanarGraph, edges, roots) -> RootedForest:
+    """Orient a forest given as an edge set toward the given roots; the set
+    must be exactly the forest's edges."""
+    edges = sorted(edges)
+    parent = _search_parents(g, edges, roots)
+    if len(set(roots) | set(parent)) != len(g.vertices):
         raise PreconditionViolated("edge set does not span the graph from the roots")
     if edges != sorted(e for e, _ in parent.values()):
         raise PreconditionViolated("edge set is not a forest: it has edges beyond the "
@@ -141,9 +149,6 @@ def enumerate_spanning_trees(g: PlanarGraph, root: int) -> Iterator[RootedForest
     n = len(g.vertices)
     if root not in g.vertices:
         raise PreconditionViolated(f"root {root} not in graph")
-    if n == 1:
-        yield make_forest(g, (root,), {})
-        return
     edge_ids = sorted(g.edges)
 
     def connected_with(active_parent: dict[int, int], from_idx: int) -> bool:
@@ -161,7 +166,10 @@ def enumerate_spanning_trees(g: PlanarGraph, root: int) -> Iterator[RootedForest
 
     def rec(idx: int, chosen: list[int], par: dict[int, int], remaining: int):
         if remaining == 0:
-            yield orient_edge_set(g, chosen, (root,))
+            # n - 1 union-find merges: a spanning tree, so nothing to re-check
+            parent = _search_parents(g, chosen, (root,))
+            yield RootedForest(g.graph_id, (root,),
+                               tuple(sorted((v, e, p) for v, (e, p) in parent.items())))
             return
         if idx == len(edge_ids):
             return

@@ -138,7 +138,17 @@ def test_criterion_11_cycle_parity():
     _report(11, "interior counts odd", ok, witness or details)
 
 
+def _in_class(g, cert, mu, marked, chosen) -> bool:
+    for i, eid in enumerate(marked, 1):
+        want = eid if i in chosen else cert.edge_map[eid]
+        if want not in mu.edges:
+            return False
+    return True
+
+
 def test_criterion_12_class_weights():
+    # enumerate and filter: the independent route to the class weights that
+    # the class-weights check counts as w(F) * M(G - V(F))
     instances = 30
     for k in range(instances):
         g, cert = random_symmetric(split_seed(split_seed(BASE_SEED, 12), k),
@@ -164,7 +174,7 @@ def test_criterion_12_class_weights():
             weights = []
             for bits in range(2 ** len(marked)):
                 chosen = {i + 1 for i in range(len(marked)) if bits >> i & 1}
-                cls = [m for m in mus if rp._in_class(g, cert, m, marked, chosen)]
+                cls = [m for m in mus if _in_class(g, cert, m, marked, chosen)]
                 weights.append(sum(m.weight(g) for m in cls))
                 for m in cls:
                     swapped = reflect_swap(g, cert, m, anchor)

@@ -11,7 +11,7 @@ import dimerforge
 from dimerforge.bijections import transport_instance
 from dimerforge.cli import cli
 from dimerforge.errors import ConfigError
-from dimerforge.generators import grid_graph, hexagon_graph
+from dimerforge.generators import grid_graph, hexagon_graph, random_plane_graph
 from dimerforge.matchings import enumerate_matchings
 from dimerforge.planar import dump_graph, load_graph
 from dimerforge.report import parse_suite_config, run_suite
@@ -140,6 +140,35 @@ def test_verify_bijection_commands(runner, square_file, tmp_path):
     assert res.output.startswith("PASS")
 
 
+def test_verify_bijection_temperley_compares_weights(runner, tmp_path):
+    # the weighted matching sum equals the weighted tree sum, not the tree count
+    g = random_plane_graph(0, weighted=True)
+    gfile = tmp_path / "weighted.txt"
+    gfile.write_text(dump_graph(g))
+    res = runner.invoke(cli, ["verify-bijection", "temperley", str(gfile),
+                              "--root", str(min(g.infinite_face_vertices()))])
+    assert res.exit_code == 0
+    assert res.output == "PASS: 15 trees\n"
+
+
+def test_verify_bijection_fails_on_a_broken_map(runner, square_file, monkeypatch):
+    from dimerforge import bijections
+
+    real, first = bijections.psi, []
+
+    def stuck_psi(inst, mu):
+        # every minus matching goes back to the first plus matching
+        if not first:
+            first.append(real(inst, mu))
+        return first[0]
+
+    monkeypatch.setattr(bijections, "psi", stuck_psi)
+    res = runner.invoke(cli, ["verify-bijection", "phi", square_file, "--path", "0,1,3"])
+    assert res.exit_code == 1
+    assert res.output.startswith("FAIL: 3 matchings\n")
+    assert "round trip failed at [" in res.output
+
+
 def test_tea_transport_reads_plain_host_matchings(runner, tmp_path):
     # every matching of the plain host uses an edge id the primed host lacks
     g, plain, prime = hexagon_graph(1)
@@ -218,9 +247,10 @@ def test_malformed_id_files_exit_1_without_traceback(tmp_path, square_file,
     (["aztec", "biject", "0", "IDS"], "N"),
     (["build", "trimmed", "--n", "0"], "--n"),
     (["enumerate", "SQUARE", "--limit", "-1"], "--limit"),
+    (["independence", "SQUARE", "--root", "0", "--samples", "-5"], "--samples"),
 ], ids=["path", "targets", "removals", "plain", "prime", "I", "constraint", "cycle", "axis",
         "grid-count", "aztec-formula", "aztec-count", "aztec-graph", "aztec-biject",
-        "trimmed-n", "limit"])
+        "trimmed-n", "limit", "samples"])
 def test_malformed_option_values_exit_2_without_traceback(tmp_path, square_file,
                                                           command, option):
     ids = tmp_path / "ids.txt"
@@ -310,9 +340,12 @@ def test_suite_config_errors(tmp_path):
 def test_suite_file_checks(tmp_path):
     gpath = tmp_path / "g.txt"
     gpath.write_text(dump_graph(grid_graph(2, 2)))
-    config = f"check matchings-file {gpath} 2\ncheck euler-file {gpath}\n"
+    config = f"check matchings-file {gpath} 2\n"
     rep = run_suite(config)
     assert rep.passed
+    # loading a file already checks Euler's formula, so there is no euler-file check
+    with pytest.raises(ConfigError, match="unknown check"):
+        parse_suite_config(f"check euler-file {gpath}\n")
     config_bad = f"check matchings-file {gpath} 3\n"
     assert not run_suite(config_bad).passed
 

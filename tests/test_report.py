@@ -1,0 +1,90 @@
+"""The per-instance bijection verifiers in ``report``: each check can fail,
+and counted class weights agree with enumerated ones."""
+
+import ast
+
+import pytest
+
+from dimerforge import aztec, bijections, trees
+from dimerforge import report as rp
+from dimerforge.generators import grid_graph, random_symmetric, random_transport
+from dimerforge.matchings import _forced_matching_weight, enumerate_matchings
+
+
+def _stuck(real):
+    """``real`` made constant: every call returns the image of the first
+    call, so the map is not injective."""
+    first = []
+
+    def stuck(*args, **kwargs):
+        if not first:
+            first.append(real(*args, **kwargs))
+        return first[0]
+
+    return stuck
+
+
+@pytest.mark.parametrize("module, name, check, args", [
+    (bijections, "psi", rp.check_phi_roundtrip, (3, 5)),
+    (bijections, "temperley_matching_to_tree", rp.check_temperley, (2, 5)),
+    (bijections, "tea_transport", rp.check_transport, (2, 5)),
+    (aztec, "aztec_bijection", rp.check_aztec, (2,)),
+    (trees, "tec_forest_to_matching", rp.check_banded, (2, 5)),
+    (bijections, "reflect_swap", rp.check_class_weights, (4, 5)),
+], ids=["psi", "temperley", "transport", "aztec", "banded", "reflect-swap"])
+def test_every_bijection_check_can_fail(monkeypatch, module, name, check, args):
+    monkeypatch.setattr(module, name, _stuck(getattr(module, name)))
+    ok, details, witness = check(*args)
+    assert not ok
+    assert "round trip failed" in details or "weight not preserved" in details, details
+    ids = ast.literal_eval(witness)
+    assert ids and all(isinstance(i, int) for i in ids), witness
+
+
+def _filtered_weight(g, mus, forced):
+    return sum(m.weight(g) for m in mus if forced <= m.edges)
+
+
+def test_forced_matching_weight_matches_enumeration_on_transport_subsets():
+    # a hexagon instance with three constraint paths, and a ladder
+    for seed in (1, 3):
+        inst, paths = random_transport(seed)
+        hgraph = inst.smashed.refinement.graph
+        indices = sorted(paths)
+        for host, drop_start in ((inst.host_plain, True), (inst.host_prime, False)):
+            mus = list(enumerate_matchings(host))
+            for bits in range(2 ** len(indices)):
+                chosen = [indices[i] for i in range(len(indices)) if bits >> i & 1]
+                forced = set().union(*(bijections.forced_path_matching(hgraph, paths[i],
+                                                                       drop_start)
+                                       for i in chosen))
+                assert _forced_matching_weight(host, forced) == \
+                    _filtered_weight(host, mus, forced), (seed, chosen)
+
+
+def test_forced_matching_weight_matches_enumeration_on_symmetry_classes():
+    classes = 0
+    for seed in range(6):
+        g, cert = random_symmetric(seed, need_matchings=True)
+        a_vertices = set(cert.axis_vertices[0::2])
+        marked, used = [], set()
+        for a in cert.axis_vertices[0::2]:
+            for e in sorted(g.adj[a]):
+                ends = {g.edges[e].u, g.edges[e].v}
+                if not ends & used and len(ends & a_vertices) == 1:
+                    marked.append(e)
+                    used |= ends
+                    break
+        mus = list(enumerate_matchings(g))
+        for bits in range(2 ** len(marked)):
+            forced = {e if bits >> i & 1 else cert.edge_map[e] for i, e in enumerate(marked)}
+            assert _forced_matching_weight(g, forced) == _filtered_weight(g, mus, forced), seed
+            classes += 1
+    assert classes > 6
+
+
+def test_forced_matching_weight_of_impossible_sets_is_zero():
+    g = grid_graph(2, 2)
+    e1, e2 = sorted(g.adj[0])
+    assert _forced_matching_weight(g, {e1, e2}) == 0  # two edges at one vertex
+    assert _forced_matching_weight(g, {max(g.edges) + 1}) == 0  # not an edge of g

@@ -54,6 +54,19 @@ def test_enumeration_order_is_pinned():
                    [1, 2, 3, 4, 6], [1, 2, 3, 5, 6], [1, 2, 4, 5, 6]]
 
 
+def test_enumerated_trees_equal_their_validated_orientation():
+    # enumeration orients each tree without the validator; the validator agrees
+    graphs = [grid_graph(1, 1), grid_graph(3, 3), diamond_graph()]
+    graphs += [random_plane_graph(seed, weighted=True) for seed in range(4)]
+    checked = 0
+    for g in graphs:
+        for root in {min(g.vertices), max(g.vertices)}:
+            for t in enumerate_spanning_trees(g, root):
+                assert t == orient_edge_set(g, t.edge_set, (root,))
+                checked += 1
+    assert checked > 400
+
+
 def test_single_edge_tree():
     g = grid_graph(2, 1)
     trees = list(enumerate_spanning_trees(g, 0))
