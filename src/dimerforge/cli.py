@@ -451,7 +451,7 @@ def aztec_biject(n, matchings_file, variant, svg):
 
 @cli.command()
 @click.argument("config", type=click.Path())
-@click.option("--jobs", type=int, default=1)
+@click.option("--jobs", type=_POSITIVE, default=1)
 @click.option("--seed", type=int, default=None)
 @click.option("--timings", is_flag=True, help="print per-check times to stderr")
 def suite(config, jobs, seed, timings):

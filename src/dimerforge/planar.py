@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import _geom
 from ._geom import Point, ccw_direction_key, frac_str, parse_frac
@@ -123,6 +124,18 @@ class FaceDecomposition:
         return (self.dart_face[(edge.id, edge.u)], self.dart_face[(edge.id, edge.v)])
 
 
+@dataclass(frozen=True)
+class WeightTable:
+    """Edge weights made integers one vertex at a time: the Laplacian rows
+    and the loop-erased walks of the tree layer both read it."""
+
+    scale: dict[int, int]  # v -> d_v, the lcm of the weight denominators at v
+    # v -> (edge, neighbour, weight * d_v) of its positive-weight edges, by edge id
+    exits: dict[int, tuple[tuple[int, int, int], ...]]
+    total: dict[int, int]  # v -> the sum of its scaled exit weights
+    connected: bool  # whether the positive-weight edges connect the graph
+
+
 class PlanarGraph:
     """Straight-line embedded simple graph with a rotation system.
 
@@ -146,6 +159,7 @@ class PlanarGraph:
         self.adj = {v: tuple(sorted(ids)) for v, ids in adj.items()}
         self.rotation = rotation if rotation is not None else self._rotation_from_angles()
         self._faces: FaceDecomposition | None = None
+        self._weights: WeightTable | None = None
         self._id: str | None = None
 
     # -- construction --------------------------------------------------------
@@ -256,9 +270,7 @@ class PlanarGraph:
         return None
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        return len(set(self.component_map().values())) == 1
+        return len(set(self.component_map().values())) <= 1
 
     def component_map(self) -> dict[int, int]:
         comp: dict[int, int] = {}
@@ -283,6 +295,22 @@ class PlanarGraph:
         if self._id is None:
             self._id = hashlib.sha256(dump_graph(self).encode()).hexdigest()[:12]
         return self._id
+
+    def weight_table(self) -> WeightTable:
+        if self._weights is None:
+            scale, exits = {}, {}
+            for v, ids in self.adj.items():
+                d = scale[v] = lcm(*(self.edges[e].weight.denominator for e in ids))
+                exits[v] = tuple((e, self.edges[e].other(v), int(self.edges[e].weight * d))
+                                 for e in ids if self.edges[e].weight)
+            reached, frontier = set(), set(list(self.vertices)[:1])
+            while frontier:
+                reached |= frontier
+                frontier = {w for v in frontier for _, w, _ in exits[v]} - reached
+            self._weights = WeightTable(
+                scale, exits, {v: sum(x for _, _, x in out) for v, out in exits.items()},
+                len(reached) == len(self.vertices))
+        return self._weights
 
     # -- faces ----------------------------------------------------------------
 

@@ -8,7 +8,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import prod
 from typing import Iterator
 
 import mpmath
@@ -50,10 +50,7 @@ class RootedForest:
         return frozenset(e for _, e, _ in self.assignments)
 
     def weight(self, g: PlanarGraph) -> Fraction:
-        w = Fraction(1)
-        for _, e, _ in self.assignments:
-            w *= g.edges[e].weight
-        return w
+        return prod((g.edges[e].weight for _, e, _ in self.assignments), start=Fraction(1))
 
 
 def make_forest(g: PlanarGraph, roots, parent: dict[int, tuple[int, int]]) -> RootedForest:
@@ -73,18 +70,15 @@ def make_forest(g: PlanarGraph, roots, parent: dict[int, tuple[int, int]]) -> Ro
         if {edge.u, edge.v} != {v, p}:
             raise PreconditionViolated(f"edge {e} does not join {v} and {p}")
     # walk to a root from every vertex; any revisit inside the walk is a cycle
-    state: dict[int, int] = {}  # 0 in progress, 1 done
+    done = set(roots)
     for v in g.vertices:
-        chain = []
-        w = v
-        while w not in roots and state.get(w) != 1:
-            if state.get(w) == 0:
+        chain = set()
+        while v not in done:
+            if v in chain:
                 raise PreconditionViolated("parent assignment contains a cycle")
-            state[w] = 0
-            chain.append(w)
-            w = parent[w][1]
-        for u in chain:
-            state[u] = 1
+            chain.add(v)
+            v = parent[v][1]
+        done |= chain
     return RootedForest(g.graph_id, roots,
                         tuple(sorted((v, e, p) for v, (e, p) in parent.items())))
 
@@ -191,12 +185,10 @@ def enumerate_spanning_trees(g: PlanarGraph, root: int) -> Iterator[RootedForest
 def _bareiss_det(m: list[list[int]]) -> int:
     """Fraction-free determinant of an integer matrix."""
     n = len(m)
-    if n == 0:
-        return 1
     m = [row[:] for row in m]
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if m[k][k] == 0:
             for i in range(k + 1, n):
                 if m[i][k] != 0:
@@ -209,7 +201,7 @@ def _bareiss_det(m: list[list[int]]) -> int:
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return sign * prev
 
 
 def _forced_tree_weight(g: PlanarGraph, root: int, forced: dict[int, list[int]]) -> Fraction:
@@ -219,22 +211,22 @@ def _forced_tree_weight(g: PlanarGraph, root: int, forced: dict[int, list[int]])
     By the directed matrix-tree theorem (Tutte 1948; Chaiken 1982) this is
     the determinant of the out-Laplacian with the root's row and column
     deleted, where a forced vertex's row is built from its listed edges
-    alone.  Weights are scaled to integers by one common denominator and the
-    determinant is taken fraction-free.
+    alone.  Row v is read off the graph's weight table, scaled by d_v, so the
+    fraction-free determinant is divided by the product of the d_v.
     """
+    table = g.weight_table()
     verts = [v for v in sorted(g.vertices) if v != root]
     idx = {v: i for i, v in enumerate(verts)}
-    scale = lcm(*[e.weight.denominator for e in g.edges.values()]) if g.edges else 1
     lap = [[0] * len(verts) for _ in verts]
     for v in verts:
         row = lap[idx[v]]
-        for eid in forced.get(v, g.adj[v]):
-            w = int(g.edges[eid].weight * scale)
-            row[idx[v]] += w
-            u = g.edges[eid].other(v)
-            if u != root:
-                row[idx[u]] -= w
-    return Fraction(_bareiss_det(lap), scale ** len(verts))
+        listed = forced.get(v)
+        for eid, u, w in table.exits[v]:
+            if listed is None or eid in listed:
+                row[idx[v]] += w
+                if u != root:
+                    row[idx[u]] -= w
+    return Fraction(_bareiss_det(lap), prod(table.scale[v] for v in verts))
 
 
 def count_spanning_trees(g: PlanarGraph) -> Fraction:
@@ -242,8 +234,6 @@ def count_spanning_trees(g: PlanarGraph) -> Fraction:
     computed fraction-free over exact integers."""
     if not g.vertices:
         return Fraction(0)
-    if len(g.vertices) == 1:
-        return Fraction(1)
     return _forced_tree_weight(g, max(g.vertices), {})
 
 
@@ -260,57 +250,36 @@ def split_seed(seed: int, task: int) -> int:
 
 def ust_sample(g: PlanarGraph, root: int, seed: int) -> RootedForest:
     """One spanning tree drawn with probability proportional to its weight
-    product, via loop-erased random walks.  Deterministic for a fixed seed;
-    the generator is Python's Mersenne Twister seeded with ``seed`` and the
-    walk steps draw integers below the per-vertex scaled weight totals."""
+    product, via loop-erased random walks (Wilson 1996).  Deterministic for a
+    fixed seed: Python's Mersenne Twister seeded with ``seed`` draws each step
+    below the stepping vertex's exit total in the graph's weight table."""
     if root not in g.vertices:
         raise PreconditionViolated(f"root {root} not in graph")
-    rng = random.Random(seed)
-    succ: dict[int, tuple[list[int], list[int], int]] = {}
-    for v in sorted(g.vertices):
-        nbrs, cums, total = [], [], 0
-        denom = lcm(*[g.edges[e].weight.denominator for e in g.adj[v]]) if g.adj[v] else 1
-        for eid in g.adj[v]:
-            w = int(g.edges[eid].weight * denom)
-            if w == 0:
-                continue
-            total += w
-            nbrs.append(eid)
-            cums.append(total)
-        succ[v] = (nbrs, cums, total)
+    table = g.weight_table()
     # a walk ends only if the positive-weight edges connect its start to the root
-    par = {v: v for v in g.vertices}
-    for v, (nbrs, _, _) in succ.items():
-        for eid in nbrs:
-            par[_find(par, v)] = _find(par, g.edges[eid].other(v))
-    if len({_find(par, v) for v in par}) != 1:
+    if not table.connected:
         raise PreconditionViolated("graph is not connected by positive-weight edges")
+    rng = random.Random(seed)
     in_tree = {root}
+    step: dict[int, tuple[int, int]] = {}
     assignments = []
     for start in sorted(g.vertices):
-        if start in in_tree:
-            continue
-        path = [start]
-        pos = {start: 0}
-        while path[-1] not in in_tree:
-            v = path[-1]
-            nbrs, cums, total = succ[v]
-            r = rng.randrange(total)
-            k = 0
-            while cums[k] <= r:
-                k += 1
-            eid = nbrs[k]
-            w = g.edges[eid].other(v)
-            if w in pos:
-                for dead in path[pos[w] + 1:]:
-                    del pos[dead]
-                del path[pos[w] + 1:]
-            else:
-                pos[w] = len(path)
-                path.append(w)
-        for a, b in zip(path, path[1:]):
-            assignments.append((a, g.edge_between(a, b).id, b))
-            in_tree.add(a)
+        v = start
+        while v not in in_tree:
+            r = rng.randrange(table.total[v])
+            for eid, w, x in table.exits[v]:
+                r -= x
+                if r < 0:
+                    break
+            step[v] = (eid, w)
+            v = w
+        # the loop-erased walk follows each vertex's last exit
+        v = start
+        while v not in in_tree:
+            in_tree.add(v)
+            eid, w = step[v]
+            assignments.append((v, eid, w))
+            v = w
     # each walk stops on the tree grown so far: a spanning tree by construction
     return RootedForest(g.graph_id, (root,), tuple(sorted(assignments)))
 
@@ -698,6 +667,8 @@ def independence_report(g: PlanarGraph, cert: SymmetryCertificate, root: int,
     if root not in g.infinite_face_vertices():
         raise HypothesisViolated(f"root {root} is not on the infinite face")
     variables = independence_variables(g, cert, root, kind)
+    if samples and not variables:
+        raise HypothesisViolated(f"no {kind} variables to sample")
     n = len(variables)
     # the exit edges of each variable, split by the indicator value they give
     exits = {v: ([], []) for v in variables}

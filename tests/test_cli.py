@@ -11,7 +11,8 @@ import dimerforge
 from dimerforge.bijections import transport_instance
 from dimerforge.cli import cli
 from dimerforge.errors import ConfigError
-from dimerforge.generators import grid_graph, hexagon_graph, random_plane_graph
+from dimerforge.generators import (grid_graph, hexagon_graph, random_plane_graph,
+                                   random_symmetric)
 from dimerforge.matchings import enumerate_matchings
 from dimerforge.planar import dump_graph, load_graph
 from dimerforge.report import parse_suite_config, run_suite
@@ -248,9 +249,10 @@ def test_malformed_id_files_exit_1_without_traceback(tmp_path, square_file,
     (["build", "trimmed", "--n", "0"], "--n"),
     (["enumerate", "SQUARE", "--limit", "-1"], "--limit"),
     (["independence", "SQUARE", "--root", "0", "--samples", "-5"], "--samples"),
+    (["suite", "IDS", "--jobs", "0"], "--jobs"),
 ], ids=["path", "targets", "removals", "plain", "prime", "I", "constraint", "cycle", "axis",
         "grid-count", "aztec-formula", "aztec-count", "aztec-graph", "aztec-biject",
-        "trimmed-n", "limit", "samples"])
+        "trimmed-n", "limit", "samples", "jobs"])
 def test_malformed_option_values_exit_2_without_traceback(tmp_path, square_file,
                                                           command, option):
     ids = tmp_path / "ids.txt"
@@ -262,6 +264,16 @@ def test_malformed_option_values_exit_2_without_traceback(tmp_path, square_file,
     assert res.returncode == 2, res.stderr
     assert res.stderr.startswith(f"usage error: Invalid value for '{option}': "), res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_sampled_independence_without_variables_exits_1(tmp_path):
+    path = tmp_path / "sym.txt"
+    path.write_text(dump_graph(random_symmetric(0)[0]))
+    res = _main("independence", str(path), "--root", "0", "--samples", "50")
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.startswith("error: HypothesisViolated: no exit-side variables"), \
+        res.stderr
+    assert res.stdout == ""
 
 
 def test_parity_command(runner, square_file):

@@ -178,6 +178,80 @@ def test_ust_weighted_frequencies():
     assert abs(hit - draws * p) <= 5 * sigma
 
 
+# -- the per-graph integer weight table -----------------------------------------
+
+
+_MIXED = (Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(0))
+
+
+def _reweighted(g, weights):
+    """``g`` with edge ``i`` carrying ``weights[i % len(weights)]``."""
+    edges = {eid: Edge(eid, e.u, e.v, weights[eid % len(weights)])
+             for eid, e in g.edges.items()}
+    return PlanarGraph.build(dict(g.vertices), edges)
+
+
+def test_ust_sample_builds_the_weight_table_once_per_graph(monkeypatch):
+    from dimerforge import planar
+
+    builds = []
+    real = planar.WeightTable
+    monkeypatch.setattr(planar, "WeightTable", lambda *args: builds.append(args) or real(*args))
+    g = diagonal_grid(4)
+    for k in range(200):
+        ust_sample(g, min(g.vertices), split_seed(7, k))
+    assert len(builds) == 1
+    # the Laplacian rows read the same table
+    assert count_spanning_trees(g) > 0
+    assert len(builds) == 1
+
+
+def test_ust_sample_rejects_a_graph_its_positive_weights_do_not_connect():
+    # a 4-cycle whose two vertical sides weigh 0: two positive-weight edges apart
+    wg = _reweighted(grid_graph(2, 2), (Fraction(1), Fraction(0), Fraction(0), Fraction(1)))
+    for _ in range(2):  # the cached verdict raises again
+        with pytest.raises(errors.PreconditionViolated):
+            ust_sample(wg, 0, 0)
+    assert count_spanning_trees(wg) == 0
+
+
+def test_ust_sample_never_draws_a_zero_weight_edge():
+    g = _reweighted(grid_graph(3, 3), _MIXED)
+    zero = {eid for eid, e in g.edges.items() if e.weight == 0}
+    drawn = set()
+    for k in range(200):
+        drawn |= ust_sample(g, 0, split_seed(5, k)).edge_set
+    assert zero and not drawn & zero
+    assert drawn == set(g.edges) - zero
+
+
+def test_forced_tree_weight_with_mixed_denominators_matches_enumeration():
+    g = _reweighted(grid_graph(3, 3), _MIXED)
+    assert len(set(g.weight_table().scale.values())) > 1
+    checked = 0
+    for root in (0, 4, 8):
+        assert _forced_tree_weight(g, root, {}) == _constrained_weight(g, root, {}) > 0
+        others = [v for v in sorted(g.vertices) if v != root]
+        for v, u in zip(others, others[1:]):
+            for eid in g.adj[v]:  # zero-weight exits included
+                forced = {v: [eid]}
+                assert _forced_tree_weight(g, root, forced) == \
+                    _constrained_weight(g, root, forced)
+                forced[u] = list(g.adj[u][1:])
+                assert _forced_tree_weight(g, root, forced) == \
+                    _constrained_weight(g, root, forced)
+                checked += 1
+    assert checked > 40
+
+
+def test_sampled_independence_needs_a_variable():
+    g, _ = random_symmetric(0)
+    cert = check_reflection_symmetry(g, Fraction(0))
+    assert independence_report(g, cert, 0, "exit-side").variables == ()
+    with pytest.raises(errors.HypothesisViolated, match="no exit-side variables"):
+        independence_report(g, cert, 0, "exit-side", samples=50)
+
+
 def test_chi_square_sf_sane():
     assert 0.3 < chi_square_sf(2.0, 2) < 0.5
     assert chi_square_sf(100.0, 2) < 1e-6
