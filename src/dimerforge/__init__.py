@@ -14,13 +14,11 @@ from .planar import (  # noqa: F401
     PlanarGraph,
     check_reflection_symmetry,
     load_graph,
-    planar_dual,
     validate_boundary_path,
 )
 from .refine import (  # noqa: F401
     dual_refinement,
     augment_with_leaves,
-    build_plus_minus,
     section_instance,
     smash_in,
     symmetrize,

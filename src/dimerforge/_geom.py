@@ -6,17 +6,25 @@ ever enters a combinatorial decision.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import cmp_to_key
 
 Point = tuple[Fraction, Fraction]
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
 
 def parse_frac(text: str) -> Fraction:
+    """A rational written ``p`` or ``p/q`` in ASCII digits with an optional
+    minus.  Anything else, a zero q, or a number too long for ``int`` is a
+    ValueError."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"bad rational {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational {text!r}") from exc
+        raise ValueError(f"bad rational {text!r}: {exc}") from exc
 
 
 def frac_str(x: Fraction) -> str:

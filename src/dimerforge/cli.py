@@ -33,13 +33,20 @@ class _ConfigFail(click.ClickException):
     exit_code = 2
 
 
-def _load(path: str, lenient: bool = False):
+def _read_text(path: str) -> str:
+    """An input file's text: a file that cannot be opened exits 2, one that
+    is not UTF-8 raises ParseError (exit 1)."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return load_graph(fh.read(), name=path,
-                              require_connected=not lenient)
+            return fh.read()
     except OSError as exc:
         raise _ConfigFail(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _load(path: str, lenient: bool = False):
+    return load_graph(_read_text(path), name=path, require_connected=not lenient)
 
 
 def _ids(text: str) -> list[int]:
@@ -85,16 +92,15 @@ _POSITIVE = click.IntRange(min=1)
 def _read_id_lines(path: str):
     """(line number, ids) for each non-blank line of an id-list file, where
     ``#`` starts a comment; a malformed id raises ParseError naming the line."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                ids = _ids(line)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            yield lineno, ids
+    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            ids = _ids(line)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        yield lineno, ids
 
 
 def _read_matchings(path: str, host) -> list[Matching]:
@@ -460,7 +466,7 @@ def suite(config, jobs, seed, timings):
         with open(config, encoding="utf-8") as fh:
             text = fh.read()
         rep = report.run_suite(text, jobs=jobs, seed=seed)
-    except (OSError, ConfigError) as exc:
+    except (OSError, UnicodeDecodeError, ConfigError) as exc:
         raise _ConfigFail(str(exc)) from exc
     click.echo(rep.render(), nl=False)
     if timings:

@@ -27,10 +27,6 @@ class Disconnected(DimerforgeError):
     pass
 
 
-class DualNotSimple(DimerforgeError):
-    """Two faces share more than one edge; the dual would be a multigraph."""
-
-
 # --- marked boundary / symmetry -------------------------------------------
 
 class NotAPath(DimerforgeError):

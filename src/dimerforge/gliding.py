@@ -60,7 +60,7 @@ def glide(host: PlanarGraph, ref: DualRefinement, cover: dict[int, int],
     path = [start]
     seen = {start}
     inf = ref.source.trace_faces().infinite_index
-    if host.vertices[start].tag.kind == "edge-mid":
+    if start in ref.edge_of_mid:
         site = _first_site_from_mid(host, ref, start, mode)
         if site in seen:
             raise CycleDetected("glide revisited its start")
@@ -73,7 +73,7 @@ def glide(host: PlanarGraph, ref: DualRefinement, cover: dict[int, int],
         if eid is None:
             raise PreconditionViolated(f"vertex {site} is not matched")
         mid = host.edges[eid].other(site)
-        if host.vertices[mid].tag.kind != "edge-mid":
+        if mid not in ref.edge_of_mid:
             raise PreconditionViolated(
                 f"matched edge {eid} at {site} does not lead to a midpoint")
         if mid in seen:

@@ -1,4 +1,4 @@
-"""Embedded plane graphs: loading, validation, faces, duals, marked boundaries.
+"""Embedded plane graphs: loading, validation, faces, marked boundaries.
 
 The embedding source of truth is the set of exact rational straight-line
 coordinates.  Validation happens once, at the input boundary: the geometric
@@ -19,7 +19,6 @@ from ._geom import Point, ccw_direction_key, frac_str, parse_frac
 from .errors import (
     BadDegree,
     Disconnected,
-    DualNotSimple,
     EmbeddingError,
     NotAPath,
     NotOnInfiniteFace,
@@ -30,35 +29,6 @@ from .errors import (
 )
 
 # ---------------------------------------------------------------------------
-# Vertex tags
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VertexTag:
-    """Provenance marker: plain vertex, edge midpoint, face center, or the
-    auxiliary vertex standing in for the infinite face."""
-
-    kind: str  # "original" | "edge-mid" | "face-center" | "infinite-aux"
-    source: int | None = None
-
-    def __str__(self):
-        return self.kind if self.source is None else f"{self.kind}({self.source})"
-
-
-ORIGINAL = VertexTag("original")
-INFINITE_AUX = VertexTag("infinite-aux")
-
-
-def edge_mid_tag(edge_id: int) -> VertexTag:
-    return VertexTag("edge-mid", edge_id)
-
-
-def face_center_tag(face_index: int) -> VertexTag:
-    return VertexTag("face-center", face_index)
-
-
-# ---------------------------------------------------------------------------
 # Core data types
 # ---------------------------------------------------------------------------
 
@@ -67,7 +37,6 @@ def face_center_tag(face_index: int) -> VertexTag:
 class Vertex:
     id: int
     pos: Point
-    tag: VertexTag = ORIGINAL
 
 
 @dataclass(frozen=True)
@@ -477,73 +446,6 @@ def dump_graph(g: PlanarGraph) -> str:
         else:
             lines.append(f"e {e.id} {e.u} {e.v} {frac_str(e.weight)}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Planar dual
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DualGraph:
-    """Dual of a plane graph on its bounded faces (optionally plus the
-    infinite-face vertex).  Every dual edge records the primal edge it
-    crosses."""
-
-    graph: PlanarGraph
-    vertex_face: dict[int, int]  # dual vertex id -> face index of the source
-    primal_edge: dict[int, int]  # dual edge id -> primal edge id
-    infinite_vertex: int | None = None
-
-
-def _face_centroid(g: PlanarGraph, face: Face) -> Point:
-    pts = [g.vertices[v].pos for v in sorted(set(face.vertex_seq))]
-    n = len(pts)
-    return (sum(p[0] for p in pts) / n, sum(p[1] for p in pts) / n)
-
-
-def planar_dual(g: PlanarGraph, include_infinite: bool = False) -> DualGraph:
-    faces = g.trace_faces()
-    vertices: dict[int, Vertex] = {}
-    vertex_of_face: dict[int, int] = {}
-    nxt = 0
-    for f in faces.bounded:
-        vertices[nxt] = Vertex(nxt, _face_centroid(g, f), face_center_tag(f.index))
-        vertex_of_face[f.index] = nxt
-        nxt += 1
-    z = None
-    if include_infinite:
-        xs = [v.pos[0] for v in g.vertices.values()]
-        ys = [v.pos[1] for v in g.vertices.values()]
-        z = nxt
-        vertices[z] = Vertex(z, (max(xs) + 1, max(ys) + 1), INFINITE_AUX)
-        vertex_of_face[faces.infinite_index] = z
-    edges: dict[int, Edge] = {}
-    primal: dict[int, int] = {}
-    seen_pairs: dict[frozenset[int], int] = {}
-    eid = 0
-    for e in g.edges.values():
-        fa, fb = faces.sides_of_edge(e)
-        a_inf = fa == faces.infinite_index
-        b_inf = fb == faces.infinite_index
-        if fa == fb:
-            if a_inf:
-                continue  # bridge on the infinite face: no dual edge
-            raise DualNotSimple(
-                f"edge {e.id} has the bounded face {fa} on both sides")
-        if (a_inf or b_inf) and not include_infinite:
-            continue
-        du, dv = vertex_of_face[fa], vertex_of_face[fb]
-        pair = frozenset((du, dv))
-        if pair in seen_pairs:
-            raise DualNotSimple(
-                f"faces {fa} and {fb} share edges {seen_pairs[pair]} and {e.id}")
-        seen_pairs[pair] = e.id
-        edges[eid] = Edge(eid, du, dv)
-        primal[eid] = e.id
-        eid += 1
-    dual = PlanarGraph.trusted(vertices, edges, name=f"dual({g.name or g.graph_id})")
-    return DualGraph(dual, {v: f for f, v in vertex_of_face.items()}, primal, z)
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,6 @@ from .planar import (
     MarkedBoundary,
     PlanarGraph,
     Vertex,
-    _face_centroid,
-    edge_mid_tag,
-    face_center_tag,
     remove_vertices,
     validate_boundary_path,
 )
@@ -48,18 +45,14 @@ class DualRefinement:
     graph: PlanarGraph
     mid_of_edge: dict[int, int]      # source edge id -> refinement vertex id
     center_of_face: dict[int, int]   # source face index -> refinement vertex id
+    edge_of_mid: dict[int, int]      # the inverse maps; every other vertex
+    face_of_center: dict[int, int]   # of the refinement is a source vertex
 
     def primal_edge_of(self, mid_vertex: int) -> int:
-        tag = self.graph.vertices[mid_vertex].tag
-        if tag.kind != "edge-mid":
-            raise KeyError(f"vertex {mid_vertex} is not an edge midpoint")
-        return tag.source
+        return self.edge_of_mid[mid_vertex]
 
     def face_of(self, center_vertex: int) -> int:
-        tag = self.graph.vertices[center_vertex].tag
-        if tag.kind != "face-center":
-            raise KeyError(f"vertex {center_vertex} is not a face center")
-        return tag.source
+        return self.face_of_center[center_vertex]
 
     def sides_of_primal_edge(self, edge_id: int) -> tuple[int, int]:
         return self.source.trace_faces().sides_of_edge(self.source.edges[edge_id])
@@ -92,14 +85,14 @@ def dual_refinement(g: PlanarGraph,
     for eid in sorted(g.edges):
         e = g.edges[eid]
         pu, pv = g.vertices[e.u].pos, g.vertices[e.v].pos
-        vertices[next_id] = Vertex(next_id,
-                                   ((pu[0] + pv[0]) / 2, (pu[1] + pv[1]) / 2),
-                                   edge_mid_tag(eid))
+        vertices[next_id] = Vertex(next_id, ((pu[0] + pv[0]) / 2, (pu[1] + pv[1]) / 2))
         mid_of_edge[eid] = next_id
         next_id += 1
     center_of_face: dict[int, int] = {}
     for f in faces.bounded:
-        vertices[next_id] = Vertex(next_id, _face_centroid(g, f), face_center_tag(f.index))
+        pts = [g.vertices[v].pos for v in sorted(set(f.vertex_seq))]
+        vertices[next_id] = Vertex(next_id, (sum(p[0] for p in pts) / len(pts),
+                                             sum(p[1] for p in pts) / len(pts)))
         center_of_face[f.index] = next_id
         next_id += 1
 
@@ -155,7 +148,9 @@ def dual_refinement(g: PlanarGraph,
     graph = PlanarGraph.trusted(vertices, edges, rotation=rotation,
                                 name=f"refine({g.name or g.graph_id})")
     assert len(graph.vertices) % 2 == 1, "refinement must have oddly many vertices"
-    return DualRefinement(g, graph, mid_of_edge, center_of_face)
+    return DualRefinement(g, graph, mid_of_edge, center_of_face,
+                          {m: e for e, m in mid_of_edge.items()},
+                          {c: f for f, c in center_of_face.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +241,6 @@ def _trim(refinement: DualRefinement, mb: MarkedBoundary):
     return mids, trimmed, plus, minus
 
 
-def build_plus_minus(refinement: DualRefinement,
-                     mb: MarkedBoundary) -> tuple[PlanarGraph, PlanarGraph]:
-    """The two vertex-deleted refinement graphs whose matchings are swapped
-    by the gliding bijection."""
-    _, _, plus, minus = _trim(refinement, mb)
-    return plus, minus
-
-
 def section_instance(g0: PlanarGraph, path: list[int],
                      dual_weights: dict[int, Fraction] | None = None) -> PlusMinusInstance:
     g, mb = augment_with_leaves(g0, path)
@@ -295,7 +282,7 @@ def symmetrize(refinement: DualRefinement, mb: MarkedBoundary) -> PlanarGraph:
             y = v.pos[1] - y0
             if v.id in odds:
                 y += delta
-            vertices[v.id] = Vertex(v.id, (v.pos[0], y), v.tag)
+            vertices[v.id] = Vertex(v.id, (v.pos[0], y))
         try:
             # removing the even path vertices may legitimately disconnect
             # path-like stretches; the drawing is still validated in full
@@ -314,7 +301,7 @@ def symmetrize(refinement: DualRefinement, mb: MarkedBoundary) -> PlanarGraph:
         if v in mirror_of:
             continue
         pos = top.vertices[v].pos
-        vertices[next_id] = Vertex(next_id, (pos[0], -pos[1]), top.vertices[v].tag)
+        vertices[next_id] = Vertex(next_id, (pos[0], -pos[1]))
         mirror_of[v] = next_id
         next_id += 1
     edges: dict[int, Edge] = {}

@@ -112,25 +112,32 @@ def temperley_fault(g, ref, root):
 def transport_fault(inst, paths):
     """Run transport: for every subset of the constraint indices, the
     matchings of the two hosts that contain the forced path edges carry
-    equal weight, and transport is an involution on the primed host's
-    class.  Returns (primed host matchings, fault)."""
+    equal weight, and transport is an involution on the primed host.
+    Returns (primed host matchings, fault).
+
+    The image of ``tea_transport`` does not depend on ``chosen``, which only
+    adds checks, so each matching goes there and back once, with every
+    index whose forced edges it holds chosen: that checks the glide paths
+    against the constraint paths and the image's forced edges for every
+    subset class the matching belongs to."""
     from .bijections import forced_path_matching, tea_transport
     from .matchings import _forced_matching_weight
 
     hgraph = inst.smashed.refinement.graph
     mus = list(enumerate_matchings(inst.host_prime))
     indices = sorted(paths)
+    forced_a = {i: forced_path_matching(hgraph, paths[i], True) for i in indices}
+    forced_b = {i: forced_path_matching(hgraph, paths[i], False) for i in indices}
     for bits in range(2 ** len(indices)):
-        chosen = {indices[i] for i in range(len(indices)) if bits >> i & 1}
-        forced_a = set().union(*(forced_path_matching(hgraph, paths[i], True) for i in chosen))
-        forced_b = set().union(*(forced_path_matching(hgraph, paths[i], False) for i in chosen))
-        wa = _forced_matching_weight(inst.host_plain, forced_a)
-        wb = _forced_matching_weight(inst.host_prime, forced_b)
+        chosen = [indices[i] for i in range(len(indices)) if bits >> i & 1]
+        wa = _forced_matching_weight(inst.host_plain, set().union(*(forced_a[i] for i in chosen)))
+        wb = _forced_matching_weight(inst.host_prime, set().union(*(forced_b[i] for i in chosen)))
         if wa != wb:
-            return len(mus), (f"constrained weights differ for {sorted(chosen)}",
-                              f"{wa} vs {wb}")
-        move = partial(tea_transport, inst, chosen=chosen, constraint_paths=paths)
-        fault = _round_trip_fault([m for m in mus if forced_b <= m.edges], move, move)
+            return len(mus), (f"constrained weights differ for {chosen}", f"{wa} vs {wb}")
+    for mu in mus:
+        move = partial(tea_transport, inst, constraint_paths=paths,
+                       chosen={i for i in indices if forced_b[i] <= mu.edges})
+        fault = _round_trip_fault([mu], move, move)
         if fault:
             return len(mus), fault
     return len(mus), None
@@ -162,19 +169,13 @@ def check_grid_kasteleyn(mmax: int = 3, nmax: int = 3) -> tuple[bool, str, str |
     return True, f"{mmax * nmax} grid sizes agree; " + " ".join(shown), None
 
 
-def _section_counts(inst):
-    plus = sum(1 for _ in enumerate_matchings(inst.plus))
-    minus = sum(1 for _ in enumerate_matchings(inst.minus))
-    return plus, minus
-
-
 def check_section2(count: int, seed: int) -> tuple[bool, str, str | None]:
     from .generators import random_section2
 
     total = 0
     for k in range(count):
         inst = random_section2(split_seed(seed, k))
-        plus, minus = _section_counts(inst)
+        plus, minus = count_matchings(inst.plus), count_matchings(inst.minus)
         total += plus
         if plus != minus:
             return False, f"instance {k} unbalanced", f"plus={plus} minus={minus}"

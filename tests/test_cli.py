@@ -266,6 +266,32 @@ def test_malformed_option_values_exit_2_without_traceback(tmp_path, square_file,
     assert "Traceback" not in res.stderr
 
 
+_BIG_EXPONENT = b"v 0 0 0\nv 1 1e5000 0\ne 0 0 1\n"
+_DECIMAL_WEIGHT = b"v 0 0 0\nv 1 1 0\ne 0 0 1 0.5\n"
+
+
+@pytest.mark.parametrize("command, content, code, error", [
+    (["validate", "FILE"], _BIG_EXPONENT, 1, "error: ParseError: line 2: bad rational"),
+    (["count", "FILE"], _BIG_EXPONENT, 1, "error: ParseError: line 2: bad rational"),
+    (["validate", "FILE"], _DECIMAL_WEIGHT, 1, "error: ParseError: line 3: bad rational"),
+    (["count", "FILE"], _DECIMAL_WEIGHT, 1, "error: ParseError: line 3: bad rational"),
+    (["validate", "FILE"], b"0 1\xff\n", 1, "error: ParseError: FILE: not UTF-8 text"),
+    (["temperley", "m2t", "SQUARE", "FILE", "--root", "0"], b"0 1\xff\n", 1,
+     "error: ParseError: FILE: not UTF-8 text"),
+    (["temperley", "m2t", "SQUARE", "MISSING", "--root", "0"], b"", 2, "[Errno 2]"),
+], ids=["exponent-validate", "exponent-count", "decimal-validate", "decimal-count",
+        "graph-not-utf8", "ids-not-utf8", "ids-missing"])
+def test_bad_input_files_exit_without_traceback(tmp_path, square_file,
+                                                command, content, code, error):
+    path = tmp_path / "input.txt"
+    path.write_bytes(content)
+    files = {"FILE": str(path), "SQUARE": square_file, "MISSING": str(tmp_path / "none.txt")}
+    res = _main(*(files.get(a, a) for a in command))
+    assert res.returncode == code, res.stderr
+    assert res.stderr.startswith(error.replace("FILE", str(path))), res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_sampled_independence_without_variables_exits_1(tmp_path):
     path = tmp_path / "sym.txt"
     path.write_text(dump_graph(random_symmetric(0)[0]))

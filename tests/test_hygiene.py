@@ -1,5 +1,5 @@
-"""Source hygiene: no unused import and no unreferenced private helper in
-the package modules."""
+"""Source hygiene: no unused import, no unreferenced private helper and no
+export that the package itself never reads."""
 
 import ast
 import pathlib
@@ -53,19 +53,38 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
+# the top-level statements of the package modules, and the names each one
+# reads or imports
+STATEMENTS = [node for tree in TREES.values() for node in tree.body]
+READS = {id(node): _reads(node) | {a.name for sub in ast.walk(node)
+                                   if isinstance(sub, ast.ImportFrom) for a in sub.names}
+         for node in STATEMENTS}
+
+
+def _referenced(name: str, definition) -> bool:
+    """Whether a top-level statement other than ``definition`` reads ``name``."""
+    return any(name in READS[id(node)] for node in STATEMENTS if node is not definition)
+
+
 def test_private_helpers_are_referenced():
-    statements = [node for tree in TREES.values() for node in tree.body]
-    reads = {id(node): _reads(node) | {a.name for sub in ast.walk(node)
-                                       if isinstance(sub, ast.ImportFrom)
-                                       for a in sub.names}
-             for node in statements}
-    unreferenced = []
-    for path, tree in TREES.items():
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")):
-                # a reference from inside the helper itself does not count
-                if not any(node.name in reads[id(other)]
-                           for other in statements if other is not node):
-                    unreferenced.append(f"{path.name}:{node.name}")
+    unreferenced = [f"{path.name}:{node.name}"
+                    for path, tree in TREES.items() for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")
+                    and not _referenced(node.name, node)]
     assert not unreferenced, f"private helpers never referenced: {unreferenced}"
+
+
+def test_exports_are_used_by_the_package():
+    # an export only the tests use is API kept alive for its own sake
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exported = [a.asname or a.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for a in node.names]
+    definitions = {}
+    for node in STATEMENTS:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            definitions[node.name] = node
+        elif isinstance(node, ast.Assign):
+            definitions.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+    unused = [name for name in exported if not _referenced(name, definitions.get(name))]
+    assert not unused, f"exported but read by no package module: {unused}"

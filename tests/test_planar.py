@@ -1,4 +1,4 @@
-"""Loading, validation, faces, duals, marked boundaries, symmetry."""
+"""Loading, validation, faces, marked boundaries, symmetry."""
 
 from fractions import Fraction
 
@@ -10,7 +10,6 @@ from dimerforge.planar import (
     check_reflection_symmetry,
     dump_graph,
     load_graph,
-    planar_dual,
     validate_boundary_path,
 )
 
@@ -65,6 +64,15 @@ def test_parse_errors():
         load_graph("v 0 0 0\nv 1 1 0\ne 0 0 1\ne 1 1 0\n")
     with pytest.raises(errors.Disconnected):
         load_graph("v 0 0 0\nv 1 1 0\n")
+    # rationals are exactly p or p/q in ASCII digits with an optional minus
+    for bad in ("1e5000", "1e3000000", "1.5", "+1", "1_000", "\uff11", "0x10", "inf",
+                "1/0", "1/-2", "1/2/3", "9" * 5000, "1/" + "9" * 5000):
+        with pytest.raises(errors.ParseError, match="line 2: bad rational"):
+            load_graph(f"v 0 0 0\nv 1 {bad} 0\ne 0 0 1\n")
+        with pytest.raises(errors.ParseError, match="line 3: bad rational"):
+            load_graph(f"v 0 0 0\nv 1 1 0\ne 0 0 1 {bad}\n")
+    g = load_graph("v 0 -3/4 0\nv 1 007 0\ne 0 0 1 -0/5\n")
+    assert g.vertices[0].pos[0] == Fraction(-3, 4) and g.edges[0].weight == 0
 
 
 def test_vertex_on_edge_rejected():
@@ -108,34 +116,6 @@ def test_ccw_boundary_of_3x3_grid_is_pinned():
     assert [v for v, _ in walk] == [3, 6, 7, 8, 5, 2, 1, 0]
     for (v, e), (w, _) in zip(walk, walk[1:] + walk[:1]):
         assert g.edges[e].ends == {v, w}
-
-
-def test_dual_of_square_is_one_vertex():
-    dual = planar_dual(load_graph(SQUARE))
-    assert len(dual.graph.vertices) == 1
-    assert len(dual.graph.edges) == 0
-
-
-def test_dual_of_3x3_grid_is_four_cycle():
-    dual = planar_dual(grid_graph(3, 3))
-    assert len(dual.graph.vertices) == 4
-    assert len(dual.graph.edges) == 4
-    assert all(dual.graph.degree(v) == 2 for v in dual.graph.vertices)
-    # every dual edge crosses a distinct primal edge
-    assert len(set(dual.primal_edge.values())) == 4
-
-
-def test_dual_square_with_infinite_face_not_simple():
-    with pytest.raises(errors.DualNotSimple):
-        planar_dual(load_graph(SQUARE), include_infinite=True)
-
-
-def test_dual_records_primal_edges():
-    g = grid_graph(3, 3)
-    dual = planar_dual(g)
-    for deid, peid in dual.primal_edge.items():
-        assert peid in g.edges
-        assert deid in dual.graph.edges
 
 
 def test_boundary_path_on_square():

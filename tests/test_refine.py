@@ -12,7 +12,6 @@ from dimerforge.planar import PlanarGraph, Vertex, check_reflection_symmetry
 from dimerforge.refine import (
     dual_refinement,
     augment_with_leaves,
-    build_plus_minus,
     list_peaks,
     section_instance,
     smash_in,
@@ -109,9 +108,6 @@ def test_plus_minus_square_instance():
     assert len(inst.minus.vertices) == 8
     assert count_matchings(inst.plus) == 3
     assert count_matchings(inst.minus) == 3
-    plus, minus = build_plus_minus(inst.refinement, inst.boundary)
-    assert plus.graph_id == inst.plus.graph_id
-    assert minus.graph_id == inst.minus.graph_id
 
 
 def test_plus_minus_even_vertex_counts():

@@ -41,6 +41,25 @@ def test_every_bijection_check_can_fail(monkeypatch, module, name, check, args):
     assert ids and all(isinstance(i, int) for i in ids), witness
 
 
+def test_transport_fault_moves_each_matching_there_and_back_once(monkeypatch):
+    # with every constraint index whose forced edges the matching holds chosen
+    inst, paths = random_transport(1)
+    hgraph = inst.smashed.refinement.graph
+    real, calls = bijections.tea_transport, []
+
+    def recording(instance, mu, chosen=frozenset(), constraint_paths=None):
+        calls.append((mu.edges, frozenset(chosen)))
+        return real(instance, mu, chosen, constraint_paths)
+
+    monkeypatch.setattr(bijections, "tea_transport", recording)
+    count, fault = rp.transport_fault(inst, paths)
+    assert fault is None and len(calls) == 2 * count
+    for (edges, chosen), (_, back) in zip(calls[0::2], calls[1::2]):
+        assert chosen == back == {i for i in paths if bijections.forced_path_matching(
+            hgraph, paths[i], False) <= edges}
+    assert any(chosen for _, chosen in calls)
+
+
 def _filtered_weight(g, mus, forced):
     return sum(m.weight(g) for m in mus if forced <= m.edges)
 

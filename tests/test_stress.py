@@ -21,7 +21,6 @@ from dimerforge.generators import (
 )
 from dimerforge.gliding import DUAL, FRAME, glide, shift_edges
 from dimerforge.matchings import Matching, count_matchings, enumerate_matchings
-from dimerforge.planar import planar_dual
 from dimerforge.refine import symmetrize
 from dimerforge.trees import count_spanning_trees, enumerate_spanning_trees, split_seed
 
@@ -65,12 +64,11 @@ def test_dual_glides_end_at_primed_centers_or_outside():
     inst = transport_instance(g, plain, prime)
     ref = inst.smashed.refinement
     allowed = set(inst.removal_sequence(primed=True)[1::2])
-    centers = [v for v in inst.host_prime.vertices.values()
-               if v.tag.kind == "face-center"]
+    centers = [c for c in ref.face_of_center if c in inst.host_prime.vertices]
     for mu in list(enumerate_matchings(inst.host_prime))[:40]:
         cover = mu.cover_map(inst.host_prime)
         for c in centers:
-            gp = glide(inst.host_prime, ref, cover, c.id, DUAL)
+            gp = glide(inst.host_prime, ref, cover, c, DUAL)
             assert gp.blocked_at_infinite or gp.blocked_target in allowed
 
 
@@ -79,8 +77,7 @@ def test_frame_glides_end_at_primed_marks():
     inst = transport_instance(g, plain, prime)
     ref = inst.smashed.refinement
     allowed = set(inst.prime_odd)
-    originals = [v.id for v in inst.host_prime.vertices.values()
-                 if v.tag.kind == "original"]
+    originals = [v for v in ref.source.vertices if v in inst.host_prime.vertices]
     for mu in list(enumerate_matchings(inst.host_prime))[:25]:
         cover = mu.cover_map(inst.host_prime)
         for vid in originals:
@@ -118,20 +115,6 @@ def test_transport_rejects_overlapping_runs():
     g, plain, prime = hexagon_graph(1)
     with pytest.raises(errors.ConditionViolated):
         transport_instance(g, plain, plain)
-
-
-def test_dual_edge_count_equals_adjacent_face_pairs():
-    for k in (3, 4):
-        g = grid_graph(k, k)
-        dual = planar_dual(g)
-        faces = g.trace_faces()
-        inf = faces.infinite_index
-        pairs = set()
-        for e in g.edges.values():
-            fa, fb = faces.sides_of_edge(e)
-            if inf not in (fa, fb) and fa != fb:
-                pairs.add(frozenset((fa, fb)))
-        assert len(dual.graph.edges) == len(pairs)
 
 
 def test_matching_weight_transport_invariant():
