@@ -13,7 +13,7 @@ from .matchings import (  # noqa: F401
 from .planar import (  # noqa: F401
     PlanarGraph,
     check_reflection_symmetry,
-    load_graph,
+    parse_graph,
     validate_boundary_path,
 )
 from .refine import (  # noqa: F401

@@ -1,16 +1,22 @@
-"""Exact plane geometry over rationals.
+"""Exact plane geometry on integer lattice points.
 
-All predicates here are decided with Fraction arithmetic; no floating point
-ever enters a combinatorial decision.
+Every predicate here takes points with integer coordinates: a drawing's
+rational coordinates reach them through ``PlanarGraph.lattice()``, which
+scales them by a positive integer and so keeps the sign of every predicate.
+No floating point and no Fraction arithmetic enters a combinatorial decision.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import cmp_to_key
 
+from .errors import NumberTooLong
+
 Point = tuple[Fraction, Fraction]
+LatticePoint = tuple[int, int]
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
@@ -28,38 +34,31 @@ def parse_frac(text: str) -> Fraction:
 
 
 def frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    """``p`` or ``p/q``; a number with more digits than ``int`` writes is
+    NumberTooLong."""
+    try:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    except ValueError as exc:
+        raise NumberTooLong(f"a rational with more than {sys.get_int_max_str_digits()} "
+                            "digits cannot be written") from exc
 
 
-def cross(o: Point, a: Point, b: Point) -> Fraction:
-    """Signed area of the triangle o,a,b (positive = counterclockwise)."""
+def cross(o: LatticePoint, a: LatticePoint, b: LatticePoint) -> int:
+    """Twice the signed area of the triangle o,a,b (positive = counterclockwise)."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _half(d: Point) -> int:
-    # 0 for directions with angle in [0, pi), 1 for [pi, 2*pi)
-    if d[1] > 0 or (d[1] == 0 and d[0] > 0):
-        return 0
-    return 1
+# within one half-plane of directions, d1 comes before d2 iff d1 x d2 > 0
+_turn_key = cmp_to_key(lambda d1, d2: d1[1] * d2[0] - d1[0] * d2[1])
 
 
-def ccw_direction_cmp(d1: Point, d2: Point) -> int:
-    """Compare direction vectors by counterclockwise angle from the +x axis."""
-    h1, h2 = _half(d1), _half(d2)
-    if h1 != h2:
-        return -1 if h1 < h2 else 1
-    c = d1[0] * d2[1] - d1[1] * d2[0]
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
+def ccw_direction_key(d: LatticePoint):
+    """Sort key ordering direction vectors by counterclockwise angle from the
+    +x axis: first the half-plane, [0, pi) before [pi, 2*pi), then the turn."""
+    return (0 if d[1] > 0 or (d[1] == 0 and d[0] > 0) else 1, _turn_key(d))
 
 
-ccw_direction_key = cmp_to_key(ccw_direction_cmp)
-
-
-def point_on_segment(p: Point, a: Point, b: Point) -> bool:
+def point_on_segment(p: LatticePoint, a: LatticePoint, b: LatticePoint) -> bool:
     """True iff p lies on the closed segment ab."""
     if cross(a, b, p) != 0:
         return False
@@ -67,7 +66,14 @@ def point_on_segment(p: Point, a: Point, b: Point) -> bool:
             and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
 
 
-def segments_conflict(a: Point, b: Point, c: Point, d: Point) -> bool:
+def boxed(a: LatticePoint, b: LatticePoint) -> tuple:
+    """Segment ab with its bounding box: (a, b, xmin, xmax, ymin, ymax).
+    Two segments can only meet where their boxes do."""
+    return (a, b, min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1]))
+
+
+def segments_conflict(a: LatticePoint, b: LatticePoint,
+                      c: LatticePoint, d: LatticePoint) -> bool:
     """True iff closed segments ab and cd intersect anywhere besides shared endpoints.
 
     Sharing one endpoint is fine; overlap along a subsegment, a proper
@@ -92,7 +98,7 @@ def segments_conflict(a: Point, b: Point, c: Point, d: Point) -> bool:
     return False
 
 
-def winding_number(p: Point, polygon: list[Point]) -> int:
+def winding_number(p: LatticePoint, polygon: list[LatticePoint]) -> int:
     """Winding number of a closed polygon around p (p must not be on it)."""
     wn = 0
     n = len(polygon)
@@ -108,7 +114,7 @@ def winding_number(p: Point, polygon: list[Point]) -> int:
     return wn
 
 
-def point_in_polygon(p: Point, polygon: list[Point]) -> int:
+def point_in_polygon(p: LatticePoint, polygon: list[LatticePoint]) -> int:
     """1 if p is strictly inside, 0 if on the boundary, -1 if outside."""
     n = len(polygon)
     for i in range(n):
@@ -117,9 +123,9 @@ def point_in_polygon(p: Point, polygon: list[Point]) -> int:
     return 1 if winding_number(p, polygon) != 0 else -1
 
 
-def polygon_area2(polygon: list[Point]) -> Fraction:
+def polygon_area2(polygon: list[LatticePoint]) -> int:
     """Twice the signed area (positive for counterclockwise traversal)."""
-    total = Fraction(0)
+    total = 0
     n = len(polygon)
     for i in range(n):
         a = polygon[i]

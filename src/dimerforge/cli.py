@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 for success/PASS, 1 for verification failure or invalid input
-data, 2 for usage and configuration errors.
+data, 2 for usage and configuration errors and for files that cannot be
+opened.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .matchings import (
     kasteleyn_grid_count,
     squarish,
 )
-from .planar import check_reflection_symmetry, dump_graph, load_graph
+from .planar import check_reflection_symmetry, dump_graph, parse_graph, read_text
 
 
 class _Fail(click.ClickException):
@@ -33,20 +34,8 @@ class _ConfigFail(click.ClickException):
     exit_code = 2
 
 
-def _read_text(path: str) -> str:
-    """An input file's text: a file that cannot be opened exits 2, one that
-    is not UTF-8 raises ParseError (exit 1)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise _ConfigFail(str(exc)) from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
-
-
 def _load(path: str, lenient: bool = False):
-    return load_graph(_read_text(path), name=path, require_connected=not lenient)
+    return parse_graph(read_text(path), name=path, require_connected=not lenient)
 
 
 def _ids(text: str) -> list[int]:
@@ -92,7 +81,7 @@ _POSITIVE = click.IntRange(min=1)
 def _read_id_lines(path: str):
     """(line number, ids) for each non-blank line of an id-list file, where
     ``#`` starts a comment; a malformed id raises ParseError naming the line."""
-    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -135,6 +124,9 @@ def main():
     except click.ClickException as exc:
         click.echo(exc.format_message(), err=True)
         sys.exit(exc.exit_code)
+    except OSError as exc:
+        click.echo(str(exc), err=True)
+        sys.exit(2)
     except DimerforgeError as exc:
         click.echo(f"error: {exc.__class__.__name__}: {exc}", err=True)
         sys.exit(1)

@@ -15,6 +15,10 @@ class ParseError(DimerforgeError):
     pass
 
 
+class NumberTooLong(DimerforgeError):
+    """A rational to be written has more digits than ``int`` converts to text."""
+
+
 class EmbeddingError(DimerforgeError):
     """Straight-line embedding is inconsistent (crossings, Euler failure)."""
 

@@ -38,7 +38,8 @@ def interior_vertex_count(g: PlanarGraph, cycle: list[int]) -> InteriorCount:
     """Count original vertices, edges and bounded faces strictly inside a
     simple cycle (edge endpoints may lie on the cycle).
 
-    Vertices and edge midpoints are tested with exact winding numbers;
+    Vertices and edge midpoints are tested with exact winding numbers on
+    the graph's lattice doubled, where every midpoint is a lattice point;
     faces are read off the face decomposition (the faces left of the
     counterclockwise cycle plus both sides of every interior edge).
     """
@@ -52,7 +53,9 @@ def interior_vertex_count(g: PlanarGraph, cycle: list[int]) -> InteriorCount:
         if e is None:
             raise NotACycle(f"{a},{b} is not an edge")
         cycle_edges.append(e.id)
-    polygon = [g.vertices[v].pos for v in cycle]
+    lat = g.lattice()
+    pts = lat.rescaled(2 * lat.scale)
+    polygon = [pts[v] for v in cycle]
     if _geom.polygon_area2(polygon) < 0:
         cycle = list(reversed(cycle))
         cycle_edges = [g.edge_between(a, b).id
@@ -64,17 +67,15 @@ def interior_vertex_count(g: PlanarGraph, cycle: list[int]) -> InteriorCount:
     for v in g.vertices:
         if v in on_cycle:
             continue
-        if _geom.point_in_polygon(g.vertices[v].pos, polygon) == 1:
+        if _geom.point_in_polygon(pts[v], polygon) == 1:
             v_in += 1
     e_in = []
     cyc_set = set(cycle_edges)
     for e in g.edges.values():
         if e.id in cyc_set:
             continue
-        a = g.vertices[e.u].pos
-        b = g.vertices[e.v].pos
-        mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-        if _geom.point_in_polygon(mid, polygon) == 1:
+        (ax, ay), (bx, by) = lat.points[e.u], lat.points[e.v]
+        if _geom.point_in_polygon((ax + bx, ay + by), polygon) == 1:
             e_in.append(e.id)
 
     faces = g.trace_faces()

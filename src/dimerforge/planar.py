@@ -1,7 +1,9 @@
 """Embedded plane graphs: loading, validation, faces, marked boundaries.
 
 The embedding source of truth is the set of exact rational straight-line
-coordinates.  Validation happens once, at the input boundary: the geometric
+coordinates.  Geometric decisions read their integer image, the graph's
+``Lattice``: every coordinate times the lcm of all coordinate denominators.
+Validation happens once, at the input boundary: the geometric
 validator of ``PlanarGraph.build`` runs on parsed graph files and on the trial
 lifts of ``refine.symmetrize``; ``PlanarGraph.trusted`` makes every other graph,
 valid by construction (for a reason stated where it is built) or cosmetic.
@@ -15,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import _geom
-from ._geom import Point, ccw_direction_key, frac_str, parse_frac
+from ._geom import LatticePoint, Point, ccw_direction_key, frac_str, parse_frac
 from .errors import (
     BadDegree,
     Disconnected,
@@ -105,6 +107,20 @@ class WeightTable:
     connected: bool  # whether the positive-weight edges connect the graph
 
 
+@dataclass(frozen=True)
+class Lattice:
+    """The drawing scaled to integers.  The scale is positive, so every
+    geometric predicate has the same sign on the image as on the drawing."""
+
+    scale: int  # L, the lcm of all coordinate denominators
+    points: dict[int, LatticePoint]  # v -> (x * L, y * L)
+
+    def rescaled(self, scale: int) -> dict[int, LatticePoint]:
+        """The points on a finer lattice; ``scale`` is a multiple of L."""
+        k = scale // self.scale
+        return {v: (x * k, y * k) for v, (x, y) in self.points.items()}
+
+
 class PlanarGraph:
     """Straight-line embedded simple graph with a rotation system.
 
@@ -126,6 +142,7 @@ class PlanarGraph:
             adj[e.u].append(e.id)
             adj[e.v].append(e.id)
         self.adj = {v: tuple(sorted(ids)) for v, ids in adj.items()}
+        self._lattice: Lattice | None = None
         self.rotation = rotation if rotation is not None else self._rotation_from_angles()
         self._faces: FaceDecomposition | None = None
         self._weights: WeightTable | None = None
@@ -154,16 +171,22 @@ class PlanarGraph:
         return g
 
     def _rotation_from_angles(self) -> dict[int, tuple[int, ...]]:
-        rot = {}
-        for v, incident in self.adj.items():
-            p = self.vertices[v].pos
-            dirs = []
-            for eid in incident:
-                q = self.vertices[self.edges[eid].other(v)].pos
-                dirs.append(((q[0] - p[0], q[1] - p[1]), eid))
-            dirs.sort(key=lambda t: (ccw_direction_key(t[0]), t[1]))
-            rot[v] = tuple(eid for _, eid in dirs)
-        return rot
+        pts = self.lattice().points
+        dirs: dict[int, list] = {v: [] for v in self.adj}
+        for e in self.edges.values():
+            (ux, uy), (vx, vy) = pts[e.u], pts[e.v]
+            dirs[e.u].append((ccw_direction_key((vx - ux, vy - uy)), e.id))
+            dirs[e.v].append((ccw_direction_key((ux - vx, uy - vy)), e.id))
+        return {v: tuple(eid for _, eid in sorted(ds)) for v, ds in dirs.items()}
+
+    def lattice(self) -> Lattice:
+        if self._lattice is None:
+            scale = lcm(*{c.denominator for v in self.vertices.values() for c in v.pos})
+            self._lattice = Lattice(scale, {
+                i: (v.pos[0].numerator * (scale // v.pos[0].denominator),
+                    v.pos[1].numerator * (scale // v.pos[1].denominator))
+                for i, v in self.vertices.items()})
+        return self._lattice
 
     # -- validation -----------------------------------------------------------
 
@@ -181,31 +204,27 @@ class PlanarGraph:
 
     def _validate(self, require_connected: bool = True):
         self._check_simple()
+        pts = self.lattice().points
         positions = {}
-        for v in self.vertices.values():
-            if v.pos in positions:
-                raise EmbeddingError(
-                    f"vertices {positions[v.pos]} and {v.id} share position")
-            positions[v.pos] = v.id
+        for v, p in pts.items():
+            if p in positions:
+                raise EmbeddingError(f"vertices {positions[p]} and {v} share position")
+            positions[p] = v
+        # the exact tests below run only where bounding boxes meet, which
+        # every conflict does; the first conflict named stays the same
+        boxes = [(e, _geom.boxed(pts[e.u], pts[e.v])) for e in self.edges.values()]
         # no vertex in the interior of an edge
-        for e in self.edges.values():
-            a = self.vertices[e.u].pos
-            b = self.vertices[e.v].pos
-            for v in self.vertices.values():
-                if v.id in (e.u, e.v):
-                    continue
-                if _geom.point_on_segment(v.pos, a, b):
-                    raise EmbeddingError(f"vertex {v.id} lies on edge {e.id}")
+        for e, (a, b, x0, x1, y0, y1) in boxes:
+            for v, p in pts.items():
+                if (x0 <= p[0] <= x1 and y0 <= p[1] <= y1 and v != e.u and v != e.v
+                        and _geom.cross(a, b, p) == 0):
+                    raise EmbeddingError(f"vertex {v} lies on edge {e.id}")
         # pairwise segment conflicts
-        eids = list(self.edges)
-        for i, ei in enumerate(eids):
-            e1 = self.edges[ei]
-            a, b = self.vertices[e1.u].pos, self.vertices[e1.v].pos
-            for ej in eids[i + 1:]:
-                e2 = self.edges[ej]
-                c, d = self.vertices[e2.u].pos, self.vertices[e2.v].pos
-                if _geom.segments_conflict(a, b, c, d):
-                    raise EmbeddingError(f"edges {ei} and {ej} cross")
+        for i, (e1, (a, b, x0, x1, y0, y1)) in enumerate(boxes):
+            for e2, (c, d, u0, u1, w0, w1) in boxes[i + 1:]:
+                if (u0 <= x1 and x0 <= u1 and w0 <= y1 and y0 <= w1
+                        and _geom.segments_conflict(a, b, c, d)):
+                    raise EmbeddingError(f"edges {e1.id} and {e2.id} cross")
         comp = self.component_map()
         if require_connected and len(set(comp.values())) > 1:
             raise Disconnected("graph is not connected")
@@ -288,34 +307,29 @@ class PlanarGraph:
             return self._faces
         if not self.geometric:
             raise EmbeddingError("face tracing requires a geometric embedding")
-        rot_pos = {v: {e: i for i, e in enumerate(rot)} for v, rot in self.rotation.items()}
-        darts = [(e.id, e.u) for e in self.edges.values()] + \
-                [(e.id, e.v) for e in self.edges.values()]
-        darts.sort()
-        visited: set[tuple[int, int]] = set()
+        # the dart (edge, tail) arriving at v is followed by the predecessor
+        # of its edge in the counterclockwise order at v: this traces every
+        # face with its interior on the left, so bounded faces come out
+        # counterclockwise and the infinite face clockwise
+        follow = {(eid, self.edges[eid].other(v)): (rot[i - 1], v)
+                  for v, rot in self.rotation.items() for i, eid in enumerate(rot)}
+        lat = self.lattice()
+        pts, area_scale = lat.points, lat.scale ** 2
         faces: list[Face] = []
+        areas: list[int] = []  # twice each face's area on the lattice
         dart_face: dict[tuple[int, int], int] = {}
-        for start in darts:
-            if start in visited:
+        for start in sorted(follow):
+            if start in dart_face:
                 continue
+            idx = len(faces)
             cycle = []
             cur = start
-            while cur not in visited:
-                visited.add(cur)
+            while cur not in dart_face:
+                dart_face[cur] = idx
                 cycle.append((cur[1], cur[0]))
-                eid, tail = cur
-                head = self.edges[eid].other(tail)
-                rot = self.rotation[head]
-                # predecessor in the counterclockwise order: traces every face
-                # with its interior on the left, so bounded faces come out
-                # counterclockwise and the infinite face clockwise
-                nxt = rot[(rot_pos[head][eid] - 1) % len(rot)]
-                cur = (nxt, head)
-            idx = len(faces)
-            for tail, eid in cycle:
-                dart_face[(eid, tail)] = idx
-            poly = [self.vertices[tail].pos for tail, _ in cycle]
-            faces.append(Face(idx, tuple(cycle), False, _geom.polygon_area2(poly)))
+                cur = follow[cur]
+            areas.append(_geom.polygon_area2([pts[tail] for tail, _ in cycle]))
+            faces.append(Face(idx, tuple(cycle), False, Fraction(areas[-1], area_scale)))
         if faces:
             # the outer orbit of every connected component is unbounded; for
             # a connected graph this is the single face of smallest signed area
@@ -323,12 +337,11 @@ class PlanarGraph:
             best: dict[int, int] = {}
             for f in faces:
                 c = comp[f.cycle[0][0]]
-                if c not in best or (faces[best[c]].area2, best[c]) > (f.area2, f.index):
+                if c not in best or (areas[best[c]], best[c]) > (areas[f.index], f.index):
                     best[c] = f.index
             for idx in best.values():
                 faces[idx] = Face(idx, faces[idx].cycle, True, faces[idx].area2)
-            infinite_index = min(best.values(),
-                                 key=lambda i: (faces[i].area2, i))
+            infinite_index = min(best.values(), key=lambda i: (areas[i], i))
         else:
             # edgeless graph: one face, the infinite one, with empty cycle
             faces = [Face(0, (), True, Fraction(0))]
@@ -387,6 +400,16 @@ def remove_vertices(g: PlanarGraph, removed, *, name: str = "") -> PlanarGraph:
 # ---------------------------------------------------------------------------
 
 
+def read_text(path: str) -> str:
+    """An input file's text.  A file that is not UTF-8 raises ParseError; one
+    that cannot be opened raises the OSError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def parse_graph(text: str, *, name: str = "",
                 require_connected: bool = True) -> PlanarGraph:
     """Parse the line-oriented graph format and fully validate the result.
@@ -431,9 +454,6 @@ def parse_graph(text: str, *, name: str = "",
         raise ParseError("no vertices")
     return PlanarGraph.build(vertices, edges, name=name,
                              require_connected=require_connected)
-
-
-load_graph = parse_graph
 
 
 def dump_graph(g: PlanarGraph) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import _geom
 from .errors import (
@@ -158,19 +159,24 @@ def dual_refinement(g: PlanarGraph,
 # ---------------------------------------------------------------------------
 
 _LEAF_DIRS = [(1, 0), (-1, 0), (1, 1), (-1, 1), (0, 1), (-1, -1), (0, -1), (1, -1)]
-_LEAF_RADII = [Fraction(1, 4), Fraction(1, 16), Fraction(1, 64), Fraction(1, 256), Fraction(1)]
+_LEAF_RADII = [4, 16, 64, 256, 1]  # the radius 1/r for each r, tried in this order
 
 
-def _leaf_candidates(g: PlanarGraph, anchor: int, taken: set):
-    apos = g.vertices[anchor].pos
+def _leaf_candidates(scale: int, apos, occupied: set, segments: list):
+    """Points around ``apos`` on the lattice of ``scale``, a multiple of every
+    leaf radius denominator, that are not ``occupied`` and whose segment to
+    ``apos`` meets none of the boxed ``segments`` besides at ``apos``."""
+    ax, ay = apos
     for r in _LEAF_RADII:
+        step = scale // r
         for dx, dy in _LEAF_DIRS:
-            p = (apos[0] + r * dx, apos[1] + r * dy)
-            if p in taken or any(v.pos == p for v in g.vertices.values()):
+            p = (ax + step * dx, ay + step * dy)
+            if p in occupied:
                 continue
-            if not any(_geom.segments_conflict(apos, p, g.vertices[e.u].pos,
-                                               g.vertices[e.v].pos)
-                       for e in g.edges.values()):
+            _, _, x0, x1, y0, y1 = _geom.boxed(apos, p)
+            if not any(u0 <= x1 and x0 <= u1 and w0 <= y1 and y0 <= w1
+                       and _geom.segments_conflict(apos, p, c, d)
+                       for c, d, u0, u1, w0, w1 in segments):
                 yield p
 
 
@@ -185,15 +191,18 @@ def augment_with_leaves(g0: PlanarGraph, path: list[int]) -> tuple[PlanarGraph, 
     leaf1 = leaf0 + 1
     e0 = max(g0.edges, default=-1) + 1
     e1 = e0 + 1
-    for p0 in _leaf_candidates(g0, v1, set()):
-        for p1 in _leaf_candidates(g0, v_last, {p0}):
-            if _geom.segments_conflict(g0.vertices[v1].pos, p0,
-                                       g0.vertices[v_last].pos, p1):
+    scale = lcm(g0.lattice().scale, *_LEAF_RADII)
+    pts = g0.lattice().rescaled(scale)
+    occupied = set(pts.values())
+    segments = [_geom.boxed(pts[e.u], pts[e.v]) for e in g0.edges.values()]
+    for p0 in _leaf_candidates(scale, pts[v1], occupied, segments):
+        for p1 in _leaf_candidates(scale, pts[v_last], occupied | {p0}, segments):
+            if _geom.segments_conflict(pts[v1], p0, pts[v_last], p1):
                 continue
             # valid by construction: the leaves avoid each other and all of g0
             vertices = dict(g0.vertices)
-            vertices[leaf0] = Vertex(leaf0, p0)
-            vertices[leaf1] = Vertex(leaf1, p1)
+            vertices[leaf0] = Vertex(leaf0, (Fraction(p0[0], scale), Fraction(p0[1], scale)))
+            vertices[leaf1] = Vertex(leaf1, (Fraction(p1[0], scale), Fraction(p1[1], scale)))
             edges = dict(g0.edges)
             edges[e0] = Edge(e0, leaf0, v1)
             edges[e1] = Edge(e1, v_last, leaf1)

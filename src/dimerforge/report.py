@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
+from ._geom import parse_frac
 from .errors import ConfigError, DimerforgeError
 from .matchings import count_matchings, enumerate_matchings, kasteleyn_grid_count, squarish
 from .trees import RootedForest, split_seed
@@ -448,18 +449,18 @@ def check_independence_sampled(samples: int, seed: int) -> tuple[bool, str, str 
     return rep.passed, detail, None if rep.passed else rep.render()
 
 
-def check_matchings_file(path: str, expected: str | None = None) -> tuple[bool, str, str | None]:
-    from .planar import load_graph
+def check_matchings_file(path: str,
+                         expected: Fraction | None = None) -> tuple[bool, str, str | None]:
+    from .planar import parse_graph, read_text
 
-    with open(path, encoding="utf-8") as fh:
-        g = load_graph(fh.read())
+    g = parse_graph(read_text(path))
     total = count_matchings(g)
     if len(g.vertices) <= 16:
         by_enum = sum(m.weight(g) for m in enumerate_matchings(g))
         if by_enum != total:
             return False, f"{path}: enumeration disagrees with the count", \
                 f"{by_enum} vs {total}"
-    if expected is not None and total != Fraction(expected):
+    if expected is not None and total != expected:
         return False, f"{path}: expected {expected}", str(total)
     return True, f"{path}: weight {total}", None
 
@@ -489,7 +490,7 @@ _CHECKS = {
     "class-weights": (check_class_weights, (int,), True),
     "independence": (check_independence, (int,), True),
     "independence-sampled": (check_independence_sampled, (int,), True),
-    "matchings-file": (check_matchings_file, (str, str), False),
+    "matchings-file": (check_matchings_file, (str, parse_frac), False),
 }
 
 

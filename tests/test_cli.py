@@ -14,7 +14,7 @@ from dimerforge.errors import ConfigError
 from dimerforge.generators import (grid_graph, hexagon_graph, random_plane_graph,
                                    random_symmetric)
 from dimerforge.matchings import enumerate_matchings
-from dimerforge.planar import dump_graph, load_graph
+from dimerforge.planar import dump_graph, parse_graph
 from dimerforge.report import parse_suite_config, run_suite
 
 
@@ -64,7 +64,7 @@ def test_build_pipeline(runner, square_file, tmp_path):
 
     hg = tmp_path / "hg.txt"
     invoke(runner, ["build", "hg", square_file, "-o", str(hg)])
-    g = load_graph(hg.read_text())
+    g = parse_graph(hg.read_text())
     assert len(g.vertices) == 9
     plus = tmp_path / "plus.txt"
     invoke(runner, ["build", "plus", square_file, "--path", "0,1,3", "-o", str(plus)])
@@ -292,6 +292,50 @@ def test_bad_input_files_exit_without_traceback(tmp_path, square_file,
     assert "Traceback" not in res.stderr
 
 
+# two x-coordinates whose denominators are each near the 4300-digit limit
+# on writing an int: the file loads, but the midpoint of the edge joining
+# them has a denominator twice as long
+_HUGE_DENOMINATORS = (f"v 0 1/{10 ** 4201 + 1} 0\nv 1 1/{10 ** 4201 + 3} 1\nv 2 0 2\n"
+                      "e 0 0 1\ne 1 1 2\n").encode()
+
+
+def test_unwritable_output_file_exits_2(tmp_path, square_file):
+    res = _main("build", "hg", square_file, "-o", str(tmp_path / "none" / "hg.txt"))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("[Errno 2]"), res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_derived_number_too_long_to_write_exits_1(tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_bytes(_HUGE_DENOMINATORS)
+    assert _main("validate", str(path)).returncode == 0
+    res = _main("build", "hg", str(path))
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.startswith("error: NumberTooLong: "), res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("content, expected, code, stream, message", [
+    (b"v 0 0 0\nv 1 1 0\ne 0 0 1\n", "abc", 2, "stderr",
+     "line 1: bad argument 'abc': bad rational 'abc'"),
+    (b"v 0 0 0\nv 1 1 0\ne 0 0 1\n", "1/0", 2, "stderr",
+     "line 1: bad argument '1/0': bad rational '1/0'"),
+    (b"v 0 0 0\nv 1 1\xff 0\n", "1", 1, "stdout",
+     "FAIL matchings-file: error: FILE: not UTF-8 text"),
+], ids=["expected-not-a-rational", "expected-zero-denominator", "graph-not-utf8"])
+def test_matchings_file_input_errors_without_traceback(tmp_path, content, expected, code,
+                                                       stream, message):
+    graph = tmp_path / "g.txt"
+    graph.write_bytes(content)
+    cfg = tmp_path / "suite.txt"
+    cfg.write_text(f"check matchings-file {graph} {expected}\n")
+    res = _main("suite", str(cfg))
+    assert res.returncode == code, res.stderr
+    assert message.replace("FILE", str(graph)) in getattr(res, stream), res
+    assert "Traceback" not in res.stderr
+
+
 def test_sampled_independence_without_variables_exits_1(tmp_path):
     path = tmp_path / "sym.txt"
     path.write_text(dump_graph(random_symmetric(0)[0]))
@@ -327,7 +371,7 @@ def test_gen_commands(runner, tmp_path):
         out = tmp_path / f"{kind}.txt"
         invoke(runner, ["gen", kind, "--seed", "4", "-o", str(out)])
         body = out.read_text()
-        load_graph(body)  # directives live in comments, so plain loading works
+        parse_graph(body)  # directives live in comments, so plain loading works
         again = tmp_path / f"{kind}2.txt"
         invoke(runner, ["gen", kind, "--seed", "4", "-o", str(again)])
         assert body == again.read_text()

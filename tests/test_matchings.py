@@ -14,7 +14,7 @@ from dimerforge.matchings import (
     kasteleyn_grid_count,
     squarish,
 )
-from dimerforge.planar import Edge, PlanarGraph, load_graph
+from dimerforge.planar import Edge, PlanarGraph, parse_graph
 
 
 def test_enumerate_square():

@@ -9,7 +9,7 @@ from dimerforge.generators import diamond_graph, grid_graph, path_graph
 from dimerforge.planar import (
     check_reflection_symmetry,
     dump_graph,
-    load_graph,
+    parse_graph,
     validate_boundary_path,
 )
 
@@ -26,7 +26,7 @@ e 3 3 0
 
 
 def test_load_square():
-    g = load_graph(SQUARE)
+    g = parse_graph(SQUARE)
     assert len(g.vertices) == 4
     assert len(g.edges) == 4
     faces = g.trace_faces()
@@ -35,7 +35,7 @@ def test_load_square():
 
 
 def test_load_path():
-    g = load_graph("v 0 0 0\nv 1 1 0\nv 2 2 0\ne 0 0 1\ne 1 1 2\n")
+    g = parse_graph("v 0 0 0\nv 1 1 0\nv 2 2 0\ne 0 0 1\ne 1 1 2\n")
     assert len(g.trace_faces().faces) == 1
     assert g.trace_faces().faces[0].infinite
 
@@ -50,41 +50,41 @@ e 0 0 1
 e 1 2 3
 """
     with pytest.raises(errors.EmbeddingError):
-        load_graph(text)
+        parse_graph(text)
 
 
 def test_parse_errors():
     with pytest.raises(errors.ParseError):
-        load_graph("v 0 0\n")
+        parse_graph("v 0 0\n")
     with pytest.raises(errors.ParseError):
-        load_graph("v 0 0 0\nv 0 1 0\n")
+        parse_graph("v 0 0 0\nv 0 1 0\n")
     with pytest.raises(errors.ParseError):
-        load_graph("v 0 0 0\nv 1 1 0\ne 0 0 2\n")
+        parse_graph("v 0 0 0\nv 1 1 0\ne 0 0 2\n")
     with pytest.raises(errors.NotSimple):
-        load_graph("v 0 0 0\nv 1 1 0\ne 0 0 1\ne 1 1 0\n")
+        parse_graph("v 0 0 0\nv 1 1 0\ne 0 0 1\ne 1 1 0\n")
     with pytest.raises(errors.Disconnected):
-        load_graph("v 0 0 0\nv 1 1 0\n")
+        parse_graph("v 0 0 0\nv 1 1 0\n")
     # rationals are exactly p or p/q in ASCII digits with an optional minus
     for bad in ("1e5000", "1e3000000", "1.5", "+1", "1_000", "\uff11", "0x10", "inf",
                 "1/0", "1/-2", "1/2/3", "9" * 5000, "1/" + "9" * 5000):
         with pytest.raises(errors.ParseError, match="line 2: bad rational"):
-            load_graph(f"v 0 0 0\nv 1 {bad} 0\ne 0 0 1\n")
+            parse_graph(f"v 0 0 0\nv 1 {bad} 0\ne 0 0 1\n")
         with pytest.raises(errors.ParseError, match="line 3: bad rational"):
-            load_graph(f"v 0 0 0\nv 1 1 0\ne 0 0 1 {bad}\n")
-    g = load_graph("v 0 -3/4 0\nv 1 007 0\ne 0 0 1 -0/5\n")
+            parse_graph(f"v 0 0 0\nv 1 1 0\ne 0 0 1 {bad}\n")
+    g = parse_graph("v 0 -3/4 0\nv 1 007 0\ne 0 0 1 -0/5\n")
     assert g.vertices[0].pos[0] == Fraction(-3, 4) and g.edges[0].weight == 0
 
 
 def test_vertex_on_edge_rejected():
     with pytest.raises(errors.EmbeddingError):
-        load_graph("v 0 0 0\nv 1 2 0\nv 2 1 0\ne 0 0 1\ne 1 1 2\n")
+        parse_graph("v 0 0 0\nv 1 2 0\nv 2 1 0\ne 0 0 1\ne 1 1 2\n")
 
 
 def test_weights_parse_and_dump_roundtrip():
     text = "v 0 0 0\nv 1 1 0\ne 0 0 1 3/2\n"
-    g = load_graph(text)
+    g = parse_graph(text)
     assert g.edges[0].weight == Fraction(3, 2)
-    assert load_graph(dump_graph(g)).graph_id == g.graph_id
+    assert parse_graph(dump_graph(g)).graph_id == g.graph_id
 
 
 def test_euler_on_generated_graphs():
@@ -119,14 +119,14 @@ def test_ccw_boundary_of_3x3_grid_is_pinned():
 
 
 def test_boundary_path_on_square():
-    g = load_graph(SQUARE)
+    g = parse_graph(SQUARE)
     mb = validate_boundary_path(g, [0, 1, 2])
     assert mb.n == 2
     assert mb.inner == (0, 1, 2)
 
 
 def test_boundary_path_single_vertex():
-    g = load_graph(SQUARE)
+    g = parse_graph(SQUARE)
     assert validate_boundary_path(g, [0]).n == 1
 
 
@@ -139,7 +139,7 @@ def test_boundary_path_degree_violation():
 
 
 def test_boundary_path_rejects_non_path():
-    g = load_graph(SQUARE)
+    g = parse_graph(SQUARE)
     with pytest.raises(errors.NotAPath):
         validate_boundary_path(g, [0, 2, 1])
     with pytest.raises(errors.NotAPath):
@@ -176,10 +176,10 @@ e 2 0 3 2
 e 3 3 1
 """
     with pytest.raises(errors.WeightMismatch):
-        check_reflection_symmetry(load_graph(text), Fraction(0))
+        check_reflection_symmetry(parse_graph(text), Fraction(0))
 
 
 def test_not_symmetric():
-    g = load_graph("v 0 0 0\nv 1 1 0\nv 2 1 1\ne 0 0 1\ne 1 1 2\n")
+    g = parse_graph("v 0 0 0\nv 1 1 0\nv 2 1 1\ne 0 0 1\ne 1 1 2\n")
     with pytest.raises(errors.NotSymmetric):
         check_reflection_symmetry(g, Fraction(0))

@@ -1,7 +1,10 @@
 """The per-instance bijection verifiers in ``report``: each check can fail,
-and counted class weights agree with enumerated ones."""
+and counted class weights agree with enumerated ones.  The default suite's
+report is pinned byte for byte."""
 
 import ast
+import hashlib
+import pathlib
 
 import pytest
 
@@ -107,3 +110,14 @@ def test_forced_matching_weight_of_impossible_sets_is_zero():
     e1, e2 = sorted(g.adj[0])
     assert _forced_matching_weight(g, {e1, e2}) == 0  # two edges at one vertex
     assert _forced_matching_weight(g, {max(g.edges) + 1}) == 0  # not an edge of g
+
+
+# sha256 of the report of the repository's suite.cfg at --jobs 1: a change
+# that moves one byte of it changes what the engine computes or prints
+SUITE_CFG_SHA256 = "9ac254e9a216e842f09a2e8a15a45ebf2086e32bc20cf9e0b4eb4c17dd5424fb"
+
+
+def test_default_suite_report_is_byte_identical():
+    config = pathlib.Path(__file__).resolve().parent.parent / "suite.cfg"
+    text = rp.run_suite(config.read_text(encoding="utf-8"), jobs=1).render()
+    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_CFG_SHA256

@@ -134,8 +134,9 @@ def test_psi_then_phi_on_fresh_instances():
 
 # -- geometry primitives -------------------------------------------------------
 
+# the predicates take lattice points, integer pairs
 coords = st.integers(min_value=-6, max_value=6)
-points = st.tuples(coords, coords).map(lambda p: (Fraction(p[0]), Fraction(p[1])))
+points = st.tuples(coords, coords)
 
 
 @settings(max_examples=250, deadline=None)
