@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import DimerforgeError, GenerationExhausted
 from .planar import Edge, PlanarGraph, Vertex, check_reflection_symmetry
-from .refine import _is_connected, list_peaks, section_instance, trimmed_square
+from .refine import _is_connected, _mirrored, _peaks, _replay, _square_graph, section_instance
 from .trees import split_seed
 
 WEIGHT_POOL = [Fraction(1), Fraction(1), Fraction(1), Fraction(2),
@@ -297,21 +297,19 @@ def random_trimmed(seed: int, n: int | None = None, require_connected: bool = Fa
     rng = random.Random(seed)
     if n is None:
         n = rng.choice([1, 2, 2, 3])
+    present = _replay(n)
     removals: list[tuple[int, int]] = []
     for _ in range(rng.randint(0, 3 * n)):
-        peaks = list_peaks(n, removals)
+        peaks = _peaks(present)
         rng.shuffle(peaks)
-        chosen = None
-        for peak in peaks:
-            if require_connected and \
-                    not trimmed_square(n, removals + [peak]).is_connected():
-                continue
-            chosen = peak
+        for peak, quad in peaks:
+            if not require_connected or _is_connected(_mirrored(present - set(quad))):
+                break
+        else:
             break
-        if chosen is None:
-            break
-        removals.append(chosen)
-    return trimmed_square(n, removals), n, removals
+        present -= set(quad)
+        removals.append(peak)
+    return _square_graph(2 * n, _mirrored(present)), n, removals
 
 
 def random_transport(seed: int, require_plain_path: bool = True):

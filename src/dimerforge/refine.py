@@ -392,19 +392,14 @@ def _square_graph(side: int, present: set[tuple[int, int]]) -> PlanarGraph:
     # drawn rotated so the main diagonal of the square is the horizontal axis;
     # grid subgraphs are always valid embeddings, and the mirrored removals
     # may legitimately disconnect the final graph
-    vertices = {}
-    vid = {}
-    for (i, j) in sorted(present):
-        k = i * side + j
-        vid[(i, j)] = k
-        vertices[k] = Vertex(k, (Fraction(i + j), Fraction(j - i)))
-    edges = {}
-    eid = 0
-    for (i, j) in sorted(present):
-        for (di, dj) in ((1, 0), (0, 1)):
-            if (i + di, j + dj) in present:
-                edges[eid] = Edge(eid, vid[(i, j)], vid[(i + di, j + dj)])
-                eid += 1
+    def vid(p):
+        return p[0] * side + p[1]
+
+    vertices = {vid(p): Vertex(vid(p), (Fraction(p[0] + p[1]), Fraction(p[1] - p[0])))
+                for p in present}
+    pairs = [(p, q) for p in sorted(present)
+             for q in ((p[0] + 1, p[1]), (p[0], p[1] + 1)) if q in present]
+    edges = {e: Edge(e, vid(p), vid(q)) for e, (p, q) in enumerate(pairs)}
     return PlanarGraph.trusted(vertices, edges, geometric=True, name=f"square{side}")
 
 
@@ -437,61 +432,67 @@ def _is_connected(present: set[tuple[int, int]]) -> bool:
     return len(seen) == len(present)
 
 
-def _stage_boundary(side: int, present: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    g = _square_graph(side, present)
-    onb = g.infinite_face_vertices()
-    return {(k // side, k % side) for k in onb}
+def _replay(n: int, removals=()) -> set[tuple[int, int]]:
+    """The stage left by a removal sequence, each step validated."""
+    if n < 1:
+        raise PreconditionViolated(f"half side n must be positive, got {n}")
+    present = {(i, j) for i in range(2 * n) for j in range(2 * n)}
+    for peak in removals:
+        present -= set(_removal(present, peak))
+    return present
+
+
+def _mirrored(present: set[tuple[int, int]]) -> set[tuple[int, int]]:
+    # a stage removes only vertices strictly above the diagonal, so the
+    # mirrored square keeps exactly the vertices whose mirror image remains
+    return {(i, j) for (i, j) in present if (j, i) in present}
+
+
+def _removal(present: set[tuple[int, int]], peak) -> list[tuple[int, int]]:
+    """The four-cycle of ``peak`` if it is a valid next removal."""
+    i, j = peak
+    if peak not in present:
+        raise NotAPeak(f"{peak} is not a current vertex")
+    if j <= i:
+        raise BelowDiagonal(f"{peak} is not strictly above the diagonal")
+    quad = _quadruple(present, peak)
+    off = [p for p in quad if p[1] <= p[0]]
+    if off:
+        raise NotAPeak(f"four-cycle of {peak} touches the diagonal at {off}")
+    if not _is_connected(present - set(quad)):
+        raise NotAPeak(f"removing the four-cycle of {peak} disconnects the graph")
+    return quad
+
+
+def _peaks(present: set[tuple[int, int]]) -> list[tuple[tuple[int, int], list]]:
+    """The valid next removals at a stage, as sorted (peak, four-cycle) pairs.
+
+    A peak needs no drawing to be seen on the current boundary.  Every
+    bounded face of a stage is a unit cell with all four corners present:
+    the full square is so, and removing the four-cycle of a corner peak p
+    deletes every edge inside the 3x3 block of cells around it, merging the
+    nine cells into one region that holds p's outward cell, which lacked a
+    corner and so already lay in the infinite face.  A degree-two corner
+    touches three cells that lack a corner, so it lies on the infinite face.
+    """
+    peaks = []
+    for p in sorted(present):
+        if p[1] > p[0]:
+            try:
+                peaks.append((p, _removal(present, p)))
+            except NotAPeak:
+                pass
+    return peaks
 
 
 def trimmed_square(n: int, removals=()) -> PlanarGraph:
     """A square grid of even side drawn with its diagonal horizontal, with
     four-cycle quadruples recursively removed at boundary peaks strictly above
     the diagonal and the removals mirrored below it."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    side = 2 * n
-    present = {(i, j) for i in range(side) for j in range(side)}
-    mirrored: list[tuple[int, int]] = []
-    for peak in removals:
-        i, j = peak
-        if peak not in present:
-            raise NotAPeak(f"{peak} is not a current vertex")
-        if j <= i:
-            raise BelowDiagonal(f"{peak} is not strictly above the diagonal")
-        quad = _quadruple(present, peak)
-        off = [p for p in quad if p[1] <= p[0]]
-        if off:
-            raise NotAPeak(f"four-cycle of {peak} touches the diagonal at {off}")
-        if peak not in _stage_boundary(side, present):
-            raise NotAPeak(f"{peak} is not on the current boundary")
-        trial = present - set(quad)
-        if not _is_connected(trial):
-            raise NotAPeak(f"removing the four-cycle of {peak} disconnects the graph")
-        present = trial
-        mirrored.extend((q[1], q[0]) for q in quad)
-    present -= set(mirrored)
-    return _square_graph(side, present)
+    return _square_graph(2 * n, _mirrored(_replay(n, removals)))
 
 
 def list_peaks(n: int, removals=()) -> list[tuple[int, int]]:
     """Valid next removals for the trimmed-square generator after replaying
     the given removal sequence."""
-    side = 2 * n
-    present = {(i, j) for i in range(side) for j in range(side)}
-    for peak in removals:
-        present -= set(_quadruple(present, peak))
-    boundary = _stage_boundary(side, present)
-    peaks = []
-    for p in sorted(present):
-        i, j = p
-        if j <= i or p not in boundary:
-            continue
-        try:
-            quad = _quadruple(present, p)
-        except NotAPeak:
-            continue
-        if any(q[1] <= q[0] for q in quad):
-            continue
-        if _is_connected(present - set(quad)):
-            peaks.append(p)
-    return peaks
+    return [p for p, _ in _peaks(_replay(n, removals))]

@@ -1,7 +1,9 @@
 """Instance generators: validity and determinism."""
 
+import hashlib
 from fractions import Fraction
 
+from dimerforge import planar
 from dimerforge.generators import (
     diagonal_grid,
     grid_graph,
@@ -14,6 +16,8 @@ from dimerforge.generators import (
 )
 from dimerforge.matchings import count_matchings
 from dimerforge.planar import check_reflection_symmetry, validate_boundary_path
+from dimerforge.refine import list_peaks
+from dimerforge.trees import split_seed
 
 
 def test_hexagon_shapes():
@@ -76,6 +80,45 @@ def test_random_trimmed_deterministic():
     g2, n2, rem2 = random_trimmed(7)
     assert (n1, rem1) == (n2, rem2)
     assert g1.graph_id == g2.graph_id
+
+
+def test_random_trimmed_draws_and_stages_are_pinned():
+    # the seed -> instance contract, and the valid peaks at every stage of
+    # each drawn removal sequence
+    draws, stages = [], []
+    for n in (None, 1, 2, 3, 4):
+        for require_connected in (False, True):
+            for k in range(30):
+                g, m, removals = random_trimmed(split_seed(12, k), n=n,
+                                                require_connected=require_connected)
+                draws.append((g.graph_id, m, removals))
+                stages += [list_peaks(m, removals[:t]) for t in range(len(removals) + 1)]
+    assert hashlib.sha256(repr(draws).encode()).hexdigest() == \
+        "41bcd093695fbd4276754b3cfc7efb90eca36b75921d4dc9e99c4edd4f7ce597"
+    assert hashlib.sha256(repr(stages).encode()).hexdigest() == \
+        "e63a615b2a1a3244748723c7b5d5cc0372198e35ae8ab9a33fdfeae1896a763c"
+
+
+def test_random_trimmed_draws_one_graph(monkeypatch):
+    # the stages are walked on vertex sets; only the final mirrored square
+    # is drawn, whatever the number of removals or connectivity checks
+    init = planar.PlanarGraph.__init__
+    built = []
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(planar.PlanarGraph, "__init__", counting_init)
+    steps = 0
+    for require_connected in (False, True):
+        for k in range(12):
+            built.clear()
+            _, _, removals = random_trimmed(split_seed(5, k), n=3,
+                                            require_connected=require_connected)
+            assert len(built) == 1
+            steps += len(removals)
+    assert steps > 0
 
 
 def test_random_plane_graph_sizes():

@@ -1,15 +1,19 @@
 """Dual refinement, leaf augmentation, plus/minus, symmetrize, smash,
 trimmed squares."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from dimerforge import errors
-from dimerforge.generators import grid_graph, path_graph, random_plane_graph
+from dimerforge.generators import grid_graph, path_graph, random_plane_graph, random_trimmed
 from dimerforge.matchings import count_matchings, enumerate_matchings, squarish
 from dimerforge.planar import PlanarGraph, Vertex, check_reflection_symmetry
 from dimerforge.refine import (
+    _quadruple,
+    _replay,
+    _square_graph,
     dual_refinement,
     augment_with_leaves,
     list_peaks,
@@ -223,3 +227,66 @@ def test_trimmed_square_errors():
 def test_list_peaks_initial():
     assert list_peaks(2) == [(0, 3)]
     assert list_peaks(1) == []
+
+
+@pytest.mark.parametrize("n, removals, error", [
+    (3, [(5, 0)], errors.BelowDiagonal),
+    (2, [(0, 2)], errors.NotAPeak),           # degree three
+    (1, [(0, 1)], errors.NotAPeak),           # four-cycle touches the diagonal
+    (2, [(0, 3), (0, 3)], errors.NotAPeak),   # no longer a current vertex
+    (3, [(9, 9)], errors.NotAPeak),           # outside the square
+])
+def test_list_peaks_replays_removals_as_trimmed_square_does(n, removals, error):
+    with pytest.raises(error) as built:
+        trimmed_square(n, removals)
+    with pytest.raises(error) as listed:
+        list_peaks(n, removals)
+    assert str(listed.value) == str(built.value)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_trimmed_squares_need_a_positive_half_side(n):
+    with pytest.raises(errors.PreconditionViolated):
+        trimmed_square(n)
+    with pytest.raises(errors.PreconditionViolated):
+        list_peaks(n)
+    with pytest.raises(errors.PreconditionViolated):
+        random_trimmed(1, n=n)
+
+
+def test_corner_peaks_lie_on_the_drawn_boundary():
+    rng = random.Random(2026)
+    stages = checked = 0
+    for n in range(1, 6):
+        side = 2 * n
+        for _ in range(8 * n):
+            removals = []
+            while True:
+                present = _replay(n, removals)
+                g = _square_graph(side, present)
+                # the boundary read off the drawing: the oracle for the peak
+                # test, which needs no drawing
+                boundary = {(k // side, k % side) for k in g.infinite_face_vertices()}
+                # every bounded face is a unit cell with all four corners
+                cells = {c for c in (frozenset({(i, j), (i + 1, j), (i, j + 1),
+                                                (i + 1, j + 1)}) for (i, j) in present)
+                         if c <= present}
+                faces = [frozenset((k // side, k % side) for k in f.vertex_seq)
+                         for f in g.trace_faces().bounded]
+                assert len(faces) == len(cells) and set(faces) == cells
+                for p in present:
+                    if p[1] <= p[0]:
+                        continue
+                    try:
+                        quad = _quadruple(present, p)
+                    except errors.NotAPeak:
+                        continue
+                    if all(q[1] > q[0] for q in quad):
+                        assert p in boundary, (n, removals, p)
+                        checked += 1
+                stages += 1
+                peaks = list_peaks(n, removals)
+                if not peaks:
+                    break
+                removals.append(rng.choice(peaks))
+    assert stages >= 800 and checked >= 1200
