@@ -41,9 +41,6 @@ class FamilyPath:
 class PathFamily:
     paths: tuple[FamilyPath, ...]
 
-    def vertex_sets(self):
-        return [set(p.vertices) for p in self.paths]
-
 
 def build_path_family(instance: PlusMinusInstance, mu: Matching,
                       from_minus: bool = False) -> PathFamily:
@@ -206,12 +203,12 @@ class TransportInstance:
     @property
     def plain_even_faces(self) -> tuple[int, ...]:
         ref = self.smashed.refinement
-        return tuple(ref.face_of(self.smashed.face_of[v]) for v in self.plain[1::2])
+        return tuple(ref.face_of_center[self.smashed.face_of[v]] for v in self.plain[1::2])
 
     @property
     def prime_even_faces(self) -> tuple[int, ...]:
         ref = self.smashed.refinement
-        return tuple(ref.face_of(self.smashed.face_of[v]) for v in self.prime[1::2])
+        return tuple(ref.face_of_center[self.smashed.face_of[v]] for v in self.prime[1::2])
 
     def removal_sequence(self, primed: bool) -> tuple[int, ...]:
         """Alternating marks v_1, f_2, v_3, ..., v_{2n+1} as refinement ids."""

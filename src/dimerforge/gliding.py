@@ -29,7 +29,7 @@ class GlidePath:
 
 def _first_site_from_mid(host: PlanarGraph, ref: DualRefinement,
                          mid: int, mode: str) -> int:
-    eid = ref.primal_edge_of(mid)
+    eid = ref.edge_of_mid[mid]
     e = ref.source.edges[eid]
     if mode == FRAME:
         options = [w for w in (e.u, e.v) if w in host.vertices]
@@ -80,14 +80,14 @@ def glide(host: PlanarGraph, ref: DualRefinement, cover: dict[int, int],
             raise CycleDetected(f"glide revisited midpoint {mid}")
         path.append(mid)
         seen.add(mid)
-        primal = ref.primal_edge_of(mid)
+        primal = ref.edge_of_mid[mid]
         if mode == FRAME:
             nxt = ref.source.edges[primal].other(site)
             if nxt not in host.vertices:
                 return GlidePath(tuple(path), mode, nxt)
         else:
             fa, fb = ref.sides_of_primal_edge(primal)
-            other = fb if fa == ref.face_of(site) else fa
+            other = fb if fa == ref.face_of_center[site] else fa
             if other == inf:
                 return GlidePath(tuple(path), mode, None, blocked_at_infinite=True)
             nxt = ref.center_of_face[other]

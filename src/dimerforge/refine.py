@@ -49,12 +49,6 @@ class DualRefinement:
     edge_of_mid: dict[int, int]      # the inverse maps; every other vertex
     face_of_center: dict[int, int]   # of the refinement is a source vertex
 
-    def primal_edge_of(self, mid_vertex: int) -> int:
-        return self.edge_of_mid[mid_vertex]
-
-    def face_of(self, center_vertex: int) -> int:
-        return self.face_of_center[center_vertex]
-
     def sides_of_primal_edge(self, edge_id: int) -> tuple[int, int]:
         return self.source.trace_faces().sides_of_edge(self.source.edges[edge_id])
 
@@ -449,7 +443,24 @@ def _mirrored(present: set[tuple[int, int]]) -> set[tuple[int, int]]:
 
 
 def _removal(present: set[tuple[int, int]], peak) -> list[tuple[int, int]]:
-    """The four-cycle of ``peak`` if it is a valid next removal."""
+    """The four-cycle of ``peak`` if it is a valid next removal.
+
+    A valid removal never disconnects the stage.  By induction on the
+    removals, the removed points are a union of even-aligned 2x2 blocks
+    {2a, 2a+1} x {2b, 2b+1}, closed toward the corner (0, 2n-1): with (i, j)
+    they hold every (i', j') with i' <= i and j' >= j, a Young diagram
+    anchored there.  A peak strictly above the diagonal has (i+1, j) and
+    (i, j-1) in the square, and a present point keeps them by that closure,
+    so a corner peak misses (i-1, j) and (i, j+1).  Each is outside the
+    square or in a removed block that does not hold the peak: i is 0 or
+    i - 1 is the odd row of its block, and j is 2n-1 or j + 1 is the even
+    column of its block.  So i is even and j odd, the four-cycle
+    {i, i+1} x {j-1, j} is an even-aligned block, its neighbour blocks
+    {i-2, i-1} x {j-1, j} and {i, i+1} x {j+1, j+2} are removed or outside,
+    and the diagram stays closed.
+    Every remaining point (i, j) therefore walks through present points
+    along increasing i to (2n-1, j), then along decreasing j to (2n-1, 0).
+    """
     i, j = peak
     if peak not in present:
         raise NotAPeak(f"{peak} is not a current vertex")
@@ -459,8 +470,6 @@ def _removal(present: set[tuple[int, int]], peak) -> list[tuple[int, int]]:
     off = [p for p in quad if p[1] <= p[0]]
     if off:
         raise NotAPeak(f"four-cycle of {peak} touches the diagonal at {off}")
-    if not _is_connected(present - set(quad)):
-        raise NotAPeak(f"removing the four-cycle of {peak} disconnects the graph")
     return quad
 
 
@@ -491,8 +500,3 @@ def trimmed_square(n: int, removals=()) -> PlanarGraph:
     the diagonal and the removals mirrored below it."""
     return _square_graph(2 * n, _mirrored(_replay(n, removals)))
 
-
-def list_peaks(n: int, removals=()) -> list[tuple[int, int]]:
-    """Valid next removals for the trimmed-square generator after replaying
-    the given removal sequence."""
-    return [p for p, _ in _peaks(_replay(n, removals))]

@@ -332,23 +332,6 @@ def dual_forest(g: PlanarGraph, forest_edges) -> DualForest:
     return DualForest(tuple(used), comps, exits)
 
 
-@dataclass(frozen=True)
-class ComponentLabel:
-    kind: str                       # "channel" | "bay"
-    faces: tuple[int, ...]          # face indices adjacent to the infinite face
-    contact_edges: tuple[int, ...]  # boundary primal edges realizing the contacts
-    arcs: tuple[int, ...]           # boundary arc index of each contact edge
-    members: frozenset[int]
-
-
-@dataclass(frozen=True)
-class BandedForestCertificate:
-    bands: tuple[tuple[int, int], ...]           # distinguished pairs (u_i, u'_i)
-    band_components: tuple[frozenset[int], ...]  # vertex sets, aligned with bands
-    components: tuple[ComponentLabel, ...]
-    dual: DualForest                             # the dual forest that was classified
-
-
 def _boundary_arcs(g: PlanarGraph, marks: list[int]) -> dict[int, int]:
     """Map each boundary edge to the index of the arc between consecutive
     marks (arc i runs counterclockwise from marks[i] to marks[i+1]); the
@@ -372,11 +355,11 @@ def _boundary_arcs(g: PlanarGraph, marks: list[int]) -> dict[int, int]:
 
 def classify_components(ambient: PlanarGraph, forest: RootedForest,
                         pairs: list[tuple[int, int]],
-                        forest_graph: PlanarGraph | None = None) -> BandedForestCertificate:
-    """Check bandedness against the distinguished pairs and label every dual
-    forest component as a channel (two contacts with the infinite face,
+                        forest_graph: PlanarGraph | None = None) -> DualForest:
+    """Check bandedness against the distinguished pairs and that every dual
+    forest component is a channel (two contacts with the infinite face,
     crossing the two opposite arcs between consecutive bands) or a bay (one
-    contact).
+    contact); return the dual forest.
 
     ``ambient`` supplies the faces and the boundary; the forest may span an
     induced subgraph of it (smashed corners stay out of the bands but their
@@ -390,24 +373,18 @@ def classify_components(ambient: PlanarGraph, forest: RootedForest,
     for eid in forest_edges:
         e = ambient.edges[eid]
         par[_find(par, e.u)] = _find(par, e.v)
-    comp_of: dict[int, set[int]] = {}
-    for v in forest_graph.vertices:
-        comp_of.setdefault(_find(par, v), set()).add(v)
-    if len(comp_of) != len(pairs):
-        raise NotBanded(
-            f"forest has {len(comp_of)} components for {len(pairs)} pairs")
-    band_components = []
+    bands = len({_find(par, v) for v in forest_graph.vertices})
+    if bands != len(pairs):
+        raise NotBanded(f"forest has {bands} components for {len(pairs)} pairs")
     for u, up in pairs:
         if _find(par, u) != _find(par, up):
             raise BandPairingViolated(f"{u} and {up} lie in different components")
-        band_components.append(frozenset(comp_of[_find(par, u)]))
     if len({_find(par, u) for u, _ in pairs}) != len(pairs):
         raise BandPairingViolated("two distinguished pairs share a component")
     # counterclockwise order u_1..u_k, u'_k..u'_1 along the infinite face
     marks = [u for u, _ in pairs] + [up for _, up in reversed(pairs)]
     arc_of_edge = _boundary_arcs(ambient, marks)
     k = len(pairs)
-    labels = []
     for members in dual.components:
         touch = sorted(f for f in members if f in dual.exits)
         if not touch:
@@ -416,15 +393,13 @@ def classify_components(ambient: PlanarGraph, forest: RootedForest,
         if len(touch) > 2:
             raise ClassificationFailed(
                 f"dual component {sorted(members)} has {len(touch)} contact faces")
-        edges_used = []
         arcs = []
         for f in touch:
-            arcset = sorted({arc_of_edge[e] for e in dual.exits[f]})
+            arcset = {arc_of_edge[e] for e in dual.exits[f]}
             if len(arcset) != 1:
                 raise ClassificationFailed(
                     f"contact face {f} touches the infinite face on several arcs")
-            arcs.append(arcset[0])
-            edges_used.append(min(dual.exits[f]))
+            arcs += arcset
         if len(touch) == 2:
             a, b = sorted(arcs)
             # the two crossings must sit on the opposite arcs of one band gap:
@@ -432,12 +407,7 @@ def classify_components(ambient: PlanarGraph, forest: RootedForest,
             if a + b != 2 * k - 2 or a == k - 1:
                 raise ClassificationFailed(
                     f"channel arcs {arcs} are not opposite arcs of a band gap")
-            labels.append(ComponentLabel("channel", tuple(touch),
-                                         tuple(edges_used), tuple(arcs), members))
-        else:
-            labels.append(ComponentLabel("bay", tuple(touch),
-                                         tuple(edges_used), tuple(arcs), members))
-    return BandedForestCertificate(tuple(pairs), tuple(band_components), tuple(labels), dual)
+    return dual
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +437,7 @@ def _matching_to_forest(ref, host: PlanarGraph, mu: Matching, g: PlanarGraph,
     for v in g.vertices:
         if v in roots:
             continue
-        primal = ref.primal_edge_of(host.edges[cover[v]].other(v))
+        primal = ref.edge_of_mid[host.edges[cover[v]].other(v)]
         parent[v] = (primal, ref.source.edges[primal].other(v))
     return make_forest(g, roots, parent)
 
@@ -522,31 +492,30 @@ def _forest_to_matching(ref, host: PlanarGraph, forest: RootedForest, dual: Dual
     return mu
 
 
-def _banded_certificate(instance, forest: RootedForest) -> BandedForestCertificate:
+def _banded_certificate(instance, forest: RootedForest) -> DualForest:
     """Classify a forest of the instance's forest graph against its mark
-    pairs, and check that each plain even face shares its dual component
-    with its primed partner."""
-    cert = classify_components(instance.smashed.refinement.source, forest,
+    pairs, check that each plain even face shares its dual component with
+    its primed partner, and return the dual forest."""
+    dual = classify_components(instance.smashed.refinement.source, forest,
                                list(zip(instance.plain_odd, instance.prime_odd)),
                                instance.forest_graph)
-    comp_of_face = {f: members for members in cert.dual.components for f in members}
+    comp_of_face = {f: members for members in dual.components for f in members}
     for fa, fb in zip(instance.plain_even_faces, instance.prime_even_faces):
         if comp_of_face[fa] is not comp_of_face[fb]:
             raise ChannelPairingViolated(
                 f"faces {fa} and {fb} lie in different dual components")
-    return cert
+    return dual
 
 
 def tec_matching_to_forest(instance, mu: Matching) -> RootedForest:
     """The banded spanning forest of a matching of the primed-deleted host,
-    rooted at the primed odd marks."""
+    rooted at the primed odd marks.  Bandedness is left to
+    ``tec_forest_to_matching``, which classifies the forest for its dual."""
     host = instance.host_prime
     if mu.host != host.graph_id:
         raise PreconditionViolated("matching does not belong to the primed-deleted host")
-    forest = _matching_to_forest(instance.smashed.refinement, host, mu,
-                                 instance.forest_graph, instance.prime_odd)
-    _banded_certificate(instance, forest)
-    return forest
+    return _matching_to_forest(instance.smashed.refinement, host, mu,
+                               instance.forest_graph, instance.prime_odd)
 
 
 def tec_forest_to_matching(instance, forest: RootedForest) -> Matching:
@@ -556,9 +525,8 @@ def tec_forest_to_matching(instance, forest: RootedForest) -> Matching:
         raise PreconditionViolated("forest does not span the expected graph")
     if set(forest.roots) != set(instance.prime_odd):
         raise PreconditionViolated("forest roots differ from the primed marks")
-    dual = _banded_certificate(instance, forest).dual
     return _forest_to_matching(instance.smashed.refinement, instance.host_prime, forest,
-                               dual, instance.prime_even_faces)
+                               _banded_certificate(instance, forest), instance.prime_even_faces)
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ def test_family_pairs_all_midpoints():
         endpoints = sorted(i for p in family.paths
                            for i in (p.start_index, p.end_index))
         assert endpoints == list(range(1, 2 * inst.boundary.n + 1))
-        sets = family.vertex_sets()
+        sets = [set(p.vertices) for p in family.paths]
         for i in range(len(sets)):
             for j in range(i + 1, len(sets)):
                 assert not (sets[i] & sets[j])

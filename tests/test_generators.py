@@ -16,7 +16,7 @@ from dimerforge.generators import (
 )
 from dimerforge.matchings import count_matchings
 from dimerforge.planar import check_reflection_symmetry, validate_boundary_path
-from dimerforge.refine import list_peaks
+from dimerforge.refine import _peaks, _replay
 from dimerforge.trees import split_seed
 
 
@@ -92,7 +92,8 @@ def test_random_trimmed_draws_and_stages_are_pinned():
                 g, m, removals = random_trimmed(split_seed(12, k), n=n,
                                                 require_connected=require_connected)
                 draws.append((g.graph_id, m, removals))
-                stages += [list_peaks(m, removals[:t]) for t in range(len(removals) + 1)]
+                stages += [[p for p, _ in _peaks(_replay(m, removals[:t]))]
+                           for t in range(len(removals) + 1)]
     assert hashlib.sha256(repr(draws).encode()).hexdigest() == \
         "41bcd093695fbd4276754b3cfc7efb90eca36b75921d4dc9e99c4edd4f7ce597"
     assert hashlib.sha256(repr(stages).encode()).hexdigest() == \

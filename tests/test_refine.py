@@ -11,12 +11,13 @@ from dimerforge.generators import grid_graph, path_graph, random_plane_graph, ra
 from dimerforge.matchings import count_matchings, enumerate_matchings, squarish
 from dimerforge.planar import PlanarGraph, Vertex, check_reflection_symmetry
 from dimerforge.refine import (
+    _is_connected,
+    _peaks,
     _quadruple,
     _replay,
     _square_graph,
     dual_refinement,
     augment_with_leaves,
-    list_peaks,
     section_instance,
     smash_in,
     symmetrize,
@@ -199,9 +200,11 @@ def test_smash_rejects_bad_targets():
 def test_trimmed_square_no_removals():
     assert count_matchings(trimmed_square(1)) == 2
     assert count_matchings(trimmed_square(2)) == 36
+    assert _peaks(_replay(1)) == []  # its only corner four-cycle holds the diagonal
 
 
 def test_trimmed_square_topmost_removal():
+    assert [p for p, _ in _peaks(_replay(2))] == [(0, 3)]
     g = trimmed_square(2, [(0, 3)])
     assert len(g.vertices) == 8
     verdict = squarish(int(count_matchings(g)))
@@ -218,38 +221,46 @@ def test_trimmed_square_is_symmetric():
 def test_trimmed_square_errors():
     with pytest.raises(errors.BelowDiagonal):
         trimmed_square(2, [(3, 0)])
+    with pytest.raises(errors.BelowDiagonal):
+        trimmed_square(3, [(5, 0)])
     with pytest.raises(errors.NotAPeak):
         trimmed_square(2, [(0, 2)])  # degree three, not a corner
     with pytest.raises(errors.NotAPeak):
         trimmed_square(1, [(0, 1)])  # four-cycle touches the diagonal
+    with pytest.raises(errors.NotAPeak, match="not a current vertex"):
+        trimmed_square(2, [(0, 3), (0, 3)])  # already removed
+    with pytest.raises(errors.NotAPeak, match="not a current vertex"):
+        trimmed_square(3, [(9, 9)])  # outside the square
 
 
-def test_list_peaks_initial():
-    assert list_peaks(2) == [(0, 3)]
-    assert list_peaks(1) == []
-
-
-@pytest.mark.parametrize("n, removals, error", [
-    (3, [(5, 0)], errors.BelowDiagonal),
-    (2, [(0, 2)], errors.NotAPeak),           # degree three
-    (1, [(0, 1)], errors.NotAPeak),           # four-cycle touches the diagonal
-    (2, [(0, 3), (0, 3)], errors.NotAPeak),   # no longer a current vertex
-    (3, [(9, 9)], errors.NotAPeak),           # outside the square
-])
-def test_list_peaks_replays_removals_as_trimmed_square_does(n, removals, error):
-    with pytest.raises(error) as built:
-        trimmed_square(n, removals)
-    with pytest.raises(error) as listed:
-        list_peaks(n, removals)
-    assert str(listed.value) == str(built.value)
+def test_every_reachable_stage_stays_connected():
+    # breadth-first over every stage that valid removals reach: each removal
+    # takes an even-aligned 2x2 block and leaves a connected stage, so
+    # _removal need not test connectivity; the stages number Catalan(n)
+    counts = []
+    for n in range(1, 7):
+        start = frozenset(_replay(n))
+        seen, frontier = {start}, [start]
+        while frontier:
+            reached = []
+            for present in frontier:
+                for peak, quad in _peaks(set(present)):
+                    i, j = min(quad)
+                    assert i % 2 == 0 and j % 2 == 0, (n, peak)
+                    stage = present - set(quad)
+                    assert _is_connected(stage), (n, sorted(present), peak)
+                    if stage not in seen:
+                        seen.add(stage)
+                        reached.append(stage)
+            frontier = reached
+        counts.append(len(seen))
+    assert counts == [1, 2, 5, 14, 42, 132]
 
 
 @pytest.mark.parametrize("n", [0, -2])
 def test_trimmed_squares_need_a_positive_half_side(n):
     with pytest.raises(errors.PreconditionViolated):
         trimmed_square(n)
-    with pytest.raises(errors.PreconditionViolated):
-        list_peaks(n)
     with pytest.raises(errors.PreconditionViolated):
         random_trimmed(1, n=n)
 
@@ -285,7 +296,7 @@ def test_corner_peaks_lie_on_the_drawn_boundary():
                         assert p in boundary, (n, removals, p)
                         checked += 1
                 stages += 1
-                peaks = list_peaks(n, removals)
+                peaks = [p for p, _ in _peaks(present)]
                 if not peaks:
                     break
                 removals.append(rng.choice(peaks))

@@ -5,10 +5,11 @@ report is pinned byte for byte."""
 import ast
 import hashlib
 import pathlib
+from itertools import combinations
 
 import pytest
 
-from dimerforge import aztec, bijections, trees
+from dimerforge import aztec, bijections, errors, trees
 from dimerforge import report as rp
 from dimerforge.generators import grid_graph, random_symmetric, random_transport
 from dimerforge.matchings import _forced_matching_weight, enumerate_matchings
@@ -42,6 +43,40 @@ def test_every_bijection_check_can_fail(monkeypatch, module, name, check, args):
     assert "round trip failed" in details or "weight not preserved" in details, details
     ids = ast.literal_eval(witness)
     assert ids and all(isinstance(i, int) for i in ids), witness
+
+
+def _rejected_forest(inst):
+    """The first spanning forest of the instance's forest graph, rooted at
+    the primed marks, that the banded-forest classifier rejects, with the
+    error it raises."""
+    g0 = inst.forest_graph
+    for edges in combinations(sorted(g0.edges), len(g0.vertices) - len(inst.prime_odd)):
+        try:
+            forest = trees.orient_edge_set(g0, edges, inst.prime_odd)
+        except errors.PreconditionViolated:
+            continue
+        try:
+            trees._banded_certificate(inst, forest)
+        except errors.DimerforgeError as exc:
+            return forest, exc
+    raise AssertionError("every spanning forest is banded")
+
+
+def test_banded_check_fails_on_a_forward_map_that_gives_a_non_banded_forest(monkeypatch):
+    # the forward map does not classify; the backward map's classification
+    # must still stop the round trip with the named error
+    rejected = []
+
+    def forward(inst, mu):
+        if not rejected:
+            rejected.append(_rejected_forest(inst))
+        return rejected[0][0]
+
+    monkeypatch.setattr(trees, "tec_matching_to_forest", forward)
+    result = rp.run_suite("seed 1\ncheck banded 1\n", jobs=1).results[0]
+    error = rejected[0][1]
+    assert type(error) is errors.BandPairingViolated
+    assert result.render() == f"FAIL banded: error: {error}"
 
 
 def test_transport_fault_moves_each_matching_there_and_back_once(monkeypatch):

@@ -20,7 +20,13 @@ from dimerforge.generators import (
     random_transport,
 )
 from dimerforge.matchings import enumerate_matchings
-from dimerforge.planar import Edge, PlanarGraph, Vertex, check_reflection_symmetry
+from dimerforge.planar import (
+    Edge,
+    PlanarGraph,
+    Vertex,
+    check_reflection_symmetry,
+    remove_vertices,
+)
 from dimerforge.bijections import transport_instance
 from dimerforge import trees
 from dimerforge.trees import (
@@ -279,42 +285,99 @@ def test_dual_forest_detects_cycle():
         dual_forest(g, boundary)
 
 
+def _contacts(dual, members):
+    return [f for f in members if f in dual.exits]
+
+
+def _ladder_rows():
+    """ladder_graph(4) and the forest of its top and bottom rows."""
+    g = ladder_graph(4)
+    vid = {(int(v.pos[0]), int(v.pos[1])): v.id for v in g.vertices.values()}
+    top = [vid[(x, 1)] for x in range(4)]
+    bottom = [vid[(x, 0)] for x in range(4)]
+    edges = [g.edge_between(a, b).id for a, b in zip(top, top[1:])]
+    edges += [g.edge_between(a, b).id for a, b in zip(bottom, bottom[1:])]
+    return g, top, bottom, orient_edge_set(g, edges, (top[0], bottom[0]))
+
+
 def test_classify_single_band_all_bays():
     g = grid_graph(3, 3)
     corners = [v for v in g.vertices if g.degree(v) == 2]
     u, up = corners[0], corners[-1]
     for tree in list(enumerate_spanning_trees(g, up))[:25]:
-        cert = classify_components(g, tree, [(u, up)])
-        assert all(lbl.kind == "bay" for lbl in cert.components)
-        assert all(lbl.faces for lbl in cert.components)
+        dual = classify_components(g, tree, [(u, up)])
+        assert dual == dual_forest(g, tree.edge_set)
+        assert all(len(_contacts(dual, members)) == 1 for members in dual.components)
 
 
 def test_classify_two_band_ladder_channel():
+    g, top, bottom, forest = _ladder_rows()
+    pairs = [(bottom[-1], bottom[0]), (top[-1], top[0])]
+    dual = classify_components(g, forest, pairs)
+    assert dual == dual_forest(g, forest.edge_set)
+    # one channel: all three squares, reaching the infinite face at both ends
+    (channel,) = dual.components
+    assert len(channel) == 3 and len(_contacts(dual, channel)) == 2
+
+
+def test_classify_rejects_a_forest_with_more_bands_than_pairs():
+    g, top, bottom, forest = _ladder_rows()
+    with pytest.raises(errors.NotBanded, match="forest has 2 components for 1 pairs"):
+        classify_components(g, forest, [(top[-1], top[0])])
+
+
+def test_classify_rejects_a_contact_face_on_two_arcs():
+    # ladder_graph(3) with bands (1,0)-(0,0)-(0,1)-(1,1) and (2,0)-(2,1):
+    # both squares form one dual component whose only contact face, the
+    # right square, meets the infinite face on both arcs of the band gap
+    g = ladder_graph(3)
+    vid = {(int(v.pos[0]), int(v.pos[1])): v.id for v in g.vertices.values()}
+    links = [((1, 0), (0, 0)), ((0, 0), (0, 1)), ((0, 1), (1, 1)), ((2, 0), (2, 1))]
+    edges = [g.edge_between(vid[a], vid[b]).id for a, b in links]
+    forest = orient_edge_set(g, edges, (vid[(1, 1)], vid[(2, 1)]))
+    pairs = [(vid[(1, 0)], vid[(1, 1)]), (vid[(2, 0)], vid[(2, 1)])]
+    with pytest.raises(errors.ClassificationFailed, match="on several arcs"):
+        classify_components(g, forest, pairs)
+
+
+def test_classify_rejects_a_channel_off_a_band_gap():
+    # ladder_graph(3) without its bottom middle vertex, which the band path
+    # (0,0)-(0,1)-(1,1)-(2,1)-(2,0) goes around: both squares form one dual
+    # component reaching the infinite face on either side of the missing
+    # vertex, twice on the same arc (found by a search over edge subsets)
+    g = ladder_graph(3)
+    vid = {(int(v.pos[0]), int(v.pos[1])): v.id for v in g.vertices.values()}
+    sub = remove_vertices(g, [vid[(1, 0)]], name="ladder3-minus-corner")
+    path = [vid[p] for p in ((0, 0), (0, 1), (1, 1), (2, 1), (2, 0))]
+    edges = [g.edge_between(a, b).id for a, b in zip(path, path[1:])]
+    forest = orient_edge_set(sub, edges, (vid[(2, 1)],))
+    with pytest.raises(errors.ClassificationFailed,
+                       match=r"channel arcs \[1, 1\] are not opposite arcs of a band gap"):
+        classify_components(g, forest, [(vid[(2, 0)], vid[(2, 1)])], sub)
+
+
+def test_banded_forest_rejects_unpaired_channel_faces():
+    # ladder_graph(4) marked by a plain run that is not a path: the plain
+    # corner's square stays a bay while the channel takes the primed
+    # corner's square (found by a search over edge subsets)
     g = ladder_graph(4)
     vid = {(int(v.pos[0]), int(v.pos[1])): v.id for v in g.vertices.values()}
-    top = [vid[(x, 1)] for x in range(4)]
-    bottom = [vid[(x, 0)] for x in range(4)]
-    edges = [g.edge_between(a, b).id for a, b in zip(top, top[1:])]
-    edges += [g.edge_between(a, b).id for a, b in zip(bottom, bottom[1:])]
-    forest = orient_edge_set(g, edges, (top[0], bottom[0]))
-    pairs = [(bottom[-1], bottom[0]), (top[-1], top[0])]
-    cert = classify_components(g, forest, pairs)
-    kinds = sorted(lbl.kind for lbl in cert.components)
-    assert kinds == ["channel"]
-    channel = cert.components[0]
-    assert len(channel.faces) == 2
-    a, b = sorted(channel.arcs)
-    assert a + b == 2 * len(pairs) - 2
+    plain = [vid[p] for p in ((2, 1), (0, 1), (1, 0))]
+    prime = [vid[p] for p in ((3, 1), (3, 0), (2, 0))]
+    inst = transport_instance(g, plain, prime, require_plain_path=False)
+    links = [((0, 0), (1, 0)), ((1, 0), (1, 1)), ((1, 0), (2, 0)), ((2, 1), (3, 1))]
+    edges = [g.edge_between(vid[a], vid[b]).id for a, b in links]
+    forest = orient_edge_set(inst.forest_graph, edges, inst.prime_odd)
+    # the classifier accepts the forest; the face pairing rejects it
+    classify_components(g, forest, list(zip(inst.plain_odd, inst.prime_odd)),
+                        inst.forest_graph)
+    with pytest.raises(errors.ChannelPairingViolated,
+                       match="faces 1 and 3 lie in different dual components"):
+        tec_forest_to_matching(inst, forest)
 
 
 def test_classify_rejects_unpaired_forest():
-    g = ladder_graph(4)
-    vid = {(int(v.pos[0]), int(v.pos[1])): v.id for v in g.vertices.values()}
-    top = [vid[(x, 1)] for x in range(4)]
-    bottom = [vid[(x, 0)] for x in range(4)]
-    edges = [g.edge_between(a, b).id for a, b in zip(top, top[1:])]
-    edges += [g.edge_between(a, b).id for a, b in zip(bottom, bottom[1:])]
-    forest = orient_edge_set(g, edges, (top[0], bottom[0]))
+    g, top, bottom, forest = _ladder_rows()
     with pytest.raises(errors.BandPairingViolated):
         classify_components(g, forest, [(top[0], bottom[0]), (top[-1], bottom[-1])])
 
@@ -385,9 +448,9 @@ def test_tec_forests_and_round_trips_are_pinned():
         "2866dd2e2e5716d5cdcc19d4c44575db7b328057cb7a288f6f3deecbd4a0755c"
 
 
-def test_check_banded_builds_the_dual_forest_twice_per_matching(monkeypatch):
-    # the brute-force forest count is replaced, so only the two conversions
-    # per matching are counted
+def test_check_banded_builds_the_dual_forest_once_per_matching(monkeypatch):
+    # the brute-force forest count is replaced, so only the conversions are
+    # counted: the backward map classifies each forest, the forward map not
     from dimerforge import report
 
     inst, _ = random_transport(split_seed(9, 0), require_plain_path=False)
@@ -399,7 +462,7 @@ def test_check_banded_builds_the_dual_forest_twice_per_matching(monkeypatch):
                         lambda *args: calls.append(args) or real(*args))
     assert report.check_banded(1, 9)[0]
     assert matchings == 4
-    assert len(calls) == 2 * matchings
+    assert len(calls) == matchings
 
 
 def test_tec_reduces_to_tree_correspondence():
@@ -634,6 +697,6 @@ def test_banded_conversions_build_the_dual_forest_once(monkeypatch):
     monkeypatch.setattr(trees, "dual_forest",
                         lambda *args: calls.append(args) or real(*args))
     forest = tec_matching_to_forest(inst, mu)
-    assert len(calls) == 1
+    assert not calls
     assert tec_forest_to_matching(inst, forest).edges == mu.edges
-    assert len(calls) == 2
+    assert len(calls) == 1
