@@ -26,6 +26,7 @@ from .errors import LiftFailed
 from .generators import hexagon_graph
 from .matchings import Matching, enumerate_matchings
 from .planar import Edge, PlanarGraph, Vertex, remove_vertices
+from .refine import _grid_edges
 
 
 def aztec_formula(n: int) -> int:
@@ -79,16 +80,9 @@ def _below_staircase(cell: tuple[int, int]) -> bool:
 
 def _region_graph(cells, name: str) -> tuple[PlanarGraph, dict[tuple[int, int], int]]:
     # a grid subgraph on distinct cells: a valid drawing by construction
-    order = sorted(cells)
-    vid = {c: i for i, c in enumerate(order)}
+    vid = {c: i for i, c in enumerate(sorted(cells))}
     vertices = {i: Vertex(i, (Fraction(c[0]), Fraction(c[1]))) for c, i in vid.items()}
-    edges = {}
-    eid = 0
-    for c in order:
-        for d in ((c[0] + 1, c[1]), (c[0], c[1] + 1)):
-            if d in vid:
-                edges[eid] = Edge(eid, vid[c], vid[d])
-                eid += 1
+    edges = {e: Edge(e, vid[c], vid[d]) for e, (c, d) in enumerate(_grid_edges(cells))}
     return PlanarGraph.trusted(vertices, edges, geometric=True, name=name), vid
 
 

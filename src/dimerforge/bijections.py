@@ -104,30 +104,25 @@ def _check_family(instance: PlusMinusInstance, family: PathFamily):
         raise PreconditionViolated("family endpoints do not pair all midpoints")
 
 
-def shift_along(instance: PlusMinusInstance, mu: Matching,
-                family: PathFamily) -> frozenset[int]:
-    """Symmetric difference of the matching with the family's path edges."""
-    return shift_edges(mu.edges, instance.trimmed,
-                       [p.vertices for p in family.paths])
+def _swap(instance: PlusMinusInstance, mu: Matching, from_minus: bool) -> Matching:
+    """Shift ``mu`` along its path family onto the other half graph."""
+    family = build_path_family(instance, mu, from_minus)
+    edges = shift_edges(mu.edges, instance.trimmed, [p.vertices for p in family.paths])
+    host = instance.plus if from_minus else instance.minus
+    out = Matching(host.graph_id, edges)
+    out.cover_map(host)
+    return out
 
 
 def phi(instance: PlusMinusInstance, mu: Matching) -> Matching:
     """Carry a matching of the plus graph to the minus graph by shifting
     along its path family."""
-    family = build_path_family(instance, mu, from_minus=False)
-    edges = shift_along(instance, mu, family)
-    out = Matching(instance.minus.graph_id, edges)
-    out.cover_map(instance.minus)
-    return out
+    return _swap(instance, mu, from_minus=False)
 
 
 def psi(instance: PlusMinusInstance, mu: Matching) -> Matching:
     """Inverse direction of :func:`phi` (left and right swapped)."""
-    family = build_path_family(instance, mu, from_minus=True)
-    edges = shift_along(instance, mu, family)
-    out = Matching(instance.plus.graph_id, edges)
-    out.cover_map(instance.plus)
-    return out
+    return _swap(instance, mu, from_minus=True)
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,14 @@ opened.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from itertools import islice
 
 import click
 
 from . import aztec as aztec_mod
 from . import bijections, generators, refine, report, trees
-from .errors import ConfigError, DimerforgeError, NotAMatching, ParseError
+from ._geom import parse_frac
+from .errors import ConfigError, DimerforgeError, HypothesisViolated, NotAMatching, ParseError
 from .matchings import (
     Matching,
     count_matchings,
@@ -70,7 +70,7 @@ class _Parsed(click.ParamType):
     def convert(self, value, param, ctx):
         try:
             return self.parse(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             self.fail(f"{value!r}: {exc}", param, ctx)
 
 
@@ -374,7 +374,7 @@ def tec(direction, file, input_file, plain, prime):
 @click.option("--kind", type=click.Choice(["exit", "hv"]), default="exit")
 @click.option("--samples", type=click.IntRange(min=0), default=0)
 @click.option("--seed", type=int, default=0)
-@click.option("--axis", type=_Parsed("fraction", Fraction), default="0",
+@click.option("--axis", type=_Parsed("fraction", parse_frac), default="0",
               help="axis height y=c")
 def independence(file, root, kind, samples, seed, axis):
     """Joint exit-indicator distribution for the uniform spanning tree."""
@@ -383,6 +383,8 @@ def independence(file, root, kind, samples, seed, axis):
     rep = trees.independence_report(g, cert, root,
                                     "exit-side" if kind == "exit" else "hv",
                                     samples=samples, seed=seed)
+    if not rep.variables:
+        raise HypothesisViolated(f"no {rep.kind} variables to tabulate")
     click.echo(rep.render())
     if not rep.passed:
         raise _Fail("distribution check failed")

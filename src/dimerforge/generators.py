@@ -12,7 +12,16 @@ from fractions import Fraction
 
 from .errors import DimerforgeError, GenerationExhausted
 from .planar import Edge, PlanarGraph, Vertex, check_reflection_symmetry
-from .refine import _is_connected, _mirrored, _peaks, _replay, _square_graph, section_instance
+from .refine import (
+    _diagonal,
+    _grid_edges,
+    _is_connected,
+    _mirrored,
+    _peaks,
+    _replay,
+    _square_graph,
+    section_instance,
+)
 from .trees import split_seed
 
 WEIGHT_POOL = [Fraction(1), Fraction(1), Fraction(1), Fraction(2),
@@ -42,14 +51,8 @@ def build_from_points(points, edges_by_points, weights=None, name=""):
 
 def grid_graph(cols: int, rows: int, weights=None) -> PlanarGraph:
     """Grid graph on cols x rows lattice points with unit spacing."""
-    points = [(x, y) for x in range(cols) for y in range(rows)]
-    edges = []
-    for x, y in points:
-        if x + 1 < cols:
-            edges.append(((x, y), (x + 1, y)))
-        if y + 1 < rows:
-            edges.append(((x, y), (x, y + 1)))
-    g, _ = build_from_points(points, edges, weights, name=f"grid{cols}x{rows}")
+    points = {(x, y) for x in range(cols) for y in range(rows)}
+    g, _ = build_from_points(points, _grid_edges(points), weights, name=f"grid{cols}x{rows}")
     return g
 
 
@@ -62,17 +65,11 @@ def diamond_graph() -> PlanarGraph:
 
 
 def diagonal_grid(k: int) -> PlanarGraph:
-    """k x k grid rotated so its main diagonal is the horizontal axis (the
-    lattice map (x,y) -> (x+y, y-x) keeps all coordinates integral)."""
-    points = [(x + y, y - x) for x in range(k) for y in range(k)]
-    edges = []
-    for x in range(k):
-        for y in range(k):
-            if x + 1 < k:
-                edges.append(tuple(sorted([(x + y, y - x), (x + 1 + y, y - x - 1)])))
-            if y + 1 < k:
-                edges.append(tuple(sorted([(x + y, y - x), (x + y + 1, y - x + 1)])))
-    g, _ = build_from_points(points, set(edges), name=f"diag{k}")
+    """k x k grid rotated so its main diagonal is the horizontal axis."""
+    square = {(x, y) for x in range(k) for y in range(k)}
+    # both unit steps raise x + y, so each image pair stays in sorted order
+    edges = [(_diagonal(p), _diagonal(q)) for p, q in _grid_edges(square)]
+    g, _ = build_from_points(map(_diagonal, square), edges, name=f"diag{k}")
     return g
 
 
@@ -89,19 +86,9 @@ def hexagon_graph(m: int):
     """
     if m < 1:
         raise ValueError("m must be positive")
-    points = []
-    for x in range(0, 2 * m):
-        y_lo = x
-        y_hi = min(3 * m - 1, x + 2 * m + 1, -x + 4 * m)
-        for y in range(y_lo, y_hi + 1):
-            points.append((x, y))
-    pset = set(points)
-    edges = []
-    for (x, y) in points:
-        for q in ((x + 1, y), (x, y + 1)):
-            if q in pset:
-                edges.append(((x, y), q))
-    g, vid = build_from_points(points, edges, name=f"hexagon{m}")
+    points = {(x, y) for x in range(2 * m)
+              for y in range(x, min(3 * m - 1, x + 2 * m + 1, -x + 4 * m) + 1)}
+    g, vid = build_from_points(points, _grid_edges(points), name=f"hexagon{m}")
     plain, prime = [], []
     for i in range(1, 2 * m):
         if i % 2 == 1:
@@ -152,16 +139,6 @@ def random_section2(seed: int):
         h = rng.choice([1, 2, 2])
         points = {(x, y) for x in range(cols) for y in range(h + 1)}
 
-        def present_edges():
-            out = set()
-            for (x, y) in points:
-                for q in ((x + 1, y), (x, y + 1)):
-                    if q in points:
-                        if y == 0 and q == (x, 1) and x % 2 == 1:
-                            continue  # even-indexed path vertices stay degree 2
-                        out.add(((x, y), q))
-            return out
-
         def connected(pts, eds):
             if not pts:
                 return False
@@ -179,7 +156,10 @@ def random_section2(seed: int):
                         stack.append(q)
             return len(seen) == len(pts)
 
-        edges = present_edges()
+        # the odd-column path vertices (even-indexed on the path) have no
+        # upward step, so they stay degree 2
+        edges = {(p, q) for p, q in _grid_edges(points)
+                 if not (q == (p[0], 1) and p[0] % 2 == 1)}
         if not connected(points, edges):
             continue
         # random peeling, then keep peeling until the refinement fits the
@@ -239,11 +219,7 @@ def random_symmetric(seed: int, need_matchings: bool = False):
             points -= {p, (p[0], -p[1])}
         if len(points) > MAX_VERTICES or len(points) < 4:
             continue
-        edge_pairs = set()
-        for (x, y) in sorted(points):
-            for q in ((x + 1, y), (x, y + 1)):
-                if q in points:
-                    edge_pairs.add(((x, y), q))
+        edge_pairs = _grid_edges(points)
         weights = {}
         for a, b in sorted(edge_pairs):
             am, bm = (a[0], -a[1]), (b[0], -b[1])
@@ -277,11 +253,7 @@ def random_plane_graph(seed: int, weighted: bool = False) -> PlanarGraph:
             points -= {rng.choice(candidates)}
         if len(points) > MAX_VERTICES or len(points) < 2:
             continue
-        edge_pairs = set()
-        for (x, y) in sorted(points):
-            for q in ((x + 1, y), (x, y + 1)):
-                if q in points:
-                    edge_pairs.add(((x, y), q))
+        edge_pairs = _grid_edges(points)
         weights = _random_weights(rng, sorted(edge_pairs)) if weighted else None
         return build_from_points(points, edge_pairs, weights, name=f"plane-{seed}")[0]
     raise GenerationExhausted(f"no valid plane graph for seed {seed}")

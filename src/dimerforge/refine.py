@@ -1,5 +1,6 @@
 """Graph surgery: dual refinements, leaf augmentation, the plus/minus pair,
-symmetrization, smashing, and the trimmed-square generator.
+symmetrization, smashing, the grid-edge rule of the lattice families, and
+the trimmed-square generator.
 
 The dual refinement of a plane graph superimposes the graph, its planar
 dual, and the midpoints of its edges.  Everything downstream (gliding,
@@ -378,22 +379,31 @@ def smash_in(refinement: DualRefinement, targets) -> SmashedGraph:
 
 
 # ---------------------------------------------------------------------------
-# Trimmed squares
+# Grid subgraphs and trimmed squares
 # ---------------------------------------------------------------------------
 
 
+def _grid_edges(points) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """The edges of the grid subgraph on a set of lattice points: each
+    point's unit step right, then up, in sorted point order."""
+    return [(p, q) for p in sorted(points)
+            for q in ((p[0] + 1, p[1]), (p[0], p[1] + 1)) if q in points]
+
+
+def _diagonal(p: tuple[int, int]) -> tuple[Fraction, Fraction]:
+    """Where the lattice map (x, y) -> (x + y, y - x) draws p: a square grid
+    with its main diagonal on the horizontal axis."""
+    return (Fraction(p[0] + p[1]), Fraction(p[1] - p[0]))
+
+
 def _square_graph(side: int, present: set[tuple[int, int]]) -> PlanarGraph:
-    # drawn rotated so the main diagonal of the square is the horizontal axis;
     # grid subgraphs are always valid embeddings, and the mirrored removals
     # may legitimately disconnect the final graph
     def vid(p):
         return p[0] * side + p[1]
 
-    vertices = {vid(p): Vertex(vid(p), (Fraction(p[0] + p[1]), Fraction(p[1] - p[0])))
-                for p in present}
-    pairs = [(p, q) for p in sorted(present)
-             for q in ((p[0] + 1, p[1]), (p[0], p[1] + 1)) if q in present]
-    edges = {e: Edge(e, vid(p), vid(q)) for e, (p, q) in enumerate(pairs)}
+    vertices = {vid(p): Vertex(vid(p), _diagonal(p)) for p in present}
+    edges = {e: Edge(e, vid(p), vid(q)) for e, (p, q) in enumerate(_grid_edges(present))}
     return PlanarGraph.trusted(vertices, edges, geometric=True, name=f"square{side}")
 
 

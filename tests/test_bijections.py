@@ -31,7 +31,7 @@ from dimerforge.generators import (
     random_section2,
     random_transport,
 )
-from dimerforge.gliding import FRAME, glide
+from dimerforge.gliding import FRAME, glide, shift_edges
 from dimerforge.matchings import Matching, count_matchings, enumerate_matchings
 from dimerforge.planar import PlanarGraph, Vertex, check_reflection_symmetry
 from dimerforge.refine import dual_refinement, section_instance
@@ -134,14 +134,11 @@ def test_phi_bijection_random_instances():
 
 
 def test_shift_is_involution():
-    from dimerforge.bijections import shift_along
-
     inst = square_instance()
     mu = next(enumerate_matchings(inst.plus))
-    family = build_path_family(inst, mu)
-    once = shift_along(inst, mu, family)
-    again = shift_along(inst, Matching(inst.plus.graph_id, once), family)
-    assert again == mu.edges
+    paths = [p.vertices for p in build_path_family(inst, mu).paths]
+    once = shift_edges(mu.edges, inst.trimmed, paths)
+    assert shift_edges(once, inst.trimmed, paths) == mu.edges
 
 
 # -- tree <-> matching correspondence ----------------------------------------

@@ -241,6 +241,8 @@ def test_malformed_id_files_exit_1_without_traceback(tmp_path, square_file,
       "--constraint", "1=2-x"], "--constraint"),
     (["parity", "SQUARE", "--cycle", "0,1,3,two"], "--cycle"),
     (["independence", "SQUARE", "--root", "0", "--axis", "1/0"], "--axis"),
+    (["independence", "SQUARE", "--root", "0", "--axis", "0.5"], "--axis"),
+    (["independence", "SQUARE", "--root", "0", "--axis", "1e3"], "--axis"),
     (["grid-count", "0", "1"], "M"),
     (["aztec", "formula", "0"], "N"),
     (["aztec", "count", "0"], "N"),
@@ -251,8 +253,8 @@ def test_malformed_id_files_exit_1_without_traceback(tmp_path, square_file,
     (["independence", "SQUARE", "--root", "0", "--samples", "-5"], "--samples"),
     (["suite", "IDS", "--jobs", "0"], "--jobs"),
 ], ids=["path", "targets", "removals", "plain", "prime", "I", "constraint", "cycle", "axis",
-        "grid-count", "aztec-formula", "aztec-count", "aztec-graph", "aztec-biject",
-        "trimmed-n", "limit", "samples", "jobs"])
+        "axis-decimal", "axis-exponent", "grid-count", "aztec-formula", "aztec-count",
+        "aztec-graph", "aztec-biject", "trimmed-n", "limit", "samples", "jobs"])
 def test_malformed_option_values_exit_2_without_traceback(tmp_path, square_file,
                                                           command, option):
     ids = tmp_path / "ids.txt"
@@ -336,10 +338,11 @@ def test_matchings_file_input_errors_without_traceback(tmp_path, content, expect
     assert "Traceback" not in res.stderr
 
 
-def test_sampled_independence_without_variables_exits_1(tmp_path):
+@pytest.mark.parametrize("samples", ["0", "50"])
+def test_sampled_independence_without_variables_exits_1(tmp_path, samples):
     path = tmp_path / "sym.txt"
     path.write_text(dump_graph(random_symmetric(0)[0]))
-    res = _main("independence", str(path), "--root", "0", "--samples", "50")
+    res = _main("independence", str(path), "--root", "0", "--samples", samples)
     assert res.returncode == 1, res.stderr
     assert res.stderr.startswith("error: HypothesisViolated: no exit-side variables"), \
         res.stderr

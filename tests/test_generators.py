@@ -75,6 +75,25 @@ def test_random_transport_grid_draws_are_pinned():
         assert (inst.plain, inst.prime, source.graph_id) == (plain, prime, gid)
 
 
+def test_lattice_family_graph_ids_are_pinned():
+    # vertex ids, edge ids, weights and drawings of every lattice family
+    # at fixed seeds: the graph id hashes all of them
+    from dimerforge.aztec import aztec_pair
+    from dimerforge.refine import trimmed_square
+
+    ids = [grid_graph(c, r).graph_id for c in range(1, 5) for r in range(1, 4)]
+    ids += [diagonal_grid(k).graph_id for k in range(1, 6)]
+    ids += [hexagon_graph(m)[0].graph_id for m in (1, 2, 3)]
+    ids += [random_section2(seed).base.graph_id for seed in range(12)]
+    ids += [random_symmetric(seed)[0].graph_id for seed in range(12)]
+    ids += [random_plane_graph(seed, weighted).graph_id
+            for seed in range(12) for weighted in (False, True)]
+    ids += [trimmed_square(2, [(0, 3)]).graph_id, trimmed_square(3).graph_id]
+    ids += [side.graph.graph_id for n in (1, 2, 3, 4) for side in aztec_pair(n)]
+    assert hashlib.sha256(repr(ids).encode()).hexdigest() == \
+        "8ed73cb9cbaabd42b8533300aa7b36d65c329bb8f29a4a8b0fc56c0c35851423"
+
+
 def test_random_trimmed_deterministic():
     g1, n1, rem1 = random_trimmed(7)
     g2, n2, rem2 = random_trimmed(7)
