@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .errors import DimerforgeError, GenerationExhausted
-from .planar import Edge, PlanarGraph, Vertex, check_reflection_symmetry
+from .planar import Edge, PlanarGraph, Vertex, _components, check_reflection_symmetry
 from .refine import (
     _diagonal,
     _grid_edges,
@@ -139,29 +139,11 @@ def random_section2(seed: int):
         h = rng.choice([1, 2, 2])
         points = {(x, y) for x in range(cols) for y in range(h + 1)}
 
-        def connected(pts, eds):
-            if not pts:
-                return False
-            adj = {p: [] for p in pts}
-            for a, b in eds:
-                adj[a].append(b)
-                adj[b].append(a)
-            seen = {next(iter(sorted(pts)))}
-            stack = list(seen)
-            while stack:
-                p = stack.pop()
-                for q in adj[p]:
-                    if q not in seen:
-                        seen.add(q)
-                        stack.append(q)
-            return len(seen) == len(pts)
-
         # the odd-column path vertices (even-indexed on the path) have no
-        # upward step, so they stay degree 2
+        # upward step, so they stay degree 2; every row is joined left to
+        # right and column 0 joins the rows, so the strip is connected
         edges = {(p, q) for p, q in _grid_edges(points)
                  if not (q == (p[0], 1) and p[0] % 2 == 1)}
-        if not connected(points, edges):
-            continue
         # random peeling, then keep peeling until the refinement fits the
         # vertex budget
         wanted = rng.randint(0, max(0, (len(points) - cols) // 2))
@@ -170,9 +152,8 @@ def random_section2(seed: int):
             for p in sorted(points):
                 if p[1] == 0:
                     continue
-                rest = points - {p}
                 eds = {e for e in edges if p not in e}
-                if rest and connected(rest, eds):
+                if len(set(_components(points - {p}, eds).values())) == 1:
                     candidates.append(p)
             if not candidates:
                 break

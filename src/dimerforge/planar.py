@@ -261,22 +261,8 @@ class PlanarGraph:
         return len(set(self.component_map().values())) <= 1
 
     def component_map(self) -> dict[int, int]:
-        comp: dict[int, int] = {}
-        label = 0
-        for start in self.vertices:
-            if start in comp:
-                continue
-            comp[start] = label
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for eid in self.adj[v]:
-                    w = self.edges[eid].other(v)
-                    if w not in comp:
-                        comp[w] = label
-                        stack.append(w)
-            label += 1
-        return comp
+        """Each vertex mapped to a representative of its connected component."""
+        return _components(self.vertices, ((e.u, e.v) for e in self.edges.values()))
 
     @property
     def graph_id(self) -> str:
@@ -291,13 +277,11 @@ class PlanarGraph:
                 d = scale[v] = lcm(*(self.edges[e].weight.denominator for e in ids))
                 exits[v] = tuple((e, self.edges[e].other(v), int(self.edges[e].weight * d))
                                  for e in ids if self.edges[e].weight)
-            reached, frontier = set(), set(list(self.vertices)[:1])
-            while frontier:
-                reached |= frontier
-                frontier = {w for v in frontier for _, w, _ in exits[v]} - reached
+            positive = _components(self.vertices,
+                                   ((e.u, e.v) for e in self.edges.values() if e.weight))
             self._weights = WeightTable(
                 scale, exits, {v: sum(x for _, _, x in out) for v, out in exits.items()},
-                len(reached) == len(self.vertices))
+                len(set(positive.values())) <= 1)
         return self._weights
 
     # -- faces ----------------------------------------------------------------
@@ -364,6 +348,23 @@ class PlanarGraph:
         of the last clockwise dart."""
         cyc = self.trace_faces().infinite_face.cycle  # clockwise darts (tail, edge)
         return [(cyc[k][0], cyc[k - 1][1]) for k in range(len(cyc) - 1, -1, -1)]
+
+
+def _find(par: dict, x):
+    """Union-find root of ``x``, halving the path on the way."""
+    while par[x] != x:
+        par[x] = par[par[x]]
+        x = par[x]
+    return x
+
+
+def _components(vertices, pairs) -> dict:
+    """Each vertex mapped to the union-find root of its connected component
+    in the graph the pairs draw on the vertices."""
+    par = {v: v for v in vertices}
+    for a, b in pairs:
+        par[_find(par, a)] = _find(par, b)
+    return {v: _find(par, v) for v in par}
 
 
 def _ccw_positions(walk: list[tuple[int, int]], marks, not_once, out_of_order) -> list[int]:

@@ -245,10 +245,9 @@ def _trim(refinement: DualRefinement, mb: MarkedBoundary):
     return mids, trimmed, plus, minus
 
 
-def section_instance(g0: PlanarGraph, path: list[int],
-                     dual_weights: dict[int, Fraction] | None = None) -> PlusMinusInstance:
+def section_instance(g0: PlanarGraph, path: list[int]) -> PlusMinusInstance:
     g, mb = augment_with_leaves(g0, path)
-    ref = dual_refinement(g, dual_weights)
+    ref = dual_refinement(g)
     mids, trimmed, plus, minus = _trim(ref, mb)
     return PlusMinusInstance(g0, g, mb, ref, trimmed, plus, minus, mids)
 

@@ -542,6 +542,9 @@ def parse_suite_config(text: str, seed_override: int | None = None) -> tuple[lis
             items.append(SuiteItem(parts[1], fn, tuple(args), seeded))
         else:
             raise ConfigError(f"line {lineno}: unknown directive {parts[0]!r}")
+    if not items:
+        # a report of zero checks would pass with nothing verified
+        raise ConfigError("no checks")
     if seed_override is not None:
         seed = seed_override
     return items, seed

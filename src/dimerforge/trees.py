@@ -22,7 +22,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .matchings import Matching
-from .planar import PlanarGraph, SymmetryCertificate, _ccw_positions
+from .planar import PlanarGraph, SymmetryCertificate, _ccw_positions, _components, _find
 
 # ---------------------------------------------------------------------------
 # Rooted forests
@@ -122,14 +122,6 @@ def orient_edge_set(g: PlanarGraph, edges, roots) -> RootedForest:
         raise PreconditionViolated("edge set is not a forest: it has edges beyond the "
                                    "parent edges toward the roots")
     return make_forest(g, roots, parent)
-
-
-def _find(par: dict[int, int], x: int) -> int:
-    """Union-find root of ``x``, halving the path on the way."""
-    while par[x] != x:
-        par[x] = par[par[x]]
-        x = par[x]
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -369,17 +361,15 @@ def classify_components(ambient: PlanarGraph, forest: RootedForest,
         forest_graph = ambient
     forest_edges = forest.edge_set
     dual = dual_forest(ambient, forest_edges)
-    par = {v: v for v in forest_graph.vertices}
-    for eid in forest_edges:
-        e = ambient.edges[eid]
-        par[_find(par, e.u)] = _find(par, e.v)
-    bands = len({_find(par, v) for v in forest_graph.vertices})
+    band = _components(forest_graph.vertices,
+                       ((ambient.edges[e].u, ambient.edges[e].v) for e in forest_edges))
+    bands = len(set(band.values()))
     if bands != len(pairs):
         raise NotBanded(f"forest has {bands} components for {len(pairs)} pairs")
     for u, up in pairs:
-        if _find(par, u) != _find(par, up):
+        if band[u] != band[up]:
             raise BandPairingViolated(f"{u} and {up} lie in different components")
-    if len({_find(par, u) for u, _ in pairs}) != len(pairs):
+    if len({band[u] for u, _ in pairs}) != len(pairs):
         raise BandPairingViolated("two distinguished pairs share a component")
     # counterclockwise order u_1..u_k, u'_k..u'_1 along the infinite face
     marks = [u for u, _ in pairs] + [up for _, up in reversed(pairs)]

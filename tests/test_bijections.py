@@ -251,8 +251,9 @@ def test_transport_conditions_validated():
 def test_transport_degree_two_condition():
     g = grid_graph(3, 3)
     # middle of the bottom row has degree 3: cannot be an even mark
-    with pytest.raises(errors.ConditionViolated):
+    with pytest.raises(errors.ConditionViolated) as exc:
         transport_instance(g, [0, 3, 6], [2, 5, 8])
+    assert exc.value.which == "iv"
 
 
 def test_transport_constrained_counts_ladder():

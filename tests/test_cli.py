@@ -422,6 +422,21 @@ def test_suite_config_errors(tmp_path):
     assert [item.args for item in items] == [(5,), (1, 1)]
 
 
+@pytest.mark.parametrize("config", ["", "seed 3\n", "# nothing\n\n"],
+                         ids=["empty", "seed-only", "comment-only"])
+def test_suite_without_checks_is_a_config_error(tmp_path, config):
+    # a report of zero checks would print PASS with nothing verified
+    with pytest.raises(ConfigError, match="no checks"):
+        parse_suite_config(config)
+    cfg = tmp_path / "suite.txt"
+    cfg.write_text(config)
+    res = _main("suite", str(cfg))
+    assert res.returncode == 2, res
+    assert "no checks" in res.stderr
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+
+
 def test_suite_file_checks(tmp_path):
     gpath = tmp_path / "g.txt"
     gpath.write_text(dump_graph(grid_graph(2, 2)))

@@ -1,5 +1,6 @@
-"""Source hygiene: no unused import, no unreferenced private helper and no
-export that the package itself never reads."""
+"""Source hygiene: no unused import, no unreferenced private helper, no
+export that the package itself never reads and no function defined inside a
+loop."""
 
 import ast
 import pathlib
@@ -88,3 +89,14 @@ def test_exports_are_used_by_the_package():
             definitions.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
     unused = [name for name in exported if not _referenced(name, definitions.get(name))]
     assert not unused, f"exported but read by no package module: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_defined_in_a_loop_body(path):
+    # a def inside a loop makes a new closure on every pass; lift it out, or
+    # call a helper that already does the job
+    nested = sorted({f"{node.name} (line {node.lineno})"
+                     for loop in ast.walk(TREES[path]) if isinstance(loop, (ast.For, ast.While))
+                     for node in ast.walk(loop)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))})
+    assert not nested, f"{path.name}: functions defined in a loop {nested}"

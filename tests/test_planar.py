@@ -3,15 +3,24 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimerforge import errors
-from dimerforge.generators import diamond_graph, grid_graph, path_graph
+from dimerforge.generators import (
+    build_from_points,
+    diamond_graph,
+    grid_graph,
+    path_graph,
+    random_section2,
+)
 from dimerforge.planar import (
     check_reflection_symmetry,
     dump_graph,
     parse_graph,
     validate_boundary_path,
 )
+from dimerforge.refine import _grid_edges, _is_connected, section_instance, trimmed_square
 
 SQUARE = """
 v 0 0 0
@@ -183,3 +192,40 @@ def test_not_symmetric():
     g = parse_graph("v 0 0 0\nv 1 1 0\nv 2 1 1\ne 0 0 1\ne 1 1 2\n")
     with pytest.raises(errors.NotSymmetric):
         check_reflection_symmetry(g, Fraction(0))
+
+
+# -- connectivity --------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1))
+def test_lattice_walk_and_union_find_agree_on_connectivity(points):
+    # two independent routes: the four-neighbour walk over the point set and
+    # the union-find over the drawn grid graph's edges
+    g, _ = build_from_points(points, _grid_edges(points))
+    assert _is_connected(points) == g.is_connected()
+
+
+def _reachable(g, start):
+    reached = {start}
+    while True:
+        more = {w for v in reached for w in g.neighbors(v)} - reached
+        if not more:
+            return reached
+        reached |= more
+
+
+@pytest.mark.parametrize("graph, parts", [
+    # mirrored removals that cut the square into three pieces
+    (lambda: trimmed_square(3, [(0, 5), (2, 5), (0, 3)]), 3),
+    # trimming the even path vertices of a path leaves three pieces
+    (lambda: section_instance(path_graph(5), [0, 1, 2, 3, 4]).plus, 3),
+    (lambda: random_section2(1).plus, 3),
+], ids=["trimmed-square", "path-plus", "section2-plus"])
+def test_component_map_groups_by_reachability(graph, parts):
+    g = graph()
+    comp = g.component_map()
+    assert len(set(comp.values())) == parts
+    assert not g.is_connected()
+    for v in g.vertices:
+        assert {w for w in g.vertices if comp[w] == comp[v]} == _reachable(g, v)
