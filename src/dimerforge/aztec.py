@@ -153,6 +153,7 @@ def lift_to_host(instance: AztecInstance, mu: Matching) -> Matching:
     staircase and strip edges for odd orders."""
     if mu.host != instance.graph.graph_id:
         raise LiftFailed("matching does not belong to this region")
+    mu.cover_map(instance.graph)
     edges = set(instance.fixed_edges)
     for eid in mu.edges:
         e = instance.graph.edges[eid]
@@ -162,13 +163,12 @@ def lift_to_host(instance: AztecInstance, mu: Matching) -> Matching:
         if h_edge is None:
             raise LiftFailed(f"region edge {eid} has no refinement image")
         edges.add(h_edge.id)
-    out = Matching(instance.host.graph_id, frozenset(edges))
-    out.cover_map(instance.host)
-    return out
+    return Matching(instance.host.graph_id, frozenset(edges))
 
 
 def project_from_host(instance: AztecInstance, mu: Matching) -> Matching:
     """Inverse of :func:`lift_to_host`: keep the edges inside the region."""
+    mu.cover_map(instance.host)
     host_to_region = {h: r for r, h in instance.region_to_host.items()}
     edges = set()
     leftovers = set(mu.edges)
@@ -180,9 +180,7 @@ def project_from_host(instance: AztecInstance, mu: Matching) -> Matching:
             leftovers.discard(eid)
     if leftovers != set(instance.fixed_edges):
         raise LiftFailed("host matching does not respect the forced edges")
-    out = Matching(instance.graph.graph_id, frozenset(edges))
-    out.cover_map(instance.graph)
-    return out
+    return Matching(instance.graph.graph_id, frozenset(edges))
 
 
 def aztec_bijection(n: int, mu: Matching) -> Matching:

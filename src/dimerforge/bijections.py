@@ -109,9 +109,7 @@ def _swap(instance: PlusMinusInstance, mu: Matching, from_minus: bool) -> Matchi
     family = build_path_family(instance, mu, from_minus)
     edges = shift_edges(mu.edges, instance.trimmed, [p.vertices for p in family.paths])
     host = instance.plus if from_minus else instance.minus
-    out = Matching(host.graph_id, edges)
-    out.cover_map(host)
-    return out
+    return Matching(host.graph_id, edges)
 
 
 def phi(instance: PlusMinusInstance, mu: Matching) -> Matching:
@@ -358,10 +356,7 @@ def tea_transport(instance: TransportInstance, mu: Matching,
         if used & set(p):
             raise PreconditionViolated("transport glide paths intersect")
         used |= set(p)
-    edges = shift_edges(mu.edges, hgraph, paths)
-    out = Matching(target.graph_id, edges)
-    out.cover_map(target)
-    return out
+    return Matching(target.graph_id, shift_edges(mu.edges, hgraph, paths))
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +392,4 @@ def reflect_swap(g: PlanarGraph, cert: SymmetryCertificate, mu: Matching,
         use_mu = not use_mu
         if v == axis_vertex and use_mu:
             break
-    out = Matching(mu.host, frozenset(new_edges))
-    out.cover_map(g)
-    return out
+    return Matching(mu.host, frozenset(new_edges))

@@ -53,40 +53,11 @@ class RootedForest:
         return prod((g.edges[e].weight for _, e, _ in self.assignments), start=Fraction(1))
 
 
-def make_forest(g: PlanarGraph, roots, parent: dict[int, tuple[int, int]]) -> RootedForest:
-    """Validated constructor: checks the parent map is a forest oriented
-    toward the roots and spans the graph."""
-    roots = tuple(sorted(set(roots)))
-    for r in roots:
-        if r not in g.vertices:
-            raise PreconditionViolated(f"root {r} not in graph")
-        if r in parent:
-            raise PreconditionViolated(f"root {r} has a parent edge")
-    for v in g.vertices:
-        if v not in parent and v not in roots:
-            raise PreconditionViolated(f"vertex {v} has no parent and is not a root")
-    for v, (e, p) in parent.items():
-        edge = g.edges[e]
-        if {edge.u, edge.v} != {v, p}:
-            raise PreconditionViolated(f"edge {e} does not join {v} and {p}")
-    # walk to a root from every vertex; any revisit inside the walk is a cycle
-    done = set(roots)
-    for v in g.vertices:
-        chain = set()
-        while v not in done:
-            if v in chain:
-                raise PreconditionViolated("parent assignment contains a cycle")
-            chain.add(v)
-            v = parent[v][1]
-        done |= chain
-    return RootedForest(g.graph_id, roots,
-                        tuple(sorted((v, e, p) for v, (e, p) in parent.items())))
-
-
-def _search_parents(g: PlanarGraph, edges, roots) -> dict[int, tuple[int, int]]:
+def _search_parents(g: PlanarGraph, edges, roots) -> RootedForest:
     """Search the edge set outward from each root in turn; every vertex
-    reached, other than a root, maps to the (edge, vertex) it was first
-    reached from."""
+    reached, other than a root, exits along the edge it was first reached
+    by.  A search from the roots is a forest by construction, so the result
+    is a ``RootedForest``."""
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
     for eid in edges:
         e = g.edges.get(eid)
@@ -94,34 +65,37 @@ def _search_parents(g: PlanarGraph, edges, roots) -> dict[int, tuple[int, int]]:
             raise PreconditionViolated(f"edge {eid} is not in the graph")
         adj[e.u].append((eid, e.v))
         adj[e.v].append((eid, e.u))
-    parent: dict[int, tuple[int, int]] = {}
-    seen = set()
+    roots = tuple(sorted(set(roots)))
+    assignments = []
+    # a root never takes a parent, so a path joining two roots keeps an edge
+    # that the search leaves out
+    seen = set(roots)
     for r in roots:
         if r not in adj:
             raise PreconditionViolated(f"root {r} not in graph")
         stack = [r]
-        seen.add(r)
         while stack:
             v = stack.pop()
             for eid, w in sorted(adj[v]):
                 if w not in seen:
                     seen.add(w)
-                    parent[w] = (eid, v)
+                    assignments.append((w, eid, v))
                     stack.append(w)
-    return parent
+    return RootedForest(g.graph_id, roots, tuple(sorted(assignments)))
 
 
 def orient_edge_set(g: PlanarGraph, edges, roots) -> RootedForest:
     """Orient a forest given as an edge set toward the given roots; the set
-    must be exactly the forest's edges."""
+    must be exactly the forest's edges, each listed once.  This is the one
+    forest validator."""
     edges = sorted(edges)
-    parent = _search_parents(g, edges, roots)
-    if len(set(roots) | set(parent)) != len(g.vertices):
+    forest = _search_parents(g, edges, roots)
+    if len(forest.roots) + len(forest.assignments) != len(g.vertices):
         raise PreconditionViolated("edge set does not span the graph from the roots")
-    if edges != sorted(e for e, _ in parent.values()):
+    if edges != sorted(e for _, e, _ in forest.assignments):
         raise PreconditionViolated("edge set is not a forest: it has edges beyond the "
                                    "parent edges toward the roots")
-    return make_forest(g, roots, parent)
+    return forest
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +127,7 @@ def enumerate_spanning_trees(g: PlanarGraph, root: int) -> Iterator[RootedForest
     def rec(idx: int, chosen: list[int], par: dict[int, int], remaining: int):
         if remaining == 0:
             # n - 1 union-find merges: a spanning tree, so nothing to re-check
-            parent = _search_parents(g, chosen, (root,))
-            yield RootedForest(g.graph_id, (root,),
-                               tuple(sorted((v, e, p) for v, (e, p) in parent.items())))
+            yield _search_parents(g, chosen, (root,))
             return
         if idx == len(edge_ids):
             return
@@ -421,15 +393,19 @@ def banded_forest_weight(instance, forest: RootedForest) -> Fraction:
 def _matching_to_forest(ref, host: PlanarGraph, mu: Matching, g: PlanarGraph,
                         roots) -> RootedForest:
     """Read a forest of ``g`` off a matching of ``host``: each non-root
-    vertex exits along the primal edge containing its matched half-edge."""
+    vertex exits along the primal edge containing its matched half-edge.
+
+    ``orient_edge_set`` validates the list of exits, and the forest it
+    returns has those exits as its parent edges.  Each exit is an edge at
+    its own vertex.  The validator rejects a repeated id, a vertex the
+    search misses and any edge beyond the forest, so the exits are distinct
+    and are the edges of a forest with one root per tree.  A non-root leaf
+    of that forest has one edge, its searched parent edge, which must then
+    be its exit; peel the leaf and its edge, which is no other vertex's
+    exit, and repeat."""
     cover = mu.cover_map(host)
-    parent = {}
-    for v in g.vertices:
-        if v in roots:
-            continue
-        primal = ref.edge_of_mid[host.edges[cover[v]].other(v)]
-        parent[v] = (primal, ref.source.edges[primal].other(v))
-    return make_forest(g, roots, parent)
+    return orient_edge_set(g, [ref.edge_of_mid[host.edges[cover[v]].other(v)]
+                               for v in g.vertices if v not in roots], roots)
 
 
 def _forest_to_matching(ref, host: PlanarGraph, forest: RootedForest, dual: DualForest,
@@ -477,9 +453,7 @@ def _forest_to_matching(ref, host: PlanarGraph, forest: RootedForest, dual: Dual
                     stack.append(other)
                     chosen.add(hgraph.edge_between(ref.center_of_face[other],
                                                    ref.mid_of_edge[eid]).id)
-    mu = Matching(host.graph_id, frozenset(chosen))
-    mu.cover_map(host)
-    return mu
+    return Matching(host.graph_id, frozenset(chosen))
 
 
 def _banded_certificate(instance, forest: RootedForest) -> DualForest:

@@ -11,7 +11,7 @@ from dimerforge.aztec import (
     project_from_host,
     tiling_svg,
 )
-from dimerforge.errors import LiftFailed
+from dimerforge.errors import LiftFailed, NotAMatching
 from dimerforge.matchings import Matching, count_matchings, enumerate_matchings
 
 
@@ -79,6 +79,13 @@ def test_bijection_roundtrip():
 def test_bijection_rejects_foreign_matching():
     with pytest.raises(LiftFailed):
         aztec_bijection(2, Matching("elsewhere", frozenset()))
+
+
+def test_bijection_rejects_an_edge_foreign_to_the_region():
+    # the lift reads its input through cover_map before indexing region edges
+    mu = next(enumerate_matchings(aztec_graph(2, "T").graph))
+    with pytest.raises(NotAMatching):
+        aztec_bijection(2, Matching(mu.host, mu.edges | {10 ** 6}))
 
 
 def test_odd_order_forced_strip():

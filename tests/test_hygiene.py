@@ -1,6 +1,6 @@
 """Source hygiene: no unused import, no unreferenced private helper, no
-export that the package itself never reads and no function defined inside a
-loop."""
+export that the package itself never reads, no function defined inside a
+loop and no map that re-checks the matching it built."""
 
 import ast
 import pathlib
@@ -100,3 +100,28 @@ def test_no_function_defined_in_a_loop_body(path):
                      for node in ast.walk(loop)
                      if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))})
     assert not nested, f"{path.name}: functions defined in a loop {nested}"
+
+
+# the one place a matching built in ``src/`` is outside input: id lists read
+# from a file, which ``cover_map`` validates where they are read
+FILE_READERS = {("cli.py", "_read_matchings")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_validates_a_matching_it_built(path):
+    # a map validates the matching it reads, never the one it writes: the
+    # next map to read the image validates it there
+    rechecked = []
+    for func in ast.walk(TREES[path]):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                or (path.name, func.name) in FILE_READERS:
+            continue
+        built = {t.id for node in ast.walk(func) if isinstance(node, ast.Assign)
+                 and isinstance(node.value, ast.Call)
+                 and isinstance(node.value.func, ast.Name) and node.value.func.id == "Matching"
+                 for t in node.targets if isinstance(t, ast.Name)}
+        rechecked += [f"{func.name} (line {node.lineno})" for node in ast.walk(func)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "cover_map"
+                      and isinstance(node.func.value, ast.Name) and node.func.value.id in built]
+    assert not rechecked, f"{path.name}: cover_map on a matching the function built {rechecked}"

@@ -12,7 +12,7 @@ import pytest
 from dimerforge import aztec, bijections, errors, trees
 from dimerforge import report as rp
 from dimerforge.generators import grid_graph, random_symmetric, random_transport
-from dimerforge.matchings import _forced_matching_weight, enumerate_matchings
+from dimerforge.matchings import Matching, _forced_matching_weight, enumerate_matchings
 
 
 def _stuck(real):
@@ -43,6 +43,47 @@ def test_every_bijection_check_can_fail(monkeypatch, module, name, check, args):
     assert "round trip failed" in details or "weight not preserved" in details, details
     ids = ast.literal_eval(witness)
     assert ids and all(isinstance(i, int) for i in ids), witness
+
+
+def _dropping(real):
+    """``real`` with the smallest edge taken out of every matching it
+    returns, so its image misses two vertices."""
+    def dropping(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return Matching(out.host, out.edges - {min(out.edges)})
+
+    return dropping
+
+
+@pytest.mark.parametrize("module, name, check", [
+    (bijections, "phi", "phi-roundtrip 3"),
+    (bijections, "psi", "phi-roundtrip 3"),
+    (bijections, "temperley_tree_to_matching", "temperley 2"),
+    (bijections, "tea_transport", "transport 2"),
+    (aztec, "aztec_bijection", "aztec 2"),
+    (trees, "tec_forest_to_matching", "banded 2"),
+    (bijections, "reflect_swap", "class-weights 4"),
+], ids=["phi", "psi", "temperley", "transport", "aztec", "banded", "reflect-swap"])
+def test_a_map_whose_image_misses_vertices_fails_its_check(monkeypatch, module, name, check):
+    # no map re-checks its own image: the backward map reads it, or the
+    # round trip compares it with the valid matching it came from
+    monkeypatch.setattr(module, name, _dropping(getattr(module, name)))
+    result = rp.run_suite(f"seed 1\ncheck {check}\n", jobs=1).results[0]
+    assert result.render().startswith(f"FAIL {check.split()[0]}: "), result.render()
+
+
+def test_a_shift_that_loses_an_edge_fails_the_gliding_checks(monkeypatch):
+    # the fault starts inside phi, psi and tea_transport, past every check
+    # they make on their input
+    real = bijections.shift_edges
+
+    def losing(*args):
+        out = real(*args)
+        return out - {min(out)}
+
+    monkeypatch.setattr(bijections, "shift_edges", losing)
+    report = rp.run_suite("seed 1\ncheck phi-roundtrip 3\ncheck transport 2\n", jobs=1)
+    assert [r.passed for r in report.results] == [False, False], report.render()
 
 
 def _rejected_forest(inst):

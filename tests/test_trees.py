@@ -38,7 +38,6 @@ from dimerforge.trees import (
     dual_forest,
     enumerate_spanning_trees,
     independence_report,
-    make_forest,
     orient_edge_set,
     split_seed,
     tec_forest_to_matching,
@@ -100,12 +99,12 @@ def test_weighted_count_four_cycle():
 def test_forest_validation():
     g = grid_graph(2, 2)
     with pytest.raises(errors.PreconditionViolated):
-        make_forest(g, (0,), {1: (0, 0), 2: (1, 1)})  # vertex 3 unassigned
-    # a two-cycle of parents is rejected
-    e01 = g.edge_between(0, 1).id
-    e10 = g.edge_between(1, 0).id
+        orient_edge_set(g, [0, 1], (0,))  # vertex 3 left out
     with pytest.raises(errors.PreconditionViolated):
-        make_forest(g, (3,), {0: (e01, 1), 1: (e10, 0), 2: (g.edge_between(2, 3).id, 3)})
+        orient_edge_set(g, [0, 1, 2, 2], (0,))  # a spanning tree with edge 2 listed twice
+    with pytest.raises(errors.PreconditionViolated):
+        # the exits of a two-cycle of parents: 0 and 1 both exit along edge 0
+        orient_edge_set(g, [0, 0, 3], (3,))
 
 
 def test_orient_edge_set_rejects_edges_beyond_a_forest():
@@ -151,14 +150,15 @@ def test_ust_sampled_trees_are_pinned():
 
 
 def test_ust_sample_is_a_valid_forest():
-    # make_forest re-walks every parent chain: the oracle for the sampler
+    # the search from the root orients the drawn edge set: it must span, hold
+    # no extra edge and give every vertex the exit the walk assigned
     graphs = [diagonal_grid(4), diagonal_grid(5)]
     graphs += [random_plane_graph(s, weighted=True) for s in range(8)]
     for i, g in enumerate(graphs):
         root = sorted(g.vertices)[i % len(g.vertices)]
         for k in range(25):
             t = ust_sample(g, root, split_seed(i, k))
-            assert make_forest(g, (root,), t.parent) == t
+            assert orient_edge_set(g, t.edge_set, (root,)) == t
 
 
 def test_ust_sample_rejects_bad_root_and_disconnected_graphs():
@@ -473,6 +473,42 @@ def test_tec_reduces_to_tree_correspondence():
     forests = {tec_matching_to_forest(inst, mu).edge_set
                for mu in enumerate_matchings(inst.host_prime)}
     assert forests == trees
+
+
+def _exit_read_off(ref, host, mu, forest):
+    """Whether each non-root of ``forest`` exits along the primal edge of
+    its matched half-edge in ``mu``."""
+    cover = mu.cover_map(host)
+    return all(e == ref.edge_of_mid[host.edges[cover[v]].other(v)]
+               for v, e, _ in forest.assignments)
+
+
+def test_matching_to_forest_orients_each_vertex_along_its_read_exit():
+    # the forest comes from a search of the exits read off the matching; the
+    # peeling argument says the searched parent edge is the read exit
+    from dimerforge.bijections import refinement_host, temperley_matching_to_tree
+    from dimerforge.refine import dual_refinement
+
+    checked = 0
+    for s in range(6):
+        g = random_plane_graph(s)
+        ref = dual_refinement(g)
+        root = min(g.infinite_face_vertices())
+        host = refinement_host(ref, [root])
+        for mu in enumerate_matchings(host):
+            forest = temperley_matching_to_tree(ref, mu, root)
+            assert len(forest.assignments) == len(g.vertices) - 1
+            assert _exit_read_off(ref, host, mu, forest)
+            checked += 1
+    for k in range(4):
+        inst, _ = random_transport(split_seed(5, k), require_plain_path=False)
+        ref, host = inst.smashed.refinement, inst.host_prime
+        for mu in enumerate_matchings(host):
+            forest = tec_matching_to_forest(inst, mu)
+            assert len(forest.assignments) == len(inst.forest_graph.vertices) - len(forest.roots)
+            assert _exit_read_off(ref, host, mu, forest)
+            checked += 1
+    assert checked == 249
 
 
 # -- class weights and independence -------------------------------------------
