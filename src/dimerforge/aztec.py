@@ -211,6 +211,7 @@ def tiling_svg(instance: AztecInstance, mu: Matching) -> str:
     """Dominoes of a tiling as an SVG drawing (purely cosmetic)."""
     if mu.host != instance.graph.graph_id:
         raise LiftFailed("matching does not belong to this region")
+    mu.cover_map(instance.graph)
     scale = 20  # pixels per cell
     xs = [c[0] for c in instance.cells]
     ys = [c[1] for c in instance.cells]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 from . import _geom
@@ -103,7 +104,9 @@ class WeightTable:
     scale: dict[int, int]  # v -> d_v, the lcm of the weight denominators at v
     # v -> (edge, neighbour, weight * d_v) of its positive-weight edges, by edge id
     exits: dict[int, tuple[tuple[int, int, int], ...]]
-    total: dict[int, int]  # v -> the sum of its scaled exit weights
+    # v -> (total, total.bit_length(), cumulative weights of ``exits[v]``): the
+    # exit sums one walk step reads
+    rows: dict[int, tuple[int, int, tuple[int, ...]]]
     connected: bool  # whether the positive-weight edges connect the graph
 
 
@@ -272,16 +275,17 @@ class PlanarGraph:
 
     def weight_table(self) -> WeightTable:
         if self._weights is None:
-            scale, exits = {}, {}
+            scale, exits, rows = {}, {}, {}
             for v, ids in self.adj.items():
                 d = scale[v] = lcm(*(self.edges[e].weight.denominator for e in ids))
-                exits[v] = tuple((e, self.edges[e].other(v), int(self.edges[e].weight * d))
-                                 for e in ids if self.edges[e].weight)
+                out = exits[v] = tuple((e, self.edges[e].other(v), int(self.edges[e].weight * d))
+                                       for e in ids if self.edges[e].weight)
+                cum = tuple(accumulate(x for _, _, x in out))
+                total = cum[-1] if cum else 0
+                rows[v] = (total, total.bit_length(), cum)
             positive = _components(self.vertices,
                                    ((e.u, e.v) for e in self.edges.values() if e.weight))
-            self._weights = WeightTable(
-                scale, exits, {v: sum(x for _, _, x in out) for v, out in exits.items()},
-                len(set(positive.values())) <= 1)
+            self._weights = WeightTable(scale, exits, rows, len(set(positive.values())) <= 1)
         return self._weights
 
     # -- faces ----------------------------------------------------------------

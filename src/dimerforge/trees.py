@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -214,27 +215,35 @@ def split_seed(seed: int, task: int) -> int:
 
 def ust_sample(g: PlanarGraph, root: int, seed: int) -> RootedForest:
     """One spanning tree drawn with probability proportional to its weight
-    product, via loop-erased random walks (Wilson 1996).  Deterministic for a
-    fixed seed: Python's Mersenne Twister seeded with ``seed`` draws each step
-    below the stepping vertex's exit total in the graph's weight table."""
+    product, via loop-erased random walks (Wilson 1996).
+
+    Deterministic for a fixed seed, through the Mersenne Twister bit stream
+    alone: the walks start from each vertex in ascending order, and a step
+    from v reads v's row of the graph's weight table (its exit total T with
+    k = T.bit_length(), and its cumulative scaled exit weights in edge-id
+    order).  It draws ``getrandbits(k)`` until the value r is below T, then
+    takes the first exit whose cumulative weight exceeds r.  These are the
+    draws CPython 3.11's ``randrange(T)`` makes, so each seed gives the tree
+    of the walk that called it."""
     if root not in g.vertices:
         raise PreconditionViolated(f"root {root} not in graph")
     table = g.weight_table()
     # a walk ends only if the positive-weight edges connect its start to the root
     if not table.connected:
         raise PreconditionViolated("graph is not connected by positive-weight edges")
-    rng = random.Random(seed)
+    rows, exits = table.rows, table.exits
+    getrandbits = random.Random(seed).getrandbits
     in_tree = {root}
     step: dict[int, tuple[int, int]] = {}
     assignments = []
     for start in sorted(g.vertices):
         v = start
         while v not in in_tree:
-            r = rng.randrange(table.total[v])
-            for eid, w, x in table.exits[v]:
-                r -= x
-                if r < 0:
-                    break
+            total, k, cum = rows[v]
+            r = getrandbits(k)
+            while r >= total:
+                r = getrandbits(k)
+            eid, w, _ = exits[v][bisect_right(cum, r)]
             step[v] = (eid, w)
             v = w
         # the loop-erased walk follows each vertex's last exit

@@ -104,3 +104,12 @@ def test_svg_output():
     mu = next(enumerate_matchings(inst.graph))
     text = tiling_svg(inst, mu)
     assert text.startswith("<svg") and text.count("<rect") == len(mu.edges)
+
+
+def test_svg_rejects_a_matching_that_is_not_one_of_the_region():
+    inst = aztec_graph(2, "T")
+    mu = next(enumerate_matchings(inst.graph))
+    with pytest.raises(NotAMatching):
+        tiling_svg(inst, Matching(mu.host, mu.edges | {10 ** 6}))
+    with pytest.raises(NotAMatching):
+        tiling_svg(inst, Matching(mu.host, frozenset()))

@@ -2,9 +2,11 @@
 weights, independence reports."""
 
 import hashlib
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 
@@ -57,6 +59,17 @@ def test_enumeration_order_is_pinned():
                    [0, 1, 3, 4, 6], [0, 1, 3, 5, 6], [0, 1, 4, 5, 6], [0, 2, 3, 4, 5],
                    [0, 2, 3, 4, 6], [0, 2, 3, 5, 6], [0, 2, 4, 5, 6], [1, 2, 3, 4, 5],
                    [1, 2, 3, 4, 6], [1, 2, 3, 5, 6], [1, 2, 4, 5, 6]]
+
+
+@pytest.mark.parametrize("g, count, digest", [
+    (grid_graph(4, 3), 2415, "c16b7fdd639e1092936eaf00c5bb6f0db5f6b1f365faa3824c0abaa9bb198b03"),
+    (diagonal_grid(3), 192, "ebfb79401ea42fa8e8e95a8017deaa766a75a51bb28b8435b4e8f23ae6596184"),
+])
+def test_enumerated_tree_sequence_is_pinned(g, count, digest):
+    rows = [(t.host, t.roots, t.assignments)
+            for t in enumerate_spanning_trees(g, min(g.vertices))]
+    assert len(rows) == count
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 def test_enumerated_trees_equal_their_validated_orientation():
@@ -147,6 +160,73 @@ def test_ust_sampled_trees_are_pinned():
             rows.append((t.host, t.roots, t.assignments))
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
         "90c8bb3b70ba80d41a4c53b673e5037829b15e69c6e753754c95451315e8141a"
+
+
+def _randrange_walk(g, root, seed, stepped):
+    """The walk drawn as ``randrange`` below the exit total, then a scan that
+    subtracts the scaled exit weights in edge-id order until it goes below
+    zero: the oracle for ``ust_sample``'s raw-bit steps.  Adds the exit total
+    of every step to ``stepped``."""
+    exits = g.weight_table().exits
+    rng = random.Random(seed)
+    in_tree = {root}
+    step = {}
+    assignments = []
+    for start in sorted(g.vertices):
+        v = start
+        while v not in in_tree:
+            total = sum(x for _, _, x in exits[v])
+            stepped.add(total)
+            r = rng.randrange(total)
+            for eid, w, x in exits[v]:
+                r -= x
+                if r < 0:
+                    break
+            step[v] = (eid, w)
+            v = w
+        v = start
+        while v not in in_tree:
+            in_tree.add(v)
+            eid, w = step[v]
+            assignments.append((v, eid, w))
+            v = w
+    return trees.RootedForest(g.graph_id, (root,), tuple(sorted(assignments)))
+
+
+def test_ust_sample_draws_the_trees_of_the_randrange_walk():
+    graphs = [diagonal_grid(k) for k in range(1, 7)]
+    graphs += [grid_graph(a, b) for a, b in ((2, 2), (3, 2), (4, 4), (6, 3))]
+    graphs += [random_plane_graph(s, weighted=True) for s in range(10)]
+    graphs += [_reweighted(grid_graph(a, b), _MIXED) for a, b in ((3, 3), (4, 4), (5, 3))]
+    graphs += [random_symmetric(s)[0] for s in range(6)]
+    stepped = set()
+    for i, g in enumerate(graphs):
+        verts = sorted(g.vertices)
+        for root in {verts[0], verts[len(verts) // 2], verts[-1]}:
+            for k in range(40):
+                seed = split_seed(i, k)
+                assert ust_sample(g, root, seed) == _randrange_walk(g, root, seed, stepped)
+    # randrange(1) and randrange(2^j) draw a bit more than they need, and the
+    # raw-bit step must reject those draws too
+    assert 1 in stepped and {2, 4, 8} <= stepped
+
+
+class _RawBitsOnly(random.Random):
+    def randrange(self, *args, **kwargs):
+        raise AssertionError("the walk calls randrange")
+
+    def _randbelow(self, n):
+        raise AssertionError("the walk calls _randbelow")
+
+    def random(self):
+        raise AssertionError("the walk calls random")
+
+
+def test_ust_sample_reads_only_raw_bits(monkeypatch):
+    # the seed -> tree contract rests on the Mersenne Twister bit stream
+    # alone; the generators keep the real ``random.Random``
+    monkeypatch.setattr(trees, "random", SimpleNamespace(Random=_RawBitsOnly))
+    test_ust_sampled_trees_are_pinned()
 
 
 def test_ust_sample_is_a_valid_forest():
