@@ -457,10 +457,8 @@ def aztec_biject(n, matchings_file, variant, svg):
 def suite(config, jobs, seed, timings):
     """Run a verification suite config; exit 0 iff every check passes."""
     try:
-        with open(config, encoding="utf-8") as fh:
-            text = fh.read()
-        rep = report.run_suite(text, jobs=jobs, seed=seed)
-    except (OSError, UnicodeDecodeError, ConfigError) as exc:
+        rep = report.run_suite(read_text(config), jobs=jobs, seed=seed)
+    except (OSError, ParseError, ConfigError) as exc:
         raise _ConfigFail(str(exc)) from exc
     click.echo(rep.render(), nl=False)
     if timings:

@@ -83,12 +83,6 @@ class BelowDiagonal(DimerforgeError):
     pass
 
 
-# --- counting ---------------------------------------------------------------
-
-class PrecisionExhausted(DimerforgeError):
-    """Interval evaluation did not isolate a unique integer."""
-
-
 # --- bijections -------------------------------------------------------------
 
 class CycleDetected(DimerforgeError):

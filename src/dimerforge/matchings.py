@@ -3,8 +3,7 @@
 Two independent routes are kept deliberately separate: a lexicographic
 enumerator (the oracle every bijection test leans on) and a frontier
 dynamic program for counts that enumeration cannot reach.  The closed-form
-grid evaluator runs in directed-rounding interval arithmetic and insists on
-isolating a unique integer.
+grid count evaluates Kasteleyn's product exactly, as one integer determinant.
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-import mpmath
-
-from .errors import NotAMatching, PrecisionExhausted
+from .errors import NotAMatching
 from .planar import PlanarGraph, remove_vertices
 
 
@@ -185,40 +182,58 @@ def _forced_matching_weight(g: PlanarGraph, forced) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def kasteleyn_grid_count(m: int, n: int, max_precision: int = 1 << 13) -> int:
-    """Number of perfect matchings of the 2m x 2n grid graph, evaluated from
-    the cosine double product with adaptive-precision interval arithmetic.
+def _bareiss_det(m: list[list[int]]) -> int:
+    """Fraction-free determinant of an integer matrix (Bareiss 1968)."""
+    n = len(m)
+    m = [row[:] for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * prev
 
-    The interval must contain exactly one integer; the precision is doubled
-    until it does.
+
+def kasteleyn_grid_count(m: int, n: int) -> int:
+    """Number of perfect matchings of the 2m x 2n grid graph: Kasteleyn's
+    product of a_j + b_k over j <= m, k <= n, with a_j = 4cos^2(pi j/(2m+1))
+    and b_k = 4cos^2(pi k/(2n+1)) (Kasteleyn 1961; Temperley-Fisher 1961),
+    evaluated exactly.
+
+    The a_j are the eigenvalues of the m x m tridiagonal matrix X with
+    diagonal 1, 2, ..., 2 and off-diagonal 1, and the product over k of
+    y + b_k is D_n(y), where D_0 = 1, D_1 = y + 1 and
+    D_k = (y + 2) D_{k-1} - D_{k-2}.  So the count is det D_n(X).
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    prec = 64
-    while prec <= max_precision:
-        iv = mpmath.iv
-        old = iv.prec
-        try:
-            iv.prec = prec
-            total = iv.mpf(1)
-            pi = iv.pi
-            for j in range(1, m + 1):
-                cj = iv.cos(pi * j / (2 * m + 1)) ** 2
-                for k in range(1, n + 1):
-                    ck = iv.cos(pi * k / (2 * n + 1)) ** 2
-                    total *= cj + ck
-            total *= iv.mpf(2) ** (2 * m * n)
-            lo = mpmath.mpf(total.a)
-            hi = mpmath.mpf(total.b)
-            lo_int = int(mpmath.ceil(lo))
-            hi_int = int(mpmath.floor(hi))
-        finally:
-            iv.prec = old
-        if lo_int == hi_int:
-            return lo_int
-        prec *= 2
-    raise PrecisionExhausted(
-        f"no unique integer for grid ({2*m}x{2*n}) below {max_precision} bits")
+    m, n = min(m, n), max(m, n)  # the product is symmetric; keep X small
+
+    zero = [0] * m
+
+    def times(c: int, p: list[list[int]]) -> list[list[int]]:
+        """(X + cI) p: row i of X holds 1 beside the diagonal and 1 (i = 0)
+        or 2 on it, so row i of the product reads rows i - 1, i and i + 1."""
+        padded = [zero, *p, zero]
+        return [[y + (c + 1 + (i > 0)) * x + z for y, x, z in zip(*padded[i:i + 3])]
+                for i in range(m)]
+
+    prev = [[int(i == j) for j in range(m)] for i in range(m)]
+    cur = times(1, prev)
+    for _ in range(n - 1):
+        prev, cur = cur, [[x - y for x, y in zip(a, b)]
+                          for a, b in zip(times(2, cur), prev)]
+    return _bareiss_det(cur)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import combinations
 
 from ._geom import parse_frac
 from .errors import ConfigError, DimerforgeError
@@ -330,13 +331,9 @@ def _enumerate_banded(inst) -> int:
     from .trees import _banded_certificate, orient_edge_set
 
     g0 = inst.forest_graph
-    eids = sorted(g0.edges)
     need = len(g0.vertices) - len(inst.prime_odd)
     total = 0
-    for bits in range(2 ** len(eids)):
-        if bin(bits).count("1") != need:
-            continue
-        edges = [eids[i] for i in range(len(eids)) if bits >> i & 1]
+    for edges in combinations(sorted(g0.edges), need):
         try:
             _banded_certificate(inst, orient_edge_set(g0, edges, inst.prime_odd))
         except DimerforgeError:

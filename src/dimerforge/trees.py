@@ -9,10 +9,8 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import erfc, exp, lgamma, log, prod, sqrt
 from typing import Iterator
-
-import mpmath
 
 from .errors import (
     BandPairingViolated,
@@ -22,7 +20,7 @@ from .errors import (
     NotBanded,
     PreconditionViolated,
 )
-from .matchings import Matching
+from .matchings import Matching, _bareiss_det
 from .planar import PlanarGraph, SymmetryCertificate, _ccw_positions, _components, _find
 
 # ---------------------------------------------------------------------------
@@ -147,28 +145,6 @@ def enumerate_spanning_trees(g: PlanarGraph, root: int) -> Iterator[RootedForest
     yield from rec(0, [], {v: v for v in g.vertices}, n - 1)
 
 
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    n = len(m)
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * prev
-
-
 def _forced_tree_weight(g: PlanarGraph, root: int, forced: dict[int, list[int]]) -> Fraction:
     """Total weight of the spanning trees oriented toward ``root`` in which
     each vertex of ``forced`` exits along one of its listed edge ids.
@@ -258,8 +234,22 @@ def ust_sample(g: PlanarGraph, root: int, seed: int) -> RootedForest:
 
 
 def chi_square_sf(stat: float, dof: int) -> float:
-    """Upper tail probability of the chi-square distribution."""
-    return float(mpmath.gammainc(dof / 2, stat / 2, mpmath.inf, regularized=True))
+    """Upper tail probability of the chi-square distribution: the regularized
+    upper incomplete gamma Q(dof/2, stat/2).
+
+    Q(a + 1, x) = Q(a, x) + x^a e^-x / Gamma(a + 1), climbing from
+    Q(1/2, x) = erfc(sqrt x) for odd dof or Q(0, x) = 0 for even dof; each
+    term is taken in log space, so the tail does not underflow before p does.
+    """
+    x = stat / 2
+    if x <= 0:
+        return 1.0
+    half = dof % 2 / 2
+    p = erfc(sqrt(x)) if half else 0.0
+    for k in range(dof // 2):
+        a = half + k
+        p += exp(a * log(x) - x - lgamma(a + 1))
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ def test_enumerate_limit(runner, square_file):
 
 def test_grid_count_and_squarish(runner):
     assert invoke(runner, ["grid-count", "2", "2"]).output.strip() == "36"
+    assert invoke(runner, ["grid-count", "3", "12"]).output.strip() == "29242880940226381"
     assert invoke(runner, ["squarish", "72"]).output.strip() == "2*6^2"
 
 
@@ -458,3 +459,7 @@ def test_suite_cli_exit_codes(runner, tmp_path):
     cfg.write_text("check unknown-check 1\n")
     res = runner.invoke(cli, ["suite", str(cfg)])
     assert res.exit_code == 2
+    cfg.write_bytes(b"check grid-kasteleyn 1\xff 1\n")
+    res = runner.invoke(cli, ["suite", str(cfg)])
+    assert res.exit_code == 2
+    assert f"{cfg}: not UTF-8 text" in res.output

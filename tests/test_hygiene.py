@@ -1,9 +1,12 @@
 """Source hygiene: no unused import, no unreferenced private helper, no
 export that the package itself never reads, no function defined inside a
-loop and no map that re-checks the matching it built."""
+loop, no map that re-checks the matching it built and no dependency beyond
+the standard library and click."""
 
 import ast
 import pathlib
+import re
+import sys
 
 import pytest
 
@@ -125,3 +128,26 @@ def test_no_function_validates_a_matching_it_built(path):
                       and node.func.attr == "cover_map"
                       and isinstance(node.func.value, ast.Name) and node.func.value.id in built]
     assert not rechecked, f"{path.name}: cover_map on a matching the function built {rechecked}"
+
+
+def test_imports_are_stdlib_click_or_the_package():
+    allowed = set(sys.stdlib_module_names) | {"click", "dimerforge"}
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert not foreign, f"imports beyond the standard library and click: {foreign}"
+
+
+def test_click_is_the_only_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    deps = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in deps] == ["click"]

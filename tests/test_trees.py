@@ -2,6 +2,7 @@
 weights, independence reports."""
 
 import hashlib
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -338,9 +339,33 @@ def test_sampled_independence_needs_a_variable():
         independence_report(g, cert, 0, "exit-side", samples=50)
 
 
+# (stat, p rendered as the report prints it), taken from mpmath's regularized
+# upper incomplete gamma; each row runs from 0 past the 1e-6 cut
+CHI_SQUARE_TAIL = {
+    1: [(0, "1.000e+00"), (0.5, "4.795e-01"), (3.84, "5.004e-02"), (10, "1.565e-03"),
+        (25, "5.733e-07"), (30, "4.320e-08")],
+    2: [(0, "1.000e+00"), (2, "3.679e-01"), (5.99, "5.004e-02"), (13.8, "1.008e-03"),
+        (28, "8.315e-07"), (40, "2.061e-09")],
+    3: [(0, "1.000e+00"), (1, "8.013e-01"), (7.81, "5.011e-02"), (16.3, "9.842e-04"),
+        (30, "1.380e-06"), (40, "1.066e-08")],
+    15: [(0, "1.000e+00"), (8, "9.238e-01"), (25, "4.994e-02"), (37.7, "9.991e-04"),
+         (60, "2.522e-07"), (70, "4.467e-09")],
+    63: [(0, "1.000e+00"), (40, "9.895e-01"), (82.5, "5.022e-02"), (110, "2.290e-04"),
+         (140, "8.872e-08"), (160, "2.170e-10")],
+    255: [(0, "1.000e+00"), (200, "9.954e-01"), (293.2, "5.020e-02"), (350, "7.133e-05"),
+          (400, "1.660e-08"), (450, "5.775e-13")],
+}
+
+
 def test_chi_square_sf_sane():
     assert 0.3 < chi_square_sf(2.0, 2) < 0.5
     assert chi_square_sf(100.0, 2) < 1e-6
+    for dof, row in CHI_SQUARE_TAIL.items():
+        assert [f"{chi_square_sf(stat, dof):.3e}" for stat, _ in row] == [p for _, p in row]
+    # the closed forms at the two starting points of the recurrence
+    for stat in (0.01, 0.5, 1.0, 3.84, 10.0, 50.0, 200.0, 1000.0):
+        assert chi_square_sf(stat, 2) == pytest.approx(math.exp(-stat / 2), rel=1e-12)
+        assert chi_square_sf(stat, 1) == pytest.approx(math.erfc(math.sqrt(stat / 2)), rel=1e-12)
 
 
 # -- dual forests, channels and bays ------------------------------------------
