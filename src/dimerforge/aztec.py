@@ -47,7 +47,6 @@ class AztecInstance:
     the smashed-refinement host that the transport bijection runs on."""
 
     n: int
-    variant: str                     # "T" (right-justified) | "Tp" (left-justified)
     transport: TransportInstance
     host: PlanarGraph                # marked-run-deleted refinement graph
     graph: PlanarGraph               # dual graph of the region's unit cells
@@ -121,7 +120,7 @@ def _build_side(n: int, variant: str, inst: TransportInstance,
                         if e.u in keep and e.v in keep)
     if len(graph.edges) != induced_edges:
         raise LiftFailed("region adjacency does not match the refinement subgraph")
-    return AztecInstance(n, variant, inst, host, graph, tuple(sorted(cells)),
+    return AztecInstance(n, inst, host, graph, tuple(sorted(cells)),
                          region_to_host, cindex, cpath, fixed)
 
 

@@ -31,8 +31,6 @@ from .trees import RootedForest, _forest_to_matching, _matching_to_forest, dual_
 @dataclass(frozen=True)
 class FamilyPath:
     vertices: tuple[int, ...]
-    generation: int
-    mode: str              # frame | dual
     start_index: int       # 1-based positions among the marked midpoints
     end_index: int
 
@@ -78,7 +76,7 @@ def build_path_family(instance: PlusMinusInstance, mu: Matching,
             if not left_to_right and not (a <= k < j):
                 raise PreconditionViolated(
                     f"glide from midpoint {j} ended at {k}, outside [{a},{j})")
-            paths.append(FamilyPath(gp.vertices, gen, mode, j, k))
+            paths.append(FamilyPath(gp.vertices, j, k))
             lo, hi = (j + 1, k - 1) if left_to_right else (k + 1, j - 1)
             if lo <= hi:
                 stack.append((lo, hi, gen + 1))
@@ -180,10 +178,6 @@ class TransportInstance:
     host_prime: PlanarGraph      # primed marks deleted
     forest_graph: PlanarGraph    # source minus the smashed corners
     dual_weights: tuple[tuple[int, Fraction], ...] = ()  # per primal edge
-
-    @property
-    def n(self) -> int:
-        return (len(self.plain) - 1) // 2
 
     @property
     def plain_odd(self) -> tuple[int, ...]:

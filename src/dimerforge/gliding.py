@@ -22,7 +22,6 @@ DUAL = "dual"
 @dataclass(frozen=True)
 class GlidePath:
     vertices: tuple[int, ...]
-    mode: str
     blocked_target: int | None  # the absent vertex that stopped the glide
     blocked_at_infinite: bool = False
 
@@ -84,15 +83,15 @@ def glide(host: PlanarGraph, ref: DualRefinement, cover: dict[int, int],
         if mode == FRAME:
             nxt = ref.source.edges[primal].other(site)
             if nxt not in host.vertices:
-                return GlidePath(tuple(path), mode, nxt)
+                return GlidePath(tuple(path), nxt)
         else:
             fa, fb = ref.sides_of_primal_edge(primal)
             other = fb if fa == ref.face_of_center[site] else fa
             if other == inf:
-                return GlidePath(tuple(path), mode, None, blocked_at_infinite=True)
+                return GlidePath(tuple(path), None, blocked_at_infinite=True)
             nxt = ref.center_of_face[other]
             if nxt not in host.vertices:
-                return GlidePath(tuple(path), mode, nxt)
+                return GlidePath(tuple(path), nxt)
         if nxt in seen:
             raise CycleDetected(f"glide revisited vertex {nxt}")
         path.append(nxt)

@@ -121,48 +121,37 @@ def _elimination_order(g: PlanarGraph) -> list[int]:
 
 def count_matchings(g: PlanarGraph) -> Fraction:
     """Exact matching generating function: sum over perfect matchings of the
-    product of edge weights (the count when all weights are 1)."""
-    n = len(g.vertices)
-    if n == 0:
-        return Fraction(1)
-    if n % 2 == 1:
+    product of edge weights (the count when all weights are 1).
+
+    Edge uv weighs w * d_u * d_v on the weight table's integers, which
+    multiplies every matching, and so the sum, by the product of the d_v.  A
+    state is the bitmask of processed vertices still waiting for a later
+    partner; a vertex whose last neighbour is processed can wait no longer,
+    so every state holding it is dropped.
+    """
+    if len(g.vertices) % 2 == 1:
         return Fraction(0)
+    table = g.weight_table()
     order = _elimination_order(g)
     pos = {v: i for i, v in enumerate(order)}
-    last_use = {v: max((pos[w] for w in g.neighbors(v)), default=-1) for v in g.vertices}
-    weight_between: dict[int, dict[int, Fraction]] = {v: {} for v in g.vertices}
-    for e in g.edges.values():
-        weight_between[e.u][e.v] = e.weight
-        weight_between[e.v][e.u] = e.weight
-    states: dict[frozenset[int], Fraction] = {frozenset(): Fraction(1)}
+    earlier: list[list[tuple[int, int]]] = []
+    dies = [0] * len(order)
     for i, v in enumerate(order):
-        nxt: dict[frozenset[int], Fraction] = {}
-        nbrs = weight_between[v]
-        for pending, acc in states.items():
-            # pending vertices that can only be matched to v must take v now
-            must = [u for u in pending if last_use[u] <= i]
-            if len(must) > 1:
-                continue
-            if must:
-                u = must[0]
-                if u not in nbrs:
-                    continue
-                key = pending - {u}
-                w = acc * nbrs[u]
-                nxt[key] = nxt.get(key, Fraction(0)) + w
-                continue
-            if last_use[v] > i:
-                key = pending | {v}
-                nxt[key] = nxt.get(key, Fraction(0)) + acc
-            for u in pending:
-                if u in nbrs:
-                    key = pending - {u}
-                    w = acc * nbrs[u]
-                    nxt[key] = nxt.get(key, Fraction(0)) + w
-        states = nxt
-        if not states:
-            return Fraction(0)
-    return states.get(frozenset(), Fraction(0))
+        earlier.append([(1 << pos[u], w * table.scale[u])
+                        for _, u, w in table.exits[v] if pos[u] < i])
+        dies[max([i, *(pos[u] for _, u, _ in table.exits[v])])] |= 1 << i
+    states = {0: 1}
+    for i in range(len(order)):
+        nxt: dict[int, int] = {}
+        for s, acc in states.items():
+            k = s | 1 << i
+            nxt[k] = nxt.get(k, 0) + acc
+            for bit, w in earlier[i]:
+                if s & bit:
+                    k = s ^ bit
+                    nxt[k] = nxt.get(k, 0) + acc * w
+        states = {k: acc for k, acc in nxt.items() if not k & dies[i]}
+    return Fraction(states.get(0, 0), math.prod(table.scale.values()))
 
 
 def _forced_matching_weight(g: PlanarGraph, forced) -> Fraction:

@@ -99,7 +99,8 @@ class FaceDecomposition:
 @dataclass(frozen=True)
 class WeightTable:
     """Edge weights made integers one vertex at a time: the Laplacian rows
-    and the loop-erased walks of the tree layer both read it."""
+    and the loop-erased walks of the tree layer read it, and the matching DP
+    weighs edge uv as its exit weight at v times d_u."""
 
     scale: dict[int, int]  # v -> d_v, the lcm of the weight denominators at v
     # v -> (edge, neighbour, weight * d_v) of its positive-weight edges, by edge id
@@ -278,8 +279,9 @@ class PlanarGraph:
             scale, exits, rows = {}, {}, {}
             for v, ids in self.adj.items():
                 d = scale[v] = lcm(*(self.edges[e].weight.denominator for e in ids))
-                out = exits[v] = tuple((e, self.edges[e].other(v), int(self.edges[e].weight * d))
-                                       for e in ids if self.edges[e].weight)
+                out = exits[v] = tuple((e, self.edges[e].other(v),
+                                        w.numerator * (d // w.denominator))
+                                       for e in ids if (w := self.edges[e].weight))
                 cum = tuple(accumulate(x for _, _, x in out))
                 total = cum[-1] if cum else 0
                 rows[v] = (total, total.bit_length(), cum)

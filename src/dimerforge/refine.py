@@ -220,11 +220,11 @@ def augment_with_leaves(g0: PlanarGraph, path: list[int]) -> tuple[PlanarGraph, 
 
 @dataclass(frozen=True)
 class PlusMinusInstance:
-    """Everything derived from one marked boundary: the augmented graph, its
-    refinement, the even-trimmed stage graph, and the two half graphs."""
+    """Everything derived from one marked boundary: the refinement of the
+    augmented graph (its ``source``), the even-trimmed stage graph, and the
+    two half graphs."""
 
     base: PlanarGraph
-    augmented: PlanarGraph
     boundary: MarkedBoundary
     refinement: DualRefinement
     trimmed: PlanarGraph         # refinement minus v0, v2, ..., v_{2n}
@@ -249,7 +249,7 @@ def section_instance(g0: PlanarGraph, path: list[int]) -> PlusMinusInstance:
     g, mb = augment_with_leaves(g0, path)
     ref = dual_refinement(g)
     mids, trimmed, plus, minus = _trim(ref, mb)
-    return PlusMinusInstance(g0, g, mb, ref, trimmed, plus, minus, mids)
+    return PlusMinusInstance(g0, mb, ref, trimmed, plus, minus, mids)
 
 
 def symmetrize(refinement: DualRefinement, mb: MarkedBoundary) -> PlanarGraph:
@@ -334,7 +334,6 @@ class SmashedGraph:
     is attributed to the center of the bounded face that contained it."""
 
     refinement: DualRefinement
-    removed: tuple[int, ...]
     face_of: dict[int, int]   # smashed vertex -> face-center vertex id
     graph: PlanarGraph
 
@@ -374,7 +373,7 @@ def smash_in(refinement: DualRefinement, targets) -> SmashedGraph:
         for eid in g.adj[v]:
             removed_vertices.add(refinement.mid_of_edge[eid])
     graph = remove_vertices(refinement.graph, removed_vertices, name="smashed")
-    return SmashedGraph(refinement, tuple(sorted(set(targets))), face_of, graph)
+    return SmashedGraph(refinement, face_of, graph)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import erfc, exp, lgamma, log, prod, sqrt
 from typing import Iterator
 
@@ -609,10 +610,10 @@ def independence_report(g: PlanarGraph, cert: SymmetryCertificate, root: int,
     if samples == 0:
         cells = {bits: _forced_tree_weight(g, root, {v: exits[v][b]
                                                      for v, b in zip(variables, bits)})
-                 for bits in _all_bits(n)}
+                 for bits in product((0, 1), repeat=n)}
         passed = len(set(cells.values())) == 1
         return IndependenceReport(kind, variables, tuple(sorted(cells.items())), passed)
-    counts = {bits: 0 for bits in _all_bits(n)}
+    counts = {bits: 0 for bits in product((0, 1), repeat=n)}
     for k in range(samples):
         parent = ust_sample(g, root, split_seed(seed, k)).parent
         counts[tuple(int(parent[v][0] in exits[v][1]) for v in variables)] += 1
@@ -623,8 +624,3 @@ def independence_report(g: PlanarGraph, cert: SymmetryCertificate, root: int,
                               tuple(sorted((b, Fraction(c)) for b, c in counts.items())),
                               p >= 1e-6, sampled=True, samples=samples,
                               chi_square=stat, p_value=p)
-
-
-def _all_bits(n: int):
-    for k in range(2 ** n):
-        yield tuple((k >> (n - 1 - i)) & 1 for i in range(n))

@@ -89,13 +89,6 @@ def test_family_pairs_all_midpoints():
                 assert not (sets[i] & sets[j])
 
 
-def test_family_generations_alternate_modes():
-    inst = square_instance()
-    for mu in enumerate_matchings(inst.plus):
-        for p in build_path_family(inst, mu).paths:
-            assert p.mode == ("frame" if p.generation % 2 == 1 else "dual")
-
-
 # -- the plus/minus bijection -------------------------------------------------
 
 

@@ -1,7 +1,8 @@
 """Source hygiene: no unused import, no unreferenced private helper, no
-export that the package itself never reads, no function defined inside a
-loop, no map that re-checks the matching it built and no dependency beyond
-the standard library and click."""
+export that the package itself never reads, no dataclass field or property
+that no module reads, no function defined inside a loop, no map that
+re-checks the matching it built and no dependency beyond the standard
+library and click."""
 
 import ast
 import pathlib
@@ -92,6 +93,30 @@ def test_exports_are_used_by_the_package():
             definitions.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
     unused = [name for name in exported if not _referenced(name, definitions.get(name))]
     assert not unused, f"exported but read by no package module: {unused}"
+
+
+def _decorator_name(node) -> str:
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def test_dataclass_fields_and_properties_are_read():
+    # a field nothing reads is state carried for its own sake; the match is
+    # by attribute name, so a name read on any object counts as read
+    loads = {node.attr for tree in TREES.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path, tree in TREES.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) \
+                    or "dataclass" not in map(_decorator_name, cls.decorator_list):
+                continue
+            names = [node.target.id for node in cls.body
+                     if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+            names += [node.name for node in cls.body if isinstance(node, ast.FunctionDef)
+                      and "property" in map(_decorator_name, node.decorator_list)]
+            unread += [f"{path.name}:{cls.name}.{name}" for name in names if name not in loads]
+    assert not unread, f"dataclass fields or properties no module reads: {unread}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

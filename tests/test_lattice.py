@@ -103,7 +103,7 @@ def _families():
                 ladder_graph(3))
     for seed in range(8):
         inst = random_section2(seed)
-        yield from (inst.augmented, inst.refinement.graph, inst.trimmed, inst.plus,
+        yield from (inst.refinement.source, inst.refinement.graph, inst.trimmed, inst.plus,
                     inst.minus, symmetrize(inst.refinement, inst.boundary))
         yield random_symmetric(seed)[0]
         yield random_plane_graph(seed, weighted=True)

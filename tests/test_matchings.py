@@ -7,14 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimerforge.errors import NotAMatching
-from dimerforge.generators import grid_graph, path_graph, random_plane_graph
+from dimerforge.generators import (
+    _reweight,
+    grid_graph,
+    path_graph,
+    random_plane_graph,
+    random_transport,
+)
 from dimerforge.matchings import (
     count_matchings,
     enumerate_matchings,
     kasteleyn_grid_count,
     squarish,
 )
-from dimerforge.planar import Edge, PlanarGraph, parse_graph
+from dimerforge.planar import Edge, PlanarGraph, Vertex, parse_graph
 
 
 def test_enumerate_square():
@@ -53,10 +59,29 @@ def test_weighted_count():
 
 
 def test_count_matches_enumeration_on_random_graphs():
-    for seed in range(12):
-        g = random_plane_graph(seed, weighted=(seed % 2 == 0))
+    graphs = [random_plane_graph(seed, weighted=(seed % 2 == 0)) for seed in range(12)]
+    # zero weights and mixed denominators on the weight table's integers;
+    # 40 seeds reach graphs where a zero weight kills every matching and
+    # graphs where some survive
+    pool = [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(5, 6)]
+    for seed in range(40):
+        g = random_plane_graph(seed)
+        graphs.append(_reweight(g, {eid: pool[eid % 5] for eid in g.edges}))
+    # trusted graphs whose drawing is cosmetic (seeds whose hosts are small
+    # enough to enumerate quickly)
+    for seed in (0, 3, 4, 5, 6, 9, 10, 11):
+        inst, _ = random_transport(seed)
+        graphs += [inst.host_plain, inst.host_prime]
+    square = grid_graph(2, 2)
+    vertices = {**square.vertices, 4: Vertex(4, (Fraction(5), Fraction(0))),
+                5: Vertex(5, (Fraction(6), Fraction(0)))}
+    isolated_pair = PlanarGraph.build(vertices, dict(square.edges), require_connected=False)
+    empty = PlanarGraph.trusted({}, {})
+    for g in graphs + [isolated_pair, empty]:
         by_enum = sum(m.weight(g) for m in enumerate_matchings(g))
         assert count_matchings(g) == by_enum
+    assert count_matchings(isolated_pair) == 0
+    assert count_matchings(empty) == 1
 
 
 def test_disconnected_count():

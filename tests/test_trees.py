@@ -500,17 +500,22 @@ def test_tec_roundtrip_hexagon():
 
 def test_tec_with_weighted_dual_edges():
     # the extended weighting: forest weight picks up the dual weights of the
-    # interior edges missing from the forest
-    from dimerforge.trees import banded_forest_weight
+    # interior edges missing from the forest.  No banded forest of
+    # hexagon_graph(1) has a dual edge, so the hexagon of side 2 is used.
+    from dimerforge.trees import banded_forest_weight, dual_forest
 
-    g, plain, prime = hexagon_graph(1)
-    dual_weights = {eid: Fraction(3) for eid in g.edges}
+    g, plain, prime = hexagon_graph(2)
+    dual_weights = {eid: Fraction(eid % 4 + 2, 3) for eid in g.edges}
     inst = transport_instance(g, plain, prime, require_plain_path=False,
                               dual_weights=dual_weights)
-    for mu in enumerate_matchings(inst.host_prime):
+    source = inst.smashed.refinement.source
+    dual_edges = 0
+    for mu in islice(enumerate_matchings(inst.host_prime), 400):
         forest = tec_matching_to_forest(inst, mu)
+        dual_edges += len(dual_forest(source, forest.edge_set).primal_edges)
         assert banded_forest_weight(inst, forest) == mu.weight(inst.host_prime)
         assert tec_forest_to_matching(inst, forest).edges == mu.edges
+    assert dual_edges > 0
 
 
 def test_tec_constrained_sets_correspond():

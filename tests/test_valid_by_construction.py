@@ -45,7 +45,7 @@ def test_deterministic_builders(g):
 def test_section2_augmented_and_symmetrized():
     for seed in SEEDS:
         inst = random_section2(seed)
-        assert_valid(inst.augmented)
+        assert_valid(inst.refinement.source)
         assert_valid(symmetrize(inst.refinement, inst.boundary), require_connected=False)
         # vertex deletions of the simple refinement stay simple
         for h in (inst.trimmed, inst.plus, inst.minus):
