@@ -56,41 +56,49 @@ class Matching:
 
 def enumerate_matchings(g: PlanarGraph) -> Iterator[Matching]:
     """Yield every perfect matching exactly once, ordered lexicographically
-    by the sorted tuple of edge ids.  This order is part of the contract."""
+    by the sorted tuple of edge ids.  This order is part of the contract.
+
+    Vertices are bits of the uncovered set and each edge, at its position in
+    id order, is the mask of its two ends.  The matching's smallest remaining
+    edge cannot lie past the smallest "last usable edge" over uncovered
+    vertices: each vertex scans its edges from the highest position down to
+    the first whose mask fits inside the uncovered set, and a vertex whose
+    scan ends below the lowest allowed position can never be covered."""
     if len(g.vertices) % 2 == 1:
         return
     host = g.graph_id
     edge_order = sorted(g.edges)
+    bit = {v: 1 << i for i, v in enumerate(g.vertices)}
+    masks = [bit[g.edges[eid].u] | bit[g.edges[eid].v] for eid in edge_order]
+    pos = {eid: k for k, eid in enumerate(edge_order)}
+    incident = [sorted((pos[eid] for eid in g.adj[v]), reverse=True) for v in g.vertices]
 
-    def rec(uncovered: set[int], min_eid: int, chosen: list[int]):
+    def rec(uncovered: int, lo: int, chosen: list[int]):
         if not uncovered:
             yield Matching(host, frozenset(chosen))
             return
-        # the matching's smallest remaining edge id cannot exceed the
-        # smallest "last available edge" over uncovered vertices
-        cap = None
-        for v in uncovered:
-            best = -1
-            for eid in g.adj[v]:
-                if eid >= min_eid and g.edges[eid].other(v) in uncovered:
-                    best = max(best, eid)
-            if best < 0:
-                return  # some vertex can never be covered
-            cap = best if cap is None else min(cap, best)
-        for eid in edge_order:
-            if eid < min_eid:
-                continue
-            if eid > cap:
-                break
-            e = g.edges[eid]
-            if e.u in uncovered and e.v in uncovered:
-                uncovered.difference_update((e.u, e.v))
-                chosen.append(eid)
-                yield from rec(uncovered, eid + 1, chosen)
+        cap = len(masks)
+        rest = uncovered
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            for k in incident[low.bit_length() - 1]:
+                if k < lo:
+                    return
+                if masks[k] & uncovered == masks[k]:
+                    break
+            else:
+                return
+            if k < cap:
+                cap = k
+        for k in range(lo, cap + 1):
+            mask = masks[k]
+            if mask & uncovered == mask:
+                chosen.append(edge_order[k])
+                yield from rec(uncovered ^ mask, k + 1, chosen)
                 chosen.pop()
-                uncovered.update((e.u, e.v))
 
-    yield from rec(set(g.vertices), 0, [])
+    yield from rec((1 << len(g.vertices)) - 1, 0, [])
 
 
 # ---------------------------------------------------------------------------
@@ -104,18 +112,19 @@ def _elimination_order(g: PlanarGraph) -> list[int]:
     order: list[int] = []
     seen: set[int] = set()
     remaining = set(g.vertices)
+    head = 0  # order[head:] is the BFS queue
     while remaining:
         start = min(remaining, key=lambda v: (g.degree(v), v))
-        queue = [start]
+        order.append(start)
         seen.add(start)
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
+        while head < len(order):
+            v = order[head]
+            head += 1
             remaining.discard(v)
             for w in sorted(g.neighbors(v)):
                 if w not in seen:
                     seen.add(w)
-                    queue.append(w)
+                    order.append(w)
     return order
 
 

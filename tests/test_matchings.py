@@ -1,18 +1,31 @@
 """Matching enumeration, counting, the closed-form grid count, squarishness."""
 
+import hashlib
+import signal
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import enumeration_oracle as oracle
+from dimerforge.aztec import aztec_graph, aztec_pair
 from dimerforge.errors import NotAMatching
 from dimerforge.generators import (
     _reweight,
+    diagonal_grid,
+    diamond_graph,
+    fan_square,
     grid_graph,
+    hexagon_graph,
+    ladder_graph,
     path_graph,
     random_plane_graph,
+    random_section2,
+    random_symmetric,
     random_transport,
+    random_trimmed,
 )
 from dimerforge.matchings import (
     count_matchings,
@@ -20,7 +33,8 @@ from dimerforge.matchings import (
     kasteleyn_grid_count,
     squarish,
 )
-from dimerforge.planar import Edge, PlanarGraph, Vertex, parse_graph
+from dimerforge.planar import Edge, PlanarGraph, Vertex, parse_graph, remove_vertices
+from dimerforge.refine import trimmed_square
 
 
 def test_enumerate_square():
@@ -42,6 +56,84 @@ def test_enumeration_order_is_lexicographic():
 def test_enumeration_golden_order():
     g = grid_graph(2, 2)
     assert [m.sorted_edges() for m in enumerate_matchings(g)] == [(0, 3), (1, 2)]
+
+
+def _oracle_families():
+    """(label, graph) for every generator family, graphs whose vertex and edge
+    ids have gaps, a disconnected graph, odd graphs and the empty graph."""
+    yield from ((f"grid{c}x{r}", grid_graph(c, r)) for c, r in ((1, 2), (2, 3), (4, 4), (4, 5)))
+    yield from ((f"ladder{k}", ladder_graph(k)) for k in (2, 5))
+    yield "diamond", diamond_graph()
+    yield from ((f"diagonal{k}", diagonal_grid(k)) for k in (2, 3))
+    yield from ((f"hexagon{m}", hexagon_graph(m)[0]) for m in (1, 2))
+    yield "fan-square", fan_square()
+    for seed in range(6):
+        yield from ((f"plane{seed}-{w}", random_plane_graph(seed, weighted=w)) for w in (False, True))
+        yield f"symmetric{seed}", random_symmetric(seed)[0]
+        yield f"trimmed{seed}", random_trimmed(seed)[0]
+        inst = random_section2(seed)
+        yield f"section2-{seed}-plus", inst.plus
+        yield f"section2-{seed}-minus", inst.minus
+    hosts = {}
+    for seed in (0, 1, 3, 4, 10):  # corner-marked grids, ladders, both hexagons
+        for plain_path in (True, False):
+            inst, _ = random_transport(seed, require_plain_path=plain_path)
+            hosts.update({h.graph_id: h for h in (inst.host_plain, inst.host_prime)})
+    yield from ((f"transport-{gid}", h) for gid, h in hosts.items())
+    for n in (1, 2, 3):
+        yield from ((f"aztec{n}-{side.graph.name}", side.graph) for side in aztec_pair(n))
+    grid = grid_graph(4, 4)
+    yield "grid4x4-minus-corners", remove_vertices(grid, [0, 15])
+    yield "grid4x4-minus-middle", remove_vertices(grid, [5, 6])
+    plane = random_plane_graph(2, weighted=True)
+    yield "plane2-minus-two", remove_vertices(plane, sorted(plane.vertices)[1:3])
+    yield "trimmed-two-blocks", trimmed_square(2, [(0, 3)])
+    yield "path3", path_graph(3)
+    yield "grid3x3", grid_graph(3, 3)
+    yield "empty", PlanarGraph.trusted({}, {})
+
+
+def test_enumeration_matches_set_oracle_on_every_family():
+    counts = {}
+    for label, g in _oracle_families():
+        got = [m.sorted_edges() for m in enumerate_matchings(g)]
+        assert got == [m.sorted_edges() for m in oracle.enumerate_matchings(g)], label
+        counts[label] = len(got)
+    assert counts["path3"] == counts["grid3x3"] == 0
+    assert counts["empty"] == 1
+    assert len(counts) == 71
+
+
+@pytest.mark.parametrize("build, count, digest", [
+    (lambda: grid_graph(6, 6), 6728,
+     "0f8153b30a86fb1ee861218558977f1b12dbf61d6462f165880c5626e29ca40b"),
+    (lambda: aztec_graph(4, "T").graph, 3328,
+     "b1e1a3fa557594dc6c0cd265ea9f5174f869226ca0cc71341d15ac796d2cd746"),
+    (lambda: random_transport(1)[0].host_prime, 3328,
+     "2cfc03c00520341d4baba57ee7c8b45cf1b4c1e2ad9fd5e8f92350511413316a"),
+], ids=["grid6x6", "aztec-T4", "transport-1-prime"])
+def test_enumerated_matching_sequence_is_pinned(build, count, digest):
+    seq = [m.sorted_edges() for m in enumerate_matchings(build())]
+    assert len(seq) == count
+    assert hashlib.sha256(repr(seq).encode()).hexdigest() == digest
+
+
+def test_enumeration_is_lazy():
+    # the 14x14 grid has about 10^23 matchings: only a lazy enumerator
+    # returns its first three, and the alarm stops an eager one
+    def expire(signum, frame):
+        raise TimeoutError("enumerate_matchings did not yield lazily")
+
+    g = grid_graph(14, 14)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 20)
+    try:
+        first = list(islice(enumerate_matchings(g), 3))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert [m.sorted_edges() for m in first] == \
+        [m.sorted_edges() for m in islice(oracle.enumerate_matchings(g), 3)]
 
 
 def test_count_examples():
@@ -85,8 +177,6 @@ def test_count_matches_enumeration_on_random_graphs():
 
 
 def test_disconnected_count():
-    from dimerforge.refine import trimmed_square
-
     g = trimmed_square(2, [(0, 3)])  # two mirror blocks
     assert count_matchings(g) == 4
 
