@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -547,27 +546,34 @@ def parse_suite_config(text: str, seed_override: int | None = None) -> tuple[lis
     return items, seed
 
 
+def _run_one(item: SuiteItem, idx: int, base_seed: int) -> CheckResult:
+    started = time.monotonic()
+    try:
+        if item.seeded:
+            ok, details, witness = item.fn(*item.args, seed=split_seed(base_seed, idx))
+        else:
+            ok, details, witness = item.fn(*item.args)
+    except DimerforgeError as exc:
+        ok, details, witness = False, f"error: {exc}", None
+    return CheckResult(item.name, ok, details, witness, time.monotonic() - started)
+
+
 def run_suite(config_text: str, jobs: int = 1,
               seed: int | None = None) -> VerificationReport:
+    """Run a config's checks, in worker processes when ``jobs > 1``.
+
+    ``jobs`` bounds the worker count, as do the item count and the CPUs.
+    Results keep config order and each item's child seed is
+    ``split_seed(base_seed, index)``, so the report does not depend on
+    ``jobs``."""
     items, base_seed = parse_suite_config(config_text, seed)
-
-    def run_one(indexed) -> CheckResult:
-        idx, item = indexed
-        started = time.monotonic()
-        try:
-            if item.seeded:
-                ok, details, witness = item.fn(*item.args, seed=split_seed(base_seed, idx))
-            else:
-                ok, details, witness = item.fn(*item.args)
-        except DimerforgeError as exc:
-            ok, details, witness = False, f"error: {exc}", None
-        return CheckResult(item.name, ok, details, witness,
-                           time.monotonic() - started)
-
-    indexed = list(enumerate(items))
+    run_one = partial(_run_one, base_seed=base_seed)
     if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, indexed))
+        # imported here: multiprocessing would add tens of ms to every startup
+        from concurrent.futures import ProcessPoolExecutor
+        workers = min(jobs, len(items), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run_one, items, range(len(items))))
     else:
-        results = [run_one(pair) for pair in indexed]
+        results = list(map(run_one, items, range(len(items))))
     return VerificationReport(tuple(results), base_seed)

@@ -42,10 +42,6 @@ class RootedForest:
     assignments: tuple[tuple[int, int, int], ...]
 
     @property
-    def parent(self) -> dict[int, tuple[int, int]]:
-        return {v: (e, p) for v, e, p in self.assignments}
-
-    @property
     def edge_set(self) -> frozenset[int]:
         return frozenset(e for _, e, _ in self.assignments)
 
@@ -202,6 +198,14 @@ def ust_sample(g: PlanarGraph, root: int, seed: int) -> RootedForest:
     takes the first exit whose cumulative weight exceeds r.  These are the
     draws CPython 3.11's ``randrange(T)`` makes, so each seed gives the tree
     of the walk that called it."""
+    step = _ust_exits(g, root, seed)
+    return RootedForest(g.graph_id, (root,),
+                        tuple(sorted((v, eid, w) for v, (eid, w) in step.items())))
+
+
+def _ust_exits(g: PlanarGraph, root: int, seed: int) -> dict[int, tuple[int, int]]:
+    """The walks of ``ust_sample``; returns the drawn tree's exits, each
+    non-root vertex v mapped to (edge id, parent)."""
     if root not in g.vertices:
         raise PreconditionViolated(f"root {root} not in graph")
     table = g.weight_table()
@@ -212,7 +216,6 @@ def ust_sample(g: PlanarGraph, root: int, seed: int) -> RootedForest:
     getrandbits = random.Random(seed).getrandbits
     in_tree = {root}
     step: dict[int, tuple[int, int]] = {}
-    assignments = []
     for start in sorted(g.vertices):
         v = start
         while v not in in_tree:
@@ -227,11 +230,10 @@ def ust_sample(g: PlanarGraph, root: int, seed: int) -> RootedForest:
         v = start
         while v not in in_tree:
             in_tree.add(v)
-            eid, w = step[v]
-            assignments.append((v, eid, w))
-            v = w
-    # each walk stops on the tree grown so far: a spanning tree by construction
-    return RootedForest(g.graph_id, (root,), tuple(sorted(assignments)))
+            v = step[v][1]
+    # no walk steps from a tree vertex again, so each step left is the exit
+    # the tree took: a spanning tree, since each walk stops on the tree so far
+    return step
 
 
 def chi_square_sf(stat: float, dof: int) -> float:
@@ -615,8 +617,8 @@ def independence_report(g: PlanarGraph, cert: SymmetryCertificate, root: int,
         return IndependenceReport(kind, variables, tuple(sorted(cells.items())), passed)
     counts = {bits: 0 for bits in product((0, 1), repeat=n)}
     for k in range(samples):
-        parent = ust_sample(g, root, split_seed(seed, k)).parent
-        counts[tuple(int(parent[v][0] in exits[v][1]) for v in variables)] += 1
+        step = _ust_exits(g, root, split_seed(seed, k))
+        counts[tuple(int(step[v][0] in exits[v][1]) for v in variables)] += 1
     expected = samples / 2 ** n
     stat = sum((c - expected) ** 2 / expected for c in counts.values())
     p = chi_square_sf(stat, 2 ** n - 1)

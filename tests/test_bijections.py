@@ -184,7 +184,7 @@ def test_temperley_oriented_edge_filter():
     tail, head = e.u, e.v
     half = ref.graph.edge_between(tail, ref.mid_of_edge[eid]).id
     with_edge = [t for t in enumerate_spanning_trees(g, root)
-                 if t.parent.get(tail) == (eid, head)]
+                 if (tail, eid, head) in t.assignments]
     with_half = []
     for t in enumerate_spanning_trees(g, root):
         mu = temperley_tree_to_matching(ref, t)

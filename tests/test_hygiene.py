@@ -1,12 +1,14 @@
 """Source hygiene: no unused import, no unreferenced private helper, no
 export that the package itself never reads, no dataclass field or property
 that no module reads, no function defined inside a loop, no map that
-re-checks the matching it built and no dependency beyond the standard
-library and click."""
+re-checks the matching it built, no dependency beyond the standard
+library and click, and no process machinery loaded at import."""
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -176,3 +178,15 @@ def test_click_is_the_only_declared_dependency():
     pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
     deps = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]
     assert [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in deps] == ["click"]
+
+
+def test_importing_the_cli_loads_no_process_machinery():
+    # multiprocessing costs tens of ms at startup; run_suite imports the
+    # process pool only when it runs checks on workers
+    code = ("import sys, dimerforge.cli, dimerforge.report; "
+            "print(*[m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout.strip() == ""

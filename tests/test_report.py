@@ -3,7 +3,9 @@ and counted class weights agree with enumerated ones.  The default suite's
 report is pinned byte for byte."""
 
 import ast
+import concurrent.futures
 import hashlib
+import multiprocessing
 import pathlib
 from itertools import combinations
 
@@ -188,12 +190,45 @@ def test_forced_matching_weight_of_impossible_sets_is_zero():
     assert _forced_matching_weight(g, {max(g.edges) + 1}) == 0  # not an edge of g
 
 
-# sha256 of the report of the repository's suite.cfg at --jobs 1: a change
+# sha256 of the report of the repository's suite.cfg at any --jobs: a change
 # that moves one byte of it changes what the engine computes or prints
 SUITE_CFG_SHA256 = "9ac254e9a216e842f09a2e8a15a45ebf2086e32bc20cf9e0b4eb4c17dd5424fb"
+SUITE_CFG = pathlib.Path(__file__).resolve().parent.parent / "suite.cfg"
 
 
 def test_default_suite_report_is_byte_identical():
-    config = pathlib.Path(__file__).resolve().parent.parent / "suite.cfg"
-    text = rp.run_suite(config.read_text(encoding="utf-8"), jobs=1).render()
+    text = rp.run_suite(SUITE_CFG.read_text(encoding="utf-8"), jobs=1).render()
     assert hashlib.sha256(text.encode()).hexdigest() == SUITE_CFG_SHA256
+
+
+def test_default_suite_report_is_the_same_on_worker_processes():
+    text = rp.run_suite(SUITE_CFG.read_text(encoding="utf-8"), jobs=2).render()
+    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_CFG_SHA256
+    # the pool is shut down before run_suite returns
+    assert multiprocessing.active_children() == []
+
+
+def test_jobs_bounds_the_worker_count_by_the_items(monkeypatch):
+    seen = []
+
+    class InProcessPool:
+        """Records its worker count and maps in this process: no worker
+        is started, however large ``jobs`` is."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    config = "seed 4\ncheck grid-kasteleyn 2 2\ncheck cycle-parity 1\ncheck section2 1\n"
+    pooled = rp.run_suite(config, jobs=10_000)
+    assert len(seen) == 1 and seen[0] <= 3
+    assert pooled.render() == rp.run_suite(config, jobs=1).render()

@@ -90,7 +90,7 @@ def test_single_edge_tree():
     g = grid_graph(2, 1)
     trees = list(enumerate_spanning_trees(g, 0))
     assert len(trees) == 1
-    assert trees[0].parent[1] == (0, 0)
+    assert trees[0].assignments == ((1, 0, 0),)
 
 
 def test_count_matches_enumeration():
@@ -722,11 +722,16 @@ def test_independence_requires_axis_root():
 # -- determinant routes against the enumeration oracle ------------------------
 
 
+def _parent(t):
+    """Each non-root vertex of the forest ``t`` -> (edge id, parent)."""
+    return {v: (e, p) for v, e, p in t.assignments}
+
+
 def _constrained_weight(g, root, forced):
     """Oracle: total weight of the enumerated spanning trees toward ``root``
     in which each vertex of ``forced`` exits along one of its listed edges."""
     return sum((t.weight(g) for t in enumerate_spanning_trees(g, root)
-                if all(t.parent[v][0] in eids for v, eids in forced.items())),
+                if all(_parent(t)[v][0] in eids for v, eids in forced.items())),
                Fraction(0))
 
 
@@ -770,9 +775,9 @@ def test_independence_hv_table_matches_enumeration():
     assert rep.variables == cert.axis_vertices[1:]
     cells = {}
     for tree in enumerate_spanning_trees(dg, root):
-        bits = []
+        bits, parent = [], _parent(tree)
         for v in rep.variables:
-            here, there = dg.vertices[v].pos, dg.vertices[tree.parent[v][1]].pos
+            here, there = dg.vertices[v].pos, dg.vertices[parent[v][1]].pos
             bits.append(int((there[0] > here[0]) != (there[1] > here[1])))
         cells[tuple(bits)] = cells.get(tuple(bits), 0) + tree.weight(dg)
     assert dict(rep.table) == cells
