@@ -333,7 +333,7 @@ def tea_transport(instance: TransportInstance, mu: Matching,
     for i, (start, expect) in enumerate(zip(starts, expected_ends), 1):
         mode = FRAME if i % 2 == 1 else DUAL
         gp = glide(source, ref, cover, start, mode)
-        if gp.blocked_at_infinite or gp.blocked_target != expect:
+        if gp.blocked_target != expect:
             raise PreconditionViolated(
                 f"glide from mark {i} ended at {gp.blocked_target}, expected {expect}")
         full = gp.vertices + (expect,)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import DimerforgeError, GenerationExhausted
 from .planar import Edge, PlanarGraph, Vertex, _components, check_reflection_symmetry
@@ -216,6 +217,40 @@ def random_symmetric(seed: int, need_matchings: bool = False):
             continue
         return g, cert
     raise GenerationExhausted(f"no valid symmetric instance for seed {seed}")
+
+
+def random_exit_side(seed: int, end: int):
+    """A ``random_symmetric`` draw with a nonempty set of its axis edges
+    deleted, rooted at axis end ``end`` (0 the first, 1 the last), such that
+    the root has at least one exit-side variable; returns the graph, its
+    reflection certificate and the root.
+
+    An axis edge is its own mirror image, so deleting axis edges keeps the
+    graph symmetric and its drawing valid.  Each draw tries its subsets in an
+    order shuffled by a child rng and keeps the first connected result whose
+    root has a variable."""
+    for attempt in range(50):
+        draw = split_seed(seed, attempt)
+        g, cert = random_symmetric(draw)
+        root = (cert.axis_vertices[0], cert.axis_vertices[-1])[end]
+        axis = set(cert.axis_vertices)
+        axis_edges = [e.id for e in g.edges.values() if e.u in axis and e.v in axis]
+        at = [{e for e in axis_edges if v in g.edges[e].ends} for v in axis - {root}]
+        subsets = [set(c) for r in range(1, len(axis_edges) + 1)
+                   for c in combinations(axis_edges, r)]
+        random.Random(draw).shuffle(subsets)
+        for drop in subsets:
+            # an axis vertex left with no axis edge is an exit-side variable
+            if not any(es <= drop for es in at):
+                continue
+            kept = {e: g.edges[e] for e in g.edges if e not in drop}
+            component = _components(g.vertices, ((e.u, e.v) for e in kept.values()))
+            if len(set(component.values())) > 1:
+                continue
+            h = PlanarGraph.trusted(dict(g.vertices), kept, geometric=True,
+                                    name=f"exit-side-{seed}")
+            return h, check_reflection_symmetry(h, cert.axis_y), root
+    raise GenerationExhausted(f"no exit-side instance for seed {seed}")
 
 
 def random_plane_graph(seed: int, weighted: bool = False) -> PlanarGraph:

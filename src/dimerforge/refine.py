@@ -49,13 +49,9 @@ class DualRefinement:
     center_of_face: dict[int, int]   # source face index -> refinement vertex id
     edge_of_mid: dict[int, int]      # the inverse maps; every other vertex
     face_of_center: dict[int, int]   # of the refinement is a source vertex
-
-    def sides_of_primal_edge(self, edge_id: int) -> tuple[int, int]:
-        return self.source.trace_faces().sides_of_edge(self.source.edges[edge_id])
-
-    def is_boundary_edge(self, edge_id: int) -> bool:
-        inf = self.source.trace_faces().infinite_index
-        return inf in self.sides_of_primal_edge(edge_id)
+    # midpoint -> {neighbour: the vertex across the midpoint from it on the
+    # same primal or dual edge, None where that side is the infinite face}
+    across: dict[int, dict[int, int | None]]
 
 
 def dual_refinement(g: PlanarGraph,
@@ -101,19 +97,24 @@ def dual_refinement(g: PlanarGraph,
         eid_out += 1
         edges[eid_out] = Edge(eid_out, m, e.v, e.weight)
         eid_out += 1
+    across: dict[int, dict[int, int | None]] = {}
     for eid in sorted(g.edges):
-        fa, fb = faces.sides_of_edge(g.edges[eid])
+        e = g.edges[eid]
+        fa, fb = faces.sides_of_edge(e)
         if fa == fb and fa != inf:
             raise PreconditionViolated(
                 f"edge {eid} is a bridge inside bounded face {fa}")
         m = mid_of_edge[eid]
+        ca, cb = center_of_face.get(fa), center_of_face.get(fb)
+        across[m] = {e.u: e.v, e.v: e.u}
         # halves of a dual edge inherit its weight; the stubs joining boundary
         # midpoints to face centers belong to no dual edge and stay at 1
         interior = inf not in (fa, fb)
         w = dual_weights.get(eid, Fraction(1)) if interior else Fraction(1)
-        for fi in (fa, fb):
-            if fi != inf:
-                edges[eid_out] = Edge(eid_out, m, center_of_face[fi], w)
+        for c, far in ((ca, cb), (cb, ca)):
+            if c is not None:
+                across[m][c] = far
+                edges[eid_out] = Edge(eid_out, m, c, w)
                 eid_out += 1
 
     # combinatorial rotation: correct for any planar drawing that keeps face
@@ -146,7 +147,7 @@ def dual_refinement(g: PlanarGraph,
     assert len(graph.vertices) % 2 == 1, "refinement must have oddly many vertices"
     return DualRefinement(g, graph, mid_of_edge, center_of_face,
                           {m: e for e, m in mid_of_edge.items()},
-                          {c: f for f, c in center_of_face.items()})
+                          {c: f for f, c in center_of_face.items()}, across)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +344,7 @@ def smash_in(refinement: DualRefinement, targets) -> SmashedGraph:
     faces = g.trace_faces()
     inf = faces.infinite_index
     boundary = g.infinite_face_vertices()
+    boundary_edges = g.infinite_face_edges()
     face_of: dict[int, int] = {}
     removed_vertices: set[int] = set()
     used_faces: dict[int, int] = {}
@@ -356,7 +358,7 @@ def smash_in(refinement: DualRefinement, targets) -> SmashedGraph:
         sides = set()
         for eid in g.adj[v]:
             sides.update(faces.sides_of_edge(g.edges[eid]))
-            if not refinement.is_boundary_edge(eid):
+            if eid not in boundary_edges:
                 raise NotOnInfiniteFace(
                     f"edge {eid} at vertex {v} is not on the infinite face")
         bounded_sides = sorted(sides - {inf})

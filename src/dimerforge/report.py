@@ -411,18 +411,15 @@ def check_class_weights(count: int, seed: int) -> tuple[bool, str, str | None]:
 
 
 def check_independence(count: int, seed: int) -> tuple[bool, str, str | None]:
-    from .generators import random_symmetric
+    from .generators import diagonal_grid, random_exit_side
     from .planar import check_reflection_symmetry
     from .trees import independence_report
 
     for k in range(count):
-        g, cert = random_symmetric(split_seed(seed, k))
-        roots = [v for v in (cert.axis_vertices[0], cert.axis_vertices[-1])]
-        rep = independence_report(g, cert, roots[k % 2], "exit-side")
+        g, cert, root = random_exit_side(split_seed(seed, k), k % 2)
+        rep = independence_report(g, cert, root, "exit-side")
         if not rep.passed:
             return False, f"instance {k}: joint distribution not uniform", rep.render()
-    from .generators import diagonal_grid
-
     dg = diagonal_grid(3)
     cert = check_reflection_symmetry(dg, Fraction(0))
     rep = independence_report(dg, cert, cert.axis_vertices[0], "hv")

@@ -572,10 +572,8 @@ def independence_variables(g: PlanarGraph, cert: SymmetryCertificate, root: int,
     if kind == "exit-side":
         out = []
         for v in axis:
-            on_axis_edge = any(
-                g.edges[e].other(v) in cert.axis_vertices
-                and g.vertices[g.edges[e].other(v)].pos[1] == cert.axis_y
-                for e in g.adj[v])
+            on_axis_edge = any(g.edges[e].other(v) in cert.axis_vertices
+                               for e in g.adj[v])
             if not on_axis_edge:
                 out.append(v)
         return tuple(out)

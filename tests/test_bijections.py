@@ -3,6 +3,7 @@ transport, reflection swaps."""
 
 import hashlib
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -31,7 +32,7 @@ from dimerforge.generators import (
     random_section2,
     random_transport,
 )
-from dimerforge.gliding import FRAME, glide, shift_edges
+from dimerforge.gliding import DUAL, FRAME, glide, shift_edges
 from dimerforge.matchings import Matching, count_matchings, enumerate_matchings
 from dimerforge.planar import PlanarGraph, Vertex, check_reflection_symmetry
 from dimerforge.refine import dual_refinement, section_instance
@@ -73,6 +74,25 @@ def test_glide_square_instance_trace():
                inst.mids[0], FRAME)
     assert gp.vertices[-1] == inst.mids[3]
     assert far_corner in gp.vertices
+
+
+def test_glide_from_a_vertex_keeps_its_own_frame():
+    # the mode picks only the first step from a midpoint: a glide from a
+    # source vertex or a face center stays on that vertex's frame
+    g, plain, prime = hexagon_graph(2)
+    inst = transport_instance(g, plain, prime)
+    ref = inst.smashed.refinement
+    host = inst.host_prime
+    starts = {FRAME: [v for v in ref.source.vertices if v in host.vertices],
+              DUAL: [c for c in ref.face_of_center if c in host.vertices]}
+    glides = 0
+    for mu in islice(enumerate_matchings(host), 10):
+        cover = mu.cover_map(host)
+        for own, other in ((FRAME, DUAL), (DUAL, FRAME)):
+            for v in starts[own]:
+                assert glide(host, ref, cover, v, other) == glide(host, ref, cover, v, own)
+                glides += 1
+    assert glides > 200
 
 
 def test_family_pairs_all_midpoints():

@@ -7,7 +7,15 @@ from fractions import Fraction
 import pytest
 
 from dimerforge import errors
-from dimerforge.generators import grid_graph, path_graph, random_plane_graph, random_trimmed
+from dimerforge.aztec import aztec_pair
+from dimerforge.generators import (
+    grid_graph,
+    path_graph,
+    random_plane_graph,
+    random_section2,
+    random_transport,
+    random_trimmed,
+)
 from dimerforge.matchings import count_matchings, enumerate_matchings, squarish
 from dimerforge.planar import PlanarGraph, Vertex, check_reflection_symmetry
 from dimerforge.refine import (
@@ -48,6 +56,41 @@ def test_refinement_vertex_count_is_odd():
     for seed in range(10):
         g = random_plane_graph(seed)
         assert len(dual_refinement(g).graph.vertices) % 2 == 1
+
+
+def _refinements_of_every_family():
+    for seed in range(8):
+        yield random_section2(seed).refinement
+        yield random_transport(seed)[0].smashed.refinement
+        yield random_transport(seed, require_plain_path=False)[0].smashed.refinement
+        yield dual_refinement(random_plane_graph(seed, weighted=seed % 2 == 1))
+    for n in (1, 2, 3):
+        yield aztec_pair(n)[0].transport.smashed.refinement
+
+
+def test_across_map_matches_the_faces():
+    checked = at_infinity = 0
+    for ref in _refinements_of_every_family():
+        faces = ref.source.trace_faces()
+        assert set(ref.across) == set(ref.edge_of_mid)
+        for m, across in ref.across.items():
+            nbrs = {ref.graph.edges[e].other(m) for e in ref.graph.adj[m]}
+            assert set(across) == nbrs
+            e = ref.source.edges[ref.edge_of_mid[m]]
+            assert across[e.u] == e.v and across[e.v] == e.u
+            fa, fb = faces.sides_of_edge(e)
+            for c in nbrs - {e.u, e.v}:
+                far = fb if ref.face_of_center[c] == fa else fa
+                if far == faces.infinite_index:
+                    assert across[c] is None
+                    at_infinity += 1
+                else:
+                    assert across[c] == ref.center_of_face[far] != c
+            for w, far in across.items():
+                if far is not None:
+                    assert across[far] == w
+            checked += 1
+    assert checked > 400 and at_infinity > 100
 
 
 def test_refinement_rejects_pendant_in_bounded_face():

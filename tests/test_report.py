@@ -208,6 +208,28 @@ def test_default_suite_report_is_the_same_on_worker_processes():
     assert multiprocessing.active_children() == []
 
 
+def test_independence_instances_have_exit_side_variables(monkeypatch):
+    # the exact half of the independence check, at suite.cfg's seed and at
+    # acceptance criterion 13's, compares at least two cells per instance
+    items, base_seed = rp.parse_suite_config(SUITE_CFG.read_text(encoding="utf-8"))
+    idx, item = next((i, it) for i, it in enumerate(items) if it.name == "independence")
+    real = trees.independence_report
+    variables = []
+
+    def spy(g, cert, root, kind, **kwargs):
+        rep = real(g, cert, root, kind, **kwargs)
+        if kind == "exit-side":
+            variables.append(len(rep.variables))
+        return rep
+
+    monkeypatch.setattr(trees, "independence_report", spy)
+    for count, seed in ((item.args[0], trees.split_seed(base_seed, idx)),
+                        (20, trees.split_seed(20260810, 13))):
+        variables.clear()
+        assert rp.check_independence(count, seed)[0]
+        assert len(variables) == count and min(variables) >= 1
+
+
 def test_jobs_bounds_the_worker_count_by_the_items(monkeypatch):
     seen = []
 

@@ -69,7 +69,7 @@ def test_dual_glides_end_at_primed_centers_or_outside():
         cover = mu.cover_map(inst.host_prime)
         for c in centers:
             gp = glide(inst.host_prime, ref, cover, c, DUAL)
-            assert gp.blocked_at_infinite or gp.blocked_target in allowed
+            assert gp.blocked_target is None or gp.blocked_target in allowed
 
 
 def test_frame_glides_end_at_primed_marks():

@@ -18,6 +18,7 @@ from dimerforge.generators import (
     grid_graph,
     hexagon_graph,
     ladder_graph,
+    random_exit_side,
     random_plane_graph,
     random_symmetric,
     random_transport,
@@ -687,10 +688,11 @@ def test_independence_no_variables():
 
 def test_independence_exit_side_enumerated():
     for seed in (2, 5):
-        g, cert = random_symmetric(seed)
-        rep = independence_report(g, cert, cert.axis_vertices[0], "exit-side")
-        assert rep.passed
-        assert len(rep.table) == 2 ** len(rep.variables)
+        for end in (0, 1):
+            g, cert, root = random_exit_side(seed, end)
+            rep = independence_report(g, cert, root, "exit-side")
+            assert rep.passed and rep.variables
+            assert len(rep.table) == 2 ** len(rep.variables)
 
 
 def test_independence_hv_diagonal_grid():
