@@ -129,6 +129,43 @@ def _random_weights(rng: random.Random, pairs) -> dict:
     return {p: rng.choice(WEIGHT_POOL) for p in pairs}
 
 
+def _cut_vertices(points, edges) -> set:
+    """The cut vertices of the connected graph that ``edges`` draw on
+    ``points``, from one depth-first search with low points (Hopcroft and
+    Tarjan, 1973): a non-root vertex cuts when some child's subtree reaches
+    no higher than it, the root when it has two children."""
+    adj = {p: [] for p in points}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    root = min(points)
+    disc = {root: 0}
+    low = {root: 0}
+    cut = set()
+    root_children = 0
+    stack = [(root, None, iter(adj[root]))]
+    while stack:
+        u, parent, rest = stack[-1]
+        for w in rest:
+            if w not in disc:
+                disc[w] = low[w] = len(disc)
+                stack.append((w, u, iter(adj[w])))
+                break
+            if w != parent:
+                low[u] = min(low[u], disc[w])
+        else:
+            stack.pop()
+            if parent == root:
+                root_children += 1
+            elif parent is not None:
+                low[parent] = min(low[parent], low[u])
+                if low[u] >= disc[parent]:
+                    cut.add(parent)
+    if root_children > 1:
+        cut.add(root)
+    return cut
+
+
 def random_section2(seed: int):
     """A random marked-boundary instance: a grid strip whose even-indexed
     bottom vertices have no upward edges, randomly peeled from above."""
@@ -149,13 +186,10 @@ def random_section2(seed: int):
         # vertex budget
         wanted = rng.randint(0, max(0, (len(points) - cols) // 2))
         while wanted > 0 or len(edges) > edge_budget:
-            candidates = []
-            for p in sorted(points):
-                if p[1] == 0:
-                    continue
-                eds = {e for e in edges if p not in e}
-                if len(set(_components(points - {p}, eds).values())) == 1:
-                    candidates.append(p)
+            # the strip stays connected, so a peel keeps it connected
+            # exactly when it takes no cut vertex
+            cut = _cut_vertices(points, edges)
+            candidates = [p for p in sorted(points) if p[1] > 0 and p not in cut]
             if not candidates:
                 break
             p = rng.choice(candidates)

@@ -67,9 +67,10 @@ def _round_trip_fault(domain, forward, backward, same_weight=None):
     image weighs otherwise (x priced in ``same_weight[0]``, its image in
     ``same_weight[1]``), as a fault ``(what, edge ids of x)``; else None.
 
-    A round trip that holds on every element makes ``forward`` injective,
-    and round trips both ways between two finite sets make it a bijection,
-    so no separate collision or image test is needed."""
+    A round trip that holds on every element makes ``forward`` injective.
+    A round trip on one side plus equal sizes makes a bijection; the other
+    side is met as images, so no second pass, collision or image test is
+    needed once ``backward`` validates what it reads."""
     for x in domain:
         y = forward(x)
         if backward(y) != x:
@@ -82,31 +83,47 @@ def _round_trip_fault(domain, forward, backward, same_weight=None):
     return None
 
 
+def _count_fault(what, domain, image_host, sides):
+    """``what`` and the two sizes named by ``sides`` as a fault when the
+    perfect matchings of ``image_host`` are not as many as ``domain``; else
+    None.  The enumerator counts matchings, where ``count_matchings`` would
+    sum their weights."""
+    images = sum(1 for _ in enumerate_matchings(image_host))
+    if images != len(domain):
+        return what, f"{sides[0]}={len(domain)} {sides[1]}={images}"
+    return None
+
+
 def phi_fault(inst):
     """Gliding: phi and psi are mutually inverse between all matchings of
-    the plus and the minus graph.  Returns (plus matchings, fault)."""
+    the plus and the minus graph.  Returns (plus matchings, fault).
+
+    psi validates each image of phi as a matching of the minus graph, as
+    the one-pass rule of ``_round_trip_fault`` needs."""
     from .bijections import phi, psi
 
-    forward, backward = partial(phi, inst), partial(psi, inst)
     plus = list(enumerate_matchings(inst.plus))
-    fault = (_round_trip_fault(plus, forward, backward)
-             or _round_trip_fault(enumerate_matchings(inst.minus), backward, forward))
+    fault = (_round_trip_fault(plus, partial(phi, inst), partial(psi, inst))
+             or _count_fault("matching counts differ", plus, inst.minus, ("plus", "minus")))
     return len(plus), fault
 
 
 def temperley_fault(g, ref, root):
     """Temperley: the spanning trees of ``g`` toward ``root`` and the
     matchings of the refinement ``ref`` minus the root correspond
-    bijectively and with equal weights.  Returns (trees, fault)."""
+    bijectively and with equal weights.  Returns (trees, fault).
+
+    The matching-to-tree map validates each image as a matching of the
+    host, as the one-pass rule of ``_round_trip_fault`` needs."""
     from .bijections import refinement_host, temperley_matching_to_tree, temperley_tree_to_matching
     from .trees import enumerate_spanning_trees
 
-    to_matching = partial(temperley_tree_to_matching, ref)
-    to_tree = partial(temperley_matching_to_tree, ref, root=root)
     tree_list = list(enumerate_spanning_trees(g, root))
-    fault = (_round_trip_fault(tree_list, to_matching, to_tree, (g, ref.graph))
-             or _round_trip_fault(enumerate_matchings(refinement_host(ref, [root])),
-                                  to_tree, to_matching))
+    fault = (_round_trip_fault(tree_list, partial(temperley_tree_to_matching, ref),
+                               partial(temperley_matching_to_tree, ref, root=root),
+                               (g, ref.graph))
+             or _count_fault("tree and matching counts differ", tree_list,
+                             refinement_host(ref, [root]), ("trees", "matchings")))
     return len(tree_list), fault
 
 

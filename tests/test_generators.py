@@ -3,7 +3,7 @@
 import hashlib
 from fractions import Fraction
 
-from dimerforge import planar
+from dimerforge import generators, planar
 from dimerforge.generators import (
     diagonal_grid,
     grid_graph,
@@ -43,6 +43,36 @@ def test_random_section2_valid_and_deterministic():
         assert inst.base.graph_id == again.base.graph_id
         assert validate_boundary_path(inst.base, list(inst.boundary.inner))
         assert len(inst.refinement.graph.vertices) <= 30
+
+
+def _section2_draws():
+    return [random_section2(split_seed(7, k)) for k in range(200)]
+
+
+def test_cut_vertices_agree_with_removing_each_point(monkeypatch):
+    # on every peel state the draws visit, a point cuts the strip exactly
+    # when removing it leaves more than one component
+    real, states = generators._cut_vertices, []
+
+    def recording(points, edges):
+        states.append((frozenset(points), frozenset(edges)))
+        return real(points, edges)
+
+    monkeypatch.setattr(generators, "_cut_vertices", recording)
+    _section2_draws()
+    assert len(states) > 200
+    for points, edges in states:
+        brute = {p for p in points
+                 if len(set(planar._components(points - {p},
+                                               [e for e in edges if p not in e]).values())) > 1}
+        assert real(points, edges) == brute, sorted(points)
+
+
+def test_random_section2_draws_are_pinned():
+    # the base graph and the marked midpoints of 200 draws
+    rows = [(inst.base.graph_id, inst.mids) for inst in _section2_draws()]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        "6c669d21a44b02ebf61eee233927a6e2007aec96520e7837a8747c133410f0ba"
 
 
 def test_random_symmetric_certified():

@@ -13,7 +13,12 @@ import pytest
 
 from dimerforge import aztec, bijections, errors, trees
 from dimerforge import report as rp
-from dimerforge.generators import grid_graph, random_symmetric, random_transport
+from dimerforge.generators import (
+    grid_graph,
+    random_section2,
+    random_symmetric,
+    random_transport,
+)
 from dimerforge.matchings import Matching, _forced_matching_weight, enumerate_matchings
 
 
@@ -139,6 +144,44 @@ def test_transport_fault_moves_each_matching_there_and_back_once(monkeypatch):
         assert chosen == back == {i for i in paths if bijections.forced_path_matching(
             hgraph, paths[i], False) <= edges}
     assert any(chosen for _, chosen in calls)
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_phi_fault_takes_each_plus_matching_there_and_back_once(monkeypatch, seed):
+    # no pass starts from the minus side: its matchings are met as images
+    inst = random_section2(seed)
+    calls = []
+
+    def recording(name):
+        real = getattr(bijections, name)
+
+        def record(instance, mu):
+            calls.append((name, mu.edges))
+            return real(instance, mu)
+
+        return record
+
+    monkeypatch.setattr(bijections, "phi", recording("phi"))
+    monkeypatch.setattr(bijections, "psi", recording("psi"))
+    count, fault = rp.phi_fault(inst)
+    plus = [mu.edges for mu in enumerate_matchings(inst.plus)]
+    assert fault is None and count == len(plus)
+    assert [name for name, _ in calls] == ["phi", "psi"] * count
+    assert [edges for _, edges in calls[0::2]] == plus
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_phi_fault_fails_when_the_minus_side_has_another_count(monkeypatch, seed):
+    inst = random_section2(seed)
+    real = rp.enumerate_matchings
+
+    def one_short(g):
+        mus = list(real(g))
+        return mus[1:] if g is inst.minus else mus
+
+    monkeypatch.setattr(rp, "enumerate_matchings", one_short)
+    count, fault = rp.phi_fault(inst)
+    assert fault == ("matching counts differ", f"plus={count} minus={count - 1}")
 
 
 def _filtered_weight(g, mus, forced):

@@ -675,15 +675,13 @@ def test_independence_diamond():
 
 
 def test_independence_no_variables():
-    g = grid_graph(2, 2)
-    # with the axis through the middle of a 2x2 block there are no on-axis
-    # vertices at all except nothing: use a 2-row grid with axis at y=1/2?
-    # simplest: diamond rooted so the only other axis vertex is excluded
-    g = diamond_graph()
+    # every other axis vertex keeps its axis edges, so the exact report has
+    # one empty cell, weighing all the trees
+    g, _ = random_symmetric(0)
     cert = check_reflection_symmetry(g, Fraction(0))
-    # both axis vertices used as root and variable; restrict to the root only
-    rep = independence_report(g, cert, cert.axis_vertices[0], "exit-side")
-    assert rep.passed
+    rep = independence_report(g, cert, 0, "exit-side")
+    assert rep.passed and rep.variables == ()
+    assert rep.table == (((), count_spanning_trees(g)),)
 
 
 def test_independence_exit_side_enumerated():
