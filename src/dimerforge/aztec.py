@@ -46,7 +46,6 @@ class AztecInstance:
     """One variant of the order-n region together with its embedding into
     the smashed-refinement host that the transport bijection runs on."""
 
-    n: int
     transport: TransportInstance
     host: PlanarGraph                # marked-run-deleted refinement graph
     graph: PlanarGraph               # dual graph of the region's unit cells
@@ -77,12 +76,12 @@ def _below_staircase(cell: tuple[int, int]) -> bool:
     return b < env
 
 
-def _region_graph(cells, name: str) -> tuple[PlanarGraph, dict[tuple[int, int], int]]:
+def _region_graph(cells) -> tuple[PlanarGraph, dict[tuple[int, int], int]]:
     # a grid subgraph on distinct cells: a valid drawing by construction
     vid = {c: i for i, c in enumerate(sorted(cells))}
     vertices = {i: Vertex(i, (Fraction(c[0]), Fraction(c[1]))) for c, i in vid.items()}
     edges = {e: Edge(e, vid[c], vid[d]) for e, (c, d) in enumerate(_grid_edges(cells))}
-    return PlanarGraph.trusted(vertices, edges, geometric=True, name=name), vid
+    return PlanarGraph.trusted(vertices, edges, geometric=True), vid
 
 
 def _build_side(n: int, variant: str, inst: TransportInstance,
@@ -113,14 +112,14 @@ def _build_side(n: int, variant: str, inst: TransportInstance,
     cells = {}
     for v in keep:
         cells[_scaled(host.vertices[v].pos)] = v
-    graph, vid = _region_graph(set(cells), f"aztec-{variant}{n}")
+    graph, vid = _region_graph(set(cells))
     region_to_host = {vid[c]: cells[c] for c in cells}
     # the region dual must be the induced host subgraph, cell by cell
     induced_edges = sum(1 for e in host.edges.values()
                         if e.u in keep and e.v in keep)
     if len(graph.edges) != induced_edges:
         raise LiftFailed("region adjacency does not match the refinement subgraph")
-    return AztecInstance(n, inst, host, graph, tuple(sorted(cells)),
+    return AztecInstance(inst, host, graph, tuple(sorted(cells)),
                          region_to_host, cindex, cpath, fixed)
 
 

@@ -35,13 +35,8 @@ class FamilyPath:
     end_index: int
 
 
-@dataclass(frozen=True)
-class PathFamily:
-    paths: tuple[FamilyPath, ...]
-
-
 def build_path_family(instance: PlusMinusInstance, mu: Matching,
-                      from_minus: bool = False) -> PathFamily:
+                      from_minus: bool = False) -> tuple[FamilyPath, ...]:
     """The system of disjoint alternating paths that pairs up all marked
     midpoints, built generation by generation.
 
@@ -81,23 +76,22 @@ def build_path_family(instance: PlusMinusInstance, mu: Matching,
             if lo <= hi:
                 stack.append((lo, hi, gen + 1))
             j = k + 1 if left_to_right else k - 1
-    family = PathFamily(tuple(paths))
+    family = tuple(paths)
     _check_family(instance, family)
     return family
 
 
-def _check_family(instance: PlusMinusInstance, family: PathFamily):
+def _check_family(instance: PlusMinusInstance, family: tuple[FamilyPath, ...]):
     n = instance.boundary.n
-    if len(family.paths) != n:
-        raise PreconditionViolated(
-            f"family has {len(family.paths)} paths, expected {n}")
+    if len(family) != n:
+        raise PreconditionViolated(f"family has {len(family)} paths, expected {n}")
     seen: set[int] = set()
-    for p in family.paths:
+    for p in family:
         s = set(p.vertices)
         if seen & s:
             raise PreconditionViolated("family paths are not vertex-disjoint")
         seen |= s
-    endpoints = sorted(i for p in family.paths for i in (p.start_index, p.end_index))
+    endpoints = sorted(i for p in family for i in (p.start_index, p.end_index))
     if endpoints != list(range(1, 2 * n + 1)):
         raise PreconditionViolated("family endpoints do not pair all midpoints")
 
@@ -105,7 +99,7 @@ def _check_family(instance: PlusMinusInstance, family: PathFamily):
 def _swap(instance: PlusMinusInstance, mu: Matching, from_minus: bool) -> Matching:
     """Shift ``mu`` along its path family onto the other half graph."""
     family = build_path_family(instance, mu, from_minus)
-    edges = shift_edges(mu.edges, instance.trimmed, [p.vertices for p in family.paths])
+    edges = shift_edges(mu.edges, instance.trimmed, [p.vertices for p in family])
     host = instance.plus if from_minus else instance.minus
     return Matching(host.graph_id, edges)
 
@@ -126,10 +120,6 @@ def psi(instance: PlusMinusInstance, mu: Matching) -> Matching:
 # ---------------------------------------------------------------------------
 
 
-def refinement_host(ref: DualRefinement, removed) -> PlanarGraph:
-    return remove_vertices(ref.graph, removed, name="host")
-
-
 def temperley_tree_to_matching(ref: DualRefinement, tree: RootedForest) -> Matching:
     """Tail half-edges of the rooted tree plus tail half-edges of its dual
     tree rooted at the infinite face; a perfect matching of the refinement
@@ -144,7 +134,7 @@ def temperley_tree_to_matching(ref: DualRefinement, tree: RootedForest) -> Match
     root = tree.roots[0]
     if root not in g.infinite_face_vertices():
         raise RootNotOnInfiniteFace(f"root {root} is not on the infinite face")
-    return _forest_to_matching(ref, refinement_host(ref, [root]), tree,
+    return _forest_to_matching(ref, remove_vertices(ref.graph, [root]), tree,
                                dual_forest(g, tree.edge_set), ())
 
 
@@ -155,7 +145,7 @@ def temperley_matching_to_tree(ref: DualRefinement, mu: Matching,
     g = ref.source
     if root not in g.infinite_face_vertices():
         raise RootNotOnInfiniteFace(f"root {root} is not on the infinite face")
-    host = refinement_host(ref, [root])
+    host = remove_vertices(ref.graph, [root])
     if mu.host != host.graph_id:
         raise PreconditionViolated("matching host does not agree with the root")
     return _matching_to_forest(ref, host, mu, g, (root,))
@@ -250,11 +240,9 @@ def transport_instance(g: PlanarGraph, plain, prime, *,
         smashed = smash_in(ref, targets)
     except DimerforgeError as exc:
         raise ConditionViolated("iv", str(exc)) from exc
-    host_plain = remove_vertices(smashed.graph, _removal_sequence(smashed, plain),
-                                 name="host-plain")
-    host_prime = remove_vertices(smashed.graph, _removal_sequence(smashed, prime),
-                                 name="host-prime")
-    forest_graph = remove_vertices(g, targets, name="forest-graph")
+    host_plain = remove_vertices(smashed.graph, _removal_sequence(smashed, plain))
+    host_prime = remove_vertices(smashed.graph, _removal_sequence(smashed, prime))
+    forest_graph = remove_vertices(g, targets)
     return TransportInstance(smashed, plain, prime, host_plain, host_prime,
                              forest_graph,
                              tuple(sorted((dual_weights or {}).items())))

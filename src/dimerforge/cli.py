@@ -23,7 +23,7 @@ from .matchings import (
     kasteleyn_grid_count,
     squarish,
 )
-from .planar import check_reflection_symmetry, dump_graph, parse_graph, read_text
+from .planar import check_reflection_symmetry, dump_graph, parse_graph, read_text, remove_vertices
 
 
 class _Fail(click.ClickException):
@@ -35,7 +35,7 @@ class _ConfigFail(click.ClickException):
 
 
 def _load(path: str, lenient: bool = False):
-    return parse_graph(read_text(path), name=path, require_connected=not lenient)
+    return parse_graph(read_text(path), require_connected=not lenient)
 
 
 def _ids(text: str) -> list[int]:
@@ -266,7 +266,7 @@ def temperley(direction, file, input_file, root):
             mu = bijections.temperley_tree_to_matching(ref, tree)
             click.echo(" ".join(map(str, mu.sorted_edges())))
     else:
-        host = bijections.refinement_host(ref, [root])
+        host = remove_vertices(ref.graph, [root])
         for mu in _read_matchings(input_file, host):
             tree = bijections.temperley_matching_to_tree(ref, mu, root)
             click.echo(" ".join(map(str, sorted(tree.edge_set))))

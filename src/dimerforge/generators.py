@@ -16,7 +16,6 @@ from .planar import Edge, PlanarGraph, Vertex, _components, check_reflection_sym
 from .refine import (
     _diagonal,
     _grid_edges,
-    _is_connected,
     _mirrored,
     _peaks,
     _replay,
@@ -36,7 +35,7 @@ MAX_VERTICES = 12             # most vertices of a random_symmetric or random_pl
 # ---------------------------------------------------------------------------
 
 
-def build_from_points(points, edges_by_points, weights=None, name=""):
+def build_from_points(points, edges_by_points, weights=None):
     """Graph on distinct lattice points, not validated: every caller draws a
     connected grid subgraph (or its image under a lattice map) or a
     non-crossing four-cycle, so edges meet only at shared ends."""
@@ -47,13 +46,13 @@ def build_from_points(points, edges_by_points, weights=None, name=""):
     for eid, (a, b) in enumerate(sorted(edges_by_points)):
         w = Fraction(1) if weights is None else weights.get((a, b), Fraction(1))
         edges[eid] = Edge(eid, vid[a], vid[b], w)
-    return PlanarGraph.trusted(vertices, edges, geometric=True, name=name), vid
+    return PlanarGraph.trusted(vertices, edges, geometric=True), vid
 
 
 def grid_graph(cols: int, rows: int, weights=None) -> PlanarGraph:
     """Grid graph on cols x rows lattice points with unit spacing."""
     points = {(x, y) for x in range(cols) for y in range(rows)}
-    g, _ = build_from_points(points, _grid_edges(points), weights, name=f"grid{cols}x{rows}")
+    g, _ = build_from_points(points, _grid_edges(points), weights)
     return g
 
 
@@ -61,7 +60,7 @@ def diamond_graph() -> PlanarGraph:
     """Four-cycle drawn as a diamond, symmetric about the horizontal axis."""
     pts = [(-1, 0), (1, 0), (0, 1), (0, -1)]
     edges = [((-1, 0), (0, 1)), ((0, 1), (1, 0)), ((-1, 0), (0, -1)), ((0, -1), (1, 0))]
-    g, _ = build_from_points(pts, edges, name="diamond")
+    g, _ = build_from_points(pts, edges)
     return g
 
 
@@ -70,7 +69,7 @@ def diagonal_grid(k: int) -> PlanarGraph:
     square = {(x, y) for x in range(k) for y in range(k)}
     # both unit steps raise x + y, so each image pair stays in sorted order
     edges = [(_diagonal(p), _diagonal(q)) for p, q in _grid_edges(square)]
-    g, _ = build_from_points(map(_diagonal, square), edges, name=f"diag{k}")
+    g, _ = build_from_points(map(_diagonal, square), edges)
     return g
 
 
@@ -89,7 +88,7 @@ def hexagon_graph(m: int):
         raise ValueError("m must be positive")
     points = {(x, y) for x in range(2 * m)
               for y in range(x, min(3 * m - 1, x + 2 * m + 1, -x + 4 * m) + 1)}
-    g, vid = build_from_points(points, _grid_edges(points), name=f"hexagon{m}")
+    g, vid = build_from_points(points, _grid_edges(points))
     plain, prime = [], []
     for i in range(1, 2 * m):
         if i % 2 == 1:
@@ -106,7 +105,7 @@ def hexagon_graph(m: int):
 def path_graph(k: int) -> PlanarGraph:
     pts = [(i, 0) for i in range(k)]
     edges = [((i, 0), (i + 1, 0)) for i in range(k - 1)]
-    g, _ = build_from_points(pts, edges, name=f"path{k}")
+    g, _ = build_from_points(pts, edges)
     return g
 
 
@@ -116,7 +115,7 @@ def fan_square() -> PlanarGraph:
     and the graph symmetrized."""
     pts = [(0, 0), (1, 0), (2, 0), (1, 1)]
     edges = [((0, 0), (1, 0)), ((1, 0), (2, 0)), ((2, 0), (1, 1)), ((0, 0), (1, 1))]
-    g, _ = build_from_points(pts, edges, name="fan-square")
+    g, _ = build_from_points(pts, edges)
     return g
 
 
@@ -199,7 +198,7 @@ def random_section2(seed: int):
         if len(edges) > edge_budget:
             continue
         try:
-            g, vid = build_from_points(points, edges, name=f"section2-{seed}")
+            g, vid = build_from_points(points, edges)
             path = [vid[(x, 0)] for x in range(cols)]
             inst = section_instance(g, path)
         except DimerforgeError:
@@ -221,17 +220,11 @@ def random_symmetric(seed: int, need_matchings: bool = False):
         h = 1
         points = {(x, y) for x in range(w + 1) for y in range(-h, h + 1)}
         for _ in range(rng.randint(0, 4)):
-            candidates = []
-            for p in sorted(points):
-                if p[1] <= 0:
-                    continue
-                pm = (p[0], -p[1])
-                rest = points - {p, pm}
-                if _is_connected(rest):
-                    candidates.append(p)
-            if not candidates:
-                break
-            p = rng.choice(candidates)
+            # every removal keeps the set connected: the axis row y = 0 is
+            # never removed and forms a path, and each point left at y = +-1
+            # sits on its column's axis point; at most four removals from a
+            # top row of four always leave a candidate
+            p = rng.choice([p for p in sorted(points) if p[1] > 0])
             points -= {p, (p[0], -p[1])}
         if len(points) > MAX_VERTICES or len(points) < 4:
             continue
@@ -245,7 +238,7 @@ def random_symmetric(seed: int, need_matchings: bool = False):
             else:
                 weights[(a, b)] = rng.choice(WEIGHT_POOL)
         # mirrored removals and mirrored weights: symmetric by construction
-        g, _ = build_from_points(points, edge_pairs, weights, name=f"symmetric-{seed}")
+        g, _ = build_from_points(points, edge_pairs, weights)
         cert = check_reflection_symmetry(g, Fraction(0))
         if need_matchings and count_matchings(g) == 0:
             continue
@@ -281,8 +274,7 @@ def random_exit_side(seed: int, end: int):
             component = _components(g.vertices, ((e.u, e.v) for e in kept.values()))
             if len(set(component.values())) > 1:
                 continue
-            h = PlanarGraph.trusted(dict(g.vertices), kept, geometric=True,
-                                    name=f"exit-side-{seed}")
+            h = PlanarGraph.trusted(dict(g.vertices), kept, geometric=True)
             return h, check_reflection_symmetry(h, cert.axis_y), root
     raise GenerationExhausted(f"no exit-side instance for seed {seed}")
 
@@ -296,16 +288,17 @@ def random_plane_graph(seed: int, weighted: bool = False) -> PlanarGraph:
         rows = rng.choice([2, 3])
         points = {(x, y) for x in range(cols) for y in range(rows)}
         for _ in range(rng.randint(0, len(points) // 2)):
-            candidates = [p for p in sorted(points)
-                          if len(points) > 3 and _is_connected(points - {p})]
-            if not candidates:
+            if len(points) <= 3:
                 break
-            points -= {rng.choice(candidates)}
+            # the set stays connected, so a removal keeps it connected
+            # exactly when it takes no cut vertex
+            cut = _cut_vertices(points, _grid_edges(points))
+            points -= {rng.choice([p for p in sorted(points) if p not in cut])}
         if len(points) > MAX_VERTICES or len(points) < 2:
             continue
         edge_pairs = _grid_edges(points)
         weights = _random_weights(rng, sorted(edge_pairs)) if weighted else None
-        return build_from_points(points, edge_pairs, weights, name=f"plane-{seed}")[0]
+        return build_from_points(points, edge_pairs, weights)[0]
     raise GenerationExhausted(f"no valid plane graph for seed {seed}")
 
 
@@ -325,7 +318,10 @@ def random_trimmed(seed: int, n: int | None = None, require_connected: bool = Fa
         peaks = _peaks(present)
         rng.shuffle(peaks)
         for peak, quad in peaks:
-            if not require_connected or _is_connected(_mirrored(present - set(quad))):
+            if not require_connected:
+                break
+            stage = _mirrored(present - set(quad))
+            if len(set(_components(stage, _grid_edges(stage)).values())) == 1:
                 break
         else:
             break
@@ -408,8 +404,7 @@ def _reweight(g: PlanarGraph, weights: dict[int, Fraction]) -> PlanarGraph:
     only the weights are checked again."""
     edges = {eid: Edge(eid, e.u, e.v, weights.get(eid, e.weight))
              for eid, e in g.edges.items()}
-    return PlanarGraph.trusted(dict(g.vertices), edges, rotation=g.rotation,
-                               geometric=True, name=g.name)
+    return PlanarGraph.trusted(dict(g.vertices), edges, rotation=g.rotation, geometric=True)
 
 
 def _cell_faces(g: PlanarGraph, lower_left_corners) -> list[int]:

@@ -57,10 +57,10 @@ def interior_vertex_count(g: PlanarGraph, cycle: list[int]) -> InteriorCount:
     pts = lat.rescaled(2 * lat.scale)
     polygon = [pts[v] for v in cycle]
     if _geom.polygon_area2(polygon) < 0:
-        cycle = list(reversed(cycle))
-        cycle_edges = [g.edge_between(a, b).id
-                       for a, b in zip(cycle, cycle[1:] + cycle[:1])]
-        polygon = list(reversed(polygon))
+        # reversed about the first vertex: edge i still joins vertices i, i+1
+        cycle = cycle[:1] + cycle[:0:-1]
+        cycle_edges.reverse()
+        polygon = polygon[:1] + polygon[:0:-1]
 
     on_cycle = set(cycle)
     v_in = 0
@@ -80,8 +80,7 @@ def interior_vertex_count(g: PlanarGraph, cycle: list[int]) -> InteriorCount:
 
     faces = g.trace_faces()
     inside_faces: set[int] = set()
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        eid = g.edge_between(a, b).id
+    for a, eid in zip(cycle, cycle_edges):
         inside_faces.add(faces.dart_face[(eid, a)])  # face left of the ccw cycle
     for eid in e_in:
         inside_faces.update(faces.sides_of_edge(g.edges[eid]))

@@ -133,12 +133,10 @@ class PlanarGraph:
     """
 
     def __init__(self, vertices: dict[int, Vertex], edges: dict[int, Edge], *,
-                 geometric: bool, rotation: dict[int, tuple[int, ...]] | None = None,
-                 name: str = ""):
+                 geometric: bool, rotation: dict[int, tuple[int, ...]] | None = None):
         self.vertices = {i: vertices[i] for i in sorted(vertices)}
         self.edges = {i: edges[i] for i in sorted(edges)}
         self.geometric = geometric
-        self.name = name
         adj: dict[int, list[int]] = {v: [] for v in self.vertices}
         for e in self.edges.values():
             if e.u not in adj or e.v not in adj:
@@ -156,21 +154,21 @@ class PlanarGraph:
 
     @classmethod
     def build(cls, vertices: dict[int, Vertex], edges: dict[int, Edge],
-              name: str = "", require_connected: bool = True) -> "PlanarGraph":
+              require_connected: bool = True) -> "PlanarGraph":
         """Fully validated constructor for geometric graphs."""
-        g = cls(vertices, edges, geometric=True, name=name)
+        g = cls(vertices, edges, geometric=True)
         g._validate(require_connected)
         return g
 
     @classmethod
     def trusted(cls, vertices: dict[int, Vertex], edges: dict[int, Edge], *,
                 rotation: dict[int, tuple[int, ...]] | None = None,
-                geometric: bool = False, name: str = "") -> "PlanarGraph":
+                geometric: bool = False) -> "PlanarGraph":
         """Constructor for graphs the program builds itself: a geometric
         drawing is valid by construction, other coordinates are cosmetic.
         Simplicity is still enforced; the geometric checks are not.
         """
-        g = cls(vertices, edges, geometric=geometric, rotation=rotation, name=name)
+        g = cls(vertices, edges, geometric=geometric, rotation=rotation)
         g._check_simple()
         return g
 
@@ -388,7 +386,7 @@ def _ccw_positions(walk: list[tuple[int, int]], marks, not_once, out_of_order) -
     return pos
 
 
-def remove_vertices(g: PlanarGraph, removed, *, name: str = "") -> PlanarGraph:
+def remove_vertices(g: PlanarGraph, removed) -> PlanarGraph:
     """Induced subgraph on the complement of ``removed``.  Deleting vertices
     keeps an embedding valid and a simple graph simple, so the geometric
     flag is inherited and nothing is checked again."""
@@ -398,8 +396,7 @@ def remove_vertices(g: PlanarGraph, removed, *, name: str = "") -> PlanarGraph:
              if e.u not in removed and e.v not in removed}
     rotation = {v: tuple(e for e in rot if e in edges)
                 for v, rot in g.rotation.items() if v not in removed}
-    return PlanarGraph(vertices, edges, geometric=g.geometric, rotation=rotation,
-                       name=name or g.name)
+    return PlanarGraph(vertices, edges, geometric=g.geometric, rotation=rotation)
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +414,7 @@ def read_text(path: str) -> str:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def parse_graph(text: str, *, name: str = "",
-                require_connected: bool = True) -> PlanarGraph:
+def parse_graph(text: str, *, require_connected: bool = True) -> PlanarGraph:
     """Parse the line-oriented graph format and fully validate the result.
 
     Format: ``v <id> <x> <y>`` and ``e <id> <u> <v> [weight]`` with rational
@@ -459,8 +455,7 @@ def parse_graph(text: str, *, name: str = "",
             raise ParseError(f"line {lineno}: {exc}") from exc
     if not vertices:
         raise ParseError("no vertices")
-    return PlanarGraph.build(vertices, edges, name=name,
-                             require_connected=require_connected)
+    return PlanarGraph.build(vertices, edges, require_connected=require_connected)
 
 
 def dump_graph(g: PlanarGraph) -> str:
@@ -486,7 +481,6 @@ class MarkedBoundary:
     two, optionally completed with the two added leaves v0 and v_{2n} and the
     boundary edges whose midpoints become the marked edge-vertices."""
 
-    host: str
     inner: tuple[int, ...]
     n: int
     leaves: tuple[int, int] | None = None
@@ -523,7 +517,7 @@ def validate_boundary_path(g: PlanarGraph, path: list[int]) -> MarkedBoundary:
     for i, v in enumerate(path, 1):
         if i % 2 == 0 and g.degree(v) != 2:
             raise BadDegree(f"v{i}={v} has degree {g.degree(v)}, expected 2")
-    return MarkedBoundary(g.graph_id, tuple(path), (len(path) + 1) // 2)
+    return MarkedBoundary(tuple(path), (len(path) + 1) // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -142,8 +142,7 @@ def dual_refinement(g: PlanarGraph,
         c = center_of_face[f.index]
         rotation[c] = tuple(h_adj[c][mid_of_edge[eid]] for _, eid in f.cycle)
 
-    graph = PlanarGraph.trusted(vertices, edges, rotation=rotation,
-                                name=f"refine({g.name or g.graph_id})")
+    graph = PlanarGraph.trusted(vertices, edges, rotation=rotation)
     assert len(graph.vertices) % 2 == 1, "refinement must have oddly many vertices"
     return DualRefinement(g, graph, mid_of_edge, center_of_face,
                           {m: e for e, m in mid_of_edge.items()},
@@ -202,15 +201,14 @@ def augment_with_leaves(g0: PlanarGraph, path: list[int]) -> tuple[PlanarGraph, 
             edges = dict(g0.edges)
             edges[e0] = Edge(e0, leaf0, v1)
             edges[e1] = Edge(e1, v_last, leaf1)
-            g = PlanarGraph.trusted(vertices, edges, geometric=True,
-                                    name=f"{g0.name or g0.graph_id}+leaves")
+            g = PlanarGraph.trusted(vertices, edges, geometric=True)
             onb = g.infinite_face_vertices()
             if leaf0 not in onb or leaf1 not in onb:
                 continue
             full = (leaf0,) + mb.inner + (leaf1,)
             bedges = tuple(g.edge_between(a, b).id for a, b in zip(full, full[1:]))
-            return g, MarkedBoundary(g.graph_id, mb.inner, mb.n,
-                                     leaves=(leaf0, leaf1), boundary_edges=bedges)
+            return g, MarkedBoundary(mb.inner, mb.n, leaves=(leaf0, leaf1),
+                                     boundary_edges=bedges)
     raise EmbeddingError("could not place the boundary leaves in the infinite face")
 
 
@@ -240,9 +238,9 @@ def _trim(refinement: DualRefinement, mb: MarkedBoundary):
     if mb.leaves is None or mb.boundary_edges is None:
         raise PreconditionViolated("boundary must be augmented with leaves first")
     mids = tuple(refinement.mid_of_edge[e] for e in mb.boundary_edges)
-    trimmed = remove_vertices(refinement.graph, mb.full_path[0::2], name="trimmed")
-    plus = remove_vertices(trimmed, mids[0::2], name="plus")
-    minus = remove_vertices(trimmed, mids[1::2], name="minus")
+    trimmed = remove_vertices(refinement.graph, mb.full_path[0::2])
+    plus = remove_vertices(trimmed, mids[0::2])
+    minus = remove_vertices(trimmed, mids[1::2])
     return mids, trimmed, plus, minus
 
 
@@ -320,7 +318,7 @@ def symmetrize(refinement: DualRefinement, mb: MarkedBoundary) -> PlanarGraph:
             next_eid += 1
     # the validated top half lies above the axis and meets it only at the
     # shared midpoints, so it and its mirror image cannot cross
-    return PlanarGraph.trusted(vertices, edges, geometric=True, name="symmetrized")
+    return PlanarGraph.trusted(vertices, edges, geometric=True)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +372,7 @@ def smash_in(refinement: DualRefinement, targets) -> SmashedGraph:
         removed_vertices.add(v)
         for eid in g.adj[v]:
             removed_vertices.add(refinement.mid_of_edge[eid])
-    graph = remove_vertices(refinement.graph, removed_vertices, name="smashed")
+    graph = remove_vertices(refinement.graph, removed_vertices)
     return SmashedGraph(refinement, face_of, graph)
 
 
@@ -404,7 +402,7 @@ def _square_graph(side: int, present: set[tuple[int, int]]) -> PlanarGraph:
 
     vertices = {vid(p): Vertex(vid(p), _diagonal(p)) for p in present}
     edges = {e: Edge(e, vid(p), vid(q)) for e, (p, q) in enumerate(_grid_edges(present))}
-    return PlanarGraph.trusted(vertices, edges, geometric=True, name=f"square{side}")
+    return PlanarGraph.trusted(vertices, edges, geometric=True)
 
 
 def _quadruple(present: set[tuple[int, int]], peak: tuple[int, int]):
@@ -419,21 +417,6 @@ def _quadruple(present: set[tuple[int, int]], peak: tuple[int, int]):
     if fourth not in present:
         raise NotAPeak(f"{peak} has no opposite four-cycle vertex")
     return [peak, nbrs[0], nbrs[1], fourth]
-
-
-def _is_connected(present: set[tuple[int, int]]) -> bool:
-    if not present:
-        return False
-    start = next(iter(present))
-    seen = {start}
-    stack = [start]
-    while stack:
-        i, j = stack.pop()
-        for p in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
-            if p in present and p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return len(seen) == len(present)
 
 
 def _replay(n: int, removals=()) -> set[tuple[int, int]]:

@@ -115,7 +115,8 @@ def temperley_fault(g, ref, root):
 
     The matching-to-tree map validates each image as a matching of the
     host, as the one-pass rule of ``_round_trip_fault`` needs."""
-    from .bijections import refinement_host, temperley_matching_to_tree, temperley_tree_to_matching
+    from .bijections import temperley_matching_to_tree, temperley_tree_to_matching
+    from .planar import remove_vertices
     from .trees import enumerate_spanning_trees
 
     tree_list = list(enumerate_spanning_trees(g, root))
@@ -123,7 +124,7 @@ def temperley_fault(g, ref, root):
                                partial(temperley_matching_to_tree, ref, root=root),
                                (g, ref.graph))
              or _count_fault("tree and matching counts differ", tree_list,
-                             refinement_host(ref, [root]), ("trees", "matchings")))
+                             remove_vertices(ref.graph, [root]), ("trees", "matchings")))
     return len(tree_list), fault
 
 
@@ -241,8 +242,8 @@ def check_trimmed_squarish(count: int, seed: int) -> tuple[bool, str, str | None
 
 
 def check_temperley(count: int, seed: int) -> tuple[bool, str, str | None]:
-    from .bijections import refinement_host
     from .generators import grid_graph, random_plane_graph
+    from .planar import remove_vertices
     from .refine import dual_refinement
     from .trees import count_spanning_trees
 
@@ -254,7 +255,7 @@ def check_temperley(count: int, seed: int) -> tuple[bool, str, str | None]:
         ref = dual_refinement(g)
         trees_total = count_spanning_trees(g)
         for v in sorted(g.infinite_face_vertices()):
-            host = refinement_host(ref, [v])
+            host = remove_vertices(ref.graph, [v])
             if count_matchings(host) != trees_total:
                 return False, f"instance {k}: root {v} breaks the correspondence", \
                     f"trees={trees_total} matchings={count_matchings(host)}"

@@ -14,7 +14,6 @@ from dimerforge.bijections import (
     phi,
     psi,
     reflect_swap,
-    refinement_host,
     site_path_to_refinement,
     tea_transport,
     temperley_matching_to_tree,
@@ -34,7 +33,7 @@ from dimerforge.generators import (
 )
 from dimerforge.gliding import DUAL, FRAME, glide, shift_edges
 from dimerforge.matchings import Matching, count_matchings, enumerate_matchings
-from dimerforge.planar import PlanarGraph, Vertex, check_reflection_symmetry
+from dimerforge.planar import PlanarGraph, Vertex, check_reflection_symmetry, remove_vertices
 from dimerforge.refine import dual_refinement, section_instance
 from dimerforge.trees import enumerate_spanning_trees
 
@@ -95,15 +94,30 @@ def test_glide_from_a_vertex_keeps_its_own_frame():
     assert glides > 200
 
 
+def test_glide_around_a_closed_cycle_is_detected():
+    # without its face centre the square's refinement is an 8-cycle of
+    # corners and midpoints; under either matching a glide from a corner
+    # walks round it back to the start
+    g = grid_graph(2, 2)
+    ref = dual_refinement(g)
+    host = remove_vertices(ref.graph, list(ref.face_of_center))
+    matchings = list(enumerate_matchings(host))
+    assert len(matchings) == 2
+    for mu in matchings:
+        cover = mu.cover_map(host)
+        for corner in g.vertices:
+            with pytest.raises(errors.CycleDetected, match=f"revisited vertex {corner}"):
+                glide(host, ref, cover, corner, FRAME)
+
+
 def test_family_pairs_all_midpoints():
     inst = square_instance()
     for mu in enumerate_matchings(inst.plus):
         family = build_path_family(inst, mu)
-        assert len(family.paths) == inst.boundary.n
-        endpoints = sorted(i for p in family.paths
-                           for i in (p.start_index, p.end_index))
+        assert len(family) == inst.boundary.n
+        endpoints = sorted(i for p in family for i in (p.start_index, p.end_index))
         assert endpoints == list(range(1, 2 * inst.boundary.n + 1))
-        sets = [set(p.vertices) for p in family.paths]
+        sets = [set(p.vertices) for p in family]
         for i in range(len(sets)):
             for j in range(i + 1, len(sets)):
                 assert not (sets[i] & sets[j])
@@ -149,7 +163,7 @@ def test_phi_bijection_random_instances():
 def test_shift_is_involution():
     inst = square_instance()
     mu = next(enumerate_matchings(inst.plus))
-    paths = [p.vertices for p in build_path_family(inst, mu).paths]
+    paths = [p.vertices for p in build_path_family(inst, mu)]
     once = shift_edges(mu.edges, inst.trimmed, paths)
     assert shift_edges(once, inst.trimmed, paths) == mu.edges
 
@@ -162,7 +176,7 @@ def test_temperley_square_all_trees():
     ref = dual_refinement(g)
     trees = list(enumerate_spanning_trees(g, 0))
     assert len(trees) == 4
-    host = refinement_host(ref, [0])
+    host = remove_vertices(ref.graph, [0])
     assert count_matchings(host) == 4
     for tree in trees:
         mu = temperley_tree_to_matching(ref, tree)

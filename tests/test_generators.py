@@ -2,8 +2,12 @@
 
 import hashlib
 from fractions import Fraction
+from itertools import combinations
+
+import pytest
 
 from dimerforge import generators, planar
+from dimerforge.errors import DimerforgeError, GenerationExhausted
 from dimerforge.generators import (
     diagonal_grid,
     grid_graph,
@@ -75,12 +79,62 @@ def test_random_section2_draws_are_pinned():
         "6c669d21a44b02ebf61eee233927a6e2007aec96520e7837a8747c133410f0ba"
 
 
+def test_random_section2_draw_builds_no_graph_id(monkeypatch):
+    # a graph id hashes the full dump, and no part of a draw reads one
+    real, calls = planar.dump_graph, []
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(planar, "dump_graph", counting)
+    random_section2(0)
+    assert calls == []
+
+
 def test_random_symmetric_certified():
     for seed in range(5):
         g, cert = random_symmetric(seed)
         assert check_reflection_symmetry(g, Fraction(0)).axis_vertices == cert.axis_vertices
     g, _ = random_symmetric(3, need_matchings=True)
     assert count_matchings(g) > 0
+
+
+def test_random_symmetric_removals_never_disconnect_the_window():
+    # every draw lies in the 4 x 3 window around the axis y = 0, and every
+    # set of top points removed with their mirrors leaves it connected, so
+    # the generator offers each top point without a connectivity test
+    window = {(x, y) for x in range(4) for y in (-1, 0, 1)}
+    for seed in range(50):
+        g, _ = random_symmetric(seed)
+        assert {v.pos for v in g.vertices.values()} <= window
+    top = [(x, 1) for x in range(4)]
+    for r in range(len(top) + 1):
+        for removed in combinations(top, r):
+            points = window - set(removed) - {(x, -1) for x, _ in removed}
+            roots = planar._components(points, generators._grid_edges(points))
+            assert len(set(roots.values())) == 1, removed
+
+
+def test_random_plane_and_symmetric_draws_are_pinned():
+    ids = [random_plane_graph(seed, weighted).graph_id
+           for seed in range(200) for weighted in (False, True)]
+    ids += [random_symmetric(seed, need_matchings)[0].graph_id
+            for seed in range(200) for need_matchings in (False, True)]
+    assert hashlib.sha256(repr(ids).encode()).hexdigest() == \
+        "5beb94b08e65aa54dbf6fb85b63b7aa9233ead6da135b874348a1c075e840dbd"
+
+
+def test_generators_raise_generation_exhausted_when_every_attempt_fails(monkeypatch):
+    def fail(*args):
+        raise DimerforgeError("rejected")
+
+    monkeypatch.setattr(generators, "section_instance", fail)
+    with pytest.raises(GenerationExhausted, match="marked-boundary instance for seed 5"):
+        random_section2(5)
+    monkeypatch.setattr(generators, "MAX_VERTICES", 1)
+    with pytest.raises(GenerationExhausted, match="plane graph for seed 5"):
+        random_plane_graph(5)
 
 
 def test_random_transport_valid():
@@ -101,7 +155,7 @@ def test_random_transport_grid_draws_are_pinned():
                                     (13, (1,), (0,), "fd7d94b45eaa")):
         inst, paths = random_transport(seed)
         source = inst.smashed.refinement.source
-        assert source.name == "grid2x2" and paths == {}
+        assert len(source.vertices) == 4 and paths == {}
         assert (inst.plain, inst.prime, source.graph_id) == (plain, prime, gid)
 
 

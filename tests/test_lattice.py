@@ -97,24 +97,46 @@ def test_lattice_predicates_match_fractions(drawing):
                 == oracle.point_on_segment(pos[c], pos[a], pos[b]))
 
 
+def _footprint(g):
+    """A transport source's shape: a full grid, or else a lattice hexagon,
+    whose 2m columns give its order m."""
+    xs = {v.pos[0] for v in g.vertices.values()}
+    ys = {v.pos[1] for v in g.vertices.values()}
+    if len(g.vertices) == len(xs) * len(ys):
+        return f"grid{len(xs)}x{len(ys)}"
+    return f"hexagon{len(xs) // 2}"
+
+
 def _families():
-    yield from (grid_graph(1, 1), grid_graph(4, 3), diamond_graph(), fan_square(),
-                diagonal_grid(3), diagonal_grid(5), hexagon_graph(2)[0], path_graph(4),
-                ladder_graph(3))
+    """(label, graph) for every lattice family."""
+    yield from (("grid1x1", grid_graph(1, 1)), ("grid4x3", grid_graph(4, 3)),
+                ("diamond", diamond_graph()), ("fan-square", fan_square()),
+                ("diag3", diagonal_grid(3)), ("diag5", diagonal_grid(5)),
+                ("hexagon2", hexagon_graph(2)[0]), ("path4", path_graph(4)),
+                ("grid3x2", ladder_graph(3)))
     for seed in range(8):
         inst = random_section2(seed)
-        yield from (inst.refinement.source, inst.refinement.graph, inst.trimmed, inst.plus,
-                    inst.minus, symmetrize(inst.refinement, inst.boundary))
-        yield random_symmetric(seed)[0]
-        yield random_plane_graph(seed, weighted=True)
-        yield random_trimmed(seed)[0]
+        source = f"section2-{seed}+leaves"
+        yield from ((source, inst.refinement.source),
+                    (f"refine({source})", inst.refinement.graph),
+                    ("trimmed", inst.trimmed), ("plus", inst.plus), ("minus", inst.minus),
+                    ("symmetrized", symmetrize(inst.refinement, inst.boundary)))
+        yield f"symmetric-{seed}", random_symmetric(seed)[0]
+        yield f"plane-{seed}", random_plane_graph(seed, weighted=True)
+        square, n, _ = random_trimmed(seed)
+        yield f"square{2 * n}", square
         transport = random_transport(seed)[0]
-        yield from (transport.smashed.refinement.source, transport.smashed.graph)
+        source = transport.smashed.refinement.source
+        yield from ((_footprint(source), source), ("smashed", transport.smashed.graph))
     for n in (1, 3):
-        yield from (inst.graph for inst in aztec_pair(n))
+        yield from ((f"aztec-{variant}{n}", inst.graph)
+                    for variant, inst in zip(("T", "Tp"), aztec_pair(n)))
 
 
-@pytest.mark.parametrize("g", list(_families()), ids=lambda g: g.name)
+FAMILIES = list(_families())
+
+
+@pytest.mark.parametrize("g", [g for _, g in FAMILIES], ids=[label for label, _ in FAMILIES])
 def test_rotation_and_face_areas_match_fractions(g):
     # the refinement's rotation is combinatorial and its drawing cosmetic;
     # redrawn, every graph gets its rotation and faces from the coordinates

@@ -81,7 +81,8 @@ def _oracle_families():
             hosts.update({h.graph_id: h for h in (inst.host_plain, inst.host_prime)})
     yield from ((f"transport-{gid}", h) for gid, h in hosts.items())
     for n in (1, 2, 3):
-        yield from ((f"aztec{n}-{side.graph.name}", side.graph) for side in aztec_pair(n))
+        yield from ((f"aztec-{variant}{n}", side.graph)
+                    for variant, side in zip(("T", "Tp"), aztec_pair(n)))
     grid = grid_graph(4, 4)
     yield "grid4x4-minus-corners", remove_vertices(grid, [0, 15])
     yield "grid4x4-minus-middle", remove_vertices(grid, [5, 6])

@@ -26,6 +26,10 @@ def test_orientation_does_not_matter():
     a = interior_vertex_count(g, [0, 1, 2, 5, 8, 7, 6, 3])
     b = interior_vertex_count(g, [3, 6, 7, 8, 5, 2, 1, 0])
     assert (a.vertices, a.edges, a.faces) == (b.vertices, b.edges, b.faces)
+    for seed in range(4):
+        g = random_plane_graph(seed)
+        for cyc in simple_cycles(g):
+            assert interior_vertex_count(g, cyc) == interior_vertex_count(g, cyc[::-1])
 
 
 def test_chord_edges_with_endpoints_on_cycle_count_as_interior():
@@ -41,8 +45,8 @@ def test_not_a_cycle():
     g = grid_graph(2, 2)
     with pytest.raises(NotACycle):
         interior_vertex_count(g, [0, 1])
-    with pytest.raises(NotACycle):
-        interior_vertex_count(g, [0, 1, 2])  # 1-2 is not an edge
+    with pytest.raises(NotACycle, match="1,2 is not an edge"):
+        interior_vertex_count(g, [0, 1, 2])
 
 
 def test_simple_cycles_of_square():

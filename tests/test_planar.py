@@ -8,19 +8,20 @@ from hypothesis import strategies as st
 
 from dimerforge import errors
 from dimerforge.generators import (
-    build_from_points,
+    _cut_vertices,
     diamond_graph,
     grid_graph,
     path_graph,
     random_section2,
 )
 from dimerforge.planar import (
+    _components,
     check_reflection_symmetry,
     dump_graph,
     parse_graph,
     validate_boundary_path,
 )
-from dimerforge.refine import _grid_edges, _is_connected, section_instance, trimmed_square
+from dimerforge.refine import _grid_edges, section_instance, trimmed_square
 
 SQUARE = """
 v 0 0 0
@@ -197,13 +198,19 @@ def test_not_symmetric():
 # -- connectivity --------------------------------------------------------------
 
 
+def _roots(points) -> int:
+    return len(set(_components(points, _grid_edges(points)).values()))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1))
-def test_lattice_walk_and_union_find_agree_on_connectivity(points):
-    # two independent routes: the four-neighbour walk over the point set and
-    # the union-find over the drawn grid graph's edges
-    g, _ = build_from_points(points, _grid_edges(points))
-    assert _is_connected(points) == g.is_connected()
+def test_cut_vertices_are_the_removals_that_disconnect(drawn):
+    # two independent routes on the component of the drawn set's least
+    # point: one low-point search, and a union-find after each removal
+    roots = _components(drawn, _grid_edges(drawn))
+    points = {p for p in drawn if roots[p] == roots[min(drawn)]}
+    brute = {p for p in points if _roots(points - {p}) > 1}
+    assert _cut_vertices(points, _grid_edges(points)) == brute
 
 
 def _reachable(g, start):

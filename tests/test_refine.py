@@ -17,9 +17,9 @@ from dimerforge.generators import (
     random_trimmed,
 )
 from dimerforge.matchings import count_matchings, enumerate_matchings, squarish
-from dimerforge.planar import PlanarGraph, Vertex, check_reflection_symmetry
+from dimerforge.planar import PlanarGraph, Vertex, _components, check_reflection_symmetry
 from dimerforge.refine import (
-    _is_connected,
+    _grid_edges,
     _peaks,
     _quadruple,
     _replay,
@@ -291,7 +291,8 @@ def test_every_reachable_stage_stays_connected():
                     i, j = min(quad)
                     assert i % 2 == 0 and j % 2 == 0, (n, peak)
                     stage = present - set(quad)
-                    assert _is_connected(stage), (n, sorted(present), peak)
+                    roots = _components(stage, _grid_edges(stage)).values()
+                    assert len(set(roots)) == 1, (n, sorted(present), peak)
                     if stage not in seen:
                         seen.add(stage)
                         reached.append(stage)

@@ -453,7 +453,7 @@ def test_classify_rejects_a_channel_off_a_band_gap():
     # vertex, twice on the same arc (found by a search over edge subsets)
     g = ladder_graph(3)
     vid = {(int(v.pos[0]), int(v.pos[1])): v.id for v in g.vertices.values()}
-    sub = remove_vertices(g, [vid[(1, 0)]], name="ladder3-minus-corner")
+    sub = remove_vertices(g, [vid[(1, 0)]])
     path = [vid[p] for p in ((0, 0), (0, 1), (1, 1), (2, 1), (2, 0))]
     edges = [g.edge_between(a, b).id for a, b in zip(path, path[1:])]
     forest = orient_edge_set(sub, edges, (vid[(2, 1)],))
@@ -597,7 +597,7 @@ def _exit_read_off(ref, host, mu, forest):
 def test_matching_to_forest_orients_each_vertex_along_its_read_exit():
     # the forest comes from a search of the exits read off the matching; the
     # peeling argument says the searched parent edge is the read exit
-    from dimerforge.bijections import refinement_host, temperley_matching_to_tree
+    from dimerforge.bijections import temperley_matching_to_tree
     from dimerforge.refine import dual_refinement
 
     checked = 0
@@ -605,7 +605,7 @@ def test_matching_to_forest_orients_each_vertex_along_its_read_exit():
         g = random_plane_graph(s)
         ref = dual_refinement(g)
         root = min(g.infinite_face_vertices())
-        host = refinement_host(ref, [root])
+        host = remove_vertices(ref.graph, [root])
         for mu in enumerate_matchings(host):
             forest = temperley_matching_to_tree(ref, mu, root)
             assert len(forest.assignments) == len(g.vertices) - 1
