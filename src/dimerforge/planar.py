@@ -12,9 +12,10 @@ valid by construction (for a reason stated where it is built) or cosmetic.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from math import lcm
 
 from . import _geom
@@ -99,16 +100,48 @@ class FaceDecomposition:
 @dataclass(frozen=True)
 class WeightTable:
     """Edge weights made integers one vertex at a time: the Laplacian rows
-    and the loop-erased walks of the tree layer read it, and the matching DP
+    of the tree layer read it, the walks of its sampler draw from a table
+    built on its exits (``PlanarGraph.walk_table``), and the matching DP
     weighs edge uv as its exit weight at v times d_u."""
 
     scale: dict[int, int]  # v -> d_v, the lcm of the weight denominators at v
     # v -> (edge, neighbour, weight * d_v) of its positive-weight edges, by edge id
     exits: dict[int, tuple[tuple[int, int, int], ...]]
-    # v -> (total, total.bit_length(), cumulative weights of ``exits[v]``): the
-    # exit sums one walk step reads
-    rows: dict[int, tuple[int, int, tuple[int, ...]]]
     connected: bool  # whether the positive-weight edges connect the graph
+
+
+# the most entries a walk row tabulates: a vertex whose exit total T has
+# 2^T.bit_length() above it keeps a cumulative search instead
+WALK_ROW_CAP = 64
+
+
+class _SearchRow:
+    """A walk row too long to tabulate, indexed like one: ``row[r]`` is the
+    (edge, neighbour) of the first exit whose cumulative weight exceeds r,
+    and None for r at or above the exit total."""
+
+    __slots__ = ("total", "cum", "pick")
+
+    def __init__(self, out: tuple[tuple[int, int, int], ...]):
+        self.cum = tuple(accumulate(x for _, _, x in out))
+        self.total = self.cum[-1]
+        self.pick = tuple((e, u) for e, u, _ in out)
+
+    def __getitem__(self, r: int) -> tuple[int, int] | None:
+        return self.pick[bisect_right(self.cum, r)] if r < self.total else None
+
+
+def _walk_row(out: tuple[tuple[int, int, int], ...]) -> tuple[int, tuple | _SearchRow]:
+    """(k, pick) for a vertex with exits ``out``: k is the bit length of the
+    exit total T, and pick[r] for r < 2^k is the (edge, neighbour) of the
+    first exit whose cumulative weight exceeds r, or None when r >= T.  Each
+    exit fills as many consecutive entries as its scaled weight."""
+    total = sum(x for _, _, x in out)
+    k = total.bit_length()
+    if 1 << k > WALK_ROW_CAP:
+        return k, _SearchRow(out)
+    pick = chain.from_iterable(repeat((e, u), x) for e, u, x in out)
+    return k, tuple(pick) + (None,) * ((1 << k) - total)
 
 
 @dataclass(frozen=True)
@@ -148,6 +181,7 @@ class PlanarGraph:
         self.rotation = rotation if rotation is not None else self._rotation_from_angles()
         self._faces: FaceDecomposition | None = None
         self._weights: WeightTable | None = None
+        self._walk: dict | None = None
         self._id: str | None = None
 
     # -- construction --------------------------------------------------------
@@ -274,19 +308,23 @@ class PlanarGraph:
 
     def weight_table(self) -> WeightTable:
         if self._weights is None:
-            scale, exits, rows = {}, {}, {}
+            scale, exits = {}, {}
             for v, ids in self.adj.items():
                 d = scale[v] = lcm(*(self.edges[e].weight.denominator for e in ids))
-                out = exits[v] = tuple((e, self.edges[e].other(v),
-                                        w.numerator * (d // w.denominator))
-                                       for e in ids if (w := self.edges[e].weight))
-                cum = tuple(accumulate(x for _, _, x in out))
-                total = cum[-1] if cum else 0
-                rows[v] = (total, total.bit_length(), cum)
+                exits[v] = tuple((e, self.edges[e].other(v),
+                                  w.numerator * (d // w.denominator))
+                                 for e in ids if (w := self.edges[e].weight))
             positive = _components(self.vertices,
                                    ((e.u, e.v) for e in self.edges.values() if e.weight))
-            self._weights = WeightTable(scale, exits, rows, len(set(positive.values())) <= 1)
+            self._weights = WeightTable(scale, exits, len(set(positive.values())) <= 1)
         return self._weights
+
+    def walk_table(self) -> dict[int, tuple[int, tuple | _SearchRow]]:
+        """v -> (k, pick) of ``_walk_row``: the rows a loop-erased walk step
+        draws from, built on the first walk on this graph."""
+        if self._walk is None:
+            self._walk = {v: _walk_row(out) for v, out in self.weight_table().exits.items()}
+        return self._walk
 
     # -- faces ----------------------------------------------------------------
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -192,12 +191,12 @@ def ust_sample(g: PlanarGraph, root: int, seed: int) -> RootedForest:
 
     Deterministic for a fixed seed, through the Mersenne Twister bit stream
     alone: the walks start from each vertex in ascending order, and a step
-    from v reads v's row of the graph's weight table (its exit total T with
-    k = T.bit_length(), and its cumulative scaled exit weights in edge-id
-    order).  It draws ``getrandbits(k)`` until the value r is below T, then
-    takes the first exit whose cumulative weight exceeds r.  These are the
-    draws CPython 3.11's ``randrange(T)`` makes, so each seed gives the tree
-    of the walk that called it."""
+    from v reads v's row (k, pick) of the graph's walk table, where T is v's
+    total scaled exit weight and k = T.bit_length().  It draws
+    r = ``getrandbits(k)`` until pick[r] is not None, that is until r < T;
+    pick[r] is then the first exit, in edge-id order, whose cumulative weight
+    exceeds r.  These are the draws CPython 3.11's ``randrange(T)`` makes,
+    so each seed gives the tree of the walk that called it."""
     step = _ust_exits(g, root, seed)
     return RootedForest(g.graph_id, (root,),
                         tuple(sorted((v, eid, w) for v, (eid, w) in step.items())))
@@ -205,27 +204,27 @@ def ust_sample(g: PlanarGraph, root: int, seed: int) -> RootedForest:
 
 def _ust_exits(g: PlanarGraph, root: int, seed: int) -> dict[int, tuple[int, int]]:
     """The walks of ``ust_sample``; returns the drawn tree's exits, each
-    non-root vertex v mapped to (edge id, parent)."""
+    non-root vertex v mapped to (edge id, parent).  A step is one
+    ``getrandbits`` and one index into the vertex's row of
+    ``g.walk_table()``, repeated while the index gives None."""
     if root not in g.vertices:
         raise PreconditionViolated(f"root {root} not in graph")
-    table = g.weight_table()
     # a walk ends only if the positive-weight edges connect its start to the root
-    if not table.connected:
+    if not g.weight_table().connected:
         raise PreconditionViolated("graph is not connected by positive-weight edges")
-    rows, exits = table.rows, table.exits
+    rows = g.walk_table()
     getrandbits = random.Random(seed).getrandbits
     in_tree = {root}
     step: dict[int, tuple[int, int]] = {}
-    for start in sorted(g.vertices):
+    for start in g.vertices:  # in ascending order, as a graph keeps them
         v = start
         while v not in in_tree:
-            total, k, cum = rows[v]
-            r = getrandbits(k)
-            while r >= total:
-                r = getrandbits(k)
-            eid, w, _ = exits[v][bisect_right(cum, r)]
-            step[v] = (eid, w)
-            v = w
+            k, pick = rows[v]
+            x = pick[getrandbits(k)]
+            while x is None:
+                x = pick[getrandbits(k)]
+            step[v] = x
+            v = x[1]
         # the loop-erased walk follows each vertex's last exit
         v = start
         while v not in in_tree:

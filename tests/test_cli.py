@@ -11,8 +11,8 @@ import dimerforge
 from dimerforge.bijections import transport_instance
 from dimerforge.cli import cli
 from dimerforge.errors import ConfigError
-from dimerforge.generators import (grid_graph, hexagon_graph, random_plane_graph,
-                                   random_symmetric)
+from dimerforge.generators import (grid_graph, hexagon_graph, random_exit_side,
+                                   random_plane_graph, random_symmetric)
 from dimerforge.matchings import enumerate_matchings
 from dimerforge.planar import dump_graph, parse_graph
 from dimerforge.report import parse_suite_config, run_suite
@@ -348,6 +348,18 @@ def test_sampled_independence_without_variables_exits_1(tmp_path, samples):
     assert res.stderr.startswith("error: HypothesisViolated: no exit-side variables"), \
         res.stderr
     assert res.stdout == ""
+
+
+def test_sampled_exit_side_independence_passes(tmp_path):
+    g, _, root = random_exit_side(3, 1)
+    path = tmp_path / "exit.txt"
+    path.write_text(dump_graph(g))
+    res = _main("independence", str(path), "--root", str(root), "--kind", "exit",
+                "--samples", "200", "--seed", "3")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == ("variables: 1 4 7\n  000  29\n  001  34\n  010  22\n  011  22\n"
+                          "  100  19\n  101  33\n  110  21\n  111  20\nsamples: 200\n"
+                          "chi-square: 10.240000  p=1.754e-01\nPASS\n")
 
 
 def test_parity_command(runner, square_file):

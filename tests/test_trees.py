@@ -6,7 +6,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from types import SimpleNamespace
 
 import pytest
@@ -23,8 +23,9 @@ from dimerforge.generators import (
     random_symmetric,
     random_transport,
 )
-from dimerforge.matchings import enumerate_matchings
+from dimerforge.matchings import count_matchings, enumerate_matchings
 from dimerforge.planar import (
+    WALK_ROW_CAP,
     Edge,
     PlanarGraph,
     Vertex,
@@ -201,6 +202,7 @@ def test_ust_sample_draws_the_trees_of_the_randrange_walk():
     graphs += [random_plane_graph(s, weighted=True) for s in range(10)]
     graphs += [_reweighted(grid_graph(a, b), _MIXED) for a, b in ((3, 3), (4, 4), (5, 3))]
     graphs += [random_symmetric(s)[0] for s in range(6)]
+    graphs += [_reweighted(grid_graph(4, 4), _LARGE)]
     stepped = set()
     for i, g in enumerate(graphs):
         verts = sorted(g.vertices)
@@ -211,6 +213,8 @@ def test_ust_sample_draws_the_trees_of_the_randrange_walk():
     # randrange(1) and randrange(2^j) draw a bit more than they need, and the
     # raw-bit step must reject those draws too
     assert 1 in stepped and {2, 4, 8} <= stepped
+    # steps drew from tabulated rows and from rows too long to tabulate
+    assert any(1 << t.bit_length() > WALK_ROW_CAP for t in stepped)
 
 
 class _RawBitsOnly(random.Random):
@@ -270,6 +274,8 @@ def test_ust_weighted_frequencies():
 
 
 _MIXED = (Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(0))
+# exit totals far above the walk table's cap, at moderate weight ratios
+_LARGE = (Fraction(1000003, 1000), Fraction(999983, 999), Fraction(2), Fraction(5, 3))
 
 
 def _reweighted(g, weights):
@@ -292,6 +298,43 @@ def test_ust_sample_builds_the_weight_table_once_per_graph(monkeypatch):
     # the Laplacian rows read the same table
     assert count_spanning_trees(g) > 0
     assert len(builds) == 1
+    # counting never builds the walk rows; the first draw builds one per vertex
+    rows = []
+    real_row = planar._walk_row
+    monkeypatch.setattr(planar, "_walk_row", lambda out: rows.append(out) or real_row(out))
+    h = diagonal_grid(5)
+    assert count_matchings(h) >= 0 and count_spanning_trees(h) > 0
+    assert len(builds) == 2 and rows == []
+    for k in range(200):
+        ust_sample(h, min(h.vertices), split_seed(7, k))
+    assert len(builds) == 2 and len(rows) == len(h.vertices)
+
+
+def test_walk_rows_match_the_exit_scan_and_hold_at_most_the_cap():
+    # each row, tabulated or searched, gives the randrange walk's scan at every
+    # draw next to a cumulative weight; only rows within the cap are tabulated
+    graphs = [diagonal_grid(5), _reweighted(grid_graph(4, 4), _LARGE)]
+    graphs += [random_plane_graph(s, weighted=True) for s in range(10)]
+    kinds = set()
+    for g in graphs:
+        for v, (k, pick) in g.walk_table().items():
+            out = g.weight_table().exits[v]
+            assert k == sum(x for _, _, x in out).bit_length()
+            tabulated = isinstance(pick, tuple)
+            kinds.add(tabulated)
+            assert tabulated == (1 << k <= WALK_ROW_CAP)
+            assert not tabulated or len(pick) == 1 << k
+            draws = {0, (1 << k) - 1}
+            for c in accumulate(x for _, _, x in out):
+                draws |= {c - 1, c}
+            for r in draws:
+                scan = r
+                for eid, w, x in out:
+                    scan -= x
+                    if scan < 0:
+                        break
+                assert pick[r] == ((eid, w) if scan < 0 else None)
+    assert kinds == {True, False}
 
 
 def test_ust_sample_rejects_a_graph_its_positive_weights_do_not_connect():
@@ -330,6 +373,24 @@ def test_forced_tree_weight_with_mixed_denominators_matches_enumeration():
                     _constrained_weight(g, root, forced)
                 checked += 1
     assert checked > 40
+
+
+def test_sampled_independence_tables_are_pinned():
+    # sampled exit-side indicators on instances that have variables, and the
+    # suite's hv batches on the 5x5 diagonal grid
+    tables = []
+    for s in range(4):
+        g, cert, root = random_exit_side(s, s % 2)
+        rep = independence_report(g, cert, root, "exit-side", samples=500, seed=s)
+        assert rep.variables and rep.passed
+        tables.append(rep.render())
+    dg = diagonal_grid(5)
+    cert = check_reflection_symmetry(dg, Fraction(0))
+    for seed in (1, 2):
+        tables.append(independence_report(dg, cert, cert.axis_vertices[0], "hv",
+                                          samples=500, seed=seed).render())
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == \
+        "782415c962e97b8926584e3a0953cdb686377b029ea7dbe28331122a4611725f"
 
 
 def test_sampled_independence_needs_a_variable():
