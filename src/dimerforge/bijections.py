@@ -31,6 +31,7 @@ from .trees import RootedForest, _forest_to_matching, _matching_to_forest, dual_
 @dataclass(frozen=True)
 class FamilyPath:
     vertices: tuple[int, ...]
+    edges: tuple[int, ...]   # the glide's edge ids, in walking order
     start_index: int       # 1-based positions among the marked midpoints
     end_index: int
 
@@ -71,7 +72,7 @@ def build_path_family(instance: PlusMinusInstance, mu: Matching,
             if not left_to_right and not (a <= k < j):
                 raise PreconditionViolated(
                     f"glide from midpoint {j} ended at {k}, outside [{a},{j})")
-            paths.append(FamilyPath(gp.vertices, j, k))
+            paths.append(FamilyPath(gp.vertices, gp.edges, j, k))
             lo, hi = (j + 1, k - 1) if left_to_right else (k + 1, j - 1)
             if lo <= hi:
                 stack.append((lo, hi, gen + 1))
@@ -99,7 +100,7 @@ def _check_family(instance: PlusMinusInstance, family: tuple[FamilyPath, ...]):
 def _swap(instance: PlusMinusInstance, mu: Matching, from_minus: bool) -> Matching:
     """Shift ``mu`` along its path family onto the other half graph."""
     family = build_path_family(instance, mu, from_minus)
-    edges = shift_edges(mu.edges, instance.trimmed, [p.vertices for p in family])
+    edges = shift_edges(mu.edges, [p.edges for p in family])
     host = instance.plus if from_minus else instance.minus
     return Matching(host.graph_id, edges)
 
@@ -289,15 +290,23 @@ def tea_transport(instance: TransportInstance, mu: Matching,
                   chosen: frozenset[int] | set[int] = frozenset(),
                   constraint_paths: dict[int, tuple[int, ...]] | None = None) -> Matching:
     """Glide from every mark of the side opposite to the matching's host,
-    verify the constrained glide paths, and shift.
+    verify the constrained glide paths, and shift along the glides' edges
+    plus the half-edge from each glide's last midpoint to its blocking mark.
 
     ``constraint_paths`` maps indices in ``chosen`` (1-based positions in the
     alternating mark sequence) to refinement vertex paths from the plain mark
-    to the primed mark.
+    to the primed mark.  The matching must also hold the forced edges of
+    each chosen path (``forced_path_matching`` of the path minus the mark
+    absent from the matching's host), and that needs no check of its own.
+    Without its blocking mark a glide path has an odd number of edges, so
+    when it equals the constraint path the forced set is the glide's edges
+    at even positions from its start: the matched edges ``cover[site]``.  A
+    matching that lacks a forced edge therefore never glides along the
+    constraint path, and the path-equality check raises
+    ConstraintPathMismatch for it.
     """
     constraint_paths = constraint_paths or {}
     ref = instance.smashed.refinement
-    hgraph = ref.graph
     chosen = frozenset(chosen)
     if chosen and not all(i in constraint_paths for i in chosen):
         raise ConstraintPathMismatch("missing constraint path")
@@ -308,16 +317,10 @@ def tea_transport(instance: TransportInstance, mu: Matching,
     else:
         raise PreconditionViolated("matching belongs to neither host")
     cover = mu.cover_map(source)
-    # forced containment for the constrained indices
-    for i in chosen:
-        hp = constraint_paths[i]
-        forced = forced_path_matching(hgraph, hp, drop_start=not primed_source)
-        if not forced <= mu.edges:
-            raise ConstraintPathMismatch(
-                f"matching misses the forced edges of constraint path {i}")
     starts = instance.removal_sequence(primed=not primed_source)
     expected_ends = instance.removal_sequence(primed=primed_source)
     paths = []
+    shifts = []
     for i, (start, expect) in enumerate(zip(starts, expected_ends), 1):
         mode = FRAME if i % 2 == 1 else DUAL
         gp = glide(source, ref, cover, start, mode)
@@ -333,12 +336,13 @@ def tea_transport(instance: TransportInstance, mu: Matching,
                 raise ConstraintPathMismatch(
                     f"glide path {i} differs from the required constraint path")
         paths.append(full)
+        shifts.append(gp.edges + (ref.across[gp.vertices[-1]][expect][1],))
     used: set[int] = set()
     for p in paths:
         if used & set(p):
             raise PreconditionViolated("transport glide paths intersect")
         used |= set(p)
-    return Matching(target.graph_id, shift_edges(mu.edges, hgraph, paths))
+    return Matching(target.graph_id, shift_edges(mu.edges, shifts))
 
 
 # ---------------------------------------------------------------------------

@@ -49,9 +49,10 @@ class DualRefinement:
     center_of_face: dict[int, int]   # source face index -> refinement vertex id
     edge_of_mid: dict[int, int]      # the inverse maps; every other vertex
     face_of_center: dict[int, int]   # of the refinement is a source vertex
-    # midpoint -> {neighbour: the vertex across the midpoint from it on the
-    # same primal or dual edge, None where that side is the infinite face}
-    across: dict[int, dict[int, int | None]]
+    # midpoint -> {neighbour: (the vertex across the midpoint from it on the
+    # same primal or dual edge, None where that side is the infinite face;
+    # the id of the half-edge joining the midpoint to the neighbour)}
+    across: dict[int, dict[int, tuple[int | None, int]]]
 
 
 def dual_refinement(g: PlanarGraph,
@@ -89,15 +90,14 @@ def dual_refinement(g: PlanarGraph,
         next_id += 1
 
     edges: dict[int, Edge] = {}
-    eid_out = 0
+    across: dict[int, dict[int, tuple[int | None, int]]] = {}
     for eid in sorted(g.edges):
         e = g.edges[eid]
         m = mid_of_edge[eid]
-        edges[eid_out] = Edge(eid_out, e.u, m, e.weight)
-        eid_out += 1
-        edges[eid_out] = Edge(eid_out, m, e.v, e.weight)
-        eid_out += 1
-    across: dict[int, dict[int, int | None]] = {}
+        h = len(edges)
+        edges[h] = Edge(h, e.u, m, e.weight)
+        edges[h + 1] = Edge(h + 1, m, e.v, e.weight)
+        across[m] = {e.u: (e.v, h), e.v: (e.u, h + 1)}
     for eid in sorted(g.edges):
         e = g.edges[eid]
         fa, fb = faces.sides_of_edge(e)
@@ -106,41 +106,37 @@ def dual_refinement(g: PlanarGraph,
                 f"edge {eid} is a bridge inside bounded face {fa}")
         m = mid_of_edge[eid]
         ca, cb = center_of_face.get(fa), center_of_face.get(fb)
-        across[m] = {e.u: e.v, e.v: e.u}
         # halves of a dual edge inherit its weight; the stubs joining boundary
         # midpoints to face centers belong to no dual edge and stay at 1
         interior = inf not in (fa, fb)
         w = dual_weights.get(eid, Fraction(1)) if interior else Fraction(1)
         for c, far in ((ca, cb), (cb, ca)):
             if c is not None:
-                across[m][c] = far
-                edges[eid_out] = Edge(eid_out, m, c, w)
-                eid_out += 1
+                h = len(edges)
+                across[m][c] = (far, h)
+                edges[h] = Edge(h, m, c, w)
 
     # combinatorial rotation: correct for any planar drawing that keeps face
     # centers inside their faces, regardless of synthesized coordinates
     rotation: dict[int, tuple[int, ...]] = {}
-    h_adj: dict[int, dict[int, int]] = {v: {} for v in vertices}
-    for he in edges.values():
-        h_adj[he.u][he.v] = he.id
-        h_adj[he.v][he.u] = he.id
     for v in g.vertices:
-        rotation[v] = tuple(h_adj[v][mid_of_edge[eid]] for eid in g.rotation[v])
+        rotation[v] = tuple(across[mid_of_edge[eid]][v][1] for eid in g.rotation[v])
     for eid in sorted(g.edges):
         e = g.edges[eid]
         m = mid_of_edge[eid]
+        half = across[m]
         fa = faces.dart_face[(eid, e.u)]  # face left of u -> v
         fb = faces.dart_face[(eid, e.v)]
-        order = [h_adj[m][e.v]]
+        order = [half[e.v][1]]
         if fa != inf:
-            order.append(h_adj[m][center_of_face[fa]])
-        order.append(h_adj[m][e.u])
+            order.append(half[center_of_face[fa]][1])
+        order.append(half[e.u][1])
         if fb != inf and fb != fa:
-            order.append(h_adj[m][center_of_face[fb]])
+            order.append(half[center_of_face[fb]][1])
         rotation[m] = tuple(order)
     for f in faces.bounded:
         c = center_of_face[f.index]
-        rotation[c] = tuple(h_adj[c][mid_of_edge[eid]] for _, eid in f.cycle)
+        rotation[c] = tuple(across[mid_of_edge[eid]][c][1] for _, eid in f.cycle)
 
     graph = PlanarGraph.trusted(vertices, edges, rotation=rotation)
     assert len(graph.vertices) % 2 == 1, "refinement must have oddly many vertices"

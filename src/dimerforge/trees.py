@@ -416,10 +416,9 @@ def _forest_to_matching(ref, host: PlanarGraph, forest: RootedForest, dual: Dual
     away from its root face.  The root face is the component's primed
     center; a component without one (a bay) is rooted at the face of its
     single boundary exit whose midpoint is in ``host``, and that exit's stub
-    half-edge is taken too."""
-    hgraph = ref.graph
-    chosen = {hgraph.edge_between(v, ref.mid_of_edge[eid]).id
-              for v, eid, _p in forest.assignments}
+    half-edge is taken too.  Each half-edge is read off the across-map of
+    its midpoint."""
+    chosen = {ref.across[ref.mid_of_edge[eid]][v][1] for v, eid, _p in forest.assignments}
     faces = ref.source.trace_faces()
     dual_adj: dict[int, list[tuple[int, int]]] = {}
     for eid in dual.primal_edges:
@@ -440,8 +439,7 @@ def _forest_to_matching(ref, host: PlanarGraph, forest: RootedForest, dual: Dual
                 raise ClassificationFailed(
                     f"bay {sorted(members)} has {len(candidates)} boundary exits")
             root, eid = candidates[0]
-            chosen.add(hgraph.edge_between(ref.center_of_face[root],
-                                           ref.mid_of_edge[eid]).id)
+            chosen.add(ref.across[ref.mid_of_edge[eid]][ref.center_of_face[root]][1])
         # depth-first from the root face: each newly reached face takes the
         # half-edge from its center to the midpoint of the edge crossed into it
         seen = {root}
@@ -452,8 +450,7 @@ def _forest_to_matching(ref, host: PlanarGraph, forest: RootedForest, dual: Dual
                 if other not in seen:
                     seen.add(other)
                     stack.append(other)
-                    chosen.add(hgraph.edge_between(ref.center_of_face[other],
-                                                   ref.mid_of_edge[eid]).id)
+                    chosen.add(ref.across[ref.mid_of_edge[eid]][ref.center_of_face[other]][1])
     return Matching(host.graph_id, frozenset(chosen))
 
 
@@ -589,17 +586,18 @@ def independence_report(g: PlanarGraph, cert: SymmetryCertificate, root: int,
     determinant per cell with each variable forced to exit along the edges
     that give its bit, and PASS means all cells carry equal weight;
     otherwise the tree is sampled and PASS means a chi-square test against
-    the uniform law is not rejected at significance 1e-6.  A variable
-    with an edge that gives no indicator value raises HypothesisViolated,
-    whether or not any tree exits along it.
+    the uniform law is not rejected at significance 1e-6.  No variable at
+    all raises HypothesisViolated in both modes, since a table of one cell
+    passes with nothing compared; so does a variable with an edge that
+    gives no indicator value, whether or not any tree exits along it.
     """
     if root not in cert.axis_vertices:
         raise HypothesisViolated(f"root {root} is not on the axis")
     if root not in g.infinite_face_vertices():
         raise HypothesisViolated(f"root {root} is not on the infinite face")
     variables = independence_variables(g, cert, root, kind)
-    if samples and not variables:
-        raise HypothesisViolated(f"no {kind} variables to sample")
+    if not variables:
+        raise HypothesisViolated(f"no {kind} variables to compare")
     n = len(variables)
     # the exit edges of each variable, split by the indicator value they give
     exits = {v: ([], []) for v in variables}

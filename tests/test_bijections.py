@@ -31,7 +31,7 @@ from dimerforge.generators import (
     random_section2,
     random_transport,
 )
-from dimerforge.gliding import DUAL, FRAME, glide, shift_edges
+from dimerforge.gliding import DUAL, FRAME, glide, path_edgeset, shift_edges
 from dimerforge.matchings import Matching, count_matchings, enumerate_matchings
 from dimerforge.planar import PlanarGraph, Vertex, check_reflection_symmetry, remove_vertices
 from dimerforge.refine import dual_refinement, section_instance
@@ -123,6 +123,32 @@ def test_family_pairs_all_midpoints():
                 assert not (sets[i] & sets[j])
 
 
+def test_glides_record_the_edges_they_walk():
+    # the ids a glide collects match a search of the refinement's adjacency
+    # lists along its vertices, for the glides of both sweep directions and
+    # of every transport mark
+    walked = 0
+    for seed in range(10):
+        inst = random_section2(seed)
+        ref = inst.refinement
+        for host, from_minus in ((inst.plus, False), (inst.minus, True)):
+            for mu in enumerate_matchings(host):
+                for p in build_path_family(inst, mu, from_minus):
+                    assert p.edges == tuple(path_edgeset(ref.graph, p.vertices))
+                    walked += 1
+    for seed in range(8):
+        inst, _ = random_transport(seed)
+        ref = inst.smashed.refinement
+        for host, primed in ((inst.host_prime, False), (inst.host_plain, True)):
+            for mu in islice(enumerate_matchings(host), 20):
+                cover = mu.cover_map(host)
+                for i, start in enumerate(inst.removal_sequence(primed), 1):
+                    gp = glide(host, ref, cover, start, FRAME if i % 2 else DUAL)
+                    assert gp.edges == tuple(path_edgeset(ref.graph, gp.vertices))
+                    walked += 1
+    assert walked > 1000
+
+
 # -- the plus/minus bijection -------------------------------------------------
 
 
@@ -163,9 +189,17 @@ def test_phi_bijection_random_instances():
 def test_shift_is_involution():
     inst = square_instance()
     mu = next(enumerate_matchings(inst.plus))
-    paths = [p.vertices for p in build_path_family(inst, mu)]
-    once = shift_edges(mu.edges, inst.trimmed, paths)
-    assert shift_edges(once, inst.trimmed, paths) == mu.edges
+    paths = [p.edges for p in build_path_family(inst, mu)]
+    once = shift_edges(mu.edges, paths)
+    assert shift_edges(once, paths) == mu.edges
+
+
+def test_phi_images_are_pinned():
+    rows = [(seed, phi(inst, mu).sorted_edges()) for seed in range(12)
+            for inst in [random_section2(seed)] for mu in enumerate_matchings(inst.plus)]
+    assert len(rows) == 132
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        "a29aafaaec2ad7b036c6c10a31982808b62d964c89f1fa6501a28b6e6a7e6e61"
 
 
 # -- tree <-> matching correspondence ----------------------------------------
@@ -333,6 +367,40 @@ def test_transport_missing_forced_edges_reported():
     assert bad is not None
     with pytest.raises(errors.ConstraintPathMismatch):
         tea_transport(inst, bad, {1}, {1: p1})
+
+
+def test_transport_images_are_pinned():
+    # with every constraint index whose forced edges the matching holds chosen
+    rows = []
+    for seed in range(6):
+        inst, paths = random_transport(seed)
+        hgraph = inst.smashed.refinement.graph
+        for mu in islice(enumerate_matchings(inst.host_prime), 200):
+            chosen = {i for i in paths
+                      if forced_path_matching(hgraph, paths[i], False) <= mu.edges}
+            rows.append((seed, tea_transport(inst, mu, chosen, paths).sorted_edges()))
+    assert len(rows) == 410
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        "b1405b91105b1906cdb6b573444674a8e657a4eb1bd07743d337a478d13a4b9f"
+
+
+def test_transport_rejects_exactly_the_matchings_missing_forced_edges():
+    # the glide-path comparison alone enforces each chosen path's forced edges
+    outcomes = {True: 0, False: 0}
+    for seed in range(10):
+        inst, paths = random_transport(seed)
+        hgraph = inst.smashed.refinement.graph
+        for host, plain in ((inst.host_prime, False), (inst.host_plain, True)):
+            for mu in islice(enumerate_matchings(host), 40):
+                for i in paths:
+                    holds = forced_path_matching(hgraph, paths[i], drop_start=plain) <= mu.edges
+                    if holds:
+                        tea_transport(inst, mu, {i}, paths)
+                    else:
+                        with pytest.raises(errors.ConstraintPathMismatch):
+                            tea_transport(inst, mu, {i}, paths)
+                    outcomes[holds] += 1
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 # -- reflection swap -----------------------------------------------------------

@@ -1,8 +1,9 @@
 """Source hygiene: no unused import, no unreferenced private helper, no
 export that the package itself never reads, no dataclass field or property
-that no module reads, no function defined inside a loop, no map that
-re-checks the matching it built, no dependency beyond the standard
-library and click, and no process machinery loaded at import."""
+that no module reads, no parameter its function never reads, no function
+defined inside a loop, no map that re-checks the matching it built, no
+dependency beyond the standard library and click, and no process machinery
+loaded at import."""
 
 import ast
 import os
@@ -130,6 +131,25 @@ def test_no_function_defined_in_a_loop_body(path):
                      for node in ast.walk(loop)
                      if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))})
     assert not nested, f"{path.name}: functions defined in a loop {nested}"
+
+
+def test_every_parameter_is_read():
+    # a parameter the body never reads is a dead input that callers still
+    # have to supply; ``self`` and ``cls`` are exempt
+    unread = []
+    for path, tree in TREES.items():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = func.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            body = func.body if isinstance(func.body, list) else [func.body]
+            reads = {n.id for stmt in body for n in ast.walk(stmt)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(func, "name", "<lambda>")
+            unread += [f"{path.name}:{name}({p.arg}) line {func.lineno}" for p in params
+                       if p.arg not in {"self", "cls"} and p.arg not in reads]
+    assert not unread, f"parameters never read: {unread}"
 
 
 # the one place a matching built in ``src/`` is outside input: id lists read

@@ -73,9 +73,12 @@ def test_across_map_matches_the_faces():
     for ref in _refinements_of_every_family():
         faces = ref.source.trace_faces()
         assert set(ref.across) == set(ref.edge_of_mid)
-        for m, across in ref.across.items():
+        for m, halves in ref.across.items():
             nbrs = {ref.graph.edges[e].other(m) for e in ref.graph.adj[m]}
-            assert set(across) == nbrs
+            assert set(halves) == nbrs
+            for w, (_, h) in halves.items():
+                assert ref.graph.edges[h].ends == {m, w}
+            across = {w: far for w, (far, _) in halves.items()}
             e = ref.source.edges[ref.edge_of_mid[m]]
             assert across[e.u] == e.v and across[e.v] == e.u
             fa, fb = faces.sides_of_edge(e)

@@ -105,10 +105,8 @@ def test_shift_rejects_non_alternating_path():
     pairs = [(e, f) for e, f in combinations(outside, 2) if e.ends & f.ends]
     assert pairs, "no two non-matching edges share an endpoint"
     e, f = pairs[0]
-    (shared,) = e.ends & f.ends
-    path = [e.other(shared), shared, f.other(shared)]
     with pytest.raises(errors.NotAlternating):
-        shift_edges(mu.edges, g, [path])
+        shift_edges(mu.edges, [[e.id, f.id]])
 
 
 def test_transport_rejects_overlapping_runs():

@@ -43,6 +43,7 @@ from dimerforge.trees import (
     dual_forest,
     enumerate_spanning_trees,
     independence_report,
+    independence_variables,
     orient_edge_set,
     split_seed,
     tec_forest_to_matching,
@@ -396,9 +397,10 @@ def test_sampled_independence_tables_are_pinned():
 def test_sampled_independence_needs_a_variable():
     g, _ = random_symmetric(0)
     cert = check_reflection_symmetry(g, Fraction(0))
-    assert independence_report(g, cert, 0, "exit-side").variables == ()
-    with pytest.raises(errors.HypothesisViolated, match="no exit-side variables"):
-        independence_report(g, cert, 0, "exit-side", samples=50)
+    assert independence_variables(g, cert, 0, "exit-side") == ()
+    for samples in (0, 50):
+        with pytest.raises(errors.HypothesisViolated, match="no exit-side variables"):
+            independence_report(g, cert, 0, "exit-side", samples=samples)
 
 
 # (stat, p rendered as the report prints it), taken from mpmath's regularized
@@ -736,13 +738,12 @@ def test_independence_diamond():
 
 
 def test_independence_no_variables():
-    # every other axis vertex keeps its axis edges, so the exact report has
-    # one empty cell, weighing all the trees
+    # every other axis vertex keeps its axis edges, so the exact table would
+    # be one cell weighing all the trees, a pass with nothing compared
     g, _ = random_symmetric(0)
     cert = check_reflection_symmetry(g, Fraction(0))
-    rep = independence_report(g, cert, 0, "exit-side")
-    assert rep.passed and rep.variables == ()
-    assert rep.table == (((), count_spanning_trees(g)),)
+    with pytest.raises(errors.HypothesisViolated, match="no exit-side variables"):
+        independence_report(g, cert, 0, "exit-side")
 
 
 def test_independence_exit_side_enumerated():
