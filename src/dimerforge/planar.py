@@ -117,8 +117,8 @@ WALK_ROW_CAP = 64
 
 class _SearchRow:
     """A walk row too long to tabulate, indexed like one: ``row[r]`` is the
-    (edge, neighbour) of the first exit whose cumulative weight exceeds r,
-    and None for r at or above the exit total."""
+    (edge, neighbour position) of the first exit whose cumulative weight
+    exceeds r, and None for r at or above the exit total."""
 
     __slots__ = ("total", "cum", "pick")
 
@@ -132,10 +132,11 @@ class _SearchRow:
 
 
 def _walk_row(out: tuple[tuple[int, int, int], ...]) -> tuple[int, tuple | _SearchRow]:
-    """(k, pick) for a vertex with exits ``out``: k is the bit length of the
-    exit total T, and pick[r] for r < 2^k is the (edge, neighbour) of the
-    first exit whose cumulative weight exceeds r, or None when r >= T.  Each
-    exit fills as many consecutive entries as its scaled weight."""
+    """(k, pick) for a vertex with exits ``out``, each (edge, neighbour
+    position, scaled weight): k is the bit length of the exit total T, and
+    pick[r] for r < 2^k is the (edge, neighbour position) of the first exit
+    whose cumulative weight exceeds r, or None when r >= T.  Each exit fills
+    as many consecutive entries as its scaled weight."""
     total = sum(x for _, _, x in out)
     k = total.bit_length()
     if 1 << k > WALK_ROW_CAP:
@@ -176,12 +177,13 @@ class PlanarGraph:
                 raise ParseError(f"edge {e.id} references an unknown vertex")
             adj[e.u].append(e.id)
             adj[e.v].append(e.id)
-        self.adj = {v: tuple(sorted(ids)) for v, ids in adj.items()}
+        self.adj = {v: tuple(ids) for v, ids in adj.items()}  # ascending, as self.edges
         self._lattice: Lattice | None = None
         self.rotation = rotation if rotation is not None else self._rotation_from_angles()
         self._faces: FaceDecomposition | None = None
         self._weights: WeightTable | None = None
-        self._walk: dict | None = None
+        self._walk: tuple | None = None
+        self._order: tuple | None = None
         self._id: str | None = None
 
     # -- construction --------------------------------------------------------
@@ -319,11 +321,25 @@ class PlanarGraph:
             self._weights = WeightTable(scale, exits, len(set(positive.values())) <= 1)
         return self._weights
 
-    def walk_table(self) -> dict[int, tuple[int, tuple | _SearchRow]]:
-        """v -> (k, pick) of ``_walk_row``: the rows a loop-erased walk step
-        draws from, built on the first walk on this graph."""
+    def vertex_order(self) -> tuple[tuple[int, ...], dict[int, int]]:
+        """(ids, position): the vertex ids by their position in
+        ``self.vertices``, which is ascending id order, and each id's
+        position; the walk table's rows and entries are positions."""
+        if self._order is None:
+            ids = tuple(self.vertices)
+            self._order = ids, {v: i for i, v in enumerate(ids)}
+        return self._order
+
+    def walk_table(self) -> tuple[tuple[int, tuple | _SearchRow], ...]:
+        """Row i is the (k, pick) of ``_walk_row`` for the vertex at
+        position i, its exits' neighbours given by position: the rows a
+        loop-erased walk step draws from, built on the first walk on this
+        graph."""
         if self._walk is None:
-            self._walk = {v: _walk_row(out) for v, out in self.weight_table().exits.items()}
+            ids, position = self.vertex_order()
+            exits = self.weight_table().exits
+            self._walk = tuple(_walk_row(tuple((e, position[u], x) for e, u, x in exits[v]))
+                               for v in ids)
         return self._walk
 
     # -- faces ----------------------------------------------------------------

@@ -198,13 +198,15 @@ def ust_sample(g: PlanarGraph, root: int, seed: int) -> RootedForest:
     exceeds r.  These are the draws CPython 3.11's ``randrange(T)`` makes,
     so each seed gives the tree of the walk that called it."""
     step = _ust_exits(g, root, seed)
+    ids = g.vertex_order()[0]
     return RootedForest(g.graph_id, (root,),
-                        tuple(sorted((v, eid, w) for v, (eid, w) in step.items())))
+                        tuple((v, x[0], ids[x[1]]) for v, x in zip(ids, step) if x))
 
 
-def _ust_exits(g: PlanarGraph, root: int, seed: int) -> dict[int, tuple[int, int]]:
-    """The walks of ``ust_sample``; returns the drawn tree's exits, each
-    non-root vertex v mapped to (edge id, parent).  A step is one
+def _ust_exits(g: PlanarGraph, root: int, seed: int) -> list[tuple[int, int] | None]:
+    """The walks of ``ust_sample``, on vertex positions (``g.vertex_order``);
+    returns the drawn tree's exits by position: (edge id, parent position)
+    for each non-root vertex, None for the root.  A step is one
     ``getrandbits`` and one index into the vertex's row of
     ``g.walk_table()``, repeated while the index gives None."""
     if root not in g.vertices:
@@ -214,11 +216,12 @@ def _ust_exits(g: PlanarGraph, root: int, seed: int) -> dict[int, tuple[int, int
         raise PreconditionViolated("graph is not connected by positive-weight edges")
     rows = g.walk_table()
     getrandbits = random.Random(seed).getrandbits
-    in_tree = {root}
-    step: dict[int, tuple[int, int]] = {}
-    for start in g.vertices:  # in ascending order, as a graph keeps them
+    in_tree = [False] * len(rows)
+    in_tree[g.vertex_order()[1][root]] = True
+    step: list = [None] * len(rows)
+    for start in range(len(rows)):  # positions run in ascending id order
         v = start
-        while v not in in_tree:
+        while not in_tree[v]:
             k, pick = rows[v]
             x = pick[getrandbits(k)]
             while x is None:
@@ -227,8 +230,8 @@ def _ust_exits(g: PlanarGraph, root: int, seed: int) -> dict[int, tuple[int, int
             v = x[1]
         # the loop-erased walk follows each vertex's last exit
         v = start
-        while v not in in_tree:
-            in_tree.add(v)
+        while not in_tree[v]:
+            in_tree[v] = True
             v = step[v][1]
     # no walk steps from a tree vertex again, so each step left is the exit
     # the tree took: a spanning tree, since each walk stops on the tree so far
@@ -611,9 +614,12 @@ def independence_report(g: PlanarGraph, cert: SymmetryCertificate, root: int,
         passed = len(set(cells.values())) == 1
         return IndependenceReport(kind, variables, tuple(sorted(cells.items())), passed)
     counts = {bits: 0 for bits in product((0, 1), repeat=n)}
+    # each variable's walk position and the exit edges that give it bit 1
+    position = g.vertex_order()[1]
+    ones = [(position[v], frozenset(exits[v][1])) for v in variables]
     for k in range(samples):
         step = _ust_exits(g, root, split_seed(seed, k))
-        counts[tuple(int(step[v][0] in exits[v][1]) for v in variables)] += 1
+        counts[tuple(int(step[i][0] in bit1) for i, bit1 in ones)] += 1
     expected = samples / 2 ** n
     stat = sum((c - expected) ** 2 / expected for c in counts.values())
     p = chi_square_sf(stat, 2 ** n - 1)

@@ -1,0 +1,147 @@
+"""Mutation check: each mutant below changes one source line, and every
+test named with it must fail on the changed copy (DeMillo, Lipton and
+Sayward, "Hints on test data selection", 1978).
+
+Run from the repository root:
+
+    python tests/mutants.py           # every mutant
+    python tests/mutants.py NAME ...  # the named mutants
+
+Each mutant runs in its own temporary copy of ``src/``, ``tests/``,
+``pyproject.toml`` and ``suite.cfg``.  The
+named tests are first run once on an unchanged copy, where they must pass.
+The script exits 1 if a mutant survives (one of its tests passes), or if
+its source line is no longer found exactly once.  It uses the standard
+library only, and pytest does not collect it; it stays out of tier-1
+because each mutant pays for its own test run.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    line: str  # the source line as it stands, without its indentation
+    replacement: str  # put in its place, at the same indentation
+    killers: tuple[str, ...]  # pytest node ids that must each fail
+
+
+MUTANTS = (
+    Mutant("constant-exit-bit", "src/dimerforge/trees.py",
+           "return 1 if dy > 0 else 0", "return 1",
+           ("tests/test_trees.py::test_sampled_independence_tables_are_pinned",
+            "tests/test_trees.py::test_independence_exit_side_enumerated",
+            "tests/test_cli.py::test_sampled_exit_side_independence_passes",
+            "tests/test_acceptance.py::test_criterion_13_independence",
+            "tests/test_report.py::test_default_suite_report_is_byte_identical")),
+    Mutant("across-centre-to-itself", "src/dimerforge/refine.py",
+           "across[m][c] = (far, h)", "across[m][c] = (c, h)",
+           ("tests/test_refine.py::test_across_map_matches_the_faces",
+            "tests/test_bijections.py::test_phi_images_are_pinned",
+            "tests/test_bijections.py::test_transport_images_are_pinned",
+            "tests/test_report.py::test_default_suite_report_is_byte_identical")),
+    Mutant("search-row-bisect-left", "src/dimerforge/planar.py",
+           "from bisect import bisect_right", "from bisect import bisect_left as bisect_right",
+           ("tests/test_trees.py::test_walk_rows_match_the_exit_scan_and_hold_at_most_the_cap",)),
+    Mutant("phi-count-dropped", "src/dimerforge/report.py",
+           'or _count_fault("matching counts differ", plus, inst.minus, ("plus", "minus")))',
+           ")",
+           ("tests/test_report.py::test_phi_fault_fails_when_the_minus_side_has_another_count",)),
+    Mutant("cut-vertices-no-root-rule", "src/dimerforge/generators.py",
+           "if root_children > 1:", "if False:",
+           ("tests/test_planar.py::test_cut_vertices_are_the_removals_that_disconnect",
+            "tests/test_generators.py::test_cut_vertices_agree_with_removing_each_point",
+            "tests/test_generators.py::test_random_plane_and_symmetric_draws_are_pinned")),
+    Mutant("workers-unbounded", "src/dimerforge/report.py",
+           "with ProcessPoolExecutor(max_workers=workers) as pool:",
+           "with ProcessPoolExecutor(max_workers=jobs) as pool:",
+           ("tests/test_report.py::test_jobs_bounds_the_worker_count_by_the_items",)),
+    # the two below read a vertex id where the walk keeps positions; they
+    # differ only on graphs whose ids are not 0..n-1
+    Mutant("walk-root-by-id", "src/dimerforge/trees.py",
+           "in_tree[g.vertex_order()[1][root]] = True", "in_tree[root] = True",
+           ("tests/test_trees.py::test_ust_sample_draws_the_trees_of_the_randrange_walk",
+            "tests/test_trees.py::test_ust_sample_and_sampled_reports_follow_a_monotone_relabelling")),
+    Mutant("readout-by-id", "src/dimerforge/trees.py",
+           "ones = [(position[v], frozenset(exits[v][1])) for v in variables]",
+           "ones = [(v, frozenset(exits[v][1])) for v in variables]",
+           ("tests/test_trees.py::test_ust_sample_and_sampled_reports_follow_a_monotone_relabelling",)),
+)
+
+
+def _copy(dest: str) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for d in ("src", "tests"):
+        shutil.copytree(os.path.join(ROOT, d), os.path.join(dest, d), ignore=skip)
+    for f in ("pyproject.toml", "suite.cfg"):
+        shutil.copy(os.path.join(ROOT, f), dest)
+
+
+def _mutate(root: str, m: Mutant) -> str | None:
+    """Apply ``m`` under ``root``; a problem message if its line is not
+    found exactly once."""
+    path = os.path.join(root, m.path)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    hits = [i for i, s in enumerate(lines) if s.strip() == m.line]
+    if len(hits) != 1:
+        return f"{m.path}: source line found {len(hits)} times: {m.line}"
+    s = lines[hits[0]]
+    lines[hits[0]] = s[:len(s) - len(s.lstrip())] + m.replacement
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines))
+    return None
+
+
+def _failed(root: str, node_ids) -> set[str]:
+    """The node ids among ``node_ids`` that fail or error in the copy at
+    ``root``: a test fails when one of its parameter cases does, and a test
+    file that fails to import fails all of its tests."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+                          *node_ids], cwd=root, env=env, capture_output=True, text=True)
+    bad = {b.split("[")[0] for b in re.findall(r"^(?:FAILED|ERROR) (\S+)", out.stdout, re.M)}
+    return {n for n in node_ids if n in bad or n.split("::")[0] in bad}
+
+
+def main(argv: list[str]) -> int:
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {' '.join(sorted(unknown))}")
+        return 1
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    killed = 0
+    with tempfile.TemporaryDirectory(prefix="dimerforge-mutants-") as tmp:
+        clean = os.path.join(tmp, "clean")
+        _copy(clean)
+        broken = sorted(_failed(clean, sorted({k for m in chosen for k in m.killers})))
+        for k in broken:
+            print(f"fails without a mutant: {k}")
+        for i, m in enumerate(chosen):
+            root = os.path.join(tmp, str(i))
+            _copy(root)
+            problem = _mutate(root, m)
+            if problem is None:
+                survived = [k for k in m.killers if k not in _failed(root, m.killers)]
+                problem = f"survives {' '.join(survived)}" if survived else None
+            killed += problem is None
+            print(f"{m.name}: {problem or f'killed by all {len(m.killers)} of its tests'}")
+            shutil.rmtree(root)
+    print(f"{killed} of {len(chosen)} mutants killed")
+    return 1 if broken or killed < len(chosen) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -33,6 +33,7 @@ from dimerforge.planar import (
     remove_vertices,
 )
 from dimerforge.bijections import transport_instance
+from dimerforge.refine import dual_refinement
 from dimerforge import trees
 from dimerforge.trees import (
     _forced_tree_weight,
@@ -204,6 +205,14 @@ def test_ust_sample_draws_the_trees_of_the_randrange_walk():
     graphs += [_reweighted(grid_graph(a, b), _MIXED) for a, b in ((3, 3), (4, 4), (5, 3))]
     graphs += [random_symmetric(s)[0] for s in range(6)]
     graphs += [_reweighted(grid_graph(4, 4), _LARGE)]
+    # ids with gaps, so that vertex positions and ids differ: a grid without a
+    # corner and an inner vertex, and a refinement (trusted, not geometric)
+    # without a boundary vertex of its source
+    graphs += [remove_vertices(grid_graph(4, 4), [0, 6])]
+    source = grid_graph(3, 3)
+    graphs += [remove_vertices(dual_refinement(source).graph,
+                               [sorted(source.infinite_face_vertices())[1]])]
+    assert not graphs[-1].geometric
     stepped = set()
     for i, g in enumerate(graphs):
         verts = sorted(g.vertices)
@@ -216,6 +225,34 @@ def test_ust_sample_draws_the_trees_of_the_randrange_walk():
     assert 1 in stepped and {2, 4, 8} <= stepped
     # steps drew from tabulated rows and from rows too long to tabulate
     assert any(1 << t.bit_length() > WALK_ROW_CAP for t in stepped)
+
+
+def _relabelled(g, f):
+    """``g`` with each vertex id v renamed f(v), edge ids kept."""
+    return PlanarGraph.build({f(v): Vertex(f(v), p.pos) for v, p in g.vertices.items()},
+                             {i: Edge(i, f(e.u), f(e.v), e.weight) for i, e in g.edges.items()})
+
+
+def test_ust_sample_and_sampled_reports_follow_a_monotone_relabelling():
+    # a monotone map keeps the walk's start order and every exit order, so
+    # each seed draws the same tree under the new names
+    def f(v):
+        return 3 * v + 7
+
+    for s in range(4):
+        g, cert, root = random_exit_side(s, s % 2)
+        h = _relabelled(g, f)
+        assert len(h.vertices) < max(h.vertices)
+        for k in range(30):
+            seed = split_seed(s, k)
+            old = ust_sample(g, root, seed).assignments
+            assert ust_sample(h, f(root), seed).assignments == \
+                tuple((f(v), e, f(w)) for v, e, w in old)
+        rep = independence_report(g, cert, root, "exit-side", samples=200, seed=s)
+        new = independence_report(h, check_reflection_symmetry(h, cert.axis_y), f(root),
+                                  "exit-side", samples=200, seed=s)
+        assert new.variables == tuple(map(f, rep.variables))
+        assert new.table == rep.table and new.chi_square == rep.chi_square
 
 
 class _RawBitsOnly(random.Random):
@@ -318,7 +355,10 @@ def test_walk_rows_match_the_exit_scan_and_hold_at_most_the_cap():
     graphs += [random_plane_graph(s, weighted=True) for s in range(10)]
     kinds = set()
     for g in graphs:
-        for v, (k, pick) in g.walk_table().items():
+        # rows and their neighbours are vertex positions
+        ids = g.vertex_order()[0]
+        assert len(g.walk_table()) == len(ids)
+        for v, (k, pick) in zip(ids, g.walk_table()):
             out = g.weight_table().exits[v]
             assert k == sum(x for _, _, x in out).bit_length()
             tabulated = isinstance(pick, tuple)
@@ -334,7 +374,9 @@ def test_walk_rows_match_the_exit_scan_and_hold_at_most_the_cap():
                     scan -= x
                     if scan < 0:
                         break
-                assert pick[r] == ((eid, w) if scan < 0 else None)
+                entry = pick[r]
+                assert (entry and (entry[0], ids[entry[1]])) == \
+                    ((eid, w) if scan < 0 else None)
     assert kinds == {True, False}
 
 
