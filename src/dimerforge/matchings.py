@@ -58,47 +58,64 @@ def enumerate_matchings(g: PlanarGraph) -> Iterator[Matching]:
     """Yield every perfect matching exactly once, ordered lexicographically
     by the sorted tuple of edge ids.  This order is part of the contract.
 
-    Vertices are bits of the uncovered set and each edge, at its position in
-    id order, is the mask of its two ends.  The matching's smallest remaining
-    edge cannot lie past the smallest "last usable edge" over uncovered
-    vertices: each vertex scans its edges from the highest position down to
-    the first whose mask fits inside the uncovered set, and a vertex whose
-    scan ends below the lowest allowed position can never be covered."""
+    A search node holds the usable edges (a bitmask over edge positions in
+    id order), the uncovered vertices (a bitmask over vertex positions) and
+    the chosen edge ids (a linked tuple).  An edge is usable while both ends
+    are uncovered and no branch has excluded it.  A node first checks the
+    vertices whose usable edges just changed: one left with none ends the
+    branch, and one left with a single edge forces that edge in, which
+    changes its ends' neighbours in turn.  It then branches on its smallest
+    usable edge k: first with k, by excluding every other edge at one end of
+    k so that the forcing rule takes it, then without k, in the same frame.
+    Every matching with k sorts before every one without it, since the other
+    edges in which they differ are all greater than k, and a forced edge lies
+    in every matching of its subtree; so the order is lexicographic."""
     if len(g.vertices) % 2 == 1:
         return
     host = g.graph_id
-    edge_order = sorted(g.edges)
-    bit = {v: 1 << i for i, v in enumerate(g.vertices)}
-    masks = [bit[g.edges[eid].u] | bit[g.edges[eid].v] for eid in edge_order]
-    pos = {eid: k for k, eid in enumerate(edge_order)}
-    incident = [sorted((pos[eid] for eid in g.adj[v]), reverse=True) for v in g.vertices]
+    edge_ids = list(g.edges)  # ascending
+    at = g.vertex_order()[1]
+    ends = [(at[e.u], at[e.v]) for e in g.edges.values()]
+    star = [0] * len(at)  # vertex position -> mask of its edges
+    around = [0] * len(at)  # vertex position -> mask of its neighbours
+    for k, (a, b) in enumerate(ends):
+        star[a] |= 1 << k
+        star[b] |= 1 << k
+        around[a] |= 1 << b
+        around[b] |= 1 << a
 
-    def rec(uncovered: int, lo: int, chosen: list[int]):
-        if not uncovered:
-            yield Matching(host, frozenset(chosen))
-            return
-        cap = len(masks)
-        rest = uncovered
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            for k in incident[low.bit_length() - 1]:
-                if k < lo:
+    def rec(usable, uncovered, chosen, touched):
+        while True:
+            while touched:
+                low = touched & -touched
+                touched ^= low
+                left = usable & star[low.bit_length() - 1]
+                if not left:
                     return
-                if masks[k] & uncovered == masks[k]:
-                    break
-            else:
-                return
-            if k < cap:
-                cap = k
-        for k in range(lo, cap + 1):
-            mask = masks[k]
-            if mask & uncovered == mask:
-                chosen.append(edge_order[k])
-                yield from rec(uncovered ^ mask, k + 1, chosen)
-                chosen.pop()
+                if not left & (left - 1):
+                    k = left.bit_length() - 1
+                    chosen = (edge_ids[k], chosen)
+                    a, b = ends[k]
+                    usable &= ~(star[a] | star[b])
+                    uncovered ^= 1 << a | 1 << b
+                    touched = (touched | around[a] | around[b]) & uncovered
+            if not uncovered:
+                break
+            low = usable & -usable
+            a, b = ends[low.bit_length() - 1]
+            # with this edge, which a then keeps alone; then without it
+            yield from rec(usable & ~(star[a] ^ low), uncovered, chosen,
+                           (1 << a | around[a]) & uncovered)
+            usable ^= low
+            touched = 1 << a | 1 << b
+        edges = []
+        while chosen:
+            eid, chosen = chosen
+            edges.append(eid)
+        yield Matching(host, frozenset(edges))
 
-    yield from rec((1 << len(g.vertices)) - 1, 0, [])
+    full = (1 << len(at)) - 1
+    yield from rec((1 << len(ends)) - 1, full, None, full)
 
 
 # ---------------------------------------------------------------------------

@@ -97,8 +97,7 @@ def simple_cycles(g: PlanarGraph):
     """All simple cycles, each as a vertex list starting at its smallest
     vertex with the smaller neighbor second (so each cycle appears once)."""
     out = []
-    verts = sorted(g.vertices)
-    for s in verts:
+    for s in g.vertices:
         stack = [(s, [s], {s})]
         while stack:
             v, path, seen = stack.pop()

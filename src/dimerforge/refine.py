@@ -295,7 +295,7 @@ def symmetrize(refinement: DualRefinement, mb: MarkedBoundary) -> PlanarGraph:
     mirror_of: dict[int, int] = {m: m for m in mids}
     vertices = dict(top.vertices)
     next_id = max(vertices) + 1
-    for v in sorted(top.vertices):
+    for v in top.vertices:
         if v in mirror_of:
             continue
         pos = top.vertices[v].pos

@@ -152,7 +152,7 @@ def _forced_tree_weight(g: PlanarGraph, root: int, forced: dict[int, list[int]])
     fraction-free determinant is divided by the product of the d_v.
     """
     table = g.weight_table()
-    verts = [v for v in sorted(g.vertices) if v != root]
+    verts = [v for v in g.vertices if v != root]
     idx = {v: i for i, v in enumerate(verts)}
     lap = [[0] * len(verts) for _ in verts]
     for v in verts:

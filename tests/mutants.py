@@ -78,6 +78,20 @@ MUTANTS = (
            "ones = [(position[v], frozenset(exits[v][1])) for v in variables]",
            "ones = [(v, frozenset(exits[v][1])) for v in variables]",
            ("tests/test_trees.py::test_ust_sample_and_sampled_reports_follow_a_monotone_relabelling",)),
+    # the enumerator's exclude step and forcing rule; a branch includes its
+    # edge through the forcing rule, so every chosen edge is a forced one
+    Mutant("exclude-drops-next-edge", "src/dimerforge/matchings.py",
+           "usable ^= low", "usable &= ~(low | low << 1)",
+           ("tests/test_matchings.py::test_enumeration_matches_set_oracle_on_every_family",
+            "tests/test_matchings.py::test_enumerated_matching_sequence_is_pinned")),
+    Mutant("forced-edge-unrecorded", "src/dimerforge/matchings.py",
+           "chosen = (edge_ids[k], chosen)", "pass",
+           ("tests/test_matchings.py::test_enumeration_matches_set_oracle_on_every_family",
+            "tests/test_matchings.py::test_enumerated_matching_sequence_is_pinned")),
+    Mutant("forcing-rule-dropped", "src/dimerforge/matchings.py",
+           "if not left & (left - 1):", "if False:",
+           ("tests/test_matchings.py::test_enumeration_matches_set_oracle_on_every_family",
+            "tests/test_matchings.py::test_enumerated_matching_sequence_is_pinned")),
 )
 
 

@@ -86,6 +86,13 @@ def _oracle_families():
     grid = grid_graph(4, 4)
     yield "grid4x4-minus-corners", remove_vertices(grid, [0, 15])
     yield "grid4x4-minus-middle", remove_vertices(grid, [5, 6])
+    # one colour class loses two vertices, so no perfect matching: inside
+    # the grid, and beside a corner, which is then left with no edge
+    yield "grid4x4-minus-diagonal", remove_vertices(grid, [5, 10])
+    yield "grid4x4-corner-cut-off", remove_vertices(grid, [1, 4])
+    yield "path8", path_graph(8)  # one matching, each edge forced by the last
+    # enumeration ignores weights: a zero-weight edge is still listed
+    yield "grid3x4-zero-edge", _reweight(grid_graph(3, 4), {0: Fraction(0)})
     plane = random_plane_graph(2, weighted=True)
     yield "plane2-minus-two", remove_vertices(plane, sorted(plane.vertices)[1:3])
     yield "trimmed-two-blocks", trimmed_square(2, [(0, 3)])
@@ -101,8 +108,10 @@ def test_enumeration_matches_set_oracle_on_every_family():
         assert got == [m.sorted_edges() for m in oracle.enumerate_matchings(g)], label
         counts[label] = len(got)
     assert counts["path3"] == counts["grid3x3"] == 0
-    assert counts["empty"] == 1
-    assert len(counts) == 71
+    assert counts["grid4x4-minus-diagonal"] == counts["grid4x4-corner-cut-off"] == 0
+    assert counts["empty"] == counts["path8"] == 1
+    assert counts["grid3x4-zero-edge"] == 11
+    assert len(counts) == 75
 
 
 @pytest.mark.parametrize("build, count, digest", [
@@ -112,7 +121,9 @@ def test_enumeration_matches_set_oracle_on_every_family():
      "b1e1a3fa557594dc6c0cd265ea9f5174f869226ca0cc71341d15ac796d2cd746"),
     (lambda: random_transport(1)[0].host_prime, 3328,
      "2cfc03c00520341d4baba57ee7c8b45cf1b4c1e2ad9fd5e8f92350511413316a"),
-], ids=["grid6x6", "aztec-T4", "transport-1-prime"])
+    (lambda: random_transport(1)[0].host_plain, 3328,
+     "9c90440dad1a4d28424b785fb1a79c412fd37118bb876a7feb714c2d7ede73e1"),
+], ids=["grid6x6", "aztec-T4", "transport-1-prime", "transport-1-plain"])
 def test_enumerated_matching_sequence_is_pinned(build, count, digest):
     seq = [m.sorted_edges() for m in enumerate_matchings(build())]
     assert len(seq) == count
