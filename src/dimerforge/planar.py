@@ -6,7 +6,9 @@ coordinates.  Geometric decisions read their integer image, the graph's
 Validation happens once, at the input boundary: the geometric
 validator of ``PlanarGraph.build`` runs on parsed graph files and on the trial
 lifts of ``refine.symmetrize``; ``PlanarGraph.trusted`` makes every other graph,
-valid by construction (for a reason stated where it is built) or cosmetic.
+valid by construction (for a reason stated where it is built) or cosmetic,
+except those that vertex deletion and leaf augmentation derive from a graph
+already made.
 """
 
 from __future__ import annotations
@@ -167,9 +169,10 @@ class PlanarGraph:
     """
 
     def __init__(self, vertices: dict[int, Vertex], edges: dict[int, Edge], *,
-                 geometric: bool, rotation: dict[int, tuple[int, ...]] | None = None):
-        self.vertices = {i: vertices[i] for i in sorted(vertices)}
-        self.edges = {i: edges[i] for i in sorted(edges)}
+                 geometric: bool, rotation: dict[int, tuple[int, ...]] | None = None,
+                 faces: FaceDecomposition | None = None):
+        self.vertices = dict(sorted(vertices.items()))
+        self.edges = dict(sorted(edges.items()))
         self.geometric = geometric
         adj: dict[int, list[int]] = {v: [] for v in self.vertices}
         for e in self.edges.values():
@@ -180,7 +183,7 @@ class PlanarGraph:
         self.adj = {v: tuple(ids) for v, ids in adj.items()}  # ascending, as self.edges
         self._lattice: Lattice | None = None
         self.rotation = rotation if rotation is not None else self._rotation_from_angles()
-        self._faces: FaceDecomposition | None = None
+        self._faces = faces  # given by a builder that derived them from another graph's
         self._weights: WeightTable | None = None
         self._walk: tuple | None = None
         self._order: tuple | None = None
@@ -233,9 +236,9 @@ class PlanarGraph:
         for e in self.edges.values():
             if e.u == e.v:
                 raise NotSimple(f"edge {e.id} is a loop")
-            if e.weight < 0:
+            if e.weight.numerator < 0:
                 raise ParseError(f"edge {e.id} has negative weight")
-            key = e.ends
+            key = (e.u, e.v) if e.u < e.v else (e.v, e.u)
             if key in seen_ends:
                 raise NotSimple(f"edges {seen_ends[key]} and {e.id} are parallel")
             seen_ends[key] = e.id
@@ -310,14 +313,19 @@ class PlanarGraph:
 
     def weight_table(self) -> WeightTable:
         if self._weights is None:
+            # each weight read once, as its (numerator, denominator)
+            parts = {i: (e.u, e.v, e.weight.numerator, e.weight.denominator)
+                     for i, e in self.edges.items()}
             scale, exits = {}, {}
             for v, ids in self.adj.items():
-                d = scale[v] = lcm(*(self.edges[e].weight.denominator for e in ids))
-                exits[v] = tuple((e, self.edges[e].other(v),
-                                  w.numerator * (d // w.denominator))
-                                 for e in ids if (w := self.edges[e].weight))
-            positive = _components(self.vertices,
-                                   ((e.u, e.v) for e in self.edges.values() if e.weight))
+                d = scale[v] = lcm(*(parts[e][3] for e in ids))
+                out = []
+                for e in ids:
+                    a, b, num, den = parts[e]
+                    if num:
+                        out.append((e, b if a == v else a, num * (d // den)))
+                exits[v] = tuple(out)
+            positive = _components(self.vertices, ((a, b) for a, b, num, _ in parts.values() if num))
             self._weights = WeightTable(scale, exits, len(set(positive.values())) <= 1)
         return self._weights
 
@@ -408,6 +416,42 @@ class PlanarGraph:
         return [(cyc[k][0], cyc[k - 1][1]) for k in range(len(cyc) - 1, -1, -1)]
 
 
+def _pendant_faces(faces: FaceDecomposition, rot: tuple[int, ...], eid: int,
+                   v: int, leaf: int) -> FaceDecomposition | None:
+    """What ``trace_faces`` gives once the pendant edge ``eid`` joins ``v``
+    to a new vertex ``leaf``, with ``rot`` the rotation at v holding eid in
+    its counterclockwise place; None when that place is not on the
+    infinite face.
+
+    Tracing that arrives at v along eid's ccw successor now leaves along
+    eid, runs out to the leaf and back, and goes on along eid's ccw
+    predecessor as before: the spike's two darts enter the infinite face's
+    cycle right after the dart arriving along the successor.  Nothing else
+    moves.  eid is the largest edge id, so no face's smallest dart, which
+    starts its cycle and orders the faces, changes; and the spike encloses
+    no area, so every area and the infinite face stay.
+    """
+    i = rot.index(eid)
+    pred = rot[i - 1]
+    spike = ((v, eid), (leaf, eid))
+    inf = faces.infinite_face
+    if pred == eid:
+        # v had no edge, so the connected graph was v alone: one face, empty
+        cycle = spike
+    elif faces.dart_face[(pred, v)] != faces.infinite_index:
+        return None
+    else:
+        # the dart arriving along the successor comes right before the one
+        # leaving along pred, cyclically
+        k = inf.cycle.index((v, pred)) or len(inf.cycle)
+        cycle = inf.cycle[:k] + spike + inf.cycle[k:]
+    idx = faces.infinite_index
+    dart_face = dict(faces.dart_face)
+    dart_face[(eid, v)] = dart_face[(eid, leaf)] = idx
+    spliced = faces.faces[:idx] + (Face(idx, cycle, True, inf.area2),) + faces.faces[idx + 1:]
+    return FaceDecomposition(spliced, idx, dart_face)
+
+
 def _find(par: dict, x):
     """Union-find root of ``x``, halving the path on the way."""
     while par[x] != x:
@@ -448,7 +492,7 @@ def remove_vertices(g: PlanarGraph, removed) -> PlanarGraph:
     vertices = {i: v for i, v in g.vertices.items() if i not in removed}
     edges = {i: e for i, e in g.edges.items()
              if e.u not in removed and e.v not in removed}
-    rotation = {v: tuple(e for e in rot if e in edges)
+    rotation = {v: tuple(filter(edges.__contains__, rot))
                 for v, rot in g.rotation.items() if v not in removed}
     return PlanarGraph(vertices, edges, geometric=g.geometric, rotation=rotation)
 

@@ -9,11 +9,13 @@ matchings-to-trees correspondences) runs on vertex-deleted subgraphs of it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from . import _geom
+from ._geom import ccw_direction_key
 from .errors import (
     BelowDiagonal,
     Disconnected,
@@ -30,6 +32,7 @@ from .planar import (
     MarkedBoundary,
     PlanarGraph,
     Vertex,
+    _pendant_faces,
     remove_vertices,
     validate_boundary_path,
 )
@@ -37,6 +40,8 @@ from .planar import (
 # ---------------------------------------------------------------------------
 # Dual refinement
 # ---------------------------------------------------------------------------
+
+_UNIT = Fraction(1)  # the weight of a dual half-edge without a given dual weight
 
 
 @dataclass(frozen=True)
@@ -72,20 +77,27 @@ def dual_refinement(g: PlanarGraph,
                 f"degree-one vertex {v} lies inside a bounded face")
     dual_weights = dual_weights or {}
 
+    # each new position is one Fraction per coordinate over the lattice:
+    # a midpoint is (p_u + p_v) / 2L, a face centre the mean of the face's
+    # distinct vertices, their sum over kL
+    lat = g.lattice()
+    pts = lat.points
+    half = 2 * lat.scale
     vertices: dict[int, Vertex] = dict(g.vertices)
     next_id = max(g.vertices) + 1
     mid_of_edge: dict[int, int] = {}
     for eid in sorted(g.edges):
         e = g.edges[eid]
-        pu, pv = g.vertices[e.u].pos, g.vertices[e.v].pos
-        vertices[next_id] = Vertex(next_id, ((pu[0] + pv[0]) / 2, (pu[1] + pv[1]) / 2))
+        (ux, uy), (vx, vy) = pts[e.u], pts[e.v]
+        vertices[next_id] = Vertex(next_id, (Fraction(ux + vx, half), Fraction(uy + vy, half)))
         mid_of_edge[eid] = next_id
         next_id += 1
     center_of_face: dict[int, int] = {}
     for f in faces.bounded:
-        pts = [g.vertices[v].pos for v in sorted(set(f.vertex_seq))]
-        vertices[next_id] = Vertex(next_id, (sum(p[0] for p in pts) / len(pts),
-                                             sum(p[1] for p in pts) / len(pts)))
+        corners = [pts[v] for v in {v for v, _ in f.cycle}]
+        k = len(corners) * lat.scale
+        vertices[next_id] = Vertex(next_id, (Fraction(sum(x for x, _ in corners), k),
+                                             Fraction(sum(y for _, y in corners), k)))
         center_of_face[f.index] = next_id
         next_id += 1
 
@@ -109,7 +121,7 @@ def dual_refinement(g: PlanarGraph,
         # halves of a dual edge inherit its weight; the stubs joining boundary
         # midpoints to face centers belong to no dual edge and stay at 1
         interior = inf not in (fa, fb)
-        w = dual_weights.get(eid, Fraction(1)) if interior else Fraction(1)
+        w = dual_weights.get(eid, _UNIT) if interior else _UNIT
         for c, far in ((ca, cb), (cb, ca)):
             if c is not None:
                 h = len(edges)
@@ -171,9 +183,24 @@ def _leaf_candidates(scale: int, apos, occupied: set, segments: list):
                 yield p
 
 
+def _with_leaf(rot: tuple[int, ...], keys: list, key, eid: int):
+    """The rotation ``rot``, whose edges have the ccw direction ``keys`` in
+    order, and those keys, with the edge ``eid`` of direction ``key`` put in
+    its ccw place.  A geometric graph's rotation lists each vertex's edges
+    by ``ccw_direction_key``, and so does the result."""
+    i = bisect_right(keys, key)
+    return rot[:i] + (eid,) + rot[i:], keys[:i] + [key] + keys[i:]
+
+
 def augment_with_leaves(g0: PlanarGraph, path: list[int]) -> tuple[PlanarGraph, MarkedBoundary]:
     """Attach leaf vertices before and after the marked boundary path, drawn
-    in the infinite face."""
+    in the infinite face.
+
+    The augmented graph is g0 with two pendant edges, so it is spliced from
+    g0 rather than built again: each leaf edge goes into its vertex's
+    rotation by direction, and its darts into the infinite face's cycle.  A
+    candidate leaf whose wedge is not on the infinite face is passed over.
+    """
     mb = validate_boundary_path(g0, path)
     if not g0.is_connected():
         raise Disconnected("graph is not connected")
@@ -186,25 +213,42 @@ def augment_with_leaves(g0: PlanarGraph, path: list[int]) -> tuple[PlanarGraph, 
     pts = g0.lattice().rescaled(scale)
     occupied = set(pts.values())
     segments = [_geom.boxed(pts[e.u], pts[e.v]) for e in g0.edges.values()]
+    faces0 = g0.trace_faces()
+
+    def key_to(v, p):
+        return ccw_direction_key((p[0] - pts[v][0], p[1] - pts[v][1]))
+
+    keys1, keys_last = ([key_to(v, pts[g0.edges[e].other(v)]) for e in g0.rotation[v]]
+                        for v in (v1, v_last))
     for p0 in _leaf_candidates(scale, pts[v1], occupied, segments):
+        rot0, keys0 = _with_leaf(g0.rotation[v1], keys1, key_to(v1, p0), e0)
+        faces = _pendant_faces(faces0, rot0, e0, v1, leaf0)
+        if faces is None:
+            continue
+        rot, keys = (rot0, keys0) if v1 == v_last else (g0.rotation[v_last], keys_last)
         for p1 in _leaf_candidates(scale, pts[v_last], occupied | {p0}, segments):
             if _geom.segments_conflict(pts[v1], p0, pts[v_last], p1):
                 continue
-            # valid by construction: the leaves avoid each other and all of g0
+            rot1, _ = _with_leaf(rot, keys, key_to(v_last, p1), e1)
+            spliced = _pendant_faces(faces, rot1, e1, v_last, leaf1)
+            if spliced is None:
+                continue
+            # valid by construction: the leaves avoid each other and all of
+            # g0, and pendant edges to new vertices keep g0 simple
             vertices = dict(g0.vertices)
             vertices[leaf0] = Vertex(leaf0, (Fraction(p0[0], scale), Fraction(p0[1], scale)))
             vertices[leaf1] = Vertex(leaf1, (Fraction(p1[0], scale), Fraction(p1[1], scale)))
             edges = dict(g0.edges)
             edges[e0] = Edge(e0, leaf0, v1)
             edges[e1] = Edge(e1, v_last, leaf1)
-            g = PlanarGraph.trusted(vertices, edges, geometric=True)
-            onb = g.infinite_face_vertices()
-            if leaf0 not in onb or leaf1 not in onb:
-                continue
-            full = (leaf0,) + mb.inner + (leaf1,)
-            bedges = tuple(g.edge_between(a, b).id for a, b in zip(full, full[1:]))
+            rotation = dict(g0.rotation)
+            rotation[v1] = rot0
+            rotation[v_last] = rot1
+            rotation[leaf0], rotation[leaf1] = (e0,), (e1,)
+            g = PlanarGraph(vertices, edges, geometric=True, rotation=rotation, faces=spliced)
+            inner = tuple(g0.edge_between(a, b).id for a, b in zip(mb.inner, mb.inner[1:]))
             return g, MarkedBoundary(mb.inner, mb.n, leaves=(leaf0, leaf1),
-                                     boundary_edges=bedges)
+                                     boundary_edges=(e0,) + inner + (e1,))
     raise EmbeddingError("could not place the boundary leaves in the infinite face")
 
 

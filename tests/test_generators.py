@@ -79,6 +79,23 @@ def test_random_section2_draws_are_pinned():
         "6c669d21a44b02ebf61eee233927a6e2007aec96520e7837a8747c133410f0ba"
 
 
+def test_random_section2_derived_graphs_are_pinned():
+    # every graph a draw derives, and the augmented graph's rotation and
+    # faces: a misplaced refinement vertex or a mis-spliced leaf dart moves it
+    rows = []
+    for seed in range(40):
+        inst = random_section2(seed)
+        g = inst.refinement.source
+        faces = g.trace_faces()
+        rows.append((inst.refinement.graph.graph_id, inst.trimmed.graph_id,
+                     inst.plus.graph_id, inst.minus.graph_id,
+                     sorted(g.rotation.items()),
+                     [(f.index, f.cycle, f.infinite, f.area2) for f in faces.faces],
+                     faces.infinite_index, sorted(faces.dart_face.items())))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        "f8a67979f01c4b2b1f9747b918f18bf96bdf19e98ab71050f1e9041247843e62"
+
+
 def test_random_section2_draw_builds_no_graph_id(monkeypatch):
     # a graph id hashes the full dump, and no part of a draw reads one
     real, calls = planar.dump_graph, []

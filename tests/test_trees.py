@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from dimerforge import errors
+from dimerforge.aztec import aztec_graph
 from dimerforge.generators import (
     diagonal_grid,
     diamond_graph,
@@ -20,8 +21,10 @@ from dimerforge.generators import (
     ladder_graph,
     random_exit_side,
     random_plane_graph,
+    random_section2,
     random_symmetric,
     random_transport,
+    random_trimmed,
 )
 from dimerforge.matchings import count_matchings, enumerate_matchings
 from dimerforge.planar import (
@@ -321,6 +324,49 @@ def _reweighted(g, weights):
     edges = {eid: Edge(eid, e.u, e.v, weights[eid % len(weights)])
              for eid, e in g.edges.items()}
     return PlanarGraph.build(dict(g.vertices), edges)
+
+
+def _per_end_table(g):
+    """The weight table from each edge end's Fraction: d_v the lcm of the
+    weight denominators at v, each nonzero weight times d_v, and whether
+    the positive-weight edges reach every vertex from the first."""
+    scale = {v: math.lcm(*(g.edges[e].weight.denominator for e in ids))
+             for v, ids in g.adj.items()}
+    exits = {v: tuple((e, g.edges[e].other(v), int(g.edges[e].weight * scale[v]))
+                      for e in ids if g.edges[e].weight != 0)
+             for v, ids in g.adj.items()}
+    seen, todo = set(), [next(iter(g.vertices))]
+    while todo:
+        v = todo.pop()
+        if v not in seen:
+            seen.add(v)
+            todo += [u for _, u, _ in exits[v]]
+    return scale, exits, len(seen) == len(g.vertices)
+
+
+def test_weight_table_matches_the_per_end_fraction_formula():
+    graphs = [grid_graph(4, 3), diamond_graph(), diagonal_grid(4), ladder_graph(4),
+              hexagon_graph(2)[0]]
+    graphs += [random_plane_graph(s, weighted) for s in range(20) for weighted in (False, True)]
+    graphs += [random_symmetric(s)[0] for s in range(10)]
+    graphs += [random_exit_side(s, s % 2)[0] for s in range(6)]
+    graphs += [random_trimmed(s)[0] for s in range(10)]
+    for s in range(10):
+        inst = random_section2(s)
+        graphs += [inst.refinement.graph, inst.trimmed, inst.plus, inst.minus]
+    for s in range(4):
+        inst, _ = random_transport(s)
+        graphs += [inst.host_plain, inst.host_prime, inst.forest_graph, inst.smashed.graph]
+    graphs += [aztec_graph(2).host]
+    graphs += [_reweighted(grid_graph(a, b), w) for a, b in ((3, 3), (4, 4)) for w in (_MIXED, _LARGE)]
+    # mixed denominators and a zero weight that cuts a vertex off
+    graphs += [_reweighted(ladder_graph(3), (Fraction(0), Fraction(0), Fraction(3, 4)))]
+    assert any(not _per_end_table(g)[2] for g in graphs)
+    assert any(e.weight == 0 for g in graphs for e in g.edges.values())
+    assert any(len({e.weight.denominator for e in g.edges.values()}) > 2 for g in graphs)
+    for g in graphs:
+        t = g.weight_table()
+        assert (t.scale, t.exits, t.connected) == _per_end_table(g)
 
 
 def test_ust_sample_builds_the_weight_table_once_per_graph(monkeypatch):
