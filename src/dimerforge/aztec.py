@@ -97,7 +97,7 @@ def _build_side(n: int, variant: str, inst: TransportInstance,
     else:
         cpath = site_path_to_refinement(ref, constraint_sites)
         cindex = len(inst.plain)
-        fixed = set(forced_path_matching(ref.graph, cpath, drop_start=not primed))
+        fixed = set(forced_path_matching(ref, cpath, drop_start=not primed))
         on_path = set(cpath)
         below = {v for v in host.vertices
                  if v not in on_path and _below_staircase(_scaled(host.vertices[v].pos))}

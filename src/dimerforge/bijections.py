@@ -17,10 +17,10 @@ from .errors import (
     PreconditionViolated,
     RootNotOnInfiniteFace,
 )
-from .gliding import DUAL, FRAME, glide, path_edgeset, shift_edges
+from .gliding import DUAL, FRAME, glide, shift_edges
 from .matchings import Matching
 from .planar import PlanarGraph, SymmetryCertificate, _ccw_positions, remove_vertices
-from .refine import DualRefinement, PlusMinusInstance, SmashedGraph, smash_in
+from .refine import DualRefinement, PlusMinusInstance, SmashedGraph, dual_refinement, smash_in
 from .trees import RootedForest, _forest_to_matching, _matching_to_forest, dual_forest
 
 # ---------------------------------------------------------------------------
@@ -121,35 +121,47 @@ def psi(instance: PlusMinusInstance, mu: Matching) -> Matching:
 # ---------------------------------------------------------------------------
 
 
-def temperley_tree_to_matching(ref: DualRefinement, tree: RootedForest) -> Matching:
+@dataclass(frozen=True)
+class TemperleyInstance:
+    """A dual refinement rooted at a vertex of the infinite face: the host
+    of the tree/matching correspondence is the refinement minus the root."""
+
+    ref: DualRefinement
+    root: int
+    host: PlanarGraph
+
+
+def temperley_instance(ref: DualRefinement, root: int) -> TemperleyInstance:
+    """Check the root and delete it from the refinement, once for every
+    tree and matching the maps carry."""
+    g = ref.source
+    if root not in g.vertices:
+        raise PreconditionViolated(f"root {root} not in graph")
+    if root not in g.infinite_face_vertices():
+        raise RootNotOnInfiniteFace(f"root {root} is not on the infinite face")
+    return TemperleyInstance(ref, root, remove_vertices(ref.graph, [root]))
+
+
+def temperley_tree_to_matching(inst: TemperleyInstance, tree: RootedForest) -> Matching:
     """Tail half-edges of the rooted tree plus tail half-edges of its dual
     tree rooted at the infinite face; a perfect matching of the refinement
     minus the root.  This is the all-bays case of the banded-forest
     conversion: each dual component hangs off the infinite face by its
     single boundary exit."""
-    g = ref.source
+    g = inst.ref.source
     if tree.host != g.graph_id:
         raise PreconditionViolated("tree does not span the source graph")
-    if len(tree.roots) != 1:
-        raise PreconditionViolated("expected a single root")
-    root = tree.roots[0]
-    if root not in g.infinite_face_vertices():
-        raise RootNotOnInfiniteFace(f"root {root} is not on the infinite face")
-    return _forest_to_matching(ref, remove_vertices(ref.graph, [root]), tree,
-                               dual_forest(g, tree.edge_set), ())
+    if tree.roots != (inst.root,):
+        raise PreconditionViolated(f"expected a single root {inst.root}")
+    return _forest_to_matching(inst.ref, inst.host, tree, dual_forest(g, tree.edge_set), ())
 
 
-def temperley_matching_to_tree(ref: DualRefinement, mu: Matching,
-                               root: int) -> RootedForest:
+def temperley_matching_to_tree(inst: TemperleyInstance, mu: Matching) -> RootedForest:
     """Each non-root vertex exits along the primal edge containing its
     matched half-edge; the result is the spanning tree matched to ``mu``."""
-    g = ref.source
-    if root not in g.infinite_face_vertices():
-        raise RootNotOnInfiniteFace(f"root {root} is not on the infinite face")
-    host = remove_vertices(ref.graph, [root])
-    if mu.host != host.graph_id:
+    if mu.host != inst.host.graph_id:
         raise PreconditionViolated("matching host does not agree with the root")
-    return _matching_to_forest(ref, host, mu, g, (root,))
+    return _matching_to_forest(inst.ref, inst.host, mu, inst.ref.source, (inst.root,))
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +245,6 @@ def transport_instance(g: PlanarGraph, plain, prime, *,
     _check_run(g, plain, "i", require_plain_path)
     _check_run(g, prime, "ii", True)
     _check_cyclic_order(g, list(plain) + list(reversed(prime)))
-    from .refine import dual_refinement
-
     ref = dual_refinement(g, dual_weights)
     targets = plain[1::2] + prime[1::2]
     try:
@@ -277,13 +287,15 @@ def face_path_to_refinement(ref: DualRefinement, face_indices) -> tuple[int, ...
     return tuple(out)
 
 
-def forced_path_matching(graph: PlanarGraph, h_path, drop_start: bool) -> frozenset[int]:
-    """The unique perfect matching of the path minus one endpoint."""
+def forced_path_matching(ref: DualRefinement, h_path, drop_start: bool) -> frozenset[int]:
+    """The unique perfect matching of the path minus one endpoint: the
+    half-edge of each consecutive pair, read off the across-map of the
+    pair's midpoint."""
     seq = h_path[1:] if drop_start else h_path[:-1]
     if len(seq) % 2 == 1:
         raise PreconditionViolated("path minus an endpoint must have even length")
-    eids = path_edgeset(graph, seq)
-    return frozenset(eids[0::2])
+    return frozenset(ref.across[a][b][1] if a in ref.across else ref.across[b][a][1]
+                     for a, b in zip(seq[0::2], seq[1::2]))
 
 
 def tea_transport(instance: TransportInstance, mu: Matching,

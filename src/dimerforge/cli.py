@@ -23,7 +23,7 @@ from .matchings import (
     kasteleyn_grid_count,
     squarish,
 )
-from .planar import check_reflection_symmetry, dump_graph, parse_graph, read_text, remove_vertices
+from .planar import check_reflection_symmetry, dump_graph, parse_graph, read_text
 
 
 class _Fail(click.ClickException):
@@ -234,7 +234,7 @@ def build(kind, file, path_, targets, order, removals, out):
     elif kind == "minus":
         _emit(dump_graph(inst.minus), out)
     else:
-        _emit(dump_graph(refine.symmetrize(inst.refinement, inst.boundary)), out)
+        _emit(dump_graph(refine.symmetrize(inst)), out)
 
 
 @cli.command()
@@ -259,16 +259,15 @@ def phi(file, matchings_file, path_, inverse):
 def temperley(direction, file, input_file, root):
     """Convert spanning trees to matchings of the refinement (or back)."""
     g = _load(file)
-    ref = refine.dual_refinement(g)
+    inst = bijections.temperley_instance(refine.dual_refinement(g), root)
     if direction == "t2m":
         for _, ids in _read_id_lines(input_file):
             tree = trees.orient_edge_set(g, ids, (root,))
-            mu = bijections.temperley_tree_to_matching(ref, tree)
+            mu = bijections.temperley_tree_to_matching(inst, tree)
             click.echo(" ".join(map(str, mu.sorted_edges())))
     else:
-        host = remove_vertices(ref.graph, [root])
-        for mu in _read_matchings(input_file, host):
-            tree = bijections.temperley_matching_to_tree(ref, mu, root)
+        for mu in _read_matchings(input_file, inst.host):
+            tree = bijections.temperley_matching_to_tree(inst, mu)
             click.echo(" ".join(map(str, sorted(tree.edge_set))))
 
 
@@ -317,7 +316,8 @@ def verify_bijection(kind, file, path_, root, plain, prime):
     elif kind == "temperley":
         if root is None:
             raise click.UsageError("temperley needs --root")
-        checked, fault = report.temperley_fault(g, refine.dual_refinement(g), root)
+        checked, fault = report.temperley_fault(
+            bijections.temperley_instance(refine.dual_refinement(g), root))
     else:
         if not plain or not prime:
             raise click.UsageError("tea needs --plain and --prime")

@@ -49,10 +49,10 @@ def build_from_points(points, edges_by_points, weights=None):
     return PlanarGraph.trusted(vertices, edges, geometric=True), vid
 
 
-def grid_graph(cols: int, rows: int, weights=None) -> PlanarGraph:
+def grid_graph(cols: int, rows: int) -> PlanarGraph:
     """Grid graph on cols x rows lattice points with unit spacing."""
     points = {(x, y) for x in range(cols) for y in range(rows)}
-    g, _ = build_from_points(points, _grid_edges(points), weights)
+    g, _ = build_from_points(points, _grid_edges(points))
     return g
 
 
@@ -346,7 +346,7 @@ def random_transport(seed: int, require_plain_path: bool = True):
         try:
             if shape == "grid0":
                 cols, rows = rng.choice([(2, 2), (3, 2), (3, 3)])
-                g = grid_graph(cols, rows, None)
+                g = grid_graph(cols, rows)
                 weights = {e.id: rng.choice(WEIGHT_POOL) for e in g.edges.values()}
                 g = _reweight(g, weights)
                 boundary = list(dict.fromkeys(v for v, _ in g.ccw_boundary()))

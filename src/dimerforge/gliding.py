@@ -92,17 +92,6 @@ def glide(host: PlanarGraph, ref: DualRefinement, cover: dict[int, int],
         site = nxt
 
 
-def path_edgeset(graph: PlanarGraph, vertices) -> list[int]:
-    """Edge ids along a vertex sequence of the given graph."""
-    out = []
-    for a, b in zip(vertices, vertices[1:]):
-        e = graph.edge_between(a, b)
-        if e is None:
-            raise PreconditionViolated(f"{a},{b} is not an edge")
-        out.append(e.id)
-    return out
-
-
 def shift_edges(mu_edges: frozenset[int], paths) -> frozenset[int]:
     """Symmetric difference of a matching with alternating paths, each given
     as the ids of its edges in order; raises if any path fails to

@@ -576,13 +576,14 @@ def dump_graph(g: PlanarGraph) -> str:
 @dataclass(frozen=True)
 class MarkedBoundary:
     """A boundary path v1..v_{2n-1} whose even-indexed vertices have degree
-    two, optionally completed with the two added leaves v0 and v_{2n} and the
-    boundary edges whose midpoints become the marked edge-vertices."""
+    two, optionally completed with the two added leaves v0 and v_{2n}, and
+    the edges along its full path, whose midpoints become the marked
+    edge-vertices once the leaves are added."""
 
     inner: tuple[int, ...]
     n: int
+    boundary_edges: tuple[int, ...]  # edge j joins full_path[j] and full_path[j + 1]
     leaves: tuple[int, int] | None = None
-    boundary_edges: tuple[int, ...] | None = None  # edges {v_{j-1}, v_j}, j=1..2n
 
     @property
     def full_path(self) -> tuple[int, ...]:
@@ -603,19 +604,21 @@ def validate_boundary_path(g: PlanarGraph, path: list[int]) -> MarkedBoundary:
             raise NotAPath(f"unknown vertex {v}")
     boundary_vertices = g.infinite_face_vertices()
     boundary_edges = g.infinite_face_edges() if g.edges else frozenset()
+    path_edges = []
     for a, b in zip(path, path[1:]):
         e = g.edge_between(a, b)
         if e is None:
             raise NotAPath(f"{a},{b} is not an edge")
         if e.id not in boundary_edges:
             raise NotOnInfiniteFace(f"edge {a}-{b} is not on the infinite face")
+        path_edges.append(e.id)
     for v in path:
         if v not in boundary_vertices:
             raise NotOnInfiniteFace(f"vertex {v} is not on the infinite face")
     for i, v in enumerate(path, 1):
         if i % 2 == 0 and g.degree(v) != 2:
             raise BadDegree(f"v{i}={v} has degree {g.degree(v)}, expected 2")
-    return MarkedBoundary(tuple(path), (len(path) + 1) // 2)
+    return MarkedBoundary(tuple(path), (len(path) + 1) // 2, tuple(path_edges))
 
 
 # ---------------------------------------------------------------------------

@@ -246,9 +246,8 @@ def augment_with_leaves(g0: PlanarGraph, path: list[int]) -> tuple[PlanarGraph, 
             rotation[v_last] = rot1
             rotation[leaf0], rotation[leaf1] = (e0,), (e1,)
             g = PlanarGraph(vertices, edges, geometric=True, rotation=rotation, faces=spliced)
-            inner = tuple(g0.edge_between(a, b).id for a, b in zip(mb.inner, mb.inner[1:]))
-            return g, MarkedBoundary(mb.inner, mb.n, leaves=(leaf0, leaf1),
-                                     boundary_edges=(e0,) + inner + (e1,))
+            return g, MarkedBoundary(mb.inner, mb.n, (e0,) + mb.boundary_edges + (e1,),
+                                     leaves=(leaf0, leaf1))
     raise EmbeddingError("could not place the boundary leaves in the infinite face")
 
 
@@ -272,26 +271,19 @@ class PlusMinusInstance:
     mids: tuple[int, ...]        # refinement vertex ids of m_1..m_{2n}
 
 
-def _trim(refinement: DualRefinement, mb: MarkedBoundary):
+def section_instance(g0: PlanarGraph, path: list[int]) -> PlusMinusInstance:
     """The marked midpoints m_1..m_{2n}, the refinement graph minus the even
     path vertices v_0, v_2, ..., v_{2n}, and its plus and minus halves."""
-    if mb.leaves is None or mb.boundary_edges is None:
-        raise PreconditionViolated("boundary must be augmented with leaves first")
-    mids = tuple(refinement.mid_of_edge[e] for e in mb.boundary_edges)
-    trimmed = remove_vertices(refinement.graph, mb.full_path[0::2])
-    plus = remove_vertices(trimmed, mids[0::2])
-    minus = remove_vertices(trimmed, mids[1::2])
-    return mids, trimmed, plus, minus
-
-
-def section_instance(g0: PlanarGraph, path: list[int]) -> PlusMinusInstance:
     g, mb = augment_with_leaves(g0, path)
     ref = dual_refinement(g)
-    mids, trimmed, plus, minus = _trim(ref, mb)
+    mids = tuple(ref.mid_of_edge[e] for e in mb.boundary_edges)
+    trimmed = remove_vertices(ref.graph, mb.full_path[0::2])
+    plus = remove_vertices(trimmed, mids[0::2])
+    minus = remove_vertices(trimmed, mids[1::2])
     return PlusMinusInstance(g0, mb, ref, trimmed, plus, minus, mids)
 
 
-def symmetrize(refinement: DualRefinement, mb: MarkedBoundary) -> PlanarGraph:
+def symmetrize(inst: PlusMinusInstance) -> PlanarGraph:
     """Glue the even-trimmed refinement graph to its mirror image along the
     marked midpoints.
 
@@ -302,8 +294,8 @@ def symmetrize(refinement: DualRefinement, mb: MarkedBoundary) -> PlanarGraph:
     axis by an exactly validated offset and the whole drawing is mirrored,
     which yields a genuine symmetric straight-line embedding.
     """
-    mids, trimmed, _, _ = _trim(refinement, mb)
-    odds = mb.inner[0::2]
+    mids, trimmed = inst.mids, inst.trimmed
+    odds = inst.boundary.inner[0::2]
 
     axis_y = {trimmed.vertices[m].pos[1] for m in mids}
     if len(axis_y) != 1:

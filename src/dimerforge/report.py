@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
+from operator import methodcaller
 
 from ._geom import parse_frac
 from .errors import ConfigError, DimerforgeError
@@ -62,10 +63,10 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _round_trip_fault(domain, forward, backward, same_weight=None):
+def _round_trip_fault(domain, forward, backward, prices=None):
     """The first x in ``domain`` with ``backward(forward(x)) != x``, or whose
-    image weighs otherwise (x priced in ``same_weight[0]``, its image in
-    ``same_weight[1]``), as a fault ``(what, edge ids of x)``; else None.
+    image weighs otherwise (x priced by ``prices[0]``, its image by
+    ``prices[1]``), as a fault ``(what, edge ids of x)``; else None.
 
     A round trip that holds on every element makes ``forward`` injective.
     A round trip on one side plus equal sizes makes a bijection; the other
@@ -75,7 +76,7 @@ def _round_trip_fault(domain, forward, backward, same_weight=None):
         y = forward(x)
         if backward(y) != x:
             what = "round trip failed"
-        elif same_weight and x.weight(same_weight[0]) != y.weight(same_weight[1]):
+        elif prices and prices[0](x) != prices[1](y):
             what = "weight not preserved"
         else:
             continue
@@ -108,23 +109,23 @@ def phi_fault(inst):
     return len(plus), fault
 
 
-def temperley_fault(g, ref, root):
-    """Temperley: the spanning trees of ``g`` toward ``root`` and the
-    matchings of the refinement ``ref`` minus the root correspond
-    bijectively and with equal weights.  Returns (trees, fault).
+def temperley_fault(inst):
+    """Temperley: the spanning trees of the source toward the root and the
+    matchings of the refinement minus the root correspond bijectively and
+    with equal weights.  Returns (trees, fault).
 
     The matching-to-tree map validates each image as a matching of the
     host, as the one-pass rule of ``_round_trip_fault`` needs."""
     from .bijections import temperley_matching_to_tree, temperley_tree_to_matching
-    from .planar import remove_vertices
     from .trees import enumerate_spanning_trees
 
-    tree_list = list(enumerate_spanning_trees(g, root))
-    fault = (_round_trip_fault(tree_list, partial(temperley_tree_to_matching, ref),
-                               partial(temperley_matching_to_tree, ref, root=root),
-                               (g, ref.graph))
+    g = inst.ref.source
+    tree_list = list(enumerate_spanning_trees(g, inst.root))
+    fault = (_round_trip_fault(tree_list, partial(temperley_tree_to_matching, inst),
+                               partial(temperley_matching_to_tree, inst),
+                               (methodcaller("weight", g), methodcaller("weight", inst.ref.graph)))
              or _count_fault("tree and matching counts differ", tree_list,
-                             remove_vertices(ref.graph, [root]), ("trees", "matchings")))
+                             inst.host, ("trees", "matchings")))
     return len(tree_list), fault
 
 
@@ -142,11 +143,11 @@ def transport_fault(inst, paths):
     from .bijections import forced_path_matching, tea_transport
     from .matchings import _forced_matching_weight
 
-    hgraph = inst.smashed.refinement.graph
+    ref = inst.smashed.refinement
     mus = list(enumerate_matchings(inst.host_prime))
     indices = sorted(paths)
-    forced_a = {i: forced_path_matching(hgraph, paths[i], True) for i in indices}
-    forced_b = {i: forced_path_matching(hgraph, paths[i], False) for i in indices}
+    forced_a = {i: forced_path_matching(ref, paths[i], True) for i in indices}
+    forced_b = {i: forced_path_matching(ref, paths[i], False) for i in indices}
     for bits in range(2 ** len(indices)):
         chosen = [indices[i] for i in range(len(indices)) if bits >> i & 1]
         wa = _forced_matching_weight(inst.host_plain, set().union(*(forced_a[i] for i in chosen)))
@@ -217,7 +218,7 @@ def check_bar_squarish(count: int, seed: int) -> tuple[bool, str, str | None]:
 
     for k in range(count):
         inst = random_section2(split_seed(seed, k))
-        bar = symmetrize(inst.refinement, inst.boundary)
+        bar = symmetrize(inst)
         total = count_matchings(bar)
         plus = count_matchings(inst.plus)
         minus = count_matchings(inst.minus)
@@ -242,8 +243,8 @@ def check_trimmed_squarish(count: int, seed: int) -> tuple[bool, str, str | None
 
 
 def check_temperley(count: int, seed: int) -> tuple[bool, str, str | None]:
+    from .bijections import temperley_instance
     from .generators import grid_graph, random_plane_graph
-    from .planar import remove_vertices
     from .refine import dual_refinement
     from .trees import count_spanning_trees
 
@@ -254,12 +255,12 @@ def check_temperley(count: int, seed: int) -> tuple[bool, str, str | None]:
         g = random_plane_graph(split_seed(seed, k), weighted=(k % 2 == 0))
         ref = dual_refinement(g)
         trees_total = count_spanning_trees(g)
-        for v in sorted(g.infinite_face_vertices()):
-            host = remove_vertices(ref.graph, [v])
-            if count_matchings(host) != trees_total:
-                return False, f"instance {k}: root {v} breaks the correspondence", \
-                    f"trees={trees_total} matchings={count_matchings(host)}"
-        _, fault = temperley_fault(g, ref, min(g.infinite_face_vertices()))
+        insts = [temperley_instance(ref, v) for v in sorted(g.infinite_face_vertices())]
+        for inst in insts:
+            if count_matchings(inst.host) != trees_total:
+                return False, f"instance {k}: root {inst.root} breaks the correspondence", \
+                    f"trees={trees_total} matchings={count_matchings(inst.host)}"
+        _, fault = temperley_fault(insts[0])
         if fault:
             return False, f"instance {k}: {fault[0]}", fault[1]
     return True, f"3x3 grid =192; {count} instances: root independence and round trips", None
@@ -273,12 +274,12 @@ def check_tree_swap(count: int, seed: int) -> tuple[bool, str, str | None]:
         inst = random_section2(split_seed(seed, k))
         g0 = inst.base
         path = inst.boundary.inner
-        n = inst.boundary.n
-        # every base edge has weight 1, so these weights are tree counts
-        fwd = [(path[2 * i - 1], path[2 * i]) for i in range(1, n)]
-        bwd = [(path[2 * i - 1], path[2 * i - 2]) for i in range(1, n)]
-        lhs = _forced_tree_weight(g0, path[-1], {a: [g0.edge_between(a, b).id] for a, b in fwd})
-        rhs = _forced_tree_weight(g0, path[0], {a: [g0.edge_between(a, b).id] for a, b in bwd})
+        edges = inst.boundary.boundary_edges[1:-1]  # edge j joins path[j] and path[j + 1]
+        # every base edge has weight 1, so these weights are tree counts;
+        # each degree-two vertex v_2, v_4, ... exits forward, then backward
+        odd = range(1, len(edges), 2)
+        lhs = _forced_tree_weight(g0, path[-1], {path[j]: [edges[j]] for j in odd})
+        rhs = _forced_tree_weight(g0, path[0], {path[j]: [edges[j - 1]] for j in odd})
         if lhs != rhs:
             return False, f"instance {k}: constrained tree counts differ", f"{lhs} vs {rhs}"
     return True, f"{count} instances: constrained tree counts match under root swap", None
@@ -321,7 +322,7 @@ def check_aztec(nmax_enum: int = 3) -> tuple[bool, str, str | None]:
 
 def check_banded(count: int, seed: int) -> tuple[bool, str, str | None]:
     from .generators import random_transport
-    from .trees import tec_forest_to_matching, tec_matching_to_forest
+    from .trees import banded_forest_weight, tec_forest_to_matching, tec_matching_to_forest
 
     small_checked = 0
     for k in range(count):
@@ -329,7 +330,8 @@ def check_banded(count: int, seed: int) -> tuple[bool, str, str | None]:
         mus = list(enumerate_matchings(inst.host_prime))
         fault = _round_trip_fault(mus, partial(tec_matching_to_forest, inst),
                                   partial(tec_forest_to_matching, inst),
-                                  (inst.host_prime, inst.forest_graph))
+                                  (methodcaller("weight", inst.host_prime),
+                                   partial(banded_forest_weight, inst)))
         if fault:
             return False, f"instance {k}: {fault[0]}", fault[1]
         if len(inst.forest_graph.edges) <= 14:
@@ -408,7 +410,8 @@ def check_class_weights(count: int, seed: int) -> tuple[bool, str, str | None]:
             e0 = g.edges[marked[0]]
             anchor = e0.u if e0.u in cert.axis_vertices else e0.v
             swap = partial(reflect_swap, g, cert, axis_vertex=anchor)
-            fault = _round_trip_fault(enumerate_matchings(g), swap, swap, (g, g))
+            price = methodcaller("weight", g)
+            fault = _round_trip_fault(enumerate_matchings(g), swap, swap, (price, price))
             if fault:
                 return False, f"instance {k}: swap {fault[0]}", fault[1]
         # tree level

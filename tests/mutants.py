@@ -105,6 +105,26 @@ MUTANTS = (
     Mutant("wedge-test-dropped", "src/dimerforge/planar.py",
            "elif faces.dart_face[(pred, v)] != faces.infinite_index:", "elif False:",
            ("tests/test_refine.py::test_augmented_graph_is_what_tracing_gives",)),
+    # each construction is built once, where its inputs are known: the
+    # Temperley host, the trimmed graph that symmetrize reads, the forced
+    # pairs read off the across-map, and the banded forests' price
+    Mutant("temperley-host-keeps-root", "src/dimerforge/bijections.py",
+           "return TemperleyInstance(ref, root, remove_vertices(ref.graph, [root]))",
+           "return TemperleyInstance(ref, root, ref.graph)",
+           ("tests/test_bijections.py::test_temperley_matchings_are_pinned",)),
+    Mutant("forced-pairs-shifted", "src/dimerforge/bijections.py",
+           "for a, b in zip(seq[0::2], seq[1::2]))",
+           "for a, b in zip(seq[1::2], seq[2::2]))",
+           ("tests/test_bijections.py::test_transport_rejects_exactly_the_matchings_missing_forced_edges",)),
+    Mutant("symmetrize-untrimmed", "src/dimerforge/refine.py",
+           "mids, trimmed = inst.mids, inst.trimmed",
+           "mids, trimmed = inst.mids, inst.refinement.graph",
+           ("tests/test_refine.py::test_symmetrize_square_instance",
+            "tests/test_refine.py::test_symmetrized_graphs_are_pinned")),
+    Mutant("banded-priced-without-dual-weights", "src/dimerforge/report.py",
+           "partial(banded_forest_weight, inst)))",
+           'methodcaller("weight", inst.forest_graph)))',
+           ("tests/test_report.py::test_banded_check_prices_forests_with_their_dual_weights",)),
 )
 
 

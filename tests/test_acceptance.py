@@ -86,7 +86,7 @@ def test_criterion_03_bijection_soundness():
 
 def test_criterion_04_symmetrized_product_and_squarish():
     for k, inst in enumerate(_section_instances()):
-        bar = symmetrize(inst.refinement, inst.boundary)
+        bar = symmetrize(inst)
         total = count_matchings(bar)
         expected = (Fraction(2) ** inst.boundary.n
                     * count_matchings(inst.plus) * count_matchings(inst.minus))

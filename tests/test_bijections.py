@@ -16,6 +16,7 @@ from dimerforge.bijections import (
     reflect_swap,
     site_path_to_refinement,
     tea_transport,
+    temperley_instance,
     temperley_matching_to_tree,
     temperley_tree_to_matching,
     transport_instance,
@@ -31,7 +32,7 @@ from dimerforge.generators import (
     random_section2,
     random_transport,
 )
-from dimerforge.gliding import DUAL, FRAME, glide, path_edgeset, shift_edges
+from dimerforge.gliding import DUAL, FRAME, glide, shift_edges
 from dimerforge.matchings import Matching, count_matchings, enumerate_matchings
 from dimerforge.planar import PlanarGraph, Vertex, check_reflection_symmetry, remove_vertices
 from dimerforge.refine import dual_refinement, section_instance
@@ -123,6 +124,11 @@ def test_family_pairs_all_midpoints():
                 assert not (sets[i] & sets[j])
 
 
+def path_edgeset(graph, vertices):
+    """Edge ids along a vertex sequence, by search of the adjacency lists."""
+    return [graph.edge_between(a, b).id for a, b in zip(vertices, vertices[1:])]
+
+
 def test_glides_record_the_edges_they_walk():
     # the ids a glide collects match a search of the refinement's adjacency
     # lists along its vertices, for the glides of both sweep directions and
@@ -207,14 +213,13 @@ def test_phi_images_are_pinned():
 
 def test_temperley_square_all_trees():
     g = grid_graph(2, 2)
-    ref = dual_refinement(g)
+    inst = temperley_instance(dual_refinement(g), 0)
     trees = list(enumerate_spanning_trees(g, 0))
     assert len(trees) == 4
-    host = remove_vertices(ref.graph, [0])
-    assert count_matchings(host) == 4
+    assert count_matchings(inst.host) == 4
     for tree in trees:
-        mu = temperley_tree_to_matching(ref, tree)
-        assert temperley_matching_to_tree(ref, mu, 0) == tree
+        mu = temperley_tree_to_matching(inst, tree)
+        assert temperley_matching_to_tree(inst, mu) == tree
 
 
 def test_temperley_single_edge():
@@ -223,9 +228,9 @@ def test_temperley_single_edge():
     g = PlanarGraph.build(
         {0: Vertex(0, (Fraction(0), Fraction(0))), 1: Vertex(1, (Fraction(1), Fraction(0)))},
         {0: Edge(0, 0, 1)})
-    ref = dual_refinement(g)
+    inst = temperley_instance(dual_refinement(g), 0)
     tree = next(enumerate_spanning_trees(g, 0))
-    mu = temperley_tree_to_matching(ref, tree)
+    mu = temperley_tree_to_matching(inst, tree)
     assert len(mu.edges) == 1
 
 
@@ -235,10 +240,10 @@ def test_temperley_weight_preserving():
     g = grid_graph(2, 2)
     edges = {eid: Edge(eid, e.u, e.v, Fraction(eid + 1)) for eid, e in g.edges.items()}
     wg = PlanarGraph.build(dict(g.vertices), edges)
-    ref = dual_refinement(wg)
+    inst = temperley_instance(dual_refinement(wg), 0)
     for tree in enumerate_spanning_trees(wg, 0):
-        mu = temperley_tree_to_matching(ref, tree)
-        assert mu.weight(ref.graph) == tree.weight(wg)
+        mu = temperley_tree_to_matching(inst, tree)
+        assert mu.weight(inst.ref.graph) == tree.weight(wg)
 
 
 def test_temperley_oriented_edge_filter():
@@ -247,6 +252,7 @@ def test_temperley_oriented_edge_filter():
     g = grid_graph(2, 2)
     ref = dual_refinement(g)
     root = 0
+    inst = temperley_instance(ref, root)
     eid = 2
     e = g.edges[eid]
     tail, head = e.u, e.v
@@ -255,7 +261,7 @@ def test_temperley_oriented_edge_filter():
                  if (tail, eid, head) in t.assignments]
     with_half = []
     for t in enumerate_spanning_trees(g, root):
-        mu = temperley_tree_to_matching(ref, t)
+        mu = temperley_tree_to_matching(inst, t)
         if half in mu.edges:
             with_half.append(t)
     assert with_edge == with_half
@@ -270,9 +276,10 @@ def test_temperley_matchings_are_pinned():
     for g in graphs:
         ref = dual_refinement(g)
         for root in sorted(g.infinite_face_vertices()):
+            inst = temperley_instance(ref, root)
             for tree in enumerate_spanning_trees(g, root):
-                mu = temperley_tree_to_matching(ref, tree)
-                assert temperley_matching_to_tree(ref, mu, root) == tree
+                mu = temperley_tree_to_matching(inst, tree)
+                assert temperley_matching_to_tree(inst, mu) == tree
                 rows.append((root, sorted(tree.edge_set), sorted(mu.edges)))
     assert len(rows) == 260
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
@@ -281,10 +288,8 @@ def test_temperley_matchings_are_pinned():
 
 def test_temperley_root_must_be_on_infinite_face():
     g = grid_graph(3, 3)
-    ref = dual_refinement(g)
-    tree = next(enumerate_spanning_trees(g, 4))
     with pytest.raises(errors.RootNotOnInfiniteFace):
-        temperley_tree_to_matching(ref, tree)
+        temperley_instance(dual_refinement(g), 4)
 
 
 # -- transport -----------------------------------------------------------------
@@ -328,10 +333,10 @@ def test_transport_constrained_counts_ladder():
     top = site_path_to_refinement(ref, [vid[(x, 1)] for x in range(1, L)])
     mus = list(enumerate_matchings(inst.host_prime))
     sel = [m for m in mus
-           if forced_path_matching(ref.graph, top, drop_start=False) <= m.edges]
+           if forced_path_matching(ref, top, drop_start=False) <= m.edges]
     for mu in sel:
         out = tea_transport(inst, mu, {1}, {1: top})
-        assert forced_path_matching(ref.graph, top, drop_start=True) <= out.edges
+        assert forced_path_matching(ref, top, drop_start=True) <= out.edges
 
 
 def test_transport_random_instances():
@@ -361,7 +366,7 @@ def test_transport_missing_forced_edges_reported():
     p1 = site_path_to_refinement(ref, [vid[(1, 5)], vid[(2, 5)]])
     bad = None
     for mu in enumerate_matchings(inst.host_prime):
-        if not forced_path_matching(ref.graph, p1, drop_start=False) <= mu.edges:
+        if not forced_path_matching(ref, p1, drop_start=False) <= mu.edges:
             bad = mu
             break
     assert bad is not None
@@ -374,10 +379,10 @@ def test_transport_images_are_pinned():
     rows = []
     for seed in range(6):
         inst, paths = random_transport(seed)
-        hgraph = inst.smashed.refinement.graph
+        ref = inst.smashed.refinement
         for mu in islice(enumerate_matchings(inst.host_prime), 200):
             chosen = {i for i in paths
-                      if forced_path_matching(hgraph, paths[i], False) <= mu.edges}
+                      if forced_path_matching(ref, paths[i], False) <= mu.edges}
             rows.append((seed, tea_transport(inst, mu, chosen, paths).sorted_edges()))
     assert len(rows) == 410
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
@@ -389,11 +394,11 @@ def test_transport_rejects_exactly_the_matchings_missing_forced_edges():
     outcomes = {True: 0, False: 0}
     for seed in range(10):
         inst, paths = random_transport(seed)
-        hgraph = inst.smashed.refinement.graph
+        ref = inst.smashed.refinement
         for host, plain in ((inst.host_prime, False), (inst.host_plain, True)):
             for mu in islice(enumerate_matchings(host), 40):
                 for i in paths:
-                    holds = forced_path_matching(hgraph, paths[i], drop_start=plain) <= mu.edges
+                    holds = forced_path_matching(ref, paths[i], drop_start=plain) <= mu.edges
                     if holds:
                         tea_transport(inst, mu, {i}, paths)
                     else:

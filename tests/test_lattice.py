@@ -120,7 +120,7 @@ def _families():
         yield from ((source, inst.refinement.source),
                     (f"refine({source})", inst.refinement.graph),
                     ("trimmed", inst.trimmed), ("plus", inst.plus), ("minus", inst.minus),
-                    ("symmetrized", symmetrize(inst.refinement, inst.boundary)))
+                    ("symmetrized", symmetrize(inst)))
         yield f"symmetric-{seed}", random_symmetric(seed)[0]
         yield f"plane-{seed}", random_plane_graph(seed, weighted=True)
         square, n, _ = random_trimmed(seed)

@@ -1,6 +1,7 @@
 """Dual refinement, leaf augmentation, plus/minus, symmetrize, smash,
 trimmed squares."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -191,7 +192,7 @@ def test_plus_minus_even_vertex_counts():
 
 def test_symmetrize_minimal_is_four_cycle():
     inst = section_instance(single_vertex(), [0])
-    bar = symmetrize(inst.refinement, inst.boundary)
+    bar = symmetrize(inst)
     assert len(bar.vertices) == 4
     assert len(bar.edges) == 4
     assert count_matchings(bar) == 2
@@ -202,11 +203,17 @@ def test_symmetrize_square_instance():
 
     inst = section_instance(fan_square(), [0, 1, 3])
     assert count_matchings(inst.plus) == 3
-    bar = symmetrize(inst.refinement, inst.boundary)
+    bar = symmetrize(inst)
     assert count_matchings(bar) == 36
     assert squarish(36)
     cert = check_reflection_symmetry(bar, Fraction(0))
     assert len(cert.axis_vertices) == 2 * inst.boundary.n
+
+
+def test_symmetrized_graphs_are_pinned():
+    ids = [symmetrize(random_section2(seed)).graph_id for seed in range(40)]
+    assert hashlib.sha256(" ".join(ids).encode()).hexdigest() == \
+        "c78054f735350e238d515ffa4441f5118480011bc83359ff26b0b4ce67170273"
 
 
 def test_symmetrize_requires_normal_form():
@@ -214,14 +221,14 @@ def test_symmetrize_requires_normal_form():
     # mirrored without redrawing; the caller must normalize first
     inst = section_instance(grid_graph(2, 2), [0, 1, 3])
     with pytest.raises(errors.ReembeddingFailed):
-        symmetrize(inst.refinement, inst.boundary)
+        symmetrize(inst)
 
 
 def test_symmetrize_is_bipartite_and_balanced():
     from dimerforge.generators import fan_square
 
     inst = section_instance(fan_square(), [0, 1, 3])
-    bar = symmetrize(inst.refinement, inst.boundary)
+    bar = symmetrize(inst)
     color = {}
     stack = [(next(iter(bar.vertices)), 0)]
     while stack:

@@ -7,11 +7,13 @@ import concurrent.futures
 import hashlib
 import multiprocessing
 import pathlib
+import sys
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from dimerforge import aztec, bijections, errors, trees
+from dimerforge import aztec, bijections, errors, generators, planar, trees
 from dimerforge import report as rp
 from dimerforge.generators import (
     grid_graph,
@@ -20,6 +22,7 @@ from dimerforge.generators import (
     random_transport,
 )
 from dimerforge.matchings import Matching, _forced_matching_weight, enumerate_matchings
+from dimerforge.refine import dual_refinement, symmetrize
 
 
 def _stuck(real):
@@ -127,10 +130,55 @@ def test_banded_check_fails_on_a_forward_map_that_gives_a_non_banded_forest(monk
     assert result.render() == f"FAIL banded: error: {error}"
 
 
+def test_banded_check_prices_forests_with_their_dual_weights(monkeypatch):
+    # the suite draws no dual weights; with them, each matching must weigh
+    # what its forest's edges and its dual forest's edges weigh together
+    g = grid_graph(3, 3)
+    inst = bijections.transport_instance(
+        g, [0], [8], require_plain_path=False,
+        dual_weights={e: Fraction(e % 4 + 2, 3) for e in g.edges})
+    monkeypatch.setattr(generators, "random_transport",
+                        lambda seed, require_plain_path=True: (inst, {}))
+    assert rp.check_banded(1, 0) == (True, "1 instances: round trips, weights and "
+                                     "channel/bay labels hold (1 double enumerations)", None)
+
+
+def _counting_remove_vertices(monkeypatch) -> list:
+    """Record the graph of every ``remove_vertices`` call, through each
+    module-level name the package binds it to."""
+    real, calls = planar.remove_vertices, []
+
+    def counting(g, removed):
+        calls.append(g.graph_id)
+        return real(g, removed)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dimerforge" and getattr(module, "remove_vertices", None) is real:
+            monkeypatch.setattr(module, "remove_vertices", counting)
+    return calls
+
+
+def test_temperley_fault_deletes_the_root_once(monkeypatch):
+    # the instance builds the host; neither map nor the count builds another
+    ref = dual_refinement(grid_graph(3, 3))
+    calls = _counting_remove_vertices(monkeypatch)
+    assert rp.temperley_fault(bijections.temperley_instance(ref, 0)) == (192, None)
+    assert calls == [ref.graph.graph_id]
+
+
+def test_symmetrize_deletes_no_vertices(monkeypatch):
+    # the section-2 instance holds the trimmed graph that symmetrize reads
+    insts = [random_section2(seed) for seed in range(4)]
+    calls = _counting_remove_vertices(monkeypatch)
+    for inst in insts:
+        symmetrize(inst)
+    assert calls == []
+
+
 def test_transport_fault_moves_each_matching_there_and_back_once(monkeypatch):
     # with every constraint index whose forced edges the matching holds chosen
     inst, paths = random_transport(1)
-    hgraph = inst.smashed.refinement.graph
+    ref = inst.smashed.refinement
     real, calls = bijections.tea_transport, []
 
     def recording(instance, mu, chosen=frozenset(), constraint_paths=None):
@@ -142,7 +190,7 @@ def test_transport_fault_moves_each_matching_there_and_back_once(monkeypatch):
     assert fault is None and len(calls) == 2 * count
     for (edges, chosen), (_, back) in zip(calls[0::2], calls[1::2]):
         assert chosen == back == {i for i in paths if bijections.forced_path_matching(
-            hgraph, paths[i], False) <= edges}
+            ref, paths[i], False) <= edges}
     assert any(chosen for _, chosen in calls)
 
 
@@ -192,13 +240,13 @@ def test_forced_matching_weight_matches_enumeration_on_transport_subsets():
     # a hexagon instance with three constraint paths, and a ladder
     for seed in (1, 3):
         inst, paths = random_transport(seed)
-        hgraph = inst.smashed.refinement.graph
+        ref = inst.smashed.refinement
         indices = sorted(paths)
         for host, drop_start in ((inst.host_plain, True), (inst.host_prime, False)):
             mus = list(enumerate_matchings(host))
             for bits in range(2 ** len(indices)):
                 chosen = [indices[i] for i in range(len(indices)) if bits >> i & 1]
-                forced = set().union(*(bijections.forced_path_matching(hgraph, paths[i],
+                forced = set().union(*(bijections.forced_path_matching(ref, paths[i],
                                                                        drop_start)
                                        for i in chosen))
                 assert _forced_matching_weight(host, forced) == \

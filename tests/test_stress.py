@@ -48,7 +48,7 @@ def test_plus_minus_family_second_seed():
         minus = {m.edges for m in enumerate_matchings(inst.minus)}
         images = {phi(inst, mu).edges for mu in plus}
         assert images == minus
-        bar = symmetrize(inst.refinement, inst.boundary)
+        bar = symmetrize(inst)
         assert count_matchings(bar) == \
             Fraction(2) ** inst.boundary.n * len(plus) * len(minus)
 

@@ -690,7 +690,7 @@ def test_tec_constrained_sets_correspond():
     top_edges = {g.edge_between(a, b).id for a, b in zip(top_sites, top_sites[1:])}
     for mu in enumerate_matchings(inst.host_prime):
         forest = tec_matching_to_forest(inst, mu)
-        has_forced = forced_path_matching(ref.graph, top, drop_start=False) <= mu.edges
+        has_forced = forced_path_matching(ref, top, drop_start=False) <= mu.edges
         assert has_forced == (top_edges <= forest.edge_set)
 
 
@@ -748,17 +748,17 @@ def _exit_read_off(ref, host, mu, forest):
 def test_matching_to_forest_orients_each_vertex_along_its_read_exit():
     # the forest comes from a search of the exits read off the matching; the
     # peeling argument says the searched parent edge is the read exit
-    from dimerforge.bijections import temperley_matching_to_tree
+    from dimerforge.bijections import temperley_instance, temperley_matching_to_tree
     from dimerforge.refine import dual_refinement
 
     checked = 0
     for s in range(6):
         g = random_plane_graph(s)
         ref = dual_refinement(g)
-        root = min(g.infinite_face_vertices())
-        host = remove_vertices(ref.graph, [root])
+        inst = temperley_instance(ref, min(g.infinite_face_vertices()))
+        host = inst.host
         for mu in enumerate_matchings(host):
-            forest = temperley_matching_to_tree(ref, mu, root)
+            forest = temperley_matching_to_tree(inst, mu)
             assert len(forest.assignments) == len(g.vertices) - 1
             assert _exit_read_off(ref, host, mu, forest)
             checked += 1

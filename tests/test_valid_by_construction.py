@@ -51,7 +51,7 @@ def test_section2_augmented_and_symmetrized():
     for seed in SEEDS:
         inst = random_section2(seed)
         assert_valid(inst.refinement.source)
-        assert_valid(symmetrize(inst.refinement, inst.boundary), require_connected=False)
+        assert_valid(symmetrize(inst), require_connected=False)
         # vertex deletions of the simple refinement stay simple
         for h in (inst.trimmed, inst.plus, inst.minus):
             PlanarGraph.trusted(dict(h.vertices), dict(h.edges), rotation=h.rotation)
