@@ -17,7 +17,7 @@ from .errors import (
     PreconditionViolated,
     RootNotOnInfiniteFace,
 )
-from .gliding import DUAL, FRAME, glide, shift_edges
+from .gliding import DUAL, FRAME, GlidePath, glide, shift_edges
 from .matchings import Matching
 from .planar import PlanarGraph, SymmetryCertificate, _ccw_positions, remove_vertices
 from .refine import DualRefinement, PlusMinusInstance, SmashedGraph, dual_refinement, smash_in
@@ -28,21 +28,16 @@ from .trees import RootedForest, _forest_to_matching, _matching_to_forest, dual_
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyPath:
-    vertices: tuple[int, ...]
-    edges: tuple[int, ...]   # the glide's edge ids, in walking order
-    start_index: int       # 1-based positions among the marked midpoints
-    end_index: int
-
-
 def build_path_family(instance: PlusMinusInstance, mu: Matching,
-                      from_minus: bool = False) -> tuple[FamilyPath, ...]:
+                      from_minus: bool = False) -> tuple[GlidePath, ...]:
     """The system of disjoint alternating paths that pairs up all marked
     midpoints, built generation by generation.
 
     Odd generations glide on the frame, even generations on the dual frame;
     starting from the minus side swaps the left-to-right sweep directions.
+    Each interval of midpoints is used up from one end, every glide ending
+    inside it, so the family pairs up all 2n midpoints by construction; only
+    disjointness is checked.
     """
     host = instance.minus if from_minus else instance.plus
     if mu.host != host.graph_id:
@@ -52,7 +47,8 @@ def build_path_family(instance: PlusMinusInstance, mu: Matching,
     ref = instance.refinement
     mids = instance.mids
     index_of = {m: j for j, m in enumerate(mids, 1)}
-    paths: list[FamilyPath] = []
+    paths: list[GlidePath] = []
+    seen: set[int] = set()
     stack = [(1, len(mids), 1)]
     while stack:
         a, b, gen = stack.pop()
@@ -72,29 +68,15 @@ def build_path_family(instance: PlusMinusInstance, mu: Matching,
             if not left_to_right and not (a <= k < j):
                 raise PreconditionViolated(
                     f"glide from midpoint {j} ended at {k}, outside [{a},{j})")
-            paths.append(FamilyPath(gp.vertices, gp.edges, j, k))
+            if not seen.isdisjoint(gp.vertices):
+                raise PreconditionViolated("family paths are not vertex-disjoint")
+            seen.update(gp.vertices)
+            paths.append(gp)
             lo, hi = (j + 1, k - 1) if left_to_right else (k + 1, j - 1)
             if lo <= hi:
                 stack.append((lo, hi, gen + 1))
             j = k + 1 if left_to_right else k - 1
-    family = tuple(paths)
-    _check_family(instance, family)
-    return family
-
-
-def _check_family(instance: PlusMinusInstance, family: tuple[FamilyPath, ...]):
-    n = instance.boundary.n
-    if len(family) != n:
-        raise PreconditionViolated(f"family has {len(family)} paths, expected {n}")
-    seen: set[int] = set()
-    for p in family:
-        s = set(p.vertices)
-        if seen & s:
-            raise PreconditionViolated("family paths are not vertex-disjoint")
-        seen |= s
-    endpoints = sorted(i for p in family for i in (p.start_index, p.end_index))
-    if endpoints != list(range(1, 2 * n + 1)):
-        raise PreconditionViolated("family endpoints do not pair all midpoints")
+    return tuple(paths)
 
 
 def _swap(instance: PlusMinusInstance, mu: Matching, from_minus: bool) -> Matching:
@@ -177,6 +159,13 @@ class TransportInstance:
     smashed: SmashedGraph
     plain: tuple[int, ...]       # v_1..v_{2n+1}
     prime: tuple[int, ...]       # v'_1..v'_{2n+1}
+    # each run as deleted from the smashed refinement, v_1, f_2, v_3, ...,
+    # v_{2n+1}: the odd marks and the smashed centers of the even marks
+    plain_removal: tuple[int, ...]
+    prime_removal: tuple[int, ...]
+    # the source faces smashed at each run's even marks
+    plain_even_faces: tuple[int, ...]
+    prime_even_faces: tuple[int, ...]
     host_plain: PlanarGraph      # plain marks deleted
     host_prime: PlanarGraph      # primed marks deleted
     forest_graph: PlanarGraph    # source minus the smashed corners
@@ -189,24 +178,6 @@ class TransportInstance:
     @property
     def prime_odd(self) -> tuple[int, ...]:
         return self.prime[0::2]
-
-    @property
-    def plain_even_faces(self) -> tuple[int, ...]:
-        ref = self.smashed.refinement
-        return tuple(ref.face_of_center[self.smashed.face_of[v]] for v in self.plain[1::2])
-
-    @property
-    def prime_even_faces(self) -> tuple[int, ...]:
-        ref = self.smashed.refinement
-        return tuple(ref.face_of_center[self.smashed.face_of[v]] for v in self.prime[1::2])
-
-    def removal_sequence(self, primed: bool) -> tuple[int, ...]:
-        """Alternating marks v_1, f_2, v_3, ..., v_{2n+1} as refinement ids."""
-        return _removal_sequence(self.smashed, self.prime if primed else self.plain)
-
-
-def _removal_sequence(smashed: SmashedGraph, marks) -> tuple[int, ...]:
-    return tuple(smashed.face_of[v] if i % 2 else v for i, v in enumerate(marks))
 
 
 def _check_cyclic_order(g: PlanarGraph, sequence: list[int]):
@@ -251,11 +222,15 @@ def transport_instance(g: PlanarGraph, plain, prime, *,
         smashed = smash_in(ref, targets)
     except DimerforgeError as exc:
         raise ConditionViolated("iv", str(exc)) from exc
-    host_plain = remove_vertices(smashed.graph, _removal_sequence(smashed, plain))
-    host_prime = remove_vertices(smashed.graph, _removal_sequence(smashed, prime))
-    forest_graph = remove_vertices(g, targets)
-    return TransportInstance(smashed, plain, prime, host_plain, host_prime,
-                             forest_graph,
+    plain_removal, prime_removal = (
+        tuple(smashed.face_of[v] if i % 2 else v for i, v in enumerate(marks))
+        for marks in (plain, prime))
+    return TransportInstance(smashed, plain, prime, plain_removal, prime_removal,
+                             tuple(ref.face_of_center[c] for c in plain_removal[1::2]),
+                             tuple(ref.face_of_center[c] for c in prime_removal[1::2]),
+                             remove_vertices(smashed.graph, plain_removal),
+                             remove_vertices(smashed.graph, prime_removal),
+                             remove_vertices(g, targets),
                              tuple(sorted((dual_weights or {}).items())))
 
 
@@ -322,15 +297,17 @@ def tea_transport(instance: TransportInstance, mu: Matching,
     chosen = frozenset(chosen)
     if chosen and not all(i in constraint_paths for i in chosen):
         raise ConstraintPathMismatch("missing constraint path")
+    # glides start from the marks the source host keeps and end at the ones
+    # it deletes
     if mu.host == instance.host_prime.graph_id:
         source, target, primed_source = instance.host_prime, instance.host_plain, True
+        starts, expected_ends = instance.plain_removal, instance.prime_removal
     elif mu.host == instance.host_plain.graph_id:
         source, target, primed_source = instance.host_plain, instance.host_prime, False
+        starts, expected_ends = instance.prime_removal, instance.plain_removal
     else:
         raise PreconditionViolated("matching belongs to neither host")
     cover = mu.cover_map(source)
-    starts = instance.removal_sequence(primed=not primed_source)
-    expected_ends = instance.removal_sequence(primed=primed_source)
     paths = []
     shifts = []
     for i, (start, expect) in enumerate(zip(starts, expected_ends), 1):

@@ -268,6 +268,7 @@ class DualForest:
     subgraph of the planar dual, spanning all bounded faces."""
 
     primal_edges: tuple[int, ...]
+    face_pairs: tuple[tuple[int, int], ...]  # sides_of_edge of each primal edge
     components: tuple[frozenset[int], ...]  # face-index sets
     exits: dict[int, list[int]]  # bounded face -> its missing boundary edges
 
@@ -278,6 +279,7 @@ def dual_forest(g: PlanarGraph, forest_edges) -> DualForest:
     forest_edges = set(forest_edges)
     par = {f.index: f.index for f in faces.bounded}
     used = []
+    pairs = []
     exits: dict[int, list[int]] = {}
     for eid in sorted(g.edges):
         if eid in forest_edges:
@@ -293,11 +295,12 @@ def dual_forest(g: PlanarGraph, forest_edges) -> DualForest:
             raise NotBanded(f"dual edges form a cycle at primal edge {eid}")
         par[ra] = rb
         used.append(eid)
+        pairs.append((fa, fb))
     groups: dict[int, set[int]] = {}
     for f in faces.bounded:
         groups.setdefault(_find(par, f.index), set()).add(f.index)
     comps = tuple(sorted((frozenset(s) for s in groups.values()), key=min))
-    return DualForest(tuple(used), comps, exits)
+    return DualForest(tuple(used), tuple(pairs), comps, exits)
 
 
 def _boundary_arcs(g: PlanarGraph, marks: list[int]) -> dict[int, int]:
@@ -422,20 +425,16 @@ def _forest_to_matching(ref, host: PlanarGraph, forest: RootedForest, dual: Dual
     half-edge is taken too.  Each half-edge is read off the across-map of
     its midpoint."""
     chosen = {ref.across[ref.mid_of_edge[eid]][v][1] for v, eid, _p in forest.assignments}
-    faces = ref.source.trace_faces()
     dual_adj: dict[int, list[tuple[int, int]]] = {}
-    for eid in dual.primal_edges:
-        fa, fb = faces.sides_of_edge(ref.source.edges[eid])
+    for eid, (fa, fb) in zip(dual.primal_edges, dual.face_pairs):
         dual_adj.setdefault(fa, []).append((eid, fb))
         dual_adj.setdefault(fb, []).append((eid, fa))
     for members in dual.components:
-        primes_here = [f for f in primed_faces if f in members]
-        if len(primes_here) > 1:
-            raise ChannelPairingViolated(
-                f"dual component {sorted(members)} contains two primed centers")
-        if primes_here:
-            root = primes_here[0]
-        else:
+        # no component holds two primed centers: each smashed face exits to
+        # the infinite face, the certificate puts it in its plain partner's
+        # component, and a component has at most two contact faces
+        root = next((f for f in primed_faces if f in members), None)
+        if root is None:
             candidates = [(f, eid) for f in sorted(members) for eid in dual.exits.get(f, ())
                           if ref.mid_of_edge[eid] in host.vertices]
             if len(candidates) != 1:

@@ -125,6 +125,45 @@ MUTANTS = (
            "partial(banded_forest_weight, inst)))",
            'methodcaller("weight", inst.forest_graph)))',
            ("tests/test_report.py::test_banded_check_prices_forests_with_their_dual_weights",)),
+    # transport and gliding read what the instance and the dual forest
+    # recorded once.  A dual edge's face pair read the other way round is an
+    # equivalent mutant for the maps, which walk the pair both ways, so only
+    # the record's own test kills it; dropping the pair's reverse reading
+    # changes the images
+    Mutant("tea-starts-from-the-deleted-run", "src/dimerforge/bijections.py",
+           "starts, expected_ends = instance.plain_removal, instance.prime_removal",
+           "starts, expected_ends = instance.prime_removal, instance.prime_removal",
+           ("tests/test_bijections.py::test_transport_images_are_pinned",
+            "tests/test_report.py::test_default_suite_report_is_byte_identical")),
+    Mutant("dual-face-pair-reversed", "src/dimerforge/trees.py",
+           "pairs.append((fa, fb))", "pairs.append((fb, fa))",
+           ("tests/test_trees.py::test_dual_forest_records_the_faces_of_each_dual_edge",)),
+    Mutant("dual-face-pair-read-one-way", "src/dimerforge/trees.py",
+           "dual_adj.setdefault(fb, []).append((eid, fa))",
+           "dual_adj.setdefault(fa, []).append((eid, fb))",
+           ("tests/test_bijections.py::test_temperley_matchings_are_pinned",
+            "tests/test_trees.py::test_tec_forests_and_round_trips_are_pinned",
+            "tests/test_report.py::test_default_suite_report_is_byte_identical")),
+    # one each for the class-weights, aztec and cycle-parity checks.
+    # Dropping reflect_swap's doubled-edge return is an equivalent mutant
+    # (the walk crosses the doubled edge and puts it back), so the swap
+    # below loses the mirror instead and becomes the identity; the suite
+    # report does not kill it, as the class-weights check only round-trips
+    # the swap and compares weights
+    Mutant("reflect-swap-without-the-mirror", "src/dimerforge/bijections.py",
+           "e = cover[v] if use_mu else mirror_cover[v]", "e = cover[v]",
+           ("tests/test_bijections.py::test_reflect_swap_diamond",
+            "tests/test_bijections.py::test_reflect_swap_class_transition")),
+    Mutant("aztec-constraint-index-off-by-one", "src/dimerforge/aztec.py",
+           "moved = tea_transport(src.transport, lifted, {src.constraint_index}, paths)",
+           "moved = tea_transport(src.transport, lifted, {src.constraint_index - 1}, paths)",
+           ("tests/test_aztec.py::test_bijection_roundtrip",
+            "tests/test_report.py::test_default_suite_report_is_byte_identical")),
+    Mutant("interior-count-takes-the-cycle", "src/dimerforge/parity.py",
+           "v_in = 0", "v_in = len(cycle)",
+           ("tests/test_parity.py::test_square_cycle_itself",
+            "tests/test_parity.py::test_all_cycles_odd_everywhere",
+            "tests/test_report.py::test_default_suite_report_is_byte_identical")),
 )
 
 

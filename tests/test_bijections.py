@@ -112,16 +112,22 @@ def test_glide_around_a_closed_cycle_is_detected():
 
 
 def test_family_pairs_all_midpoints():
-    inst = square_instance()
-    for mu in enumerate_matchings(inst.plus):
-        family = build_path_family(inst, mu)
-        assert len(family) == inst.boundary.n
-        endpoints = sorted(i for p in family for i in (p.start_index, p.end_index))
-        assert endpoints == list(range(1, 2 * inst.boundary.n + 1))
-        sets = [set(p.vertices) for p in family]
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                assert not (sets[i] & sets[j])
+    # each family path runs from one marked midpoint to another, and the
+    # paths are disjoint, in both sweep directions
+    families = 0
+    for inst in [square_instance()] + [random_section2(seed) for seed in range(4)]:
+        for host, from_minus in ((inst.plus, False), (inst.minus, True)):
+            for mu in enumerate_matchings(host):
+                family = build_path_family(inst, mu, from_minus)
+                assert len(family) == inst.boundary.n
+                endpoints = [v for p in family for v in (p.vertices[0], p.vertices[-1])]
+                assert sorted(endpoints) == sorted(inst.mids)
+                sets = [set(p.vertices) for p in family]
+                for i in range(len(sets)):
+                    for j in range(i + 1, len(sets)):
+                        assert not (sets[i] & sets[j])
+                families += 1
+    assert families > 20
 
 
 def path_edgeset(graph, vertices):
@@ -148,7 +154,8 @@ def test_glides_record_the_edges_they_walk():
         for host, primed in ((inst.host_prime, False), (inst.host_plain, True)):
             for mu in islice(enumerate_matchings(host), 20):
                 cover = mu.cover_map(host)
-                for i, start in enumerate(inst.removal_sequence(primed), 1):
+                starts = inst.prime_removal if primed else inst.plain_removal
+                for i, start in enumerate(starts, 1):
                     gp = glide(host, ref, cover, start, FRAME if i % 2 else DUAL)
                     assert gp.edges == tuple(path_edgeset(ref.graph, gp.vertices))
                     walked += 1

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from itertools import islice
 
 import pytest
 from click.testing import CliRunner
@@ -15,6 +16,7 @@ from dimerforge.generators import (grid_graph, hexagon_graph, random_exit_side,
                                    random_plane_graph, random_symmetric)
 from dimerforge.matchings import enumerate_matchings
 from dimerforge.planar import dump_graph, parse_graph
+from dimerforge.refine import dual_refinement, smash_in
 from dimerforge.report import parse_suite_config, run_suite
 
 
@@ -75,6 +77,19 @@ def test_build_pipeline(runner, square_file, tmp_path):
     bar = tmp_path / "bar.txt"
     invoke(runner, ["build", "bar", str(fan), "--path", "0,1,3", "-o", str(bar)])
     assert invoke(runner, ["count", str(bar)]).output.strip() == "36"
+
+
+def test_build_smash_writes_a_graph_that_count_reads(runner, tmp_path):
+    g = grid_graph(3, 3)
+    gfile = tmp_path / "grid.txt"
+    gfile.write_text(dump_graph(g))
+    out = tmp_path / "smash.txt"
+    invoke(runner, ["build", "smash", str(gfile), "--targets", "0", "-o", str(out)])
+    smashed = smash_in(dual_refinement(g), [0]).graph
+    assert out.read_text() == dump_graph(smashed)
+    # 22 vertices and no perfect matching until the marks are deleted
+    assert len(smashed.vertices) == 22
+    assert invoke(runner, ["count", str(out)]).output.strip() == "0"
 
 
 def test_lenient_reload_of_disconnected_halves(runner, tmp_path):
@@ -187,6 +202,30 @@ def test_tea_transport_reads_plain_host_matchings(runner, tmp_path):
     assert len(lines) == 4
     assert sorted(lines) == sorted(" ".join(map(str, mu.sorted_edges()))
                                    for mu in enumerate_matchings(inst.host_prime))
+
+
+def test_tec_round_trip_on_a_generated_instance(runner, tmp_path):
+    # the marks come from the directives that gen writes; m2f reads matchings
+    # of the primed-deleted host, and f2m roots the forests at the primed
+    # odd marks
+    gfile = tmp_path / "tec.txt"
+    invoke(runner, ["gen", "tec", "--seed", "1", "-o", str(gfile)])
+    marks = dict(line.split()[1:] for line in gfile.read_text().splitlines()
+                 if line.startswith("#! "))
+    inst = transport_instance(parse_graph(gfile.read_text()),
+                              *(map(int, marks[k].split(",")) for k in ("plain", "prime")),
+                              require_plain_path=False)
+    assert len(inst.prime_odd) == 2
+    mfile = tmp_path / "matchings.txt"
+    mfile.write_text("".join(" ".join(map(str, mu.sorted_edges())) + "\n"
+                             for mu in islice(enumerate_matchings(inst.host_prime), 40)))
+    options = ["--plain", marks["plain"], "--prime", marks["prime"]]
+    forests = invoke(runner, ["tec", "m2f", str(gfile), str(mfile), *options]).output
+    assert len(set(forests.splitlines())) == 40
+    ffile = tmp_path / "forests.txt"
+    ffile.write_text(forests)
+    back = invoke(runner, ["tec", "f2m", str(gfile), str(ffile), *options]).output
+    assert back == mfile.read_text()
 
 
 def _main(*args):

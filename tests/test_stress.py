@@ -63,7 +63,7 @@ def test_dual_glides_end_at_primed_centers_or_outside():
     g, plain, prime = hexagon_graph(2)
     inst = transport_instance(g, plain, prime)
     ref = inst.smashed.refinement
-    allowed = set(inst.removal_sequence(primed=True)[1::2])
+    allowed = set(inst.prime_removal[1::2])
     centers = [c for c in ref.face_of_center if c in inst.host_prime.vertices]
     for mu in list(enumerate_matchings(inst.host_prime))[:40]:
         cover = mu.cover_map(inst.host_prime)

@@ -6,7 +6,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, combinations, islice
 from types import SimpleNamespace
 
 import pytest
@@ -91,6 +91,16 @@ def test_enumerated_trees_equal_their_validated_orientation():
                 assert t == orient_edge_set(g, t.edge_set, (root,))
                 checked += 1
     assert checked > 400
+
+
+def test_enumeration_of_a_disconnected_graph_yields_nothing():
+    g = grid_graph(2, 2)
+    # two disjoint edges: every include/exclude branch runs out of edges
+    # before it has n - 1 of them
+    split = PlanarGraph.build(dict(g.vertices), {0: g.edges[0], 3: g.edges[3]},
+                              require_connected=False)
+    assert list(enumerate_spanning_trees(split, 0)) == []
+    assert count_spanning_trees(split) == 0
 
 
 def test_single_edge_tree():
@@ -533,6 +543,19 @@ def test_dual_forest_of_spanning_tree():
         assert len(dual.components) == 4 - len(dual.primal_edges)
 
 
+def test_dual_forest_records_the_faces_of_each_dual_edge():
+    # the forest-to-matching writer reads these pairs instead of the faces
+    g = grid_graph(4, 3)
+    traced = g.trace_faces()
+    dual_edges = 0
+    for tree in islice(enumerate_spanning_trees(g, 0), 40):
+        dual = dual_forest(g, tree.edge_set)
+        assert dual.face_pairs == tuple(traced.sides_of_edge(g.edges[e])
+                                        for e in dual.primal_edges)
+        dual_edges += len(dual.primal_edges)
+    assert dual_edges > 40
+
+
 def test_dual_forest_detects_cycle():
     g = grid_graph(3, 3)
     boundary = g.infinite_face_edges()
@@ -668,6 +691,31 @@ def test_tec_with_weighted_dual_edges():
         assert banded_forest_weight(inst, forest) == mu.weight(inst.host_prime)
         assert tec_forest_to_matching(inst, forest).edges == mu.edges
     assert dual_edges > 0
+
+
+def test_smashed_even_faces_exit_to_every_primed_rooted_dual_forest():
+    # why a dual component never holds two primed centers: a smashed corner
+    # is in no forest, so its face always exits to the infinite face; with
+    # their plain partners two primed centers would make four contact faces,
+    # where a component may have two
+    instances = checks = 0
+    for k in range(40):
+        inst, _ = random_transport(split_seed(11, k), require_plain_path=False)
+        g0 = inst.forest_graph
+        if len(g0.edges) > 14:
+            continue
+        instances += 1
+        source = inst.smashed.refinement.source
+        smashed = inst.plain_even_faces + inst.prime_even_faces
+        for edges in combinations(sorted(g0.edges), len(g0.vertices) - len(inst.prime_odd)):
+            try:
+                forest = orient_edge_set(g0, edges, inst.prime_odd)
+            except errors.PreconditionViolated:
+                continue
+            exits = dual_forest(source, forest.edge_set).exits
+            assert all(f in exits for f in smashed)
+            checks += len(smashed)
+    assert (instances, checks) == (34, 1616)
 
 
 def test_tec_constrained_sets_correspond():
