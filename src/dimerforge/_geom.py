@@ -114,15 +114,6 @@ def winding_number(p: LatticePoint, polygon: list[LatticePoint]) -> int:
     return wn
 
 
-def point_in_polygon(p: LatticePoint, polygon: list[LatticePoint]) -> int:
-    """1 if p is strictly inside, 0 if on the boundary, -1 if outside."""
-    n = len(polygon)
-    for i in range(n):
-        if point_on_segment(p, polygon[i], polygon[(i + 1) % n]):
-            return 0
-    return 1 if winding_number(p, polygon) != 0 else -1
-
-
 def polygon_area2(polygon: list[LatticePoint]) -> int:
     """Twice the signed area (positive for counterclockwise traversal)."""
     total = 0

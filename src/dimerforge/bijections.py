@@ -345,26 +345,23 @@ def reflect_swap(g: PlanarGraph, cert: SymmetryCertificate, mu: Matching,
     union through the given on-axis vertex; a weight-preserving involution.
 
     The union of a matching with its mirror decomposes into alternating
-    cycles and doubled edges; the doubled-edge case leaves the matching
-    unchanged.
+    cycles and doubled edges.  The walk below takes a matching edge, then a
+    mirror edge, and so on, so it meets its start again only after a mirror
+    step; on a doubled edge it drops the edge and puts it back, which leaves
+    the matching unchanged.
     """
     if axis_vertex not in cert.axis_vertices:
         raise NotOnAxis(f"vertex {axis_vertex} is not on the axis")
     cover = mu.cover_map(g)
     mirror_cover = {cert.vertex_map[v]: cert.edge_map[e] for v, e in cover.items()}
-    if cover[axis_vertex] == mirror_cover[axis_vertex]:
-        return mu
     new_edges = set(mu.edges)
     v = axis_vertex
-    use_mu = True
     while True:
-        e = cover[v] if use_mu else mirror_cover[v]
-        if use_mu:
-            new_edges.discard(e)
-        else:
-            new_edges.add(e)
+        e = cover[v]
+        new_edges.discard(e)
         v = g.edges[e].other(v)
-        use_mu = not use_mu
-        if v == axis_vertex and use_mu:
-            break
-    return Matching(mu.host, frozenset(new_edges))
+        e = mirror_cover[v]
+        new_edges.add(e)
+        v = g.edges[e].other(v)
+        if v == axis_vertex:
+            return Matching(mu.host, frozenset(new_edges))

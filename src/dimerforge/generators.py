@@ -56,14 +56,6 @@ def grid_graph(cols: int, rows: int) -> PlanarGraph:
     return g
 
 
-def diamond_graph() -> PlanarGraph:
-    """Four-cycle drawn as a diamond, symmetric about the horizontal axis."""
-    pts = [(-1, 0), (1, 0), (0, 1), (0, -1)]
-    edges = [((-1, 0), (0, 1)), ((0, 1), (1, 0)), ((-1, 0), (0, -1)), ((0, -1), (1, 0))]
-    g, _ = build_from_points(pts, edges)
-    return g
-
-
 def diagonal_grid(k: int) -> PlanarGraph:
     """k x k grid rotated so its main diagonal is the horizontal axis."""
     square = {(x, y) for x in range(k) for y in range(k)}
@@ -71,10 +63,6 @@ def diagonal_grid(k: int) -> PlanarGraph:
     edges = [(_diagonal(p), _diagonal(q)) for p, q in _grid_edges(square)]
     g, _ = build_from_points(map(_diagonal, square), edges)
     return g
-
-
-def ladder_graph(length: int) -> PlanarGraph:
-    return grid_graph(length, 2)
 
 
 def hexagon_graph(m: int):
@@ -100,23 +88,6 @@ def hexagon_graph(m: int):
             plain.append(vid[(m - 1 - k, 3 * m - k)])
             prime.append(vid[(m + k, 3 * m - k)])
     return g, tuple(plain), tuple(prime)
-
-
-def path_graph(k: int) -> PlanarGraph:
-    pts = [(i, 0) for i in range(k)]
-    edges = [((i, 0), (i + 1, 0)) for i in range(k - 1)]
-    g, _ = build_from_points(pts, edges)
-    return g
-
-
-def fan_square() -> PlanarGraph:
-    """The four-cycle drawn in marked-path normal form: three vertices on a
-    horizontal line and the fourth above, so the bottom path can be marked
-    and the graph symmetrized."""
-    pts = [(0, 0), (1, 0), (2, 0), (1, 1)]
-    edges = [((0, 0), (1, 0)), ((1, 0), (2, 0)), ((2, 0), (1, 1)), ((0, 0), (1, 1))]
-    g, _ = build_from_points(pts, edges)
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +323,12 @@ def random_transport(seed: int, require_plain_path: bool = True):
                 boundary = list(dict.fromkeys(v for v, _ in g.ccw_boundary()))
                 i = rng.randrange(len(boundary))
                 j = (i + rng.randrange(1, len(boundary))) % len(boundary)
-                if boundary[i] == boundary[j]:
-                    continue
                 inst = transport_instance(g, [boundary[i]], [boundary[j]],
                                           require_plain_path=require_plain_path)
                 paths = {}
             elif shape == "ladder":
                 length = rng.choice([4, 5, 6])
-                g = ladder_graph(length)
+                g = grid_graph(length, 2)
                 weights = {e.id: rng.choice(WEIGHT_POOL) for e in g.edges.values()}
                 g = _reweight(g, weights)
                 vid = {(int(v.pos[0]), int(v.pos[1])): v.id for v in g.vertices.values()}

@@ -41,7 +41,9 @@ def interior_vertex_count(g: PlanarGraph, cycle: list[int]) -> InteriorCount:
     Vertices and edge midpoints are tested with exact winding numbers on
     the graph's lattice doubled, where every midpoint is a lattice point;
     faces are read off the face decomposition (the faces left of the
-    counterclockwise cycle plus both sides of every interior edge).
+    counterclockwise cycle plus both sides of every interior edge).  In a
+    straight-line drawing no vertex and no edge midpoint off the cycle lies
+    on a cycle edge, so a nonzero winding number means strictly inside.
     """
     if len(cycle) < 3:
         raise NotACycle("a cycle needs at least 3 vertices")
@@ -67,7 +69,7 @@ def interior_vertex_count(g: PlanarGraph, cycle: list[int]) -> InteriorCount:
     for v in g.vertices:
         if v in on_cycle:
             continue
-        if _geom.point_in_polygon(pts[v], polygon) == 1:
+        if _geom.winding_number(pts[v], polygon) != 0:
             v_in += 1
     e_in = []
     cyc_set = set(cycle_edges)
@@ -75,7 +77,7 @@ def interior_vertex_count(g: PlanarGraph, cycle: list[int]) -> InteriorCount:
         if e.id in cyc_set:
             continue
         (ax, ay), (bx, by) = lat.points[e.u], lat.points[e.v]
-        if _geom.point_in_polygon((ax + bx, ay + by), polygon) == 1:
+        if _geom.winding_number((ax + bx, ay + by), polygon) != 0:
             e_in.append(e.id)
 
     faces = g.trace_faces()

@@ -411,9 +411,14 @@ def check_class_weights(count: int, seed: int) -> tuple[bool, str, str | None]:
             anchor = e0.u if e0.u in cert.axis_vertices else e0.v
             swap = partial(reflect_swap, g, cert, axis_vertex=anchor)
             price = methodcaller("weight", g)
-            fault = _round_trip_fault(enumerate_matchings(g), swap, swap, (price, price))
+            mus = list(enumerate_matchings(g))
+            fault = _round_trip_fault(mus, swap, swap, (price, price))
             if fault:
                 return False, f"instance {k}: swap {fault[0]}", fault[1]
+            # the swap trades the marked edge for its mirror image at the anchor
+            for mu in mus:
+                if e0.id in mu.edges and cert.edge_map[e0.id] not in swap(mu).edges:
+                    return False, f"instance {k}: swap keeps edge {e0.id}", str(sorted(mu.edges))
         # tree level
         root_options = [v for v in (axis[0], axis[-1])
                         if not any(v in (g.edges[e].u, g.edges[e].v) for e in marked)]
@@ -511,9 +516,7 @@ _CHECKS = {
 @dataclass(frozen=True)
 class SuiteItem:
     name: str
-    fn: object
     args: tuple
-    seeded: bool
 
 
 def parse_suite_config(text: str, seed_override: int | None = None) -> tuple[list[SuiteItem], int]:
@@ -534,7 +537,7 @@ def parse_suite_config(text: str, seed_override: int | None = None) -> tuple[lis
         elif parts[0] == "check":
             if len(parts) < 2 or parts[1] not in _CHECKS:
                 raise ConfigError(f"line {lineno}: unknown check {parts[1:2]}")
-            fn, argtypes, seeded = _CHECKS[parts[1]]
+            argtypes = _CHECKS[parts[1]][1]
             raw_args = parts[2:]
             if len(raw_args) > len(argtypes):
                 raise ConfigError(f"line {lineno}: too many arguments")
@@ -553,7 +556,7 @@ def parse_suite_config(text: str, seed_override: int | None = None) -> tuple[lis
                     raise ConfigError(f"line {lineno}: no such file {raw_args[0]!r}")
             elif not raw_args:
                 raise ConfigError(f"line {lineno}: missing arguments")
-            items.append(SuiteItem(parts[1], fn, tuple(args), seeded))
+            items.append(SuiteItem(parts[1], tuple(args)))
         else:
             raise ConfigError(f"line {lineno}: unknown directive {parts[0]!r}")
     if not items:
@@ -565,12 +568,13 @@ def parse_suite_config(text: str, seed_override: int | None = None) -> tuple[lis
 
 
 def _run_one(item: SuiteItem, idx: int, base_seed: int) -> CheckResult:
+    fn, _, seeded = _CHECKS[item.name]
     started = time.monotonic()
     try:
-        if item.seeded:
-            ok, details, witness = item.fn(*item.args, seed=split_seed(base_seed, idx))
+        if seeded:
+            ok, details, witness = fn(*item.args, seed=split_seed(base_seed, idx))
         else:
-            ok, details, witness = item.fn(*item.args)
+            ok, details, witness = fn(*item.args)
     except DimerforgeError as exc:
         ok, details, witness = False, f"error: {exc}", None
     return CheckResult(item.name, ok, details, witness, time.monotonic() - started)

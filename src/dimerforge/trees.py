@@ -530,11 +530,9 @@ def class_weight(g: PlanarGraph, cert: SymmetryCertificate, root: int,
 
 @dataclass(frozen=True)
 class IndependenceReport:
-    kind: str
     variables: tuple[int, ...]
     table: tuple[tuple[tuple[int, ...], Fraction], ...]
     passed: bool
-    sampled: bool = False
     samples: int = 0
     chi_square: float | None = None
     p_value: float | None = None
@@ -543,7 +541,7 @@ class IndependenceReport:
         lines = [f"variables: {' '.join(map(str, self.variables))}"]
         for bits, weight in self.table:
             lines.append(f"  {''.join(map(str, bits))}  {weight}")
-        if self.sampled:
+        if self.samples:
             lines.append(f"samples: {self.samples}")
             lines.append(f"chi-square: {self.chi_square:.6f}  p={self.p_value:.3e}")
         lines.append("PASS" if self.passed else "FAIL")
@@ -611,7 +609,7 @@ def independence_report(g: PlanarGraph, cert: SymmetryCertificate, root: int,
                                                      for v, b in zip(variables, bits)})
                  for bits in product((0, 1), repeat=n)}
         passed = len(set(cells.values())) == 1
-        return IndependenceReport(kind, variables, tuple(sorted(cells.items())), passed)
+        return IndependenceReport(variables, tuple(sorted(cells.items())), passed)
     counts = {bits: 0 for bits in product((0, 1), repeat=n)}
     # each variable's walk position and the exit edges that give it bit 1
     position = g.vertex_order()[1]
@@ -622,7 +620,6 @@ def independence_report(g: PlanarGraph, cert: SymmetryCertificate, root: int,
     expected = samples / 2 ** n
     stat = sum((c - expected) ** 2 / expected for c in counts.values())
     p = chi_square_sf(stat, 2 ** n - 1)
-    return IndependenceReport(kind, variables,
+    return IndependenceReport(variables,
                               tuple(sorted((b, Fraction(c)) for b, c in counts.items())),
-                              p >= 1e-6, sampled=True, samples=samples,
-                              chi_square=stat, p_value=p)
+                              p >= 1e-6, samples=samples, chi_square=stat, p_value=p)

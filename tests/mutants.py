@@ -144,16 +144,16 @@ MUTANTS = (
            ("tests/test_bijections.py::test_temperley_matchings_are_pinned",
             "tests/test_trees.py::test_tec_forests_and_round_trips_are_pinned",
             "tests/test_report.py::test_default_suite_report_is_byte_identical")),
-    # one each for the class-weights, aztec and cycle-parity checks.
-    # Dropping reflect_swap's doubled-edge return is an equivalent mutant
-    # (the walk crosses the doubled edge and puts it back), so the swap
-    # below loses the mirror instead and becomes the identity; the suite
-    # report does not kill it, as the class-weights check only round-trips
-    # the swap and compares weights
+    # one each for the class-weights, aztec and cycle-parity checks.  The
+    # swap below takes its matching edge back where it should take the
+    # mirror edge, and so becomes the identity; the class-weights check
+    # kills it, as a matching holding the marked edge must come back
+    # holding its mirror image
     Mutant("reflect-swap-without-the-mirror", "src/dimerforge/bijections.py",
-           "e = cover[v] if use_mu else mirror_cover[v]", "e = cover[v]",
+           "e = mirror_cover[v]", "e = cover[v]",
            ("tests/test_bijections.py::test_reflect_swap_diamond",
-            "tests/test_bijections.py::test_reflect_swap_class_transition")),
+            "tests/test_bijections.py::test_reflect_swap_class_transition",
+            "tests/test_report.py::test_default_suite_report_is_byte_identical")),
     Mutant("aztec-constraint-index-off-by-one", "src/dimerforge/aztec.py",
            "moved = tea_transport(src.transport, lifted, {src.constraint_index}, paths)",
            "moved = tea_transport(src.transport, lifted, {src.constraint_index - 1}, paths)",
@@ -163,6 +163,35 @@ MUTANTS = (
            "v_in = 0", "v_in = len(cycle)",
            ("tests/test_parity.py::test_square_cycle_itself",
             "tests/test_parity.py::test_all_cycles_odd_everywhere",
+            "tests/test_report.py::test_default_suite_report_is_byte_identical")),
+    # one each for the grid-kasteleyn, trimmed-squarish, tree-swap and exact
+    # independence checks: the closed form's first diagonal entry, the
+    # mirror half of a trimmed square, the backward exit of the root swap
+    # and the diagonal grid's horizontal/vertical bit
+    Mutant("kasteleyn-first-diagonal-two", "src/dimerforge/matchings.py",
+           "return [[y + (c + 1 + (i > 0)) * x + z for y, x, z in zip(*padded[i:i + 3])]",
+           "return [[y + (c + 2) * x + z for y, x, z in zip(*padded[i:i + 3])]",
+           ("tests/test_matchings.py::test_kasteleyn_small_values",
+            "tests/test_matchings.py::test_kasteleyn_agrees_with_direct_count",
+            "tests/test_acceptance.py::test_criterion_01_kasteleyn_grid_identity",
+            "tests/test_report.py::test_default_suite_report_is_byte_identical")),
+    Mutant("trimmed-square-unmirrored", "src/dimerforge/generators.py",
+           "return _square_graph(2 * n, _mirrored(present)), n, removals",
+           "return _square_graph(2 * n, present), n, removals",
+           ("tests/test_generators.py::test_random_trimmed_draws_and_stages_are_pinned",
+            "tests/test_acceptance.py::test_criterion_05_trimmed_squares_squarish",
+            "tests/test_report.py::test_default_suite_report_is_byte_identical")),
+    Mutant("tree-swap-backward-exit-forward", "src/dimerforge/report.py",
+           "rhs = _forced_tree_weight(g0, path[0], {path[j]: [edges[j - 1]] for j in odd})",
+           "rhs = _forced_tree_weight(g0, path[0], {path[j]: [edges[j]] for j in odd})",
+           ("tests/test_trees.py::test_tree_swap_weights_match_enumeration",
+            "tests/test_acceptance.py::test_criterion_07_root_swap_tree_counts",
+            "tests/test_report.py::test_default_suite_report_is_byte_identical")),
+    Mutant("hv-bit-from-dx-alone", "src/dimerforge/trees.py",
+           "return 1 if (dx > 0) != (dyv > 0) else 0", "return 1 if dx > 0 else 0",
+           ("tests/test_trees.py::test_independence_hv_diagonal_grid",
+            "tests/test_trees.py::test_independence_hv_table_matches_enumeration",
+            "tests/test_acceptance.py::test_criterion_13_independence",
             "tests/test_report.py::test_default_suite_report_is_byte_identical")),
 )
 

@@ -7,6 +7,7 @@ from itertools import islice
 
 import pytest
 
+from builders import diamond_graph, fan_square
 from dimerforge import errors
 from dimerforge.bijections import (
     build_path_family,
@@ -22,12 +23,8 @@ from dimerforge.bijections import (
     transport_instance,
 )
 from dimerforge.generators import (
-    diamond_graph,
-    fan_square,
     grid_graph,
     hexagon_graph,
-    ladder_graph,
-    path_graph,
     random_plane_graph,
     random_section2,
     random_transport,
@@ -277,7 +274,7 @@ def test_temperley_oriented_edge_filter():
 def test_temperley_matchings_are_pinned():
     # every spanning tree at every boundary root, including the cut vertex
     # of a path and the pendant vertices of a random grid subgraph
-    graphs = [grid_graph(2, 2), grid_graph(3, 2), path_graph(3), fan_square(),
+    graphs = [grid_graph(2, 2), grid_graph(3, 2), grid_graph(3, 1), fan_square(),
               random_plane_graph(3, weighted=True)]
     rows = []
     for g in graphs:
@@ -321,6 +318,23 @@ def test_transport_conditions_validated():
         transport_instance(g, [0, 4, 8], [2, 5, 8])  # repeated mark / bad order
 
 
+@pytest.mark.parametrize("plain, prime, which, message", [
+    ([0, 3, 99], [2, 5, 8], "i", "unknown vertex 99"),
+    ([0, 3, 0], [2, 5, 8], "i", "repeated mark"),
+    ([0, 3, 6], [2, 8, 5], "ii", "2,8 is not an edge"),
+    ([0, 3, 6], [2], "iii", "runs have different lengths"),
+    ([0, 3, 6], [8, 5, 2], "iii", "marks are not in counterclockwise order: [0, 3, 6, 2, 5, 8]"),
+    ([1, 4, 7], [2, 5, 8], "iii", "vertex 4 not exactly once on the boundary"),
+], ids=["unknown-vertex", "repeated-mark", "prime-not-a-path", "lengths-differ",
+        "out-of-order", "off-the-boundary"])
+def test_transport_instance_rejections(plain, prime, which, message):
+    # on the 3x3 grid, vertex 3x + y sits at (x, y); 4 is the centre
+    with pytest.raises(errors.ConditionViolated) as exc:
+        transport_instance(grid_graph(3, 3), plain, prime)
+    assert exc.value.which == which
+    assert str(exc.value) == f"condition ({which}) violated: {message}"
+
+
 def test_transport_degree_two_condition():
     g = grid_graph(3, 3)
     # middle of the bottom row has degree 3: cannot be an even mark
@@ -331,7 +345,7 @@ def test_transport_degree_two_condition():
 
 def test_transport_constrained_counts_ladder():
     L = 4
-    g = ladder_graph(L)
+    g = grid_graph(L, 2)
     vid = {(int(v.pos[0]), int(v.pos[1])): v.id for v in g.vertices.values()}
     plain = [vid[(1, 1)], vid[(0, 1)], vid[(0, 0)]]
     prime = [vid[(L - 1, 1)], vid[(L - 1, 0)], vid[(L - 2, 0)]]

@@ -63,7 +63,7 @@ def test_grid_count_and_squarish(runner):
 
 
 def test_build_pipeline(runner, square_file, tmp_path):
-    from dimerforge.generators import fan_square
+    from builders import fan_square
 
     hg = tmp_path / "hg.txt"
     invoke(runner, ["build", "hg", square_file, "-o", str(hg)])
@@ -95,10 +95,10 @@ def test_build_smash_writes_a_graph_that_count_reads(runner, tmp_path):
 def test_lenient_reload_of_disconnected_halves(runner, tmp_path):
     # a tree-shaped base: trimming the even path vertices disconnects the
     # halves, which only a lenient reload admits
-    from dimerforge.generators import path_graph
+    from dimerforge.generators import grid_graph
 
     base = tmp_path / "tree.txt"
-    base.write_text(dump_graph(path_graph(5)))
+    base.write_text(dump_graph(grid_graph(5, 1)))
     plus = tmp_path / "plus.txt"
     invoke(runner, ["build", "plus", str(base), "--path", "0,1,2,3,4", "-o", str(plus)])
     res = runner.invoke(cli, ["count", str(plus)])

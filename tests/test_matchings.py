@@ -10,17 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import enumeration_oracle as oracle
+from builders import diamond_graph, fan_square
 from dimerforge.aztec import aztec_graph, aztec_pair
 from dimerforge.errors import NotAMatching
 from dimerforge.generators import (
     _reweight,
     diagonal_grid,
-    diamond_graph,
-    fan_square,
     grid_graph,
     hexagon_graph,
-    ladder_graph,
-    path_graph,
     random_plane_graph,
     random_section2,
     random_symmetric,
@@ -43,7 +40,7 @@ def test_enumerate_square():
 
 
 def test_enumerate_odd_graph_empty():
-    assert list(enumerate_matchings(path_graph(3))) == []
+    assert list(enumerate_matchings(grid_graph(3, 1))) == []
 
 
 def test_enumeration_order_is_lexicographic():
@@ -62,7 +59,7 @@ def _oracle_families():
     """(label, graph) for every generator family, graphs whose vertex and edge
     ids have gaps, a disconnected graph, odd graphs and the empty graph."""
     yield from ((f"grid{c}x{r}", grid_graph(c, r)) for c, r in ((1, 2), (2, 3), (4, 4), (4, 5)))
-    yield from ((f"ladder{k}", ladder_graph(k)) for k in (2, 5))
+    yield from ((f"ladder{k}", grid_graph(k, 2)) for k in (2, 5))
     yield "diamond", diamond_graph()
     yield from ((f"diagonal{k}", diagonal_grid(k)) for k in (2, 3))
     yield from ((f"hexagon{m}", hexagon_graph(m)[0]) for m in (1, 2))
@@ -90,13 +87,13 @@ def _oracle_families():
     # the grid, and beside a corner, which is then left with no edge
     yield "grid4x4-minus-diagonal", remove_vertices(grid, [5, 10])
     yield "grid4x4-corner-cut-off", remove_vertices(grid, [1, 4])
-    yield "path8", path_graph(8)  # one matching, each edge forced by the last
+    yield "path8", grid_graph(8, 1)  # one matching, each edge forced by the last
     # enumeration ignores weights: a zero-weight edge is still listed
     yield "grid3x4-zero-edge", _reweight(grid_graph(3, 4), {0: Fraction(0)})
     plane = random_plane_graph(2, weighted=True)
     yield "plane2-minus-two", remove_vertices(plane, sorted(plane.vertices)[1:3])
     yield "trimmed-two-blocks", trimmed_square(2, [(0, 3)])
-    yield "path3", path_graph(3)
+    yield "path3", grid_graph(3, 1)
     yield "grid3x3", grid_graph(3, 3)
     yield "empty", PlanarGraph.trusted({}, {})
 

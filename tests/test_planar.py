@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from builders import diamond_graph
 from dimerforge import errors
 from dimerforge.generators import (
     _cut_vertices,
-    diamond_graph,
     grid_graph,
-    path_graph,
     random_section2,
 )
 from dimerforge.planar import (
@@ -98,7 +97,7 @@ def test_weights_parse_and_dump_roundtrip():
 
 
 def test_euler_on_generated_graphs():
-    for g in (grid_graph(3, 3), grid_graph(4, 2), diamond_graph(), path_graph(5)):
+    for g in (grid_graph(3, 3), grid_graph(4, 2), diamond_graph(), grid_graph(5, 1)):
         faces = g.trace_faces()
         assert len(g.vertices) - len(g.edges) + len(faces.faces) == 2
 
@@ -226,7 +225,7 @@ def _reachable(g, start):
     # mirrored removals that cut the square into three pieces
     (lambda: trimmed_square(3, [(0, 5), (2, 5), (0, 3)]), 3),
     # trimming the even path vertices of a path leaves three pieces
-    (lambda: section_instance(path_graph(5), [0, 1, 2, 3, 4]).plus, 3),
+    (lambda: section_instance(grid_graph(5, 1), [0, 1, 2, 3, 4]).plus, 3),
     (lambda: random_section2(1).plus, 3),
 ], ids=["trimmed-square", "path-plus", "section2-plus"])
 def test_component_map_groups_by_reachability(graph, parts):

@@ -11,7 +11,6 @@ from dimerforge import errors
 from dimerforge.aztec import aztec_pair
 from dimerforge.generators import (
     grid_graph,
-    path_graph,
     random_plane_graph,
     random_section2,
     random_transport,
@@ -38,8 +37,16 @@ def single_vertex():
     return PlanarGraph.build({0: Vertex(0, (Fraction(0), Fraction(0)))}, {})
 
 
+def test_refinement_graph_does_not_trace_faces():
+    # only drawn graphs trace faces, so the interior counts of parity, which
+    # read traced faces, only ever see straight-line drawings
+    with pytest.raises(errors.EmbeddingError) as exc:
+        dual_refinement(grid_graph(2, 2)).graph.trace_faces()
+    assert str(exc.value) == "face tracing requires a geometric embedding"
+
+
 def test_refinement_of_path():
-    ref = dual_refinement(path_graph(3))
+    ref = dual_refinement(grid_graph(3, 1))
     assert len(ref.graph.vertices) == 5
     assert len(ref.graph.edges) == 4
 
@@ -199,7 +206,7 @@ def test_symmetrize_minimal_is_four_cycle():
 
 
 def test_symmetrize_square_instance():
-    from dimerforge.generators import fan_square
+    from builders import fan_square
 
     inst = section_instance(fan_square(), [0, 1, 3])
     assert count_matchings(inst.plus) == 3
@@ -225,7 +232,7 @@ def test_symmetrize_requires_normal_form():
 
 
 def test_symmetrize_is_bipartite_and_balanced():
-    from dimerforge.generators import fan_square
+    from builders import fan_square
 
     inst = section_instance(fan_square(), [0, 1, 3])
     bar = symmetrize(inst)

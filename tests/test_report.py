@@ -7,13 +7,14 @@ import concurrent.futures
 import hashlib
 import multiprocessing
 import pathlib
+import re
 import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from dimerforge import aztec, bijections, errors, generators, planar, trees
+from dimerforge import aztec, bijections, errors, generators, matchings, planar, trees
 from dimerforge import report as rp
 from dimerforge.generators import (
     grid_graph,
@@ -141,6 +142,46 @@ def test_banded_check_prices_forests_with_their_dual_weights(monkeypatch):
                         lambda seed, require_plain_path=True: (inst, {}))
     assert rp.check_banded(1, 0) == (True, "1 instances: round trips, weights and "
                                      "channel/bay labels hold (1 double enumerations)", None)
+
+
+def test_banded_check_fails_when_a_forest_weighs_otherwise(monkeypatch):
+    # the round trip holds, so only the weight comparison can fail
+    g = grid_graph(3, 3)
+    inst = bijections.transport_instance(g, [0], [8], require_plain_path=False)
+    monkeypatch.setattr(generators, "random_transport",
+                        lambda seed, require_plain_path=True: (inst, {}))
+    real = trees.banded_forest_weight
+    monkeypatch.setattr(trees, "banded_forest_weight", lambda *args: 2 * real(*args))
+    first = next(enumerate_matchings(inst.host_prime))
+    assert rp.check_banded(1, 0) == (False, "instance 0: weight not preserved",
+                                     str(sorted(first.edges)))
+
+
+def test_transport_check_fails_when_constrained_weights_differ(monkeypatch):
+    # one more unit of weight on the plain host whenever a path is forced
+    inst, paths = random_transport(1)
+    monkeypatch.setattr(generators, "random_transport", lambda seed: (inst, paths))
+    real = matchings._forced_matching_weight
+
+    def heavier(g, forced):
+        return real(g, forced) + (g is inst.host_plain and bool(forced))
+
+    monkeypatch.setattr(matchings, "_forced_matching_weight", heavier)
+    first = min(paths)
+    forced = bijections.forced_path_matching(inst.smashed.refinement, paths[first], True)
+    w = real(inst.host_plain, forced)
+    assert rp.check_transport(1, 0) == (
+        False, f"instance 0: constrained weights differ for [{first}]", f"{w + 1} vs {w}")
+
+
+def test_class_weights_check_fails_on_a_swap_that_keeps_the_marked_edge(monkeypatch):
+    # the identity is an involution that keeps every weight, so only the
+    # check that the marked edge becomes its mirror image can fail
+    monkeypatch.setattr(bijections, "reflect_swap", lambda g, cert, mu, axis_vertex: mu)
+    ok, details, witness = rp.check_class_weights(4, 5)
+    assert not ok
+    edge = int(re.fullmatch(r"instance \d+: swap keeps edge (\d+)", details).group(1))
+    assert edge in ast.literal_eval(witness)
 
 
 def _counting_remove_vertices(monkeypatch) -> list:

@@ -4,14 +4,12 @@ validator stays the oracle: rebuilding each such graph with
 
 import pytest
 
+from builders import diamond_graph, fan_square
 from dimerforge.aztec import aztec_pair
 from dimerforge.generators import (
     diagonal_grid,
-    diamond_graph,
-    fan_square,
     grid_graph,
     hexagon_graph,
-    path_graph,
     random_plane_graph,
     random_section2,
     random_symmetric,
@@ -38,7 +36,7 @@ BUILDERS = {
     "diamond": diamond_graph(), "fan-square": fan_square(),
     "diag1": diagonal_grid(1), "diag3": diagonal_grid(3), "diag5": diagonal_grid(5),
     "hexagon1": hexagon_graph(1)[0], "hexagon2": hexagon_graph(2)[0],
-    "hexagon3": hexagon_graph(3)[0], "path1": path_graph(1), "path4": path_graph(4),
+    "hexagon3": hexagon_graph(3)[0], "path1": grid_graph(1, 1), "path4": grid_graph(4, 1),
 }
 
 
