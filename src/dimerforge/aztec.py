@@ -25,8 +25,8 @@ from .bijections import (
 from .errors import LiftFailed
 from .generators import hexagon_graph
 from .matchings import Matching, enumerate_matchings
-from .planar import Edge, PlanarGraph, Vertex, remove_vertices
-from .refine import _grid_edges
+from .planar import PlanarGraph, remove_vertices
+from .refine import _grid_edges, _lattice_graph
 
 
 def aztec_formula(n: int) -> int:
@@ -79,9 +79,8 @@ def _below_staircase(cell: tuple[int, int]) -> bool:
 def _region_graph(cells) -> tuple[PlanarGraph, dict[tuple[int, int], int]]:
     # a grid subgraph on distinct cells: a valid drawing by construction
     vid = {c: i for i, c in enumerate(sorted(cells))}
-    vertices = {i: Vertex(i, (Fraction(c[0]), Fraction(c[1]))) for c, i in vid.items()}
-    edges = {e: Edge(e, vid[c], vid[d]) for e, (c, d) in enumerate(_grid_edges(cells))}
-    return PlanarGraph.trusted(vertices, edges, geometric=True), vid
+    ends = [(vid[c], vid[d]) for c, d in _grid_edges(cells)]
+    return _lattice_graph({i: c for c, i in vid.items()}, ends), vid
 
 
 def _build_side(n: int, variant: str, inst: TransportInstance,

@@ -12,10 +12,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import DimerforgeError, GenerationExhausted
-from .planar import Edge, PlanarGraph, Vertex, _components, check_reflection_symmetry
+from .planar import Edge, PlanarGraph, _components, check_reflection_symmetry
 from .refine import (
+    _UNIT,
     _diagonal,
     _grid_edges,
+    _lattice_graph,
     _mirrored,
     _peaks,
     _replay,
@@ -36,17 +38,14 @@ MAX_VERTICES = 12             # most vertices of a random_symmetric or random_pl
 
 
 def build_from_points(points, edges_by_points, weights=None):
-    """Graph on distinct lattice points, not validated: every caller draws a
+    """Graph on distinct integer points, not validated: every caller draws a
     connected grid subgraph (or its image under a lattice map) or a
     non-crossing four-cycle, so edges meet only at shared ends."""
     pts = sorted(points)
     vid = {p: i for i, p in enumerate(pts)}
-    vertices = {i: Vertex(i, (Fraction(p[0]), Fraction(p[1]))) for p, i in vid.items()}
-    edges = {}
-    for eid, (a, b) in enumerate(sorted(edges_by_points)):
-        w = Fraction(1) if weights is None else weights.get((a, b), Fraction(1))
-        edges[eid] = Edge(eid, vid[a], vid[b], w)
-    return PlanarGraph.trusted(vertices, edges, geometric=True), vid
+    pairs = sorted(edges_by_points)
+    ws = None if weights is None else [weights.get(pq, _UNIT) for pq in pairs]
+    return _lattice_graph(dict(enumerate(pts)), [(vid[a], vid[b]) for a, b in pairs], ws), vid
 
 
 def grid_graph(cols: int, rows: int) -> PlanarGraph:
@@ -278,7 +277,8 @@ def random_trimmed(seed: int, n: int | None = None, require_connected: bool = Fa
 
     Mirrored removals may disconnect the result (which is fine for counting
     but not for the graph-file format); ``require_connected`` skips peaks
-    that would do so.
+    that would do so.  With ``n`` left open, n is 1, 2 or 3, whose
+    reachable stages number 1 + 2 + 5: every draw is one of 8 graphs.
     """
     rng = random.Random(seed)
     if n is None:

@@ -17,6 +17,7 @@ import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, chain, repeat
 from math import lcm
 
@@ -109,7 +110,13 @@ class WeightTable:
     scale: dict[int, int]  # v -> d_v, the lcm of the weight denominators at v
     # v -> (edge, neighbour, weight * d_v) of its positive-weight edges, by edge id
     exits: dict[int, tuple[tuple[int, int, int], ...]]
-    connected: bool  # whether the positive-weight edges connect the graph
+
+    @cached_property
+    def connected(self) -> bool:
+        """Whether the positive-weight edges connect the graph; only the
+        sampler asks, so it is found on the first read."""
+        pairs = ((v, u) for v, out in self.exits.items() for _, u, _ in out)
+        return len(set(_components(self.exits, pairs).values())) <= 1
 
 
 # the most entries a walk row tabulates: a vertex whose exit total T has
@@ -170,7 +177,7 @@ class PlanarGraph:
 
     def __init__(self, vertices: dict[int, Vertex], edges: dict[int, Edge], *,
                  geometric: bool, rotation: dict[int, tuple[int, ...]] | None = None,
-                 faces: FaceDecomposition | None = None):
+                 faces: FaceDecomposition | None = None, lattice: Lattice | None = None):
         self.vertices = dict(sorted(vertices.items()))
         self.edges = dict(sorted(edges.items()))
         self.geometric = geometric
@@ -181,7 +188,7 @@ class PlanarGraph:
             adj[e.u].append(e.id)
             adj[e.v].append(e.id)
         self.adj = {v: tuple(ids) for v, ids in adj.items()}  # ascending, as self.edges
-        self._lattice: Lattice | None = None
+        self._lattice = lattice
         self.rotation = rotation if rotation is not None else self._rotation_from_angles()
         self._faces = faces  # given by a builder that derived them from another graph's
         self._weights: WeightTable | None = None
@@ -202,12 +209,14 @@ class PlanarGraph:
     @classmethod
     def trusted(cls, vertices: dict[int, Vertex], edges: dict[int, Edge], *,
                 rotation: dict[int, tuple[int, ...]] | None = None,
-                geometric: bool = False) -> "PlanarGraph":
+                geometric: bool = False, lattice: Lattice | None = None) -> "PlanarGraph":
         """Constructor for graphs the program builds itself: a geometric
         drawing is valid by construction, other coordinates are cosmetic.
-        Simplicity is still enforced; the geometric checks are not.
+        Simplicity is still enforced; the geometric checks are not.  A
+        builder drawing on integer points passes their ``lattice`` and the
+        rotation it read off them, so neither is derived again.
         """
-        g = cls(vertices, edges, geometric=geometric, rotation=rotation)
+        g = cls(vertices, edges, geometric=geometric, rotation=rotation, lattice=lattice)
         g._check_simple()
         return g
 
@@ -325,8 +334,7 @@ class PlanarGraph:
                     if num:
                         out.append((e, b if a == v else a, num * (d // den)))
                 exits[v] = tuple(out)
-            positive = _components(self.vertices, ((a, b) for a, b, num, _ in parts.values() if num))
-            self._weights = WeightTable(scale, exits, len(set(positive.values())) <= 1)
+            self._weights = WeightTable(scale, exits)
         return self._weights
 
     def vertex_order(self) -> tuple[tuple[int, ...], dict[int, int]]:

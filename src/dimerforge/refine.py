@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import _geom
-from ._geom import ccw_direction_key
+from ._geom import LatticePoint, ccw_direction_key
 from .errors import (
     BelowDiagonal,
     Disconnected,
@@ -29,6 +29,7 @@ from .errors import (
 )
 from .planar import (
     Edge,
+    Lattice,
     MarkedBoundary,
     PlanarGraph,
     Vertex,
@@ -41,7 +42,7 @@ from .planar import (
 # Dual refinement
 # ---------------------------------------------------------------------------
 
-_UNIT = Fraction(1)  # the weight of a dual half-edge without a given dual weight
+_UNIT = Fraction(1)  # the weight of every built edge that is given no other
 
 
 @dataclass(frozen=True)
@@ -420,10 +421,37 @@ def _grid_edges(points) -> list[tuple[tuple[int, int], tuple[int, int]]]:
             for q in ((p[0] + 1, p[1]), (p[0], p[1] + 1)) if q in points]
 
 
-def _diagonal(p: tuple[int, int]) -> tuple[Fraction, Fraction]:
+def _lattice_graph(points: dict[int, LatticePoint], ends: list[tuple[int, int]],
+                   weights=None) -> PlanarGraph:
+    """The straight-line graph on the distinct integer ``points`` (vertex id
+    -> point, by ascending id) whose edge k joins ``ends[k]``, weighted
+    ``weights[k]`` or 1; not validated, every caller draws a valid one.
+
+    The rotation lists each vertex's edges by ``ccw_direction_key`` of
+    their directions.  No vertex has two edges in one direction, so taking
+    the few distinct directions once in that order, and each vertex's edge
+    in each, orders every vertex's edges as their keys do.
+    """
+    edges, darts = {}, {}
+    for k, (u, v) in enumerate(ends):
+        edges[k] = Edge(k, u, v, _UNIT if weights is None else weights[k])
+        (ux, uy), (vx, vy) = points[u], points[v]
+        darts.setdefault((vx - ux, vy - uy), []).append((u, k))
+        darts.setdefault((ux - vx, uy - vy), []).append((v, k))
+    rotation = {v: () for v in points}
+    for step in sorted(darts, key=ccw_direction_key):
+        for v, k in darts[step]:
+            rotation[v] += (k,)
+    frac = {c: Fraction(c) for c in {c for p in points.values() for c in p}}
+    vertices = {v: Vertex(v, (frac[x], frac[y])) for v, (x, y) in points.items()}
+    return PlanarGraph.trusted(vertices, edges, geometric=True, rotation=rotation,
+                               lattice=Lattice(1, points))
+
+
+def _diagonal(p: tuple[int, int]) -> LatticePoint:
     """Where the lattice map (x, y) -> (x + y, y - x) draws p: a square grid
     with its main diagonal on the horizontal axis."""
-    return (Fraction(p[0] + p[1]), Fraction(p[1] - p[0]))
+    return (p[0] + p[1], p[1] - p[0])
 
 
 def _square_graph(side: int, present: set[tuple[int, int]]) -> PlanarGraph:
@@ -432,9 +460,8 @@ def _square_graph(side: int, present: set[tuple[int, int]]) -> PlanarGraph:
     def vid(p):
         return p[0] * side + p[1]
 
-    vertices = {vid(p): Vertex(vid(p), _diagonal(p)) for p in present}
-    edges = {e: Edge(e, vid(p), vid(q)) for e, (p, q) in enumerate(_grid_edges(present))}
-    return PlanarGraph.trusted(vertices, edges, geometric=True)
+    points = {vid(p): _diagonal(p) for p in sorted(present)}
+    return _lattice_graph(points, [(vid(p), vid(q)) for p, q in _grid_edges(present)])
 
 
 def _quadruple(present: set[tuple[int, int]], peak: tuple[int, int]):
@@ -499,7 +526,10 @@ def _removal(present: set[tuple[int, int]], peak) -> list[tuple[int, int]]:
 
 
 def _peaks(present: set[tuple[int, int]]) -> list[tuple[tuple[int, int], list]]:
-    """The valid next removals at a stage, as sorted (peak, four-cycle) pairs.
+    """The valid next removals at a stage, as sorted (peak, four-cycle) pairs:
+    the corners of its Young diagram.  By ``_removal``'s proof a peak is an
+    (i, j) with i even, j odd and j >= i + 3 that misses (i-1, j) and
+    (i, j+1), and its four-cycle is the block {i, i+1} x {j-1, j}.
 
     A peak needs no drawing to be seen on the current boundary.  Every
     bounded face of a stage is a unit cell with all four corners present:
@@ -509,14 +539,11 @@ def _peaks(present: set[tuple[int, int]]) -> list[tuple[tuple[int, int], list]]:
     corner and so already lay in the infinite face.  A degree-two corner
     touches three cells that lack a corner, so it lies on the infinite face.
     """
-    peaks = []
-    for p in sorted(present):
-        if p[1] > p[0]:
-            try:
-                peaks.append((p, _removal(present, p)))
-            except NotAPeak:
-                pass
-    return peaks
+    corners = sorted((i, j) for i, j in present
+                     if i % 2 == 0 and j % 2 == 1 and j >= i + 3
+                     and (i - 1, j) not in present
+                     and (i, j + 1) not in present)
+    return [((i, j), [(i, j), (i + 1, j), (i, j - 1), (i + 1, j - 1)]) for i, j in corners]
 
 
 def trimmed_square(n: int, removals=()) -> PlanarGraph:

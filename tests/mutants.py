@@ -193,6 +193,29 @@ MUTANTS = (
             "tests/test_trees.py::test_independence_hv_table_matches_enumeration",
             "tests/test_acceptance.py::test_criterion_13_independence",
             "tests/test_report.py::test_default_suite_report_is_byte_identical")),
+    # the lattice builders and the trimmed-square peaks: the rotation read
+    # off the integer points, with east and north swapped (and west and
+    # south), and a corner rule that forgets the point above the peak
+    Mutant("lattice-directions-swapped", "src/dimerforge/refine.py",
+           "for step in sorted(darts, key=ccw_direction_key):",
+           "for step in sorted(darts, key=lambda d: ccw_direction_key((d[1], d[0]))):",
+           ("tests/test_lattice.py::test_builders_give_the_rotation_and_lattice_of_the_fraction_route",)),
+    Mutant("corner-peak-ignores-the-point-above", "src/dimerforge/refine.py",
+           "and (i, j + 1) not in present)", ")",
+           ("tests/test_refine.py::test_corner_peaks_are_the_removals_the_validator_accepts",)),
+    # the exact independence verdict, which every valid input passes, so
+    # only a perturbed table decides it; and the tree determinant forcing
+    # the exits a vertex does not list.  The suite's checks do not see the
+    # second: check_tree_swap(30, split_seed(2026, 7)) still passes, since
+    # the other exit of a degree-two path vertex is its other path edge and
+    # the swapped identity holds too; check_class_weights(10, 2026) and
+    # check_independence(10, 2026) pass with it as well
+    Mutant("exact-independence-always-passes", "src/dimerforge/trees.py",
+           "passed = len(set(cells.values())) == 1", "passed = True",
+           ("tests/test_trees.py::test_exact_independence_fails_a_table_with_one_perturbed_cell",)),
+    Mutant("forced-tree-weight-complement", "src/dimerforge/trees.py",
+           "if listed is None or eid in listed:", "if listed is None or eid not in listed:",
+           ("tests/test_trees.py::test_forced_tree_weight_with_mixed_denominators_matches_enumeration",)),
 )
 
 

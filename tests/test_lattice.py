@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from builders import diamond_graph, fan_square
+from builders import diamond_graph, fan_square, reachable_stages
 from dimerforge import _geom
 from dimerforge.aztec import aztec_pair
 from dimerforge.errors import DimerforgeError
@@ -24,7 +24,7 @@ from dimerforge.generators import (
     random_trimmed,
 )
 from dimerforge.planar import Edge, PlanarGraph, Vertex
-from dimerforge.refine import symmetrize
+from dimerforge.refine import _mirrored, _square_graph, symmetrize
 
 _STEPS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 2), Fraction(-1, 2), 2)
 
@@ -142,3 +142,40 @@ def test_rotation_and_face_areas_match_fractions(g):
     assert [f.area2 for f in redrawn.trace_faces().faces] == oracle.face_areas(redrawn)
     if g.geometric:
         assert [f.area2 for f in g.trace_faces().faces] == oracle.face_areas(g)
+
+
+def _builder_graphs():
+    """Every graph a lattice builder draws: the grid families, the random
+    draws' bases, every reachable trimmed stage for n <= 6, mirrored and
+    not, and the Aztec regions."""
+    yield from (grid_graph(c, r) for c in range(1, 5) for r in range(1, 4))
+    yield from (diagonal_grid(k) for k in range(1, 6))
+    yield from (hexagon_graph(m)[0] for m in (1, 2, 3))
+    yield from (diamond_graph(), fan_square())
+    for seed in range(20):
+        yield random_plane_graph(seed, weighted=seed % 2 == 0)
+        yield random_symmetric(seed)[0]
+        yield random_section2(seed).base
+    for n in range(1, 7):
+        for present in reachable_stages(n):
+            yield from (_square_graph(2 * n, present), _square_graph(2 * n, _mirrored(present)))
+    yield from (side.graph for n in (1, 2, 3, 4) for side in aztec_pair(n))
+
+
+def test_builders_give_the_rotation_and_lattice_of_the_fraction_route(monkeypatch):
+    # the builders hand over the rotation and lattice of their integer
+    # points, so neither is derived from the coordinates while they draw
+    derive = PlanarGraph._rotation_from_angles
+
+    def refuse(self):
+        raise AssertionError("a lattice builder derived its rotation from angles")
+
+    monkeypatch.setattr(PlanarGraph, "_rotation_from_angles", refuse)
+    graphs = list(_builder_graphs())
+    monkeypatch.setattr(PlanarGraph, "_rotation_from_angles", derive)
+    assert len(graphs) == 22 + 60 + 2 * 196 + 8
+    for g in graphs:
+        oracle = PlanarGraph(dict(g.vertices), dict(g.edges), geometric=True)
+        assert g.rotation == oracle.rotation
+        assert g.lattice() == oracle.lattice()
+        assert all(type(c) is int for p in g.lattice().points.values() for c in p)

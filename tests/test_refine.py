@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from builders import reachable_stages
 from dimerforge import errors
 from dimerforge.aztec import aztec_pair
 from dimerforge.generators import (
@@ -22,6 +23,7 @@ from dimerforge.refine import (
     _grid_edges,
     _peaks,
     _quadruple,
+    _removal,
     _replay,
     _square_graph,
     dual_refinement,
@@ -334,6 +336,31 @@ def test_every_reachable_stage_stays_connected():
                         reached.append(stage)
             frontier = reached
         counts.append(len(seen))
+    assert counts == [1, 2, 5, 14, 42, 132]
+
+
+def _trial_peaks(present):
+    """Oracle: the points strictly above the diagonal that ``_removal``
+    accepts, tried one by one, as sorted (peak, four-cycle) pairs."""
+    peaks = []
+    for p in sorted(present):
+        if p[1] > p[0]:
+            try:
+                peaks.append((p, _removal(present, p)))
+            except errors.NotAPeak:
+                pass
+    return peaks
+
+
+def test_corner_peaks_are_the_removals_the_validator_accepts():
+    # a first disagreement falls on a stage both walks reach, so comparing
+    # on the stages the corner rule reaches covers every reachable stage
+    counts = []
+    for n in range(1, 7):
+        stages = reachable_stages(n)
+        for present in stages:
+            assert _peaks(set(present)) == _trial_peaks(present), (n, sorted(present))
+        counts.append(len(stages))
     assert counts == [1, 2, 5, 14, 42, 132]
 
 

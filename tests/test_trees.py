@@ -890,6 +890,30 @@ def test_independence_exit_side_enumerated():
             assert len(rep.table) == 2 ** len(rep.variables)
 
 
+def test_exact_independence_fails_a_table_with_one_perturbed_cell(monkeypatch):
+    # every valid input gives a uniform table, so the first cell's weight is
+    # raised by hand: the exact verdict, its render and the suite check fail
+    from dimerforge.report import check_independence
+
+    real, calls = trees._forced_tree_weight, []
+
+    def first_cell_raised(g, root, forced):
+        calls.append(forced)
+        return real(g, root, forced) + (len(calls) == 1)
+
+    monkeypatch.setattr(trees, "_forced_tree_weight", first_cell_raised)
+    g = diamond_graph()
+    cert = check_reflection_symmetry(g, Fraction(0))
+    rep = independence_report(g, cert, cert.axis_vertices[1], "exit-side")
+    assert rep.passed is False
+    assert [w for _, w in rep.table] == [3, 2]
+    assert rep.render().splitlines()[-1] == "FAIL"
+    calls.clear()
+    passed, detail, observed = check_independence(2, 2026)
+    assert (passed, detail) == (False, "instance 0: joint distribution not uniform")
+    assert observed.splitlines()[-1] == "FAIL"
+
+
 def test_independence_hv_diagonal_grid():
     dg = diagonal_grid(3)
     cert = check_reflection_symmetry(dg, Fraction(0))
