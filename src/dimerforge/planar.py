@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from math import lcm
+from math import gcd, lcm
 
 from . import _geom
 from ._geom import LatticePoint, Point, ccw_direction_key, frac_str, parse_frac
@@ -213,21 +213,31 @@ class PlanarGraph:
         """Constructor for graphs the program builds itself: a geometric
         drawing is valid by construction, other coordinates are cosmetic.
         Simplicity is still enforced; the geometric checks are not.  A
-        builder drawing on integer points passes their ``lattice`` and the
-        rotation it read off them, so neither is derived again.
+        builder drawing on integer points passes them as its ``lattice``,
+        so they are not derived again from the coordinates.
         """
         g = cls(vertices, edges, geometric=geometric, rotation=rotation, lattice=lattice)
         g._check_simple()
         return g
 
     def _rotation_from_angles(self) -> dict[int, tuple[int, ...]]:
+        """Each vertex's edges by ``ccw_direction_key`` of their directions,
+        ties by edge id.  The darts are grouped by primitive direction, the
+        few distinct directions ranked once, and each vertex takes its darts
+        in rank order, those of one direction in edge-id order."""
         pts = self.lattice().points
-        dirs: dict[int, list] = {v: [] for v in self.adj}
+        darts: dict[LatticePoint, list[tuple[int, int]]] = {}
         for e in self.edges.values():
             (ux, uy), (vx, vy) = pts[e.u], pts[e.v]
-            dirs[e.u].append((ccw_direction_key((vx - ux, vy - uy)), e.id))
-            dirs[e.v].append((ccw_direction_key((ux - vx, uy - vy)), e.id))
-        return {v: tuple(eid for _, eid in sorted(ds)) for v, ds in dirs.items()}
+            k = gcd(vx - ux, vy - uy) or 1
+            dx, dy = (vx - ux) // k, (vy - uy) // k
+            darts.setdefault((dx, dy), []).append((e.u, e.id))
+            darts.setdefault((-dx, -dy), []).append((e.v, e.id))
+        rotation: dict[int, list[int]] = {v: [] for v in self.adj}
+        for step in sorted(darts, key=ccw_direction_key):
+            for v, eid in darts[step]:
+                rotation[v].append(eid)
+        return {v: tuple(eids) for v, eids in rotation.items()}
 
     def lattice(self) -> Lattice:
         if self._lattice is None:

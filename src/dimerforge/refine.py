@@ -426,26 +426,12 @@ def _lattice_graph(points: dict[int, LatticePoint], ends: list[tuple[int, int]],
     """The straight-line graph on the distinct integer ``points`` (vertex id
     -> point, by ascending id) whose edge k joins ``ends[k]``, weighted
     ``weights[k]`` or 1; not validated, every caller draws a valid one.
-
-    The rotation lists each vertex's edges by ``ccw_direction_key`` of
-    their directions.  No vertex has two edges in one direction, so taking
-    the few distinct directions once in that order, and each vertex's edge
-    in each, orders every vertex's edges as their keys do.
-    """
-    edges, darts = {}, {}
-    for k, (u, v) in enumerate(ends):
-        edges[k] = Edge(k, u, v, _UNIT if weights is None else weights[k])
-        (ux, uy), (vx, vy) = points[u], points[v]
-        darts.setdefault((vx - ux, vy - uy), []).append((u, k))
-        darts.setdefault((ux - vx, uy - vy), []).append((v, k))
-    rotation = {v: () for v in points}
-    for step in sorted(darts, key=ccw_direction_key):
-        for v, k in darts[step]:
-            rotation[v] += (k,)
+    The points are its lattice, and its rotation is read off them."""
+    edges = {k: Edge(k, u, v, _UNIT if weights is None else weights[k])
+             for k, (u, v) in enumerate(ends)}
     frac = {c: Fraction(c) for c in {c for p in points.values() for c in p}}
     vertices = {v: Vertex(v, (frac[x], frac[y])) for v, (x, y) in points.items()}
-    return PlanarGraph.trusted(vertices, edges, geometric=True, rotation=rotation,
-                               lattice=Lattice(1, points))
+    return PlanarGraph.trusted(vertices, edges, geometric=True, lattice=Lattice(1, points))
 
 
 def _diagonal(p: tuple[int, int]) -> LatticePoint:

@@ -193,10 +193,10 @@ MUTANTS = (
             "tests/test_trees.py::test_independence_hv_table_matches_enumeration",
             "tests/test_acceptance.py::test_criterion_13_independence",
             "tests/test_report.py::test_default_suite_report_is_byte_identical")),
-    # the lattice builders and the trimmed-square peaks: the rotation read
-    # off the integer points, with east and north swapped (and west and
-    # south), and a corner rule that forgets the point above the peak
-    Mutant("lattice-directions-swapped", "src/dimerforge/refine.py",
+    # the rotation ranked over the distinct edge directions, with east and
+    # north swapped (and west and south), and the trimmed-square corner
+    # rule that forgets the point above the peak
+    Mutant("lattice-directions-swapped", "src/dimerforge/planar.py",
            "for step in sorted(darts, key=ccw_direction_key):",
            "for step in sorted(darts, key=lambda d: ccw_direction_key((d[1], d[0]))):",
            ("tests/test_lattice.py::test_builders_give_the_rotation_and_lattice_of_the_fraction_route",)),

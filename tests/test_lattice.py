@@ -162,20 +162,13 @@ def _builder_graphs():
     yield from (side.graph for n in (1, 2, 3, 4) for side in aztec_pair(n))
 
 
-def test_builders_give_the_rotation_and_lattice_of_the_fraction_route(monkeypatch):
-    # the builders hand over the rotation and lattice of their integer
-    # points, so neither is derived from the coordinates while they draw
-    derive = PlanarGraph._rotation_from_angles
-
-    def refuse(self):
-        raise AssertionError("a lattice builder derived its rotation from angles")
-
-    monkeypatch.setattr(PlanarGraph, "_rotation_from_angles", refuse)
+def test_builders_give_the_rotation_and_lattice_of_the_fraction_route():
+    # the builders hand over their integer points as the lattice; the
+    # rotation ranked over its directions is each vertex's angle sort
     graphs = list(_builder_graphs())
-    monkeypatch.setattr(PlanarGraph, "_rotation_from_angles", derive)
     assert len(graphs) == 22 + 60 + 2 * 196 + 8
     for g in graphs:
-        oracle = PlanarGraph(dict(g.vertices), dict(g.edges), geometric=True)
-        assert g.rotation == oracle.rotation
-        assert g.lattice() == oracle.lattice()
+        fractions = PlanarGraph(dict(g.vertices), dict(g.edges), geometric=True)
+        assert g.lattice() == fractions.lattice()
         assert all(type(c) is int for p in g.lattice().points.values() for c in p)
+        assert g.rotation == oracle.rotation(g)
