@@ -87,8 +87,7 @@ def dual_refinement(g: PlanarGraph,
     vertices: dict[int, Vertex] = dict(g.vertices)
     next_id = max(g.vertices) + 1
     mid_of_edge: dict[int, int] = {}
-    for eid in sorted(g.edges):
-        e = g.edges[eid]
+    for eid, e in g.edges.items():
         (ux, uy), (vx, vy) = pts[e.u], pts[e.v]
         vertices[next_id] = Vertex(next_id, (Fraction(ux + vx, half), Fraction(uy + vy, half)))
         mid_of_edge[eid] = next_id
@@ -104,15 +103,13 @@ def dual_refinement(g: PlanarGraph,
 
     edges: dict[int, Edge] = {}
     across: dict[int, dict[int, tuple[int | None, int]]] = {}
-    for eid in sorted(g.edges):
-        e = g.edges[eid]
+    for eid, e in g.edges.items():
         m = mid_of_edge[eid]
         h = len(edges)
         edges[h] = Edge(h, e.u, m, e.weight)
         edges[h + 1] = Edge(h + 1, m, e.v, e.weight)
         across[m] = {e.u: (e.v, h), e.v: (e.u, h + 1)}
-    for eid in sorted(g.edges):
-        e = g.edges[eid]
+    for eid, e in g.edges.items():
         fa, fb = faces.sides_of_edge(e)
         if fa == fb and fa != inf:
             raise PreconditionViolated(
@@ -134,8 +131,7 @@ def dual_refinement(g: PlanarGraph,
     rotation: dict[int, tuple[int, ...]] = {}
     for v in g.vertices:
         rotation[v] = tuple(across[mid_of_edge[eid]][v][1] for eid in g.rotation[v])
-    for eid in sorted(g.edges):
-        e = g.edges[eid]
+    for eid, e in g.edges.items():
         m = mid_of_edge[eid]
         half = across[m]
         fa = faces.dart_face[(eid, e.u)]  # face left of u -> v
@@ -341,8 +337,7 @@ def symmetrize(inst: PlusMinusInstance) -> PlanarGraph:
         next_id += 1
     edges: dict[int, Edge] = {}
     next_eid = 0
-    for eid in sorted(top.edges):
-        e = top.edges[eid]
+    for e in top.edges.values():
         edges[next_eid] = Edge(next_eid, e.u, e.v, e.weight)
         next_eid += 1
         mu, mv = mirror_of[e.u], mirror_of[e.v]

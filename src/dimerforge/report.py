@@ -189,57 +189,66 @@ def check_grid_kasteleyn(mmax: int = 3, nmax: int = 3) -> tuple[bool, str, str |
     return True, f"{mmax * nmax} grid sizes agree; " + " ".join(shown), None
 
 
+def _instances(count, seed, body, summary, indexed=False):
+    """Run ``body`` on each child seed ``split_seed(seed, k)``, k < count, after
+    k when ``indexed``.  A fault ``(what, witness)`` from the body fails the run
+    as ``instance k: what``; else it returns a number to tally or None, and the
+    run passes with ``summary`` formatted with the count and the tally."""
+    tally = 0
+    for k in range(count):
+        child = split_seed(seed, k)
+        out = body(k, child) if indexed else body(child)
+        if isinstance(out, tuple):
+            return False, f"instance {k}: {out[0]}", out[1]
+        tally += out or 0
+    return True, summary.format(count=count, tally=tally), None
+
+
 def check_section2(count: int, seed: int) -> tuple[bool, str, str | None]:
     from .generators import random_section2
 
-    total = 0
-    for k in range(count):
-        inst = random_section2(split_seed(seed, k))
+    def balanced(child):
+        inst = random_section2(child)
         plus, minus = count_matchings(inst.plus), count_matchings(inst.minus)
-        total += plus
-        if plus != minus:
-            return False, f"instance {k} unbalanced", f"plus={plus} minus={minus}"
-    return True, f"{count} instances, equal counts on both sides ({total} matchings total)", None
+        return plus if plus == minus else ("unbalanced", f"plus={plus} minus={minus}")
+
+    return _instances(count, seed, balanced,
+                      "{count} instances, equal counts on both sides ({tally} matchings total)")
 
 
 def check_phi_roundtrip(count: int, seed: int) -> tuple[bool, str, str | None]:
     from .generators import random_section2
 
-    for k in range(count):
-        _, fault = phi_fault(random_section2(split_seed(seed, k)))
-        if fault:
-            return False, f"instance {k}: {fault[0]}", fault[1]
-    return True, f"{count} instances checked exhaustively", None
+    return _instances(count, seed, lambda child: phi_fault(random_section2(child))[1],
+                      "{count} instances checked exhaustively")
 
 
 def check_bar_squarish(count: int, seed: int) -> tuple[bool, str, str | None]:
     from .generators import random_section2
     from .refine import symmetrize
 
-    for k in range(count):
-        inst = random_section2(split_seed(seed, k))
-        bar = symmetrize(inst)
-        total = count_matchings(bar)
-        plus = count_matchings(inst.plus)
-        minus = count_matchings(inst.minus)
-        n = inst.boundary.n
+    def product(child):
+        inst = random_section2(child)
+        total = count_matchings(symmetrize(inst))
+        plus, minus, n = count_matchings(inst.plus), count_matchings(inst.minus), inst.boundary.n
         if total != 2 ** n * plus * minus:
-            return False, f"instance {k}: product identity failed", \
-                f"bar={total} 2^{n}*{plus}*{minus}"
-        if not squarish(int(total)):
-            return False, f"instance {k}: count not squarish", str(total)
-    return True, f"{count} instances: product identity and squarishness hold", None
+            return "product identity failed", f"bar={total} 2^{n}*{plus}*{minus}"
+        return None if squarish(int(total)) else ("count not squarish", str(total))
+
+    return _instances(count, seed, product,
+                      "{count} instances: product identity and squarishness hold")
 
 
 def check_trimmed_squarish(count: int, seed: int) -> tuple[bool, str, str | None]:
     from .generators import random_trimmed
 
-    for k in range(count):
-        g, n, removals = random_trimmed(split_seed(seed, k))
+    def trimmed(child):
+        g, n, removals = random_trimmed(child)
         total = count_matchings(g)
-        if not squarish(int(total)):
-            return False, f"instance {k} (n={n}, {len(removals)} removals)", str(total)
-    return True, f"{count} trimmed squares: every count squarish (empirical check)", None
+        return None if squarish(int(total)) else (f"n={n}, {len(removals)} removals", str(total))
+
+    return _instances(count, seed, trimmed,
+                      "{count} trimmed squares: every count squarish (empirical check)")
 
 
 def check_temperley(count: int, seed: int) -> tuple[bool, str, str | None]:
@@ -248,51 +257,49 @@ def check_temperley(count: int, seed: int) -> tuple[bool, str, str | None]:
     from .refine import dual_refinement
     from .trees import count_spanning_trees
 
-    g33 = grid_graph(3, 3)
-    if count_spanning_trees(g33) != 192:
+    if count_spanning_trees(grid_graph(3, 3)) != 192:
         return False, "3x3 grid tree count is not 192", None
-    for k in range(count):
-        g = random_plane_graph(split_seed(seed, k), weighted=(k % 2 == 0))
+
+    def rooted(k, child):
+        g = random_plane_graph(child, weighted=(k % 2 == 0))
         ref = dual_refinement(g)
         trees_total = count_spanning_trees(g)
         insts = [temperley_instance(ref, v) for v in sorted(g.infinite_face_vertices())]
         for inst in insts:
             if count_matchings(inst.host) != trees_total:
-                return False, f"instance {k}: root {inst.root} breaks the correspondence", \
+                return f"root {inst.root} breaks the correspondence", \
                     f"trees={trees_total} matchings={count_matchings(inst.host)}"
-        _, fault = temperley_fault(insts[0])
-        if fault:
-            return False, f"instance {k}: {fault[0]}", fault[1]
-    return True, f"3x3 grid =192; {count} instances: root independence and round trips", None
+        return temperley_fault(insts[0])[1]
+
+    return _instances(count, seed, rooted, "3x3 grid =192; {count} instances: root "
+                      "independence and round trips", indexed=True)
 
 
 def check_tree_swap(count: int, seed: int) -> tuple[bool, str, str | None]:
     from .generators import random_section2
     from .trees import _forced_tree_weight
 
-    for k in range(count):
-        inst = random_section2(split_seed(seed, k))
-        g0 = inst.base
-        path = inst.boundary.inner
+    def swapped(child):
+        inst = random_section2(child)
+        g0, path = inst.base, inst.boundary.inner
         edges = inst.boundary.boundary_edges[1:-1]  # edge j joins path[j] and path[j + 1]
         # every base edge has weight 1, so these weights are tree counts;
         # each degree-two vertex v_2, v_4, ... exits forward, then backward
         odd = range(1, len(edges), 2)
         lhs = _forced_tree_weight(g0, path[-1], {path[j]: [edges[j]] for j in odd})
         rhs = _forced_tree_weight(g0, path[0], {path[j]: [edges[j - 1]] for j in odd})
-        if lhs != rhs:
-            return False, f"instance {k}: constrained tree counts differ", f"{lhs} vs {rhs}"
-    return True, f"{count} instances: constrained tree counts match under root swap", None
+        return None if lhs == rhs else ("constrained tree counts differ", f"{lhs} vs {rhs}")
+
+    return _instances(count, seed, swapped,
+                      "{count} instances: constrained tree counts match under root swap")
 
 
 def check_transport(count: int, seed: int) -> tuple[bool, str, str | None]:
     from .generators import random_transport
 
-    for k in range(count):
-        _, fault = transport_fault(*random_transport(split_seed(seed, k)))
-        if fault:
-            return False, f"instance {k}: {fault[0]}", fault[1]
-    return True, f"{count} instances: weights equal for every index subset; transport involutive", None
+    return _instances(count, seed, lambda child: transport_fault(*random_transport(child))[1],
+                      "{count} instances: weights equal for every index subset; "
+                      "transport involutive")
 
 
 def check_aztec(nmax_enum: int = 3) -> tuple[bool, str, str | None]:
@@ -324,24 +331,22 @@ def check_banded(count: int, seed: int) -> tuple[bool, str, str | None]:
     from .generators import random_transport
     from .trees import banded_forest_weight, tec_forest_to_matching, tec_matching_to_forest
 
-    small_checked = 0
-    for k in range(count):
-        inst, _paths = random_transport(split_seed(seed, k), require_plain_path=False)
+    def banded(child):
+        inst, _paths = random_transport(child, require_plain_path=False)
         mus = list(enumerate_matchings(inst.host_prime))
         fault = _round_trip_fault(mus, partial(tec_matching_to_forest, inst),
                                   partial(tec_forest_to_matching, inst),
                                   (methodcaller("weight", inst.host_prime),
                                    partial(banded_forest_weight, inst)))
-        if fault:
-            return False, f"instance {k}: {fault[0]}", fault[1]
-        if len(inst.forest_graph.edges) <= 14:
-            qualifying = _enumerate_banded(inst)
-            if qualifying != len(mus):
-                return False, f"instance {k}: forest enumeration disagrees", \
-                    f"{qualifying} forests vs {len(mus)} matchings"
-            small_checked += 1
-    return True, (f"{count} instances: round trips, weights and channel/bay labels hold"
-                  f" ({small_checked} double enumerations)"), None
+        if fault or len(inst.forest_graph.edges) > 14:
+            return fault
+        qualifying = _enumerate_banded(inst)
+        if qualifying != len(mus):
+            return "forest enumeration disagrees", f"{qualifying} forests vs {len(mus)} matchings"
+        return 1
+
+    return _instances(count, seed, banded, "{count} instances: round trips, weights and "
+                      "channel/bay labels hold ({tally} double enumerations)")
 
 
 def _enumerate_banded(inst) -> int:
@@ -350,9 +355,8 @@ def _enumerate_banded(inst) -> int:
     from .trees import _banded_certificate, orient_edge_set
 
     g0 = inst.forest_graph
-    need = len(g0.vertices) - len(inst.prime_odd)
     total = 0
-    for edges in combinations(sorted(g0.edges), need):
+    for edges in combinations(g0.edges, len(g0.vertices) - len(inst.prime_odd)):
         try:
             _banded_certificate(inst, orient_edge_set(g0, edges, inst.prime_odd))
         except DimerforgeError:
@@ -365,15 +369,15 @@ def check_cycle_parity(count: int, seed: int) -> tuple[bool, str, str | None]:
     from .generators import random_plane_graph
     from .parity import interior_vertex_count, simple_cycles
 
-    cycles_total = 0
-    for k in range(count):
-        g = random_plane_graph(split_seed(seed, k))
-        for cyc in simple_cycles(g):
-            ic = interior_vertex_count(g, cyc)
-            if ic.total % 2 != 1:
-                return False, f"instance {k}: even interior count", str(cyc)
-            cycles_total += 1
-    return True, f"{count} graphs, {cycles_total} cycles, interior counts all odd", None
+    def odd(child):
+        g = random_plane_graph(child)
+        cycles = simple_cycles(g)
+        for cyc in cycles:
+            if interior_vertex_count(g, cyc).total % 2 != 1:
+                return "even interior count", str(cyc)
+        return len(cycles)
+
+    return _instances(count, seed, odd, "{count} graphs, {tally} cycles, interior counts all odd")
 
 
 def check_class_weights(count: int, seed: int) -> tuple[bool, str, str | None]:
@@ -384,56 +388,53 @@ def check_class_weights(count: int, seed: int) -> tuple[bool, str, str | None]:
     from .matchings import _forced_matching_weight
     from .trees import class_weight
 
-    for k in range(count):
-        g, cert = random_symmetric(split_seed(seed, k), need_matchings=(k % 2 == 0))
+    def constant(k, child):
+        g, cert = random_symmetric(child, need_matchings=(k % 2 == 0))
         rng = _random.Random(split_seed(seed, 10 ** 6 + k))
         axis = cert.axis_vertices
-        # matching level: edges at the odd-position axis vertices
-        a_vertices = axis[0::2]
-        marked = []
-        used = set()
-        for a in a_vertices:
+        # matching level: disjoint edges from the odd-position axis vertices
+        # to vertices off them; ``used`` holds the ends of the marked edges
+        odd_axis, marked, used = set(axis[0::2]), [], set()
+        for a in axis[0::2]:
             options = [e for e in g.adj[a]
-                       if not ({g.edges[e].u, g.edges[e].v} & used)
-                       and len({g.edges[e].u, g.edges[e].v} & set(axis[0::2])) == 1]
+                       if not g.edges[e].ends & used and len(g.edges[e].ends & odd_axis) == 1]
             if options and rng.random() < 0.8:
                 e = rng.choice(sorted(options))
                 marked.append(e)
-                used |= {g.edges[e].u, g.edges[e].v}
+                used |= g.edges[e].ends
         if marked:
             # the class of ``bits`` forces each marked edge (bit set) or its mirror
             weights = {bits: _forced_matching_weight(
                 g, {e if bits >> i & 1 else cert.edge_map[e] for i, e in enumerate(marked)})
                 for bits in range(2 ** len(marked))}
             if len(set(weights.values())) != 1:
-                return False, f"instance {k}: matching class weights differ", str(weights)
+                return "matching class weights differ", str(weights)
             e0 = g.edges[marked[0]]
-            anchor = e0.u if e0.u in cert.axis_vertices else e0.v
-            swap = partial(reflect_swap, g, cert, axis_vertex=anchor)
+            swap = partial(reflect_swap, g, cert, axis_vertex=e0.u if e0.u in axis else e0.v)
             price = methodcaller("weight", g)
             mus = list(enumerate_matchings(g))
             fault = _round_trip_fault(mus, swap, swap, (price, price))
             if fault:
-                return False, f"instance {k}: swap {fault[0]}", fault[1]
+                return f"swap {fault[0]}", fault[1]
             # the swap trades the marked edge for its mirror image at the anchor
             for mu in mus:
                 if e0.id in mu.edges and cert.edge_map[e0.id] not in swap(mu).edges:
-                    return False, f"instance {k}: swap keeps edge {e0.id}", str(sorted(mu.edges))
+                    return f"swap keeps edge {e0.id}", str(sorted(mu.edges))
         # tree level
-        root_options = [v for v in (axis[0], axis[-1])
-                        if not any(v in (g.edges[e].u, g.edges[e].v) for e in marked)]
+        root_options = [v for v in (axis[0], axis[-1]) if v not in used]
         tree_marked = [e for e in marked
                        if g.vertices[g.edges[e].u].pos[1] != g.vertices[g.edges[e].v].pos[1]]
         if root_options and tree_marked:
-            root = root_options[0]
-            tree_weights = {
-                bits: class_weight(g, cert, root, tree_marked,
-                                   {i + 1 for i in range(len(tree_marked))
-                                    if bits >> i & 1})
-                for bits in range(2 ** len(tree_marked))}
+            tree_weights = {bits: class_weight(g, cert, root_options[0], tree_marked,
+                                               {i + 1 for i in range(len(tree_marked))
+                                                if bits >> i & 1})
+                            for bits in range(2 ** len(tree_marked))}
             if len(set(tree_weights.values())) != 1:
-                return False, f"instance {k}: tree class weights differ", str(tree_weights)
-    return True, f"{count} symmetric instances: class weights constant, swaps involutive", None
+                return "tree class weights differ", str(tree_weights)
+        return None
+
+    return _instances(count, seed, constant, "{count} symmetric instances: class weights "
+                      "constant, swaps involutive", indexed=True)
 
 
 def check_independence(count: int, seed: int) -> tuple[bool, str, str | None]:
@@ -441,17 +442,18 @@ def check_independence(count: int, seed: int) -> tuple[bool, str, str | None]:
     from .planar import check_reflection_symmetry
     from .trees import independence_report
 
-    for k in range(count):
-        g, cert, root = random_exit_side(split_seed(seed, k), k % 2)
-        rep = independence_report(g, cert, root, "exit-side")
-        if not rep.passed:
-            return False, f"instance {k}: joint distribution not uniform", rep.render()
+    def uniform(k, child):
+        rep = independence_report(*random_exit_side(child, k % 2), "exit-side")
+        return None if rep.passed else ("joint distribution not uniform", rep.render())
+
+    verdict = _instances(count, seed, uniform, "{count} instances plus a diagonal grid: "
+                         "exactly uniform joint laws", indexed=True)
     dg = diagonal_grid(3)
     cert = check_reflection_symmetry(dg, Fraction(0))
     rep = independence_report(dg, cert, cert.axis_vertices[0], "hv")
-    if not rep.passed:
+    if verdict[0] and not rep.passed:
         return False, "diagonal grid horizontal/vertical cells not uniform", rep.render()
-    return True, f"{count} instances plus a diagonal grid: exactly uniform joint laws", None
+    return verdict
 
 
 def check_independence_sampled(samples: int, seed: int) -> tuple[bool, str, str | None]:
@@ -461,8 +463,7 @@ def check_independence_sampled(samples: int, seed: int) -> tuple[bool, str, str 
 
     dg = diagonal_grid(5)
     cert = check_reflection_symmetry(dg, Fraction(0))
-    root = cert.axis_vertices[0]
-    rep = independence_report(dg, cert, root, "hv", samples=samples, seed=seed)
+    rep = independence_report(dg, cert, cert.axis_vertices[0], "hv", samples=samples, seed=seed)
     detail = (f"5x5 diagonal grid, {samples} samples, chi2={rep.chi_square:.3f}, "
               f"p={rep.p_value:.3e}")
     return rep.passed, detail, None if rep.passed else rep.render()
@@ -562,9 +563,7 @@ def parse_suite_config(text: str, seed_override: int | None = None) -> tuple[lis
     if not items:
         # a report of zero checks would pass with nothing verified
         raise ConfigError("no checks")
-    if seed_override is not None:
-        seed = seed_override
-    return items, seed
+    return items, seed if seed_override is None else seed_override
 
 
 def _run_one(item: SuiteItem, idx: int, base_seed: int) -> CheckResult:

@@ -104,7 +104,7 @@ def enumerate_spanning_trees(g: PlanarGraph, root: int) -> Iterator[RootedForest
     n = len(g.vertices)
     if root not in g.vertices:
         raise PreconditionViolated(f"root {root} not in graph")
-    edge_ids = sorted(g.edges)
+    edge_ids = list(g.edges)
 
     def connected_with(active_parent: dict[int, int], from_idx: int) -> bool:
         par = dict(active_parent)
@@ -281,7 +281,7 @@ def dual_forest(g: PlanarGraph, forest_edges) -> DualForest:
     used = []
     pairs = []
     exits: dict[int, list[int]] = {}
-    for eid in sorted(g.edges):
+    for eid in g.edges:
         if eid in forest_edges:
             continue
         fa, fb = faces.sides_of_edge(g.edges[eid])

@@ -216,6 +216,17 @@ MUTANTS = (
     Mutant("forced-tree-weight-complement", "src/dimerforge/trees.py",
            "if listed is None or eid in listed:", "if listed is None or eid not in listed:",
            ("tests/test_trees.py::test_forced_tree_weight_with_mixed_denominators_matches_enumeration",)),
+    # the one seeded-instance loop of the suite's checks: the index it names
+    # in a fault, and the tally the summaries print
+    Mutant("instance-named-one-later", "src/dimerforge/report.py",
+           'return False, f"instance {k}: {out[0]}", out[1]',
+           'return False, f"instance {k + 1}: {out[0]}", out[1]',
+           ("tests/test_report.py::test_every_seeded_comparison_can_fail",
+            "tests/test_report.py::test_transport_check_fails_when_constrained_weights_differ")),
+    Mutant("instance-tally-dropped", "src/dimerforge/report.py",
+           "tally += out or 0", "pass",
+           ("tests/test_report.py::test_banded_check_prices_forests_with_their_dual_weights",
+            "tests/test_report.py::test_default_suite_report_is_byte_identical")),
 )
 
 

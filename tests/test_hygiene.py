@@ -210,3 +210,14 @@ def test_importing_the_cli_loads_no_process_machinery():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60)
     assert out.stdout.strip() == ""
+
+
+def test_report_has_one_seeded_instance_loop():
+    # every seeded check hands its per-instance body to ``_instances``, the
+    # one loop that draws each instance, stops at the first fault and names
+    # the instance; a check with a loop of its own would bypass it
+    loops = [func.name for func in TREES[SRC / "report.py"].body
+             if isinstance(func, ast.FunctionDef)
+             for node in ast.walk(func)
+             if isinstance(node, ast.For) and ast.unparse(node.iter) == "range(count)"]
+    assert loops == ["_instances"], f"report.py: loops over range(count) in {loops}"

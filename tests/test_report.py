@@ -9,12 +9,14 @@ import multiprocessing
 import pathlib
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, cycle, islice
 
 import pytest
 
-from dimerforge import aztec, bijections, errors, generators, matchings, planar, trees
+from dimerforge import (aztec, bijections, errors, generators, matchings, parity, planar, refine,
+                        trees)
 from dimerforge import report as rp
 from dimerforge.generators import (
     grid_graph,
@@ -182,6 +184,59 @@ def test_class_weights_check_fails_on_a_swap_that_keeps_the_marked_edge(monkeypa
     assert not ok
     edge = int(re.fullmatch(r"instance \d+: swap keeps edge (\d+)", details).group(1))
     assert edge in ast.literal_eval(witness)
+
+
+def _alternating(real):
+    """``real`` with one added to every second result, so two calls in a
+    row never agree."""
+    bumps = cycle((0, 1))
+    return lambda *args: real(*args) + next(bumps)
+
+
+def _plus_one(real):
+    return lambda *args: real(*args) + 1
+
+
+# one case per count or map comparison of a seeded check: the name patched,
+# how, and the report line of the check that compares it
+@pytest.mark.parametrize("module, name, wrap, check, rendered", [
+    (rp, "count_matchings", _alternating, "section2 2",
+     "FAIL section2: instance 0: unbalanced\n  witness: plus=5 minus=6"),
+    (refine, "symmetrize", lambda real: lambda inst: inst.plus, "bar-squarish 2",
+     "FAIL bar-squarish: instance 0: product identity failed\n  witness: bar=5 2^2*5*5"),
+    (rp, "squarish", lambda real: lambda n: False, "bar-squarish 2",
+     "FAIL bar-squarish: instance 0: count not squarish\n  witness: 100"),
+    (rp, "squarish", lambda real: lambda n: False, "trimmed-squarish 2",
+     "FAIL trimmed-squarish: instance 0: n=2, 1 removals\n  witness: 4"),
+    (rp, "count_matchings", _plus_one, "temperley 2",
+     "FAIL temperley: instance 0: root 0 breaks the correspondence\n"
+     "  witness: trees=2 matchings=3"),
+    (rp, "enumerate_matchings", lambda real: lambda g: islice(real(g), 1, None), "temperley 2",
+     "FAIL temperley: instance 0: tree and matching counts differ\n"
+     "  witness: trees=1 matchings=0"),
+    (trees, "_forced_tree_weight", _alternating, "tree-swap 2",
+     "FAIL tree-swap: instance 0: constrained tree counts differ\n  witness: 5 vs 6"),
+    (rp, "_enumerate_banded", _plus_one, "banded 2",
+     "FAIL banded: instance 0: forest enumeration disagrees\n"
+     "  witness: 5 forests vs 4 matchings"),
+    (parity, "interior_vertex_count",
+     lambda real: lambda g, cyc: replace(real(g, cyc), faces=real(g, cyc).faces + 1),
+     "cycle-parity 3",
+     "FAIL cycle-parity: instance 1: even interior count\n  witness: [0, 1, 3, 2]"),
+    (matchings, "_forced_matching_weight", _alternating, "class-weights 4",
+     "FAIL class-weights: instance 0: matching class weights differ\n  witness: "
+     "{0: Fraction(1, 1), 1: Fraction(2, 1), 2: Fraction(1, 1), 3: Fraction(2, 1)}"),
+    (trees, "class_weight", _alternating, "class-weights 4",
+     "FAIL class-weights: instance 1: tree class weights differ\n  witness: "
+     "{0: Fraction(637, 324), 1: Fraction(961, 324), 2: Fraction(637, 324), "
+     "3: Fraction(961, 324)}"),
+], ids=["section2", "bar-product", "bar-squarish", "trimmed", "temperley-root",
+        "temperley-count", "tree-swap", "banded", "cycle-parity", "matching-classes",
+        "tree-classes"])
+def test_every_seeded_comparison_can_fail(monkeypatch, module, name, wrap, check, rendered):
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    result = rp.run_suite(f"seed 2\ncheck {check}\n", jobs=1).results[0]
+    assert result.render() == rendered
 
 
 def _counting_remove_vertices(monkeypatch) -> list:
