@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import DimerforgeError, GenerationExhausted
@@ -168,14 +169,22 @@ def random_section2(seed: int):
         if len(edges) > edge_budget:
             continue
         try:
-            g, vid = build_from_points(points, edges)
-            path = [vid[(x, 0)] for x in range(cols)]
-            inst = section_instance(g, path)
+            inst = _section2_instance(frozenset(points), frozenset(edges), cols)
         except DimerforgeError:
             continue
         if len(inst.refinement.graph.vertices) <= MAX_SECTION2_REFINEMENT:
             return inst
     raise GenerationExhausted(f"no valid marked-boundary instance for seed {seed}")
+
+
+@lru_cache(maxsize=None)
+def _section2_instance(points: frozenset, edges: frozenset, cols: int):
+    """The plus/minus instance of a drawn strip, marked along its bottom row
+    of ``cols`` points.  The draws reach a few hundred strips, so each is
+    built once per process and every later draw of it shares the instance,
+    which nothing mutates; a refusal raises again on every call."""
+    g, vid = build_from_points(points, edges)
+    return section_instance(g, [vid[(x, 0)] for x in range(cols)])
 
 
 def random_symmetric(seed: int, need_matchings: bool = False):

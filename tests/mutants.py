@@ -216,6 +216,14 @@ MUTANTS = (
     Mutant("forced-tree-weight-complement", "src/dimerforge/trees.py",
            "if listed is None or eid in listed:", "if listed is None or eid not in listed:",
            ("tests/test_trees.py::test_forced_tree_weight_with_mixed_denominators_matches_enumeration",)),
+    # the section-2 build cache keyed by the bottom row alone (its length),
+    # so drawings that differ only in their peeled rows share one instance
+    Mutant("section2-cache-keyed-by-bottom-row", "src/dimerforge/generators.py",
+           "@lru_cache(maxsize=None)",
+           "@lambda f: lambda points, edges, cols, memo={}: "
+           "memo.get(cols) or memo.setdefault(cols, f(points, edges, cols))",
+           ("tests/test_generators.py::test_random_section2_draws_are_pinned",
+            "tests/test_generators.py::test_random_section2_shares_each_drawing_built_as_from_scratch")),
     # the one seeded-instance loop of the suite's checks: the index it names
     # in a fault, and the tally the summaries print
     Mutant("instance-named-one-later", "src/dimerforge/report.py",

@@ -20,7 +20,7 @@ from dimerforge.generators import (
 )
 from dimerforge.matchings import count_matchings
 from dimerforge.planar import check_reflection_symmetry, validate_boundary_path
-from dimerforge.refine import _peaks, _replay
+from dimerforge.refine import _peaks, _replay, section_instance
 from dimerforge.trees import split_seed
 
 
@@ -96,6 +96,71 @@ def test_random_section2_derived_graphs_are_pinned():
         "f8a67979f01c4b2b1f9747b918f18bf96bdf19e98ab71050f1e9041247843e62"
 
 
+def _derived(inst):
+    return (inst.refinement.graph.graph_id, inst.trimmed.graph_id, inst.plus.graph_id,
+            inst.minus.graph_id, inst.mids)
+
+
+def test_random_section2_shares_each_drawing_built_as_from_scratch(monkeypatch):
+    # the shared instance of every drawing the draws reach is the one an
+    # uncached build of that drawing gives, and a second draw of a seed
+    # returns that very instance without building a graph
+    cached, built = generators._section2_instance, []
+
+    def recording(points, edges, cols):
+        inst = cached(points, edges, cols)
+        built.append(((points, edges, cols), inst))
+        return inst
+
+    monkeypatch.setattr(generators, "_section2_instance", recording)
+    drawn = _section2_draws()
+    assert {id(inst) for inst in drawn} <= {id(inst) for _, inst in built}
+    for (points, edges, cols), inst in built:
+        g, vid = generators.build_from_points(points, edges)
+        fresh = section_instance(g, [vid[(x, 0)] for x in range(cols)])
+        assert fresh is not inst
+        assert _derived(inst) == _derived(fresh)
+
+    init, inits = planar.PlanarGraph.__init__, []
+
+    def counting_init(self, *args, **kwargs):
+        inits.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(planar.PlanarGraph, "__init__", counting_init)
+    first = random_section2(split_seed(8, 0))
+    inits.clear()
+    assert random_section2(split_seed(8, 0)) is first
+    assert inits == []
+
+
+def _instance_state(inst):
+    graphs = (inst.base, inst.refinement.graph, inst.trimmed, inst.plus, inst.minus)
+    return ([planar.dump_graph(g) for g in graphs],
+            [sorted(g.rotation.items()) for g in graphs],
+            repr(sorted((m, sorted(row.items())) for m, row in inst.refinement.across.items())),
+            inst.mids)
+
+
+def test_shared_section2_instances_are_never_mutated():
+    # the checks that draw section-2 instances read them and change nothing,
+    # so the instance a later draw of the same strip shares is as built
+    from dimerforge.report import (
+        check_bar_squarish,
+        check_phi_roundtrip,
+        check_section2,
+        check_tree_swap,
+    )
+
+    seed, count = 2026, 4
+    insts = [random_section2(split_seed(seed, k)) for k in range(count)]
+    before = [_instance_state(inst) for inst in insts]
+    for check in (check_phi_roundtrip, check_section2, check_bar_squarish, check_tree_swap):
+        assert check(count, seed)[0], check.__name__
+    assert all(random_section2(split_seed(seed, k)) is inst for k, inst in enumerate(insts))
+    assert [_instance_state(inst) for inst in insts] == before
+
+
 def test_random_section2_draw_builds_no_graph_id(monkeypatch):
     # a graph id hashes the full dump, and no part of a draw reads one
     real, calls = planar.dump_graph, []
@@ -146,7 +211,11 @@ def test_generators_raise_generation_exhausted_when_every_attempt_fails(monkeypa
     def fail(*args):
         raise DimerforgeError("rejected")
 
+    # the uncached build reaches the patched section_instance whatever ran
+    # earlier in the process, and keeps the refusals out of the cache
     monkeypatch.setattr(generators, "section_instance", fail)
+    monkeypatch.setattr(generators, "_section2_instance",
+                        generators._section2_instance.__wrapped__)
     with pytest.raises(GenerationExhausted, match="marked-boundary instance for seed 5"):
         random_section2(5)
     monkeypatch.setattr(generators, "MAX_VERTICES", 1)
