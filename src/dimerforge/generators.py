@@ -182,7 +182,9 @@ def _section2_instance(points: frozenset, edges: frozenset, cols: int):
     """The plus/minus instance of a drawn strip, marked along its bottom row
     of ``cols`` points.  The draws reach a few hundred strips, so each is
     built once per process and every later draw of it shares the instance,
-    which nothing mutates; a refusal raises again on every call."""
+    which nothing mutates; a refusal raises again on every call.  The
+    unbounded cache relies on that finite family (``cols`` at most 5 and
+    at most 2 rows above the bottom one): a wider draw must bound it."""
     g, vid = build_from_points(points, edges)
     return section_instance(g, [vid[(x, 0)] for x in range(cols)])
 

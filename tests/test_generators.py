@@ -40,10 +40,16 @@ def test_diagonal_grid_symmetric():
     assert len(cert.axis_vertices) == 4
 
 
-def test_random_section2_valid_and_deterministic():
+def test_random_section2_valid_and_deterministic(monkeypatch):
     for seed in range(6):
         inst = random_section2(seed)
-        again = random_section2(seed)
+        # the second draw builds its instance afresh, so the comparison
+        # is between two separate builds and not a cache hit
+        with monkeypatch.context() as m:
+            m.setattr(generators, "_section2_instance",
+                      generators._section2_instance.__wrapped__)
+            again = random_section2(seed)
+        assert again is not inst
         assert inst.base.graph_id == again.base.graph_id
         assert validate_boundary_path(inst.base, list(inst.boundary.inner))
         assert len(inst.refinement.graph.vertices) <= 30
@@ -170,6 +176,9 @@ def test_random_section2_draw_builds_no_graph_id(monkeypatch):
         return real(g)
 
     monkeypatch.setattr(planar, "dump_graph", counting)
+    # the uncached build is counted whatever drew seed 0 earlier
+    monkeypatch.setattr(generators, "_section2_instance",
+                        generators._section2_instance.__wrapped__)
     random_section2(0)
     assert calls == []
 
