@@ -14,8 +14,8 @@ import click
 
 from . import aztec as aztec_mod
 from . import bijections, generators, refine, report, trees
-from ._geom import parse_frac
-from .errors import ConfigError, DimerforgeError, NotAMatching, ParseError
+from ._geom import frac_str, parse_frac
+from .errors import ConfigError, DimerforgeError, NotAMatching, NumberTooLong, ParseError
 from .matchings import (
     Matching,
     count_matchings,
@@ -165,7 +165,7 @@ def faces(file):
               help="admit disconnected graphs (derived graphs may be)")
 def count(file, lenient):
     """Weighted perfect matching count of a graph file."""
-    click.echo(str(count_matchings(_load(file, lenient))))
+    click.echo(frac_str(count_matchings(_load(file, lenient))))
 
 
 @cli.command("enumerate")
@@ -184,7 +184,13 @@ def enumerate_cmd(file, limit, lenient):
 @click.argument("n", type=_POSITIVE)
 def grid_count(m, n):
     """Closed-form count for the 2m x 2n grid graph."""
-    click.echo(str(kasteleyn_grid_count(m, n)))
+    # each of the mn 2x2 blocks tiles two ways, so the count is at least
+    # 2^(mn), which has more than 0.301 mn digits
+    limit = sys.get_int_max_str_digits()
+    if limit and 100 * m * n > 333 * limit:
+        raise NumberTooLong(f"the {2 * m} x {2 * n} grid count has more than {limit} "
+                            "digits and cannot be written")
+    click.echo(frac_str(kasteleyn_grid_count(m, n)))
 
 
 @cli.command("squarish")
@@ -336,7 +342,7 @@ def trees_group():
 @trees_group.command("count")
 @click.argument("file", type=click.Path())
 def trees_count(file):
-    click.echo(str(trees.count_spanning_trees(_load(file))))
+    click.echo(frac_str(trees.count_spanning_trees(_load(file))))
 
 
 @trees_group.command("enumerate")
@@ -408,7 +414,7 @@ def aztec():
 @aztec.command("formula")
 @click.argument("n", type=_POSITIVE)
 def aztec_formula_cmd(n):
-    click.echo(str(aztec_mod.aztec_formula(n)))
+    click.echo(frac_str(aztec_mod.aztec_formula(n)))
 
 
 @aztec.command("count")
@@ -417,7 +423,7 @@ def aztec_formula_cmd(n):
 def aztec_count(n, variant):
     for name in (("T", "Tp") if variant == "both" else (variant,)):
         inst = aztec_mod.aztec_graph(n, name)
-        click.echo(f"{name}: {count_matchings(inst.graph)}")
+        click.echo(f"{name}: {frac_str(count_matchings(inst.graph))}")
 
 
 @aztec.command("graph")

@@ -177,7 +177,7 @@ class PlanarGraph:
 
     def __init__(self, vertices: dict[int, Vertex], edges: dict[int, Edge], *,
                  geometric: bool, rotation: dict[int, tuple[int, ...]] | None = None,
-                 faces: FaceDecomposition | None = None, lattice: Lattice | None = None):
+                 lattice: Lattice | None = None):
         self.vertices = dict(sorted(vertices.items()))
         self.edges = dict(sorted(edges.items()))
         self.geometric = geometric
@@ -190,7 +190,7 @@ class PlanarGraph:
         self.adj = {v: tuple(ids) for v, ids in adj.items()}  # ascending, as self.edges
         self._lattice = lattice
         self.rotation = rotation if rotation is not None else self._rotation_from_angles()
-        self._faces = faces  # given by a builder that derived them from another graph's
+        self._faces: FaceDecomposition | None = None
         self._weights: WeightTable | None = None
         self._walk: tuple | None = None
         self._order: tuple | None = None
@@ -432,42 +432,6 @@ class PlanarGraph:
         of the last clockwise dart."""
         cyc = self.trace_faces().infinite_face.cycle  # clockwise darts (tail, edge)
         return [(cyc[k][0], cyc[k - 1][1]) for k in range(len(cyc) - 1, -1, -1)]
-
-
-def _pendant_faces(faces: FaceDecomposition, rot: tuple[int, ...], eid: int,
-                   v: int, leaf: int) -> FaceDecomposition | None:
-    """What ``trace_faces`` gives once the pendant edge ``eid`` joins ``v``
-    to a new vertex ``leaf``, with ``rot`` the rotation at v holding eid in
-    its counterclockwise place; None when that place is not on the
-    infinite face.
-
-    Tracing that arrives at v along eid's ccw successor now leaves along
-    eid, runs out to the leaf and back, and goes on along eid's ccw
-    predecessor as before: the spike's two darts enter the infinite face's
-    cycle right after the dart arriving along the successor.  Nothing else
-    moves.  eid is the largest edge id, so no face's smallest dart, which
-    starts its cycle and orders the faces, changes; and the spike encloses
-    no area, so every area and the infinite face stay.
-    """
-    i = rot.index(eid)
-    pred = rot[i - 1]
-    spike = ((v, eid), (leaf, eid))
-    inf = faces.infinite_face
-    if pred == eid:
-        # v had no edge, so the connected graph was v alone: one face, empty
-        cycle = spike
-    elif faces.dart_face[(pred, v)] != faces.infinite_index:
-        return None
-    else:
-        # the dart arriving along the successor comes right before the one
-        # leaving along pred, cyclically
-        k = inf.cycle.index((v, pred)) or len(inf.cycle)
-        cycle = inf.cycle[:k] + spike + inf.cycle[k:]
-    idx = faces.infinite_index
-    dart_face = dict(faces.dart_face)
-    dart_face[(eid, v)] = dart_face[(eid, leaf)] = idx
-    spliced = faces.faces[:idx] + (Face(idx, cycle, True, inf.area2),) + faces.faces[idx + 1:]
-    return FaceDecomposition(spliced, idx, dart_face)
 
 
 def _find(par: dict, x):

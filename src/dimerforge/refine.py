@@ -9,13 +9,12 @@ matchings-to-trees correspondences) runs on vertex-deleted subgraphs of it.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from . import _geom
-from ._geom import LatticePoint, ccw_direction_key
+from ._geom import LatticePoint
 from .errors import (
     BelowDiagonal,
     Disconnected,
@@ -33,7 +32,6 @@ from .planar import (
     MarkedBoundary,
     PlanarGraph,
     Vertex,
-    _pendant_faces,
     remove_vertices,
     validate_boundary_path,
 )
@@ -180,23 +178,10 @@ def _leaf_candidates(scale: int, apos, occupied: set, segments: list):
                 yield p
 
 
-def _with_leaf(rot: tuple[int, ...], keys: list, key, eid: int):
-    """The rotation ``rot``, whose edges have the ccw direction ``keys`` in
-    order, and those keys, with the edge ``eid`` of direction ``key`` put in
-    its ccw place.  A geometric graph's rotation lists each vertex's edges
-    by ``ccw_direction_key``, and so does the result."""
-    i = bisect_right(keys, key)
-    return rot[:i] + (eid,) + rot[i:], keys[:i] + [key] + keys[i:]
-
-
 def augment_with_leaves(g0: PlanarGraph, path: list[int]) -> tuple[PlanarGraph, MarkedBoundary]:
     """Attach leaf vertices before and after the marked boundary path, drawn
-    in the infinite face.
-
-    The augmented graph is g0 with two pendant edges, so it is spliced from
-    g0 rather than built again: each leaf edge goes into its vertex's
-    rotation by direction, and its darts into the infinite face's cycle.  A
-    candidate leaf whose wedge is not on the infinite face is passed over.
+    in the infinite face.  The first candidate pair, in ``_leaf_candidates``
+    order, whose leaves both lie on the infinite face is taken.
     """
     mb = validate_boundary_path(g0, path)
     if not g0.is_connected():
@@ -210,41 +195,25 @@ def augment_with_leaves(g0: PlanarGraph, path: list[int]) -> tuple[PlanarGraph, 
     pts = g0.lattice().rescaled(scale)
     occupied = set(pts.values())
     segments = [_geom.boxed(pts[e.u], pts[e.v]) for e in g0.edges.values()]
-    faces0 = g0.trace_faces()
-
-    def key_to(v, p):
-        return ccw_direction_key((p[0] - pts[v][0], p[1] - pts[v][1]))
-
-    keys1, keys_last = ([key_to(v, pts[g0.edges[e].other(v)]) for e in g0.rotation[v]]
-                        for v in (v1, v_last))
+    edges = dict(g0.edges)
+    edges[e0] = Edge(e0, leaf0, v1)
+    edges[e1] = Edge(e1, v_last, leaf1)
     for p0 in _leaf_candidates(scale, pts[v1], occupied, segments):
-        rot0, keys0 = _with_leaf(g0.rotation[v1], keys1, key_to(v1, p0), e0)
-        faces = _pendant_faces(faces0, rot0, e0, v1, leaf0)
-        if faces is None:
-            continue
-        rot, keys = (rot0, keys0) if v1 == v_last else (g0.rotation[v_last], keys_last)
         for p1 in _leaf_candidates(scale, pts[v_last], occupied | {p0}, segments):
             if _geom.segments_conflict(pts[v1], p0, pts[v_last], p1):
-                continue
-            rot1, _ = _with_leaf(rot, keys, key_to(v_last, p1), e1)
-            spliced = _pendant_faces(faces, rot1, e1, v_last, leaf1)
-            if spliced is None:
                 continue
             # valid by construction: the leaves avoid each other and all of
             # g0, and pendant edges to new vertices keep g0 simple
             vertices = dict(g0.vertices)
             vertices[leaf0] = Vertex(leaf0, (Fraction(p0[0], scale), Fraction(p0[1], scale)))
             vertices[leaf1] = Vertex(leaf1, (Fraction(p1[0], scale), Fraction(p1[1], scale)))
-            edges = dict(g0.edges)
-            edges[e0] = Edge(e0, leaf0, v1)
-            edges[e1] = Edge(e1, v_last, leaf1)
-            rotation = dict(g0.rotation)
-            rotation[v1] = rot0
-            rotation[v_last] = rot1
-            rotation[leaf0], rotation[leaf1] = (e0,), (e1,)
-            g = PlanarGraph(vertices, edges, geometric=True, rotation=rotation, faces=spliced)
-            return g, MarkedBoundary(mb.inner, mb.n, (e0,) + mb.boundary_edges + (e1,),
-                                     leaves=(leaf0, leaf1))
+            g = PlanarGraph(vertices, edges, geometric=True)
+            onb = g.infinite_face_vertices()
+            if leaf0 not in onb:
+                break  # a pendant edge splits no face: leaf0 stays inside for every p1
+            if leaf1 in onb:
+                return g, MarkedBoundary(mb.inner, mb.n, (e0,) + mb.boundary_edges + (e1,),
+                                         leaves=(leaf0, leaf1))
     raise EmbeddingError("could not place the boundary leaves in the infinite face")
 
 

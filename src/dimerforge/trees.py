@@ -326,18 +326,16 @@ def _boundary_arcs(g: PlanarGraph, marks: list[int]) -> dict[int, int]:
 
 def classify_components(ambient: PlanarGraph, forest: RootedForest,
                         pairs: list[tuple[int, int]],
-                        forest_graph: PlanarGraph | None = None) -> DualForest:
+                        forest_graph: PlanarGraph) -> DualForest:
     """Check bandedness against the distinguished pairs and that every dual
     forest component is a channel (two contacts with the infinite face,
     crossing the two opposite arcs between consecutive bands) or a bay (one
     contact); return the dual forest.
 
-    ``ambient`` supplies the faces and the boundary; the forest may span an
-    induced subgraph of it (smashed corners stay out of the bands but their
-    faces stay in the dual).
+    ``ambient`` supplies the faces and the boundary; the forest spans
+    ``forest_graph``, ambient itself or an induced subgraph of it (smashed
+    corners stay out of the bands but their faces stay in the dual).
     """
-    if forest_graph is None:
-        forest_graph = ambient
     forest_edges = forest.edge_set
     dual = dual_forest(ambient, forest_edges)
     band = _components(forest_graph.vertices,

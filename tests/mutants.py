@@ -93,18 +93,16 @@ MUTANTS = (
            ("tests/test_matchings.py::test_enumeration_matches_set_oracle_on_every_family",
             "tests/test_matchings.py::test_enumerated_matching_sequence_is_pinned")),
     # the section-2 construction: refinement midpoints on the lattice, and
-    # the leaves spliced into the augmented graph's rotation and faces
+    # both leaves of the augmented graph drawn in its infinite face
     Mutant("midpoint-denominator-halved", "src/dimerforge/refine.py",
            "half = 2 * lat.scale", "half = lat.scale",
            ("tests/test_generators.py::test_random_section2_derived_graphs_are_pinned",)),
-    Mutant("spike-after-predecessor-dart", "src/dimerforge/planar.py",
-           "k = inf.cycle.index((v, pred)) or len(inf.cycle)",
-           "k = inf.cycle.index((v, pred)) + 1",
-           ("tests/test_refine.py::test_augmented_graph_is_what_tracing_gives",
-            "tests/test_generators.py::test_random_section2_derived_graphs_are_pinned")),
-    Mutant("wedge-test-dropped", "src/dimerforge/planar.py",
-           "elif faces.dart_face[(pred, v)] != faces.infinite_index:", "elif False:",
-           ("tests/test_refine.py::test_augmented_graph_is_what_tracing_gives",)),
+    Mutant("leaf1-accepted-anywhere", "src/dimerforge/refine.py",
+           "if leaf1 in onb:", "if True:",
+           ("tests/test_refine.py::test_augmented_leaves_lie_on_the_infinite_face",)),
+    Mutant("leaf0-exit-dropped", "src/dimerforge/refine.py",
+           "if leaf0 not in onb:", "if False:",
+           ("tests/test_refine.py::test_augmented_leaves_lie_on_the_infinite_face",)),
     # each construction is built once, where its inputs are known: the
     # Temperley host, the trimmed graph that symmetrize reads, the forced
     # pairs read off the across-map, and the banded forests' price

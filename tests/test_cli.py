@@ -358,6 +358,29 @@ def test_derived_number_too_long_to_write_exits_1(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+# a path whose one perfect matching and one spanning tree both weigh
+# 10^5000: each weight can be read, their product cannot be written
+_HEAVY_PATH = (f"v 0 0 0\nv 1 1 0\nv 2 2 0\nv 3 3 0\ne 0 0 1 {10 ** 2500}\n"
+               f"e 1 1 2\ne 2 2 3 {10 ** 2500}\n").encode()
+
+
+@pytest.mark.parametrize("command", [
+    ["count", "FILE"],
+    ["trees", "count", "FILE"],
+    ["grid-count", "1", "11000"],
+    # refused before counting: at least 2^(10^10), which no machine builds
+    ["grid-count", "100000", "100000"],
+    ["aztec", "formula", "200"],
+], ids=["count", "trees-count", "grid-count", "grid-count-refused", "aztec-formula"])
+def test_printed_number_too_long_to_write_exits_1(tmp_path, command):
+    path = tmp_path / "heavy.txt"
+    path.write_bytes(_HEAVY_PATH)
+    res = _main(*(str(path) if a == "FILE" else a for a in command))
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.startswith("error: NumberTooLong: "), res.stderr
+    assert "Traceback" not in res.stderr
+
+
 @pytest.mark.parametrize("content, expected, code, stream, message", [
     (b"v 0 0 0\nv 1 1 0\ne 0 0 1\n", "abc", 2, "stderr",
      "line 1: bad argument 'abc': bad rational 'abc'"),

@@ -2,8 +2,8 @@
 export that the package itself never reads, no dataclass field or property
 that no module reads, no parameter its function never reads, no function
 defined inside a loop, no map that re-checks the matching it built, no
-dependency beyond the standard library and click, and no process machinery
-loaded at import."""
+dependency beyond the standard library and click, no process machinery
+loaded at import, and no faces made except by tracing."""
 
 import ast
 import os
@@ -221,3 +221,24 @@ def test_report_has_one_seeded_instance_loop():
              for node in ast.walk(func)
              if isinstance(node, ast.For) and ast.unparse(node.iter) == "range(count)"]
     assert loops == ["_instances"], f"report.py: loops over range(count) in {loops}"
+
+
+def _calls_by_scope(node, name: str, scope: str = "") -> list[str]:
+    """The dotted name of the class or function around each call of the bare
+    ``name`` under ``node``; the empty string for module level."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = f"{scope}.{node.name}" if scope else node.name
+    found = [scope] if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+        and node.func.id == name else []
+    for child in ast.iter_child_nodes(node):
+        found += _calls_by_scope(child, name, scope)
+    return found
+
+
+def test_faces_are_made_only_by_tracing():
+    # one way of making faces: every FaceDecomposition comes out of
+    # PlanarGraph.trace_faces, so no builder derives them another way
+    makers = [f"{path.name}:{scope}" for path, tree in TREES.items()
+              for scope in _calls_by_scope(tree, "FaceDecomposition")]
+    assert makers == ["planar.py:PlanarGraph.trace_faces"], \
+        f"FaceDecomposition made in {makers}"

@@ -139,23 +139,17 @@ def test_augment_single_vertex():
     assert len(g.edges) == 2
 
 
-def _traced_afresh(g):
-    """The rotation and faces of a copy of ``g`` built from its drawing."""
-    fresh = PlanarGraph.trusted(dict(g.vertices), dict(g.edges), geometric=True)
-    return fresh.rotation, fresh.trace_faces()
-
-
-def test_augmented_graph_is_what_tracing_gives():
-    # the leaves are spliced into g0's rotation and faces; tracing a copy
-    # drawn from scratch is the oracle
-    cases = [random_section2(seed).refinement.source for seed in range(200)]
-    cases.append(augment_with_leaves(single_vertex(), [0])[0])
+def test_augmented_leaves_lie_on_the_infinite_face():
+    # each leaf hangs off its end of the marked path, drawn in the infinite face
+    cases = [(inst.refinement.source, inst.boundary)
+             for inst in map(random_section2, range(200))]
+    cases.append(augment_with_leaves(single_vertex(), [0]))
     # both leaves at vertex 2, whose first candidate wedges lie in a bounded face
-    grid, mb = augment_with_leaves(grid_graph(3, 2), [2])
-    assert set(mb.leaves) <= set(grid.neighbors(2))
-    cases.append(grid)
-    for g in cases:
-        assert (g.rotation, g.trace_faces()) == _traced_afresh(g)
+    cases.append(augment_with_leaves(grid_graph(3, 2), [2]))
+    for g, mb in cases:
+        assert set(mb.leaves) <= g.infinite_face_vertices()
+        for leaf, end in zip(mb.leaves, (mb.inner[0], mb.inner[-1])):
+            assert g.edge_between(leaf, end) is not None
 
 
 def test_augment_rejects_disconnected_graph():

@@ -584,7 +584,7 @@ def test_classify_single_band_all_bays():
     corners = [v for v in g.vertices if g.degree(v) == 2]
     u, up = corners[0], corners[-1]
     for tree in list(enumerate_spanning_trees(g, up))[:25]:
-        dual = classify_components(g, tree, [(u, up)])
+        dual = classify_components(g, tree, [(u, up)], g)
         assert dual == dual_forest(g, tree.edge_set)
         assert all(len(_contacts(dual, members)) == 1 for members in dual.components)
 
@@ -592,7 +592,7 @@ def test_classify_single_band_all_bays():
 def test_classify_two_band_ladder_channel():
     g, top, bottom, forest = _ladder_rows()
     pairs = [(bottom[-1], bottom[0]), (top[-1], top[0])]
-    dual = classify_components(g, forest, pairs)
+    dual = classify_components(g, forest, pairs, g)
     assert dual == dual_forest(g, forest.edge_set)
     # one channel: all three squares, reaching the infinite face at both ends
     (channel,) = dual.components
@@ -602,7 +602,7 @@ def test_classify_two_band_ladder_channel():
 def test_classify_rejects_a_forest_with_more_bands_than_pairs():
     g, top, bottom, forest = _ladder_rows()
     with pytest.raises(errors.NotBanded, match="forest has 2 components for 1 pairs"):
-        classify_components(g, forest, [(top[-1], top[0])])
+        classify_components(g, forest, [(top[-1], top[0])], g)
 
 
 def test_classify_rejects_a_contact_face_on_two_arcs():
@@ -616,7 +616,7 @@ def test_classify_rejects_a_contact_face_on_two_arcs():
     forest = orient_edge_set(g, edges, (vid[(1, 1)], vid[(2, 1)]))
     pairs = [(vid[(1, 0)], vid[(1, 1)]), (vid[(2, 0)], vid[(2, 1)])]
     with pytest.raises(errors.ClassificationFailed, match="on several arcs"):
-        classify_components(g, forest, pairs)
+        classify_components(g, forest, pairs, g)
 
 
 def test_classify_rejects_a_channel_off_a_band_gap():
@@ -658,7 +658,7 @@ def test_banded_forest_rejects_unpaired_channel_faces():
 def test_classify_rejects_unpaired_forest():
     g, top, bottom, forest = _ladder_rows()
     with pytest.raises(errors.BandPairingViolated):
-        classify_components(g, forest, [(top[0], bottom[0]), (top[-1], bottom[-1])])
+        classify_components(g, forest, [(top[0], bottom[0]), (top[-1], bottom[-1])], g)
 
 
 def test_tec_roundtrip_hexagon():
