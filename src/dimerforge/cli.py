@@ -185,9 +185,15 @@ def enumerate_cmd(file, limit, lenient):
 def grid_count(m, n):
     """Closed-form count for the 2m x 2n grid graph."""
     # each of the mn 2x2 blocks tiles two ways, so the count is at least
-    # 2^(mn), which has more than 0.301 mn digits
+    # 2^(mn), which has more than 0.301 mn digits.  The grid is also
+    # min(m, n) ladders 2 x 2 max(m, n), each tiled in F(2 max(m, n) + 1) >=
+    # phi^(2 max(m, n) - 1) ways, and log10 phi > 0.2089.  The count has
+    # nearer 0.506 mn digits, so sizes between the bounds are still counted
+    # and then refused by frac_str: at the default limit of 4300 digits, the
+    # square grids with m = n from 93 to 101
     limit = sys.get_int_max_str_digits()
-    if limit and 100 * m * n > 333 * limit:
+    ladders = min(m, n) * (2 * max(m, n) - 1)
+    if limit and (100 * m * n > 333 * limit or 2089 * ladders >= 10000 * limit):
         raise NumberTooLong(f"the {2 * m} x {2 * n} grid count has more than {limit} "
                             "digits and cannot be written")
     click.echo(frac_str(kasteleyn_grid_count(m, n)))

@@ -69,20 +69,12 @@ def enumerate_matchings(g: PlanarGraph) -> Iterator[Matching]:
     k so that the forcing rule takes it, then without k, in the same frame.
     Every matching with k sorts before every one without it, since the other
     edges in which they differ are all greater than k, and a forced edge lies
-    in every matching of its subtree; so the order is lexicographic."""
+    in every matching of its subtree; so the order is lexicographic.  The
+    masks depend on the graph alone and are built on its first enumeration."""
     if len(g.vertices) % 2 == 1:
         return
     host = g.graph_id
-    edge_ids = list(g.edges)  # ascending
-    at = g.vertex_order()[1]
-    ends = [(at[e.u], at[e.v]) for e in g.edges.values()]
-    star = [0] * len(at)  # vertex position -> mask of its edges
-    around = [0] * len(at)  # vertex position -> mask of its neighbours
-    for k, (a, b) in enumerate(ends):
-        star[a] |= 1 << k
-        star[b] |= 1 << k
-        around[a] |= 1 << b
-        around[b] |= 1 << a
+    edge_ids, ends, star, around = g._enumeration or _enumeration_table(g)
 
     def rec(usable, uncovered, chosen, touched):
         while True:
@@ -114,8 +106,25 @@ def enumerate_matchings(g: PlanarGraph) -> Iterator[Matching]:
             edges.append(eid)
         yield Matching(host, frozenset(edges))
 
-    full = (1 << len(at)) - 1
+    full = (1 << len(star)) - 1
     yield from rec((1 << len(ends)) - 1, full, None, full)
+
+
+def _enumeration_table(g: PlanarGraph) -> tuple:
+    """(edge ids, ends, star, around) of the enumerator, stored on ``g``: the
+    ids ascending, each edge's ends as vertex positions, and per vertex
+    position the mask of its edges and the mask of its neighbours."""
+    at = g.vertex_order()[1]
+    ends = [(at[e.u], at[e.v]) for e in g.edges.values()]
+    star = [0] * len(at)
+    around = [0] * len(at)
+    for k, (a, b) in enumerate(ends):
+        star[a] |= 1 << k
+        star[b] |= 1 << k
+        around[a] |= 1 << b
+        around[b] |= 1 << a
+    g._enumeration = tuple(g.edges), tuple(ends), tuple(star), tuple(around)
+    return g._enumeration
 
 
 # ---------------------------------------------------------------------------
@@ -153,31 +162,44 @@ def count_matchings(g: PlanarGraph) -> Fraction:
     multiplies every matching, and so the sum, by the product of the d_v.  A
     state is the bitmask of processed vertices still waiting for a later
     partner; a vertex whose last neighbour is processed can wait no longer,
-    so every state holding it is dropped.
+    so every state holding it is dropped.  The elimination order and what
+    follows from it are built on the graph's first count; the sum over the
+    states runs on every call.
     """
     if len(g.vertices) % 2 == 1:
         return Fraction(0)
-    table = g.weight_table()
-    order = _elimination_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    earlier: list[list[tuple[int, int]]] = []
-    dies = [0] * len(order)
-    for i, v in enumerate(order):
-        earlier.append([(1 << pos[u], w * table.scale[u])
-                        for _, u, w in table.exits[v] if pos[u] < i])
-        dies[max([i, *(pos[u] for _, u, _ in table.exits[v])])] |= 1 << i
+    earlier, dies, scale = g._count_plan or _count_plan(g)
     states = {0: 1}
-    for i in range(len(order)):
+    for i, bits in enumerate(earlier):
         nxt: dict[int, int] = {}
         for s, acc in states.items():
             k = s | 1 << i
             nxt[k] = nxt.get(k, 0) + acc
-            for bit, w in earlier[i]:
+            for bit, w in bits:
                 if s & bit:
                     k = s ^ bit
                     nxt[k] = nxt.get(k, 0) + acc * w
         states = {k: acc for k, acc in nxt.items() if not k & dies[i]}
-    return Fraction(states.get(0, 0), math.prod(table.scale.values()))
+    return Fraction(states.get(0, 0), scale)
+
+
+def _count_plan(g: PlanarGraph) -> tuple:
+    """(earlier, dies, scale) of the counting DP, stored on ``g``.  For the
+    vertex at position i of the elimination order, earlier[i] holds
+    (bit of u, w * d_u) for each neighbour u placed before it, and dies[i]
+    the bits of the vertices whose last neighbour it is; scale is the
+    product of the d_v."""
+    table = g.weight_table()
+    order = _elimination_order(g)
+    pos = {v: i for i, v in enumerate(order)}
+    earlier: list[tuple[tuple[int, int], ...]] = []
+    dies = [0] * len(order)
+    for i, v in enumerate(order):
+        earlier.append(tuple((1 << pos[u], w * table.scale[u])
+                             for _, u, w in table.exits[v] if pos[u] < i))
+        dies[max([i, *(pos[u] for _, u, _ in table.exits[v])])] |= 1 << i
+    g._count_plan = tuple(earlier), tuple(dies), math.prod(table.scale.values())
+    return g._count_plan
 
 
 def _forced_matching_weight(g: PlanarGraph, forced) -> Fraction:

@@ -193,6 +193,12 @@ class PlanarGraph:
         self._faces: FaceDecomposition | None = None
         self._weights: WeightTable | None = None
         self._walk: tuple | None = None
+        # the matching enumerator's masks, the counting DP's plan and the
+        # glide hop table with its refinement, each built by its own layer
+        # on the first use on this graph
+        self._enumeration: tuple | None = None
+        self._count_plan: tuple | None = None
+        self._glide: tuple | None = None
         self._order: tuple | None = None
         self._id: str | None = None
 

@@ -204,15 +204,45 @@ def _instances(count, seed, body, summary, indexed=False):
     return True, summary.format(count=count, tally=tally), None
 
 
+def balance_fault(inst):
+    """Section 2: the plus and minus graphs have equal matching counts.
+    Returns the plus count, or the fault."""
+    plus, minus = count_matchings(inst.plus), count_matchings(inst.minus)
+    return plus if plus == minus else ("unbalanced", f"plus={plus} minus={minus}")
+
+
+def bar_fault(inst):
+    """The symmetrized graph counts 2^n times the plus and the minus count,
+    and that count is squarish.  Returns the fault, or None."""
+    from .refine import symmetrize
+
+    total = count_matchings(symmetrize(inst))
+    plus, minus, n = count_matchings(inst.plus), count_matchings(inst.minus), inst.boundary.n
+    if total != 2 ** n * plus * minus:
+        return "product identity failed", f"bar={total} 2^{n}*{plus}*{minus}"
+    return None if squarish(int(total)) else ("count not squarish", str(total))
+
+
+def tree_swap_fault(inst):
+    """The base's spanning trees rooted at the last path vertex in which
+    each even path vertex v_2, v_4, ... exits forward are as many as those
+    rooted at the first in which each exits backward.  Returns the fault,
+    or None."""
+    from .trees import _forced_tree_weight
+
+    g0, path = inst.base, inst.boundary.inner
+    edges = inst.boundary.boundary_edges[1:-1]  # edge j joins path[j] and path[j + 1]
+    # every base edge has weight 1, so these weights are tree counts
+    odd = range(1, len(edges), 2)
+    lhs = _forced_tree_weight(g0, path[-1], {path[j]: [edges[j]] for j in odd})
+    rhs = _forced_tree_weight(g0, path[0], {path[j]: [edges[j - 1]] for j in odd})
+    return None if lhs == rhs else ("constrained tree counts differ", f"{lhs} vs {rhs}")
+
+
 def check_section2(count: int, seed: int) -> tuple[bool, str, str | None]:
     from .generators import random_section2
 
-    def balanced(child):
-        inst = random_section2(child)
-        plus, minus = count_matchings(inst.plus), count_matchings(inst.minus)
-        return plus if plus == minus else ("unbalanced", f"plus={plus} minus={minus}")
-
-    return _instances(count, seed, balanced,
+    return _instances(count, seed, lambda child: balance_fault(random_section2(child)),
                       "{count} instances, equal counts on both sides ({tally} matchings total)")
 
 
@@ -225,17 +255,8 @@ def check_phi_roundtrip(count: int, seed: int) -> tuple[bool, str, str | None]:
 
 def check_bar_squarish(count: int, seed: int) -> tuple[bool, str, str | None]:
     from .generators import random_section2
-    from .refine import symmetrize
 
-    def product(child):
-        inst = random_section2(child)
-        total = count_matchings(symmetrize(inst))
-        plus, minus, n = count_matchings(inst.plus), count_matchings(inst.minus), inst.boundary.n
-        if total != 2 ** n * plus * minus:
-            return "product identity failed", f"bar={total} 2^{n}*{plus}*{minus}"
-        return None if squarish(int(total)) else ("count not squarish", str(total))
-
-    return _instances(count, seed, product,
+    return _instances(count, seed, lambda child: bar_fault(random_section2(child)),
                       "{count} instances: product identity and squarishness hold")
 
 
@@ -277,20 +298,8 @@ def check_temperley(count: int, seed: int) -> tuple[bool, str, str | None]:
 
 def check_tree_swap(count: int, seed: int) -> tuple[bool, str, str | None]:
     from .generators import random_section2
-    from .trees import _forced_tree_weight
 
-    def swapped(child):
-        inst = random_section2(child)
-        g0, path = inst.base, inst.boundary.inner
-        edges = inst.boundary.boundary_edges[1:-1]  # edge j joins path[j] and path[j + 1]
-        # every base edge has weight 1, so these weights are tree counts;
-        # each degree-two vertex v_2, v_4, ... exits forward, then backward
-        odd = range(1, len(edges), 2)
-        lhs = _forced_tree_weight(g0, path[-1], {path[j]: [edges[j]] for j in odd})
-        rhs = _forced_tree_weight(g0, path[0], {path[j]: [edges[j - 1]] for j in odd})
-        return None if lhs == rhs else ("constrained tree counts differ", f"{lhs} vs {rhs}")
-
-    return _instances(count, seed, swapped,
+    return _instances(count, seed, lambda child: tree_swap_fault(random_section2(child)),
                       "{count} instances: constrained tree counts match under root swap")
 
 

@@ -51,7 +51,8 @@ MUTANTS = (
            ("tests/test_refine.py::test_across_map_matches_the_faces",
             "tests/test_bijections.py::test_phi_images_are_pinned",
             "tests/test_bijections.py::test_transport_images_are_pinned",
-            "tests/test_report.py::test_default_suite_report_is_byte_identical")),
+            "tests/test_report.py::test_default_suite_report_is_byte_identical",
+            "tests/test_census.py::test_section2_identities_hold_on_every_drawing")),
     Mutant("search-row-bisect-left", "src/dimerforge/planar.py",
            "from bisect import bisect_right", "from bisect import bisect_left as bisect_right",
            ("tests/test_trees.py::test_walk_rows_match_the_exit_scan_and_hold_at_most_the_cap",)),
@@ -83,20 +84,24 @@ MUTANTS = (
     Mutant("exclude-drops-next-edge", "src/dimerforge/matchings.py",
            "usable ^= low", "usable &= ~(low | low << 1)",
            ("tests/test_matchings.py::test_enumeration_matches_set_oracle_on_every_family",
-            "tests/test_matchings.py::test_enumerated_matching_sequence_is_pinned")),
+            "tests/test_matchings.py::test_enumerated_matching_sequence_is_pinned",
+            "tests/test_census.py::test_section2_identities_hold_on_every_drawing")),
     Mutant("forced-edge-unrecorded", "src/dimerforge/matchings.py",
            "chosen = (edge_ids[k], chosen)", "pass",
            ("tests/test_matchings.py::test_enumeration_matches_set_oracle_on_every_family",
-            "tests/test_matchings.py::test_enumerated_matching_sequence_is_pinned")),
+            "tests/test_matchings.py::test_enumerated_matching_sequence_is_pinned",
+            "tests/test_census.py::test_section2_identities_hold_on_every_drawing")),
     Mutant("forcing-rule-dropped", "src/dimerforge/matchings.py",
            "if not left & (left - 1):", "if False:",
            ("tests/test_matchings.py::test_enumeration_matches_set_oracle_on_every_family",
-            "tests/test_matchings.py::test_enumerated_matching_sequence_is_pinned")),
+            "tests/test_matchings.py::test_enumerated_matching_sequence_is_pinned",
+            "tests/test_census.py::test_section2_identities_hold_on_every_drawing")),
     # the section-2 construction: refinement midpoints on the lattice, and
     # both leaves of the augmented graph drawn in its infinite face
     Mutant("midpoint-denominator-halved", "src/dimerforge/refine.py",
            "half = 2 * lat.scale", "half = lat.scale",
-           ("tests/test_generators.py::test_random_section2_derived_graphs_are_pinned",)),
+           ("tests/test_generators.py::test_random_section2_derived_graphs_are_pinned",
+            "tests/test_census.py::test_section2_identities_hold_on_every_drawing")),
     Mutant("leaf1-accepted-anywhere", "src/dimerforge/refine.py",
            "if leaf1 in onb:", "if True:",
            ("tests/test_refine.py::test_augmented_leaves_lie_on_the_infinite_face",)),
@@ -118,7 +123,8 @@ MUTANTS = (
            "mids, trimmed = inst.mids, inst.trimmed",
            "mids, trimmed = inst.mids, inst.refinement.graph",
            ("tests/test_refine.py::test_symmetrize_square_instance",
-            "tests/test_refine.py::test_symmetrized_graphs_are_pinned")),
+            "tests/test_refine.py::test_symmetrized_graphs_are_pinned",
+            "tests/test_census.py::test_section2_identities_hold_on_every_drawing")),
     Mutant("banded-priced-without-dual-weights", "src/dimerforge/report.py",
            "partial(banded_forest_weight, inst)))",
            'methodcaller("weight", inst.forest_graph)))',
@@ -184,7 +190,8 @@ MUTANTS = (
            "rhs = _forced_tree_weight(g0, path[0], {path[j]: [edges[j]] for j in odd})",
            ("tests/test_trees.py::test_tree_swap_weights_match_enumeration",
             "tests/test_acceptance.py::test_criterion_07_root_swap_tree_counts",
-            "tests/test_report.py::test_default_suite_report_is_byte_identical")),
+            "tests/test_report.py::test_default_suite_report_is_byte_identical",
+            "tests/test_census.py::test_section2_identities_hold_on_every_drawing")),
     Mutant("hv-bit-from-dx-alone", "src/dimerforge/trees.py",
            "return 1 if (dx > 0) != (dyv > 0) else 0", "return 1 if dx > 0 else 0",
            ("tests/test_trees.py::test_independence_hv_diagonal_grid",
@@ -221,7 +228,8 @@ MUTANTS = (
            "@lambda f: lambda points, edges, cols, memo={}: "
            "memo.get(cols) or memo.setdefault(cols, f(points, edges, cols))",
            ("tests/test_generators.py::test_random_section2_draws_are_pinned",
-            "tests/test_generators.py::test_random_section2_shares_each_drawing_built_as_from_scratch")),
+            "tests/test_generators.py::test_random_section2_shares_each_drawing_built_as_from_scratch",
+            "tests/test_census.py::test_section2_family_holds_every_pinned_draw")),
     # the one seeded-instance loop of the suite's checks: the index it names
     # in a fault, and the tally the summaries print
     Mutant("instance-named-one-later", "src/dimerforge/report.py",
@@ -233,6 +241,25 @@ MUTANTS = (
            "tally += out or 0", "pass",
            ("tests/test_report.py::test_banded_check_prices_forests_with_their_dual_weights",
             "tests/test_report.py::test_default_suite_report_is_byte_identical")),
+    # the glide and shift tables: a host's hop table read under another
+    # refinement, a hop onto a vertex the host lacks taken as open, and a
+    # shift that no longer checks alternation
+    Mutant("hop-table-ignores-the-refinement", "src/dimerforge/gliding.py",
+           "if kept is None or kept[0] is not ref:", "if kept is None:",
+           ("tests/test_tables.py::test_a_host_glided_under_a_second_refinement_reads_that_refinement",)),
+    Mutant("blocked-hop-continues", "src/dimerforge/gliding.py",
+           "hops[eid] = mid, far, ref.across[mid][far][1] if far in host.vertices else None",
+           "hops[eid] = mid, far, ref.across[mid][far][1] if far is not None else None",
+           ("tests/test_bijections.py::test_glide_on_minimal_instance",
+            "tests/test_bijections.py::test_phi_images_are_pinned",
+            "tests/test_bijections.py::test_transport_images_are_pinned",
+            "tests/test_census.py::test_section2_identities_hold_on_every_drawing",
+            "tests/test_tables.py::test_section2_tables_change_no_result",
+            "tests/test_report.py::test_default_suite_report_is_byte_identical")),
+    Mutant("shift-skips-the-alternation-check", "src/dimerforge/gliding.py",
+           "or mu_edges.isdisjoint(even) and mu_edges.issuperset(odd)):", "or True):",
+           ("tests/test_stress.py::test_shift_rejects_non_alternating_path",
+            "tests/test_tables.py::test_shift_accepts_exactly_the_alternating_paths")),
 )
 
 

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from itertools import islice
 
 import pytest
@@ -11,7 +12,7 @@ from click.testing import CliRunner
 import dimerforge
 from dimerforge.bijections import transport_instance
 from dimerforge.cli import cli
-from dimerforge.errors import ConfigError
+from dimerforge.errors import ConfigError, NumberTooLong
 from dimerforge.generators import (grid_graph, hexagon_graph, random_exit_side,
                                    random_plane_graph, random_symmetric)
 from dimerforge.matchings import enumerate_matchings
@@ -379,6 +380,21 @@ def test_printed_number_too_long_to_write_exits_1(tmp_path, command):
     assert res.returncode == 1, res.stderr
     assert res.stderr.startswith("error: NumberTooLong: "), res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_grid_count_refuses_what_the_ladder_bound_proves_too_long(runner):
+    # 119 x 120 passes the 2^(mn) bound, and counting it takes minutes; the
+    # 2 x 20580 ladder passes both bounds, is counted, and only its count
+    # F(20581), of 4301 digits, is refused when written
+    res = _main("grid-count", "119", "120")
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.startswith("error: NumberTooLong: "), res.stderr
+    start = time.process_time()
+    with pytest.raises(NumberTooLong, match="238 x 240 grid count"):
+        invoke(runner, ["grid-count", "119", "120"])
+    assert time.process_time() - start < 0.2
+    with pytest.raises(NumberTooLong, match="a rational with more than 4300 digits"):
+        invoke(runner, ["grid-count", "1", "10290"])
 
 
 @pytest.mark.parametrize("content, expected, code, stream, message", [
