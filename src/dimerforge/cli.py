@@ -7,6 +7,7 @@ opened.
 
 from __future__ import annotations
 
+import math
 import sys
 from itertools import islice
 
@@ -179,6 +180,21 @@ def enumerate_cmd(file, limit, lenient):
         click.echo(" ".join(map(str, mu.sorted_edges())))
 
 
+def _log10_grid_count(m: int, n: int) -> float:
+    """log10 of ``kasteleyn_grid_count(m, n)``, summed in floating point
+    over its factors a_j + b_k.
+
+    a_j = 4cos^2(pi j/(2m+1)) is written 4sin^2(pi (2m+1-2j)/(4m+2)), so
+    the small factors keep their relative precision: each log10 is off by
+    under 1e-14, and the ``fsum`` of the mn < 3.33 * limit terms that pass
+    the 2^(mn) bound by under 1e-13 * limit digits."""
+    def factors(k):
+        return [4 * math.sin(math.pi * (2 * k + 1 - 2 * j) / (4 * k + 2)) ** 2
+                for j in range(1, k + 1)]
+
+    return math.fsum(math.log10(a + b) for a in factors(m) for b in factors(n))
+
+
 @cli.command("grid-count")
 @click.argument("m", type=_POSITIVE)
 @click.argument("n", type=_POSITIVE)
@@ -187,13 +203,13 @@ def grid_count(m, n):
     # each of the mn 2x2 blocks tiles two ways, so the count is at least
     # 2^(mn), which has more than 0.301 mn digits.  The grid is also
     # min(m, n) ladders 2 x 2 max(m, n), each tiled in F(2 max(m, n) + 1) >=
-    # phi^(2 max(m, n) - 1) ways, and log10 phi > 0.2089.  The count has
-    # nearer 0.506 mn digits, so sizes between the bounds are still counted
-    # and then refused by frac_str: at the default limit of 4300 digits, the
-    # square grids with m = n from 93 to 101
+    # phi^(2 max(m, n) - 1) ways, and log10 phi > 0.2089.  Past these two
+    # O(1) bounds, the count's own log10 decides; it is refused only above
+    # the limit plus a margin far wider than that sum's rounding error
     limit = sys.get_int_max_str_digits()
     ladders = min(m, n) * (2 * max(m, n) - 1)
-    if limit and (100 * m * n > 333 * limit or 2089 * ladders >= 10000 * limit):
+    if limit and (100 * m * n > 333 * limit or 2089 * ladders >= 10000 * limit
+                  or _log10_grid_count(m, n) >= limit * (1 + 1e-9)):
         raise NumberTooLong(f"the {2 * m} x {2 * n} grid count has more than {limit} "
                             "digits and cannot be written")
     click.echo(frac_str(kasteleyn_grid_count(m, n)))

@@ -602,6 +602,8 @@ def run_suite(config_text: str, jobs: int = 1,
         # imported here: multiprocessing would add tens of ms to every startup
         from concurrent.futures import ProcessPoolExecutor
         workers = min(jobs, len(items), os.cpu_count() or 1)
+        # forked workers inherit these, so no worker imports them again
+        from . import aztec, bijections, generators, parity  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_one, items, range(len(items))))
     else:

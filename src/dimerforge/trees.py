@@ -197,25 +197,26 @@ def ust_sample(g: PlanarGraph, root: int, seed: int) -> RootedForest:
     pick[r] is then the first exit, in edge-id order, whose cumulative weight
     exceeds r.  These are the draws CPython 3.11's ``randrange(T)`` makes,
     so each seed gives the tree of the walk that called it."""
-    step = _ust_exits(g, root, seed)
+    step = _ust_exits(g, root, random.Random(seed))
     ids = g.vertex_order()[0]
     return RootedForest(g.graph_id, (root,),
                         tuple((v, x[0], ids[x[1]]) for v, x in zip(ids, step) if x))
 
 
-def _ust_exits(g: PlanarGraph, root: int, seed: int) -> list[tuple[int, int] | None]:
-    """The walks of ``ust_sample``, on vertex positions (``g.vertex_order``);
-    returns the drawn tree's exits by position: (edge id, parent position)
-    for each non-root vertex, None for the root.  A step is one
-    ``getrandbits`` and one index into the vertex's row of
-    ``g.walk_table()``, repeated while the index gives None."""
+def _ust_exits(g: PlanarGraph, root: int,
+               rng: random.Random) -> list[tuple[int, int] | None]:
+    """The walks of ``ust_sample``, drawn from the seeded ``rng``, on vertex
+    positions (``g.vertex_order``); returns the drawn tree's exits by
+    position: (edge id, parent position) for each non-root vertex, None for
+    the root.  A step is one ``getrandbits`` and one index into the vertex's
+    row of ``g.walk_table()``, repeated while the index gives None."""
     if root not in g.vertices:
         raise PreconditionViolated(f"root {root} not in graph")
     # a walk ends only if the positive-weight edges connect its start to the root
     if not g.weight_table().connected:
         raise PreconditionViolated("graph is not connected by positive-weight edges")
     rows = g.walk_table()
-    getrandbits = random.Random(seed).getrandbits
+    getrandbits = rng.getrandbits
     in_tree = [False] * len(rows)
     in_tree[g.vertex_order()[1][root]] = True
     step: list = [None] * len(rows)
@@ -612,8 +613,11 @@ def independence_report(g: PlanarGraph, cert: SymmetryCertificate, root: int,
     # each variable's walk position and the exit edges that give it bit 1
     position = g.vertex_order()[1]
     ones = [(position[v], frozenset(exits[v][1])) for v in variables]
+    # one generator, reseeded per sample: the streams of ust_sample's seeds
+    rng = random.Random()
     for k in range(samples):
-        step = _ust_exits(g, root, split_seed(seed, k))
+        rng.seed(split_seed(seed, k))
+        step = _ust_exits(g, root, rng)
         counts[tuple(int(step[i][0] in bit1) for i, bit1 in ones)] += 1
     expected = samples / 2 ** n
     stat = sum((c - expected) ** 2 / expected for c in counts.values())

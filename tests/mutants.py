@@ -69,6 +69,20 @@ MUTANTS = (
            "with ProcessPoolExecutor(max_workers=workers) as pool:",
            "with ProcessPoolExecutor(max_workers=jobs) as pool:",
            ("tests/test_report.py::test_jobs_bounds_the_worker_count_by_the_items",)),
+    # workers forked before the check modules are imported import them again
+    Mutant("prefork-imports-dropped", "src/dimerforge/report.py",
+           "from . import aztec, bijections, generators, parity  # noqa: F401", "pass",
+           ("tests/test_hygiene.py::test_worker_processes_are_forked_with_every_check_module",)),
+    # a sampled report whose generator is not reseeded per sample
+    Mutant("sample-reseed-dropped", "src/dimerforge/trees.py",
+           "rng.seed(split_seed(seed, k))", "pass",
+           ("tests/test_trees.py::test_sampled_independence_tallies_the_trees_of_ust_sample",
+            "tests/test_trees.py::test_sampled_independence_tables_are_pinned")),
+    # a square grid past the limit counted for seconds before it is refused
+    Mutant("grid-count-log10-bound-dropped", "src/dimerforge/cli.py",
+           "or _log10_grid_count(m, n) >= limit * (1 + 1e-9)):", "or False):",
+           ("tests/test_cli.py::test_grid_count_refuses_a_square_past_the_limit_before_counting",
+            "tests/test_cli.py::test_grid_count_refuses_what_the_ladder_bound_proves_too_long")),
     # the two below read a vertex id where the walk keeps positions; they
     # differ only on graphs whose ids are not 0..n-1
     Mutant("walk-root-by-id", "src/dimerforge/trees.py",

@@ -2,8 +2,9 @@
 export that the package itself never reads, no dataclass field or property
 that no module reads, no parameter its function never reads, no function
 defined inside a loop, no map that re-checks the matching it built, no
-dependency beyond the standard library and click, no process machinery
-loaded at import, and no faces made except by tracing."""
+dependency beyond the standard library and click, no process machinery or
+check module loaded at import, every check module loaded before the suite
+forks its workers, and no faces made except by tracing."""
 
 import ast
 import os
@@ -210,6 +211,37 @@ def test_importing_the_cli_loads_no_process_machinery():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60)
     assert out.stdout.strip() == ""
+
+
+def _loaded_package_modules(code: str) -> set[str]:
+    """The ``dimerforge`` modules loaded once ``code`` has run in a fresh
+    interpreter, without the package prefix."""
+    code += "; print(*[m for m in sys.modules if m.startswith('dimerforge.')])"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", f"import sys; {code}"], capture_output=True,
+                         text=True, env=env, check=True, timeout=60)
+    return {m.removeprefix("dimerforge.") for m in out.stdout.split()}
+
+
+def test_importing_the_report_loads_no_check_module():
+    # the checks import these inside their bodies, so that startup (the
+    # benchmark's setup_s) does not pay for them
+    lazy = {"aztec", "bijections", "generators", "gliding", "parity"}
+    assert not lazy & _loaded_package_modules("import dimerforge.report")
+
+
+def test_worker_processes_are_forked_with_every_check_module():
+    # at jobs > 1 the parent runs no check, so it imports the check modules
+    # before it starts the pool; otherwise each fresh worker imports them
+    imported = set()
+    for node in ast.walk(TREES[SRC / "report.py"]):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported |= {node.module} if node.module else {a.name for a in node.names}
+    config = "check grid-kasteleyn 1 1\ncheck grid-kasteleyn 1 1\n"
+    loaded = _loaded_package_modules("from dimerforge.report import run_suite; "
+                                     f"assert run_suite({config!r}, jobs=2).passed")
+    assert {"aztec", "bijections", "generators", "parity"} <= imported
+    assert imported <= loaded, f"not loaded before forking: {sorted(imported - loaded)}"
 
 
 def test_report_has_one_seeded_instance_loop():

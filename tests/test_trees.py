@@ -280,9 +280,11 @@ class _RawBitsOnly(random.Random):
 
 def test_ust_sample_reads_only_raw_bits(monkeypatch):
     # the seed -> tree contract rests on the Mersenne Twister bit stream
-    # alone; the generators keep the real ``random.Random``
+    # alone, for single trees and for the sampled reports' reseeded
+    # generator; the generators keep the real ``random.Random``
     monkeypatch.setattr(trees, "random", SimpleNamespace(Random=_RawBitsOnly))
     test_ust_sampled_trees_are_pinned()
+    test_sampled_independence_tables_are_pinned()
 
 
 def test_ust_sample_is_a_valid_forest():
@@ -489,6 +491,24 @@ def test_sampled_independence_tables_are_pinned():
                                           samples=500, seed=seed).render())
     assert hashlib.sha256(repr(tables).encode()).hexdigest() == \
         "782415c962e97b8926584e3a0953cdb686377b029ea7dbe28331122a4611725f"
+
+
+def test_sampled_independence_tallies_the_trees_of_ust_sample():
+    # sample k of a sampled report is the tree ust_sample draws at the child
+    # seed split_seed(seed, k), though the report reseeds one generator
+    dg = diagonal_grid(5)
+    cert = check_reflection_symmetry(dg, Fraction(0))
+    cases = [(*random_exit_side(s, s % 2), "exit-side") for s in range(2)]
+    cases.append((dg, cert, cert.axis_vertices[0], "hv"))
+    for seed, (g, cert, root, kind) in enumerate(cases):
+        rep = independence_report(g, cert, root, kind, samples=300, seed=seed)
+        tally = Counter()
+        for k in range(300):
+            parent = {v: w for v, _, w in ust_sample(g, root, split_seed(seed, k)).assignments}
+            tally[tuple(trees._exit_bit(g, cert, kind, v, parent[v])
+                        for v in rep.variables)] += 1
+        assert rep.variables and len(rep.table) == 2 ** len(rep.variables)
+        assert dict(rep.table) == {bits: tally[bits] for bits, _ in rep.table}
 
 
 def test_sampled_independence_needs_a_variable():
