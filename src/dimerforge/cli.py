@@ -201,14 +201,11 @@ def _log10_grid_count(m: int, n: int) -> float:
 def grid_count(m, n):
     """Closed-form count for the 2m x 2n grid graph."""
     # each of the mn 2x2 blocks tiles two ways, so the count is at least
-    # 2^(mn), which has more than 0.301 mn digits.  The grid is also
-    # min(m, n) ladders 2 x 2 max(m, n), each tiled in F(2 max(m, n) + 1) >=
-    # phi^(2 max(m, n) - 1) ways, and log10 phi > 0.2089.  Past these two
-    # O(1) bounds, the count's own log10 decides; it is refused only above
-    # the limit plus a margin far wider than that sum's rounding error
+    # 2^(mn), which has more than 0.301 mn digits.  Past this O(1) bound,
+    # the count's own log10 decides; it is refused only above the limit
+    # plus a margin far wider than that sum's rounding error
     limit = sys.get_int_max_str_digits()
-    ladders = min(m, n) * (2 * max(m, n) - 1)
-    if limit and (100 * m * n > 333 * limit or 2089 * ladders >= 10000 * limit
+    if limit and (100 * m * n > 333 * limit
                   or _log10_grid_count(m, n) >= limit * (1 + 1e-9)):
         raise NumberTooLong(f"the {2 * m} x {2 * n} grid count has more than {limit} "
                             "digits and cannot be written")

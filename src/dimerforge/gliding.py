@@ -31,8 +31,8 @@ class GlidePath:
 
 
 def _hop_table(host: PlanarGraph, ref: DualRefinement) -> tuple:
-    """(ref, hops, first) of glides on ``host`` under ``ref``, stored on the
-    host.  hops maps each host edge from a site to a midpoint to
+    """(ref, hops, first) of glides on ``host`` under ``ref``, kept by
+    ``glide``.  hops maps each host edge from a site to a midpoint to
     (the midpoint, the vertex across it, the half-edge onto that vertex or
     None where it is absent from the host); first maps each midpoint of the
     host to its present neighbours, as (vertex, half-edge), on the frame and
@@ -48,8 +48,7 @@ def _hop_table(host: PlanarGraph, ref: DualRefinement) -> tuple:
         steps = [(w, h) for w, (_, h) in ref.across[mid].items() if w in host.vertices]
         first[mid] = tuple(tuple(s for s in steps if (s[0] in ref.face_of_center) == dual)
                            for dual in (False, True))
-    host._glide = ref, hops, first
-    return host._glide
+    return ref, hops, first
 
 
 def glide(host: PlanarGraph, ref: DualRefinement, cover: dict[int, int],
@@ -70,9 +69,9 @@ def glide(host: PlanarGraph, ref: DualRefinement, cover: dict[int, int],
         raise PreconditionViolated(f"unknown glide mode {mode!r}")
     if start not in host.vertices:
         raise PreconditionViolated(f"glide start {start} is not in the host graph")
-    kept = host._glide
+    kept = host._tables.get(_hop_table)
     if kept is None or kept[0] is not ref:
-        kept = _hop_table(host, ref)
+        kept = host._tables[_hop_table] = _hop_table(host, ref)
     _, hops, first = kept
     path = [start]
     edges = []

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import NotAMatching
-from .planar import PlanarGraph, remove_vertices
+from .planar import PlanarGraph, kept, remove_vertices
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def enumerate_matchings(g: PlanarGraph) -> Iterator[Matching]:
     if len(g.vertices) % 2 == 1:
         return
     host = g.graph_id
-    edge_ids, ends, star, around = g._enumeration or _enumeration_table(g)
+    edge_ids, ends, star, around = _enumeration_table(g)
 
     def rec(usable, uncovered, chosen, touched):
         while True:
@@ -110,8 +110,9 @@ def enumerate_matchings(g: PlanarGraph) -> Iterator[Matching]:
     yield from rec((1 << len(ends)) - 1, full, None, full)
 
 
+@kept
 def _enumeration_table(g: PlanarGraph) -> tuple:
-    """(edge ids, ends, star, around) of the enumerator, stored on ``g``: the
+    """(edge ids, ends, star, around) of the enumerator, kept on ``g``: the
     ids ascending, each edge's ends as vertex positions, and per vertex
     position the mask of its edges and the mask of its neighbours."""
     at = g.vertex_order()[1]
@@ -123,8 +124,7 @@ def _enumeration_table(g: PlanarGraph) -> tuple:
         star[b] |= 1 << k
         around[a] |= 1 << b
         around[b] |= 1 << a
-    g._enumeration = tuple(g.edges), tuple(ends), tuple(star), tuple(around)
-    return g._enumeration
+    return tuple(g.edges), tuple(ends), tuple(star), tuple(around)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +168,7 @@ def count_matchings(g: PlanarGraph) -> Fraction:
     """
     if len(g.vertices) % 2 == 1:
         return Fraction(0)
-    earlier, dies, scale = g._count_plan or _count_plan(g)
+    earlier, dies, scale = _count_plan(g)
     states = {0: 1}
     for i, bits in enumerate(earlier):
         nxt: dict[int, int] = {}
@@ -183,8 +183,9 @@ def count_matchings(g: PlanarGraph) -> Fraction:
     return Fraction(states.get(0, 0), scale)
 
 
+@kept
 def _count_plan(g: PlanarGraph) -> tuple:
-    """(earlier, dies, scale) of the counting DP, stored on ``g``.  For the
+    """(earlier, dies, scale) of the counting DP, kept on ``g``.  For the
     vertex at position i of the elimination order, earlier[i] holds
     (bit of u, w * d_u) for each neighbour u placed before it, and dies[i]
     the bits of the vertices whose last neighbour it is; scale is the
@@ -198,8 +199,7 @@ def _count_plan(g: PlanarGraph) -> tuple:
         earlier.append(tuple((1 << pos[u], w * table.scale[u])
                              for _, u, w in table.exits[v] if pos[u] < i))
         dies[max([i, *(pos[u] for _, u, _ in table.exits[v])])] |= 1 << i
-    g._count_plan = tuple(earlier), tuple(dies), math.prod(table.scale.values())
-    return g._count_plan
+    return tuple(earlier), tuple(dies), math.prod(table.scale.values())
 
 
 def _forced_matching_weight(g: PlanarGraph, forced) -> Fraction:

@@ -17,7 +17,7 @@ import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 
@@ -168,6 +168,19 @@ class Lattice:
         return {v: (x * k, y * k) for v, (x, y) in self.points.items()}
 
 
+def kept(build):
+    """``build(g)`` run on the first call on a graph and kept in its tables:
+    every later call on that graph returns the same object.  A build that
+    raises keeps nothing, so the next call builds again."""
+    @wraps(build)
+    def table(g):
+        made = g._tables.get(build)
+        if made is None:
+            made = g._tables[build] = build(g)
+        return made
+    return table
+
+
 class PlanarGraph:
     """Straight-line embedded simple graph with a rotation system.
 
@@ -188,19 +201,13 @@ class PlanarGraph:
             adj[e.u].append(e.id)
             adj[e.v].append(e.id)
         self.adj = {v: tuple(ids) for v, ids in adj.items()}  # ascending, as self.edges
-        self._lattice = lattice
+        # the tables derived from this graph, each keyed by its builder
+        self._tables = {} if lattice is None else {PlanarGraph.lattice.__wrapped__: lattice}
         self.rotation = rotation if rotation is not None else self._rotation_from_angles()
-        self._faces: FaceDecomposition | None = None
-        self._weights: WeightTable | None = None
-        self._walk: tuple | None = None
-        # the matching enumerator's masks, the counting DP's plan and the
-        # glide hop table with its refinement, each built by its own layer
-        # on the first use on this graph
-        self._enumeration: tuple | None = None
-        self._count_plan: tuple | None = None
-        self._glide: tuple | None = None
-        self._order: tuple | None = None
-        self._id: str | None = None
+
+    def __getstate__(self):
+        # a copy builds its own tables; pickle cannot find their builders by name
+        return {**vars(self), "_tables": {}}
 
     # -- construction --------------------------------------------------------
 
@@ -245,14 +252,13 @@ class PlanarGraph:
                 rotation[v].append(eid)
         return {v: tuple(eids) for v, eids in rotation.items()}
 
+    @kept
     def lattice(self) -> Lattice:
-        if self._lattice is None:
-            scale = lcm(*{c.denominator for v in self.vertices.values() for c in v.pos})
-            self._lattice = Lattice(scale, {
-                i: (v.pos[0].numerator * (scale // v.pos[0].denominator),
-                    v.pos[1].numerator * (scale // v.pos[1].denominator))
-                for i, v in self.vertices.items()})
-        return self._lattice
+        scale = lcm(*{c.denominator for v in self.vertices.values() for c in v.pos})
+        return Lattice(scale, {
+            i: (v.pos[0].numerator * (scale // v.pos[0].denominator),
+                v.pos[1].numerator * (scale // v.pos[1].denominator))
+            for i, v in self.vertices.items()})
 
     # -- validation -----------------------------------------------------------
 
@@ -331,54 +337,49 @@ class PlanarGraph:
         return _components(self.vertices, ((e.u, e.v) for e in self.edges.values()))
 
     @property
+    @kept
     def graph_id(self) -> str:
-        if self._id is None:
-            self._id = hashlib.sha256(dump_graph(self).encode()).hexdigest()[:12]
-        return self._id
+        return hashlib.sha256(dump_graph(self).encode()).hexdigest()[:12]
 
+    @kept
     def weight_table(self) -> WeightTable:
-        if self._weights is None:
-            # each weight read once, as its (numerator, denominator)
-            parts = {i: (e.u, e.v, e.weight.numerator, e.weight.denominator)
-                     for i, e in self.edges.items()}
-            scale, exits = {}, {}
-            for v, ids in self.adj.items():
-                d = scale[v] = lcm(*(parts[e][3] for e in ids))
-                out = []
-                for e in ids:
-                    a, b, num, den = parts[e]
-                    if num:
-                        out.append((e, b if a == v else a, num * (d // den)))
-                exits[v] = tuple(out)
-            self._weights = WeightTable(scale, exits)
-        return self._weights
+        # each weight read once, as its (numerator, denominator)
+        parts = {i: (e.u, e.v, e.weight.numerator, e.weight.denominator)
+                 for i, e in self.edges.items()}
+        scale, exits = {}, {}
+        for v, ids in self.adj.items():
+            d = scale[v] = lcm(*(parts[e][3] for e in ids))
+            out = []
+            for e in ids:
+                a, b, num, den = parts[e]
+                if num:
+                    out.append((e, b if a == v else a, num * (d // den)))
+            exits[v] = tuple(out)
+        return WeightTable(scale, exits)
 
+    @kept
     def vertex_order(self) -> tuple[tuple[int, ...], dict[int, int]]:
         """(ids, position): the vertex ids by their position in
         ``self.vertices``, which is ascending id order, and each id's
         position; the walk table's rows and entries are positions."""
-        if self._order is None:
-            ids = tuple(self.vertices)
-            self._order = ids, {v: i for i, v in enumerate(ids)}
-        return self._order
+        ids = tuple(self.vertices)
+        return ids, {v: i for i, v in enumerate(ids)}
 
+    @kept
     def walk_table(self) -> tuple[tuple[int, tuple | _SearchRow], ...]:
         """Row i is the (k, pick) of ``_walk_row`` for the vertex at
         position i, its exits' neighbours given by position: the rows a
         loop-erased walk step draws from, built on the first walk on this
         graph."""
-        if self._walk is None:
-            ids, position = self.vertex_order()
-            exits = self.weight_table().exits
-            self._walk = tuple(_walk_row(tuple((e, position[u], x) for e, u, x in exits[v]))
-                               for v in ids)
-        return self._walk
+        ids, position = self.vertex_order()
+        exits = self.weight_table().exits
+        return tuple(_walk_row(tuple((e, position[u], x) for e, u, x in exits[v]))
+                     for v in ids)
 
     # -- faces ----------------------------------------------------------------
 
+    @kept
     def trace_faces(self) -> FaceDecomposition:
-        if self._faces is not None:
-            return self._faces
         if not self.geometric:
             raise EmbeddingError("face tracing requires a geometric embedding")
         # the dart (edge, tail) arriving at v is followed by the predecessor
@@ -420,8 +421,7 @@ class PlanarGraph:
             # edgeless graph: one face, the infinite one, with empty cycle
             faces = [Face(0, (), True, Fraction(0))]
             infinite_index = 0
-        self._faces = FaceDecomposition(tuple(faces), infinite_index, dart_face)
-        return self._faces
+        return FaceDecomposition(tuple(faces), infinite_index, dart_face)
 
     def infinite_face_vertices(self) -> frozenset[int]:
         faces = self.trace_faces()

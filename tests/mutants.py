@@ -73,6 +73,16 @@ MUTANTS = (
     Mutant("prefork-imports-dropped", "src/dimerforge/report.py",
            "from . import aztec, bijections, generators, parity  # noqa: F401", "pass",
            ("tests/test_hygiene.py::test_worker_processes_are_forked_with_every_check_module",)),
+    # an import nested in a block that nothing reads
+    Mutant("nested-import-unused", "src/dimerforge/report.py",
+           "from concurrent.futures import ProcessPoolExecutor",
+           "from concurrent.futures import ProcessPoolExecutor, wait",
+           ("tests/test_hygiene.py::test_no_unused_imports[report.py]",)),
+    # a kept table built again on every call
+    Mutant("kept-table-rebuilt", "src/dimerforge/planar.py",
+           "made = g._tables.get(build)", "made = None",
+           ("tests/test_tables.py::test_a_second_pass_of_the_section2_checks_builds_no_table",
+            "tests/test_planar.py::test_kept_tables_are_built_once_per_graph")),
     # a sampled report whose generator is not reseeded per sample
     Mutant("sample-reseed-dropped", "src/dimerforge/trees.py",
            "rng.seed(split_seed(seed, k))", "pass",
@@ -303,12 +313,14 @@ def _mutate(root: str, m: Mutant) -> str | None:
 
 def _failed(root: str, node_ids) -> set[str]:
     """The node ids among ``node_ids`` that fail or error in the copy at
-    ``root``: a test fails when one of its parameter cases does, and a test
-    file that fails to import fails all of its tests."""
+    ``root``: a test fails when one of its parameter cases does, a node id
+    naming one case fails when that case does, and a test file that fails
+    to import fails all of its tests."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONDONTWRITEBYTECODE="1")
     out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
                           *node_ids], cwd=root, env=env, capture_output=True, text=True)
-    bad = {b.split("[")[0] for b in re.findall(r"^(?:FAILED|ERROR) (\S+)", out.stdout, re.M)}
+    bad = {b for f in re.findall(r"^(?:FAILED|ERROR) (\S+)", out.stdout, re.M)
+           for b in (f, f.split("[")[0])}
     return {n for n in node_ids if n in bad or n.split("::")[0] in bad}
 
 

@@ -382,23 +382,29 @@ def test_printed_number_too_long_to_write_exits_1(tmp_path, command):
     assert "Traceback" not in res.stderr
 
 
-def test_grid_count_refuses_what_the_ladder_bound_proves_too_long(runner):
+def test_grid_count_refuses_what_the_ladder_bound_proves_too_long(runner, monkeypatch):
     # 119 x 120 passes the 2^(mn) bound, and counting it takes minutes; the
-    # 2 x 20580 ladder passes both O(1) bounds, and its count F(20581), of
-    # 4301 digits, is refused by the count's log10 before it is counted
-    res = _main("grid-count", "119", "120")
-    assert res.returncode == 1, res.stderr
-    assert res.stderr.startswith("error: NumberTooLong: "), res.stderr
+    # 2 x 20580 ladder's count F(20581) has 4301 digits.  The count's log10
+    # refuses both before counting; the process call comes last, so that a
+    # lost bound fails the in-process calls at once instead of counting
+    def uncounted(m, n):
+        raise AssertionError(f"counted the {2 * m} x {2 * n} grid")
+
+    monkeypatch.setattr("dimerforge.cli.kasteleyn_grid_count", uncounted)
     start = time.process_time()
     with pytest.raises(NumberTooLong, match="238 x 240 grid count"):
         invoke(runner, ["grid-count", "119", "120"])
     assert time.process_time() - start < 0.2
     with pytest.raises(NumberTooLong, match="2 x 20580 grid count"):
         invoke(runner, ["grid-count", "1", "10290"])
+    # a fresh interpreter, which the patch does not reach
+    res = _main("grid-count", "119", "120")
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.startswith("error: NumberTooLong: "), res.stderr
 
 
 def test_grid_count_refuses_a_square_past_the_limit_before_counting(runner, monkeypatch):
-    # 186 x 186 passes both O(1) bounds and would take about 20 s to count;
+    # 186 x 186 passes the O(1) bound and would take about 20 s to count;
     # its count has 4357 digits, and 184 x 184, of 4264 digits, still prints
     def uncounted(m, n):
         raise AssertionError(f"counted the {2 * m} x {2 * n} grid")

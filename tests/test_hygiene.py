@@ -4,7 +4,8 @@ that no module reads, no parameter its function never reads, no function
 defined inside a loop, no map that re-checks the matching it built, no
 dependency beyond the standard library and click, no process machinery or
 check module loaded at import, every check module loaded before the suite
-forks its workers, and no faces made except by tracing."""
+forks its workers, no faces made except by tracing, and no private
+attribute set from outside its object."""
 
 import ast
 import os
@@ -46,20 +47,46 @@ def _bound(imp) -> list[str]:
     return [a.asname or a.name for a in imp.names]
 
 
+def _imports(scope) -> list:
+    """The imports of a module or function, also those nested in its
+    ``if``, ``with``, ``try`` and loop blocks, but not those of the functions
+    and classes it defines."""
+    found, todo = [], list(scope.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.append(node)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            todo += ast.iter_child_nodes(node)
+    return found
+
+
+# the one import kept for what importing does: ``run_suite`` loads the check
+# modules before it forks its workers, so that they inherit them
+UNREAD_IMPORTS = {("report.py", "run_suite", "from . import aztec, bijections, generators, parity")}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = TREES[path]
-    unused = []
+    lines = path.read_text(encoding="utf-8").splitlines()
+    unused, exempt = [], set()
     # module-level imports are read by the rest of the module, function-level
-    # ones by the rest of their function
+    # ones by the rest of their function; an import marked "noqa: F401" is
+    # exempt, and only the one named above may be
     scopes = [tree] + [n for n in ast.walk(tree)
                        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
     for scope in scopes:
-        imports = [n for n in scope.body if isinstance(n, (ast.Import, ast.ImportFrom))]
         reads = _reads(scope)
-        unused += [f"{name} (line {imp.lineno})" for imp in imports for name in _bound(imp)
-                   if name not in reads]
+        for imp in _imports(scope):
+            if "# noqa: F401" in lines[imp.lineno - 1]:
+                exempt.add((path.name, getattr(scope, "name", ""), ast.unparse(imp)))
+            else:
+                unused += [f"{name} (line {imp.lineno})" for name in _bound(imp)
+                           if name not in reads]
     assert not unused, f"{path.name}: unused imports {unused}"
+    assert exempt == {e for e in UNREAD_IMPORTS if e[0] == path.name}, \
+        f"{path.name}: imports exempt from this test {exempt}"
 
 
 # the top-level statements of the package modules, and the names each one
@@ -274,3 +301,17 @@ def test_faces_are_made_only_by_tracing():
               for scope in _calls_by_scope(tree, "FaceDecomposition")]
     assert makers == ["planar.py:PlanarGraph.trace_faces"], \
         f"FaceDecomposition made in {makers}"
+
+
+def test_only_a_graph_sets_its_own_private_attributes():
+    # a layer keeps what it derives from a graph through ``planar.kept``, in
+    # the graph's one table dict, instead of in an attribute of its own on
+    # the graph; outside planar.py no object's private attribute is set
+    # except by its own methods
+    writes = [f"{path.name}:{node.lineno} {ast.unparse(node)}"
+              for path, tree in TREES.items() if path.name != "planar.py"
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and node.attr.startswith("_")
+              and not (isinstance(node.value, ast.Name) and node.value.id == "self")]
+    assert not writes, f"private attributes set from outside: {writes}"

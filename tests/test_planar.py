@@ -14,6 +14,10 @@ from dimerforge.generators import (
     random_section2,
 )
 from dimerforge.planar import (
+    Edge,
+    Lattice,
+    PlanarGraph,
+    Vertex,
     _components,
     check_reflection_symmetry,
     dump_graph,
@@ -235,3 +239,21 @@ def test_component_map_groups_by_reachability(graph, parts):
     assert not g.is_connected()
     for v in g.vertices:
         assert {w for w in g.vertices if comp[w] == comp[v]} == _reachable(g, v)
+
+
+def test_kept_tables_are_built_once_per_graph():
+    # each kept table is the same object on every later call; a lattice the
+    # builder passes in is the one kept; a trace that fails keeps nothing,
+    # so it fails again
+    g = grid_graph(3, 2)
+    for read in (lambda: g.graph_id, g.lattice, g.weight_table, g.vertex_order,
+                 g.walk_table, g.trace_faces):
+        assert read() is read()
+    lattice = Lattice(1, {0: (0, 0), 1: (1, 0)})
+    vertices = {v: Vertex(v, (Fraction(x), Fraction(y))) for v, (x, y) in lattice.points.items()}
+    drawn = PlanarGraph.trusted(vertices, {0: Edge(0, 0, 1)}, geometric=True, lattice=lattice)
+    assert drawn.lattice() is lattice
+    flat = PlanarGraph.trusted(dict(g.vertices), dict(g.edges), rotation=g.rotation)
+    for _ in range(2):
+        with pytest.raises(errors.EmbeddingError, match="requires a geometric embedding"):
+            flat.trace_faces()

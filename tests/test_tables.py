@@ -2,6 +2,7 @@
 graph (and per refinement, for glides), and changing no result."""
 
 import dataclasses
+import pickle
 from functools import lru_cache
 from itertools import product
 
@@ -12,7 +13,7 @@ from dimerforge.bijections import build_path_family, tea_transport
 from dimerforge.generators import grid_graph, random_section2, random_transport
 from dimerforge.gliding import DUAL, FRAME, glide, shift_edges
 from dimerforge.matchings import count_matchings, enumerate_matchings
-from dimerforge.planar import PlanarGraph
+from dimerforge.planar import PlanarGraph, kept
 from dimerforge.refine import dual_refinement
 from dimerforge.report import check_phi_roundtrip, check_section2, phi_fault
 
@@ -40,7 +41,9 @@ def test_section2_tables_change_no_result():
         assert phi_fault(inst)[1] is None
         for g in (inst.plus, inst.minus, inst.trimmed):
             count_matchings(g)
-        assert inst.plus._enumeration and inst.minus._count_plan and inst.trimmed._glide
+        assert matchings._enumeration_table.__wrapped__ in inst.plus._tables
+        assert matchings._count_plan.__wrapped__ in inst.minus._tables
+        assert gliding._hop_table in inst.trimmed._tables
         cold = dataclasses.replace(inst, trimmed=_cold(inst.trimmed), plus=_cold(inst.plus),
                                    minus=_cold(inst.minus))
         for side, from_minus in (("plus", False), ("minus", True)):
@@ -66,7 +69,7 @@ def test_transport_tables_change_no_result():
             mus = list(enumerate_matchings(getattr(inst, host)))
             assert mus == list(enumerate_matchings(getattr(cold, host)))
             tea_transport(inst, mus[0])
-            assert getattr(inst, host)._glide
+            assert gliding._hop_table in getattr(inst, host)._tables
             for mu in mus[:60]:
                 assert tea_transport(inst, mu) == tea_transport(cold, mu)
                 images += 1
@@ -75,13 +78,17 @@ def test_transport_tables_change_no_result():
 
 def test_a_second_pass_of_the_section2_checks_builds_no_table(monkeypatch):
     # the instances come from a fresh cache, so the first pass builds every
-    # table its graphs need and the second, on the same instances, none
+    # table its graphs need and the second, on the same instances, none; a
+    # kept table's builder is counted inside a fresh ``kept``, so that only
+    # its builds are counted and not the calls that find it kept
     monkeypatch.setattr(generators, "_section2_instance",
                         lru_cache(maxsize=None)(generators._section2_instance.__wrapped__))
     built = {}
-    for module, name in ((matchings, "_enumeration_table"), (matchings, "_count_plan"),
-                         (gliding, "_hop_table")):
-        monkeypatch.setattr(module, name, _counted(built, name, getattr(module, name)))
+    for name in ("_enumeration_table", "_count_plan"):
+        build = getattr(matchings, name).__wrapped__
+        monkeypatch.setattr(matchings, name, kept(_counted(built, name, build)))
+    monkeypatch.setattr(gliding, "_hop_table",
+                        _counted(built, "_hop_table", gliding._hop_table))
     for check in (check_phi_roundtrip, check_section2):
         assert check(20, 2026)[0]
     assert set(built) == {"_enumeration_table", "_count_plan", "_hop_table"}
@@ -108,6 +115,32 @@ def test_a_host_glided_under_a_second_refinement_reads_that_refinement():
         assert glide(host, ref, cover, inst.mids[0], FRAME) == first
         differ += stopped != first
     assert differ > 0
+
+
+def test_a_graph_keeps_every_table_in_one_dict():
+    # a host counted, enumerated and glided, with every other table read,
+    # holds its defining attributes and one dict of tables keyed by their
+    # builders; each layer's kept table is the same object on a later call,
+    # and the graph still pickles, its copy building tables of its own
+    inst, _ = random_transport(0)
+    host = _cold(inst.host_prime)
+    assert count_matchings(host)
+    tea_transport(dataclasses.replace(inst, host_prime=host), next(enumerate_matchings(host)))
+    for read in (lambda: host.graph_id, host.lattice, host.weight_table, host.vertex_order,
+                 host.walk_table):
+        read()
+    with pytest.raises(errors.EmbeddingError):  # the transport hosts are not drawings
+        host.trace_faces()
+    assert set(vars(host)) == {"vertices", "edges", "geometric", "adj", "rotation", "_tables"}
+    kept_tables = (PlanarGraph.lattice, PlanarGraph.graph_id.fget, PlanarGraph.weight_table,
+                   PlanarGraph.vertex_order, PlanarGraph.walk_table,
+                   matchings._enumeration_table, matchings._count_plan)
+    assert set(host._tables) == {t.__wrapped__ for t in kept_tables} | {gliding._hop_table}
+    for table in (matchings._enumeration_table, matchings._count_plan):
+        assert table(host) is table(host)
+    copy = pickle.loads(pickle.dumps(host))
+    assert set(vars(copy)) == set(vars(host)) and not copy._tables
+    assert (copy.graph_id, copy.walk_table()) == (host.graph_id, host.walk_table())
 
 
 def test_glide_errors_keep_their_types_and_messages():
