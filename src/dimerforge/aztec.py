@@ -50,9 +50,10 @@ class AztecInstance:
     host: PlanarGraph                # marked-run-deleted refinement graph
     graph: PlanarGraph               # dual graph of the region's unit cells
     cells: tuple[tuple[int, int], ...]
-    region_to_host: dict[int, int]   # region vertex id -> refinement vertex id
-    constraint_index: int | None     # odd order: position of the staircase path
-    constraint_path: tuple[int, ...] | None
+    host_edge: dict[int, int]        # region edge id -> host edge id
+    # the transport's constraint paths by mark index: for odd order the
+    # staircase path at the last mark, else none
+    constraints: dict[int, tuple[int, ...]]
     fixed_edges: frozenset[int]      # host edges forced on this side (odd order)
 
 
@@ -91,11 +92,10 @@ def _build_side(n: int, variant: str, inst: TransportInstance,
     if n % 2 == 0:
         keep = set(host.vertices)
         fixed: frozenset[int] = frozenset()
-        cpath = None
-        cindex = None
+        constraints = {}
     else:
         cpath = site_path_to_refinement(ref, constraint_sites)
-        cindex = len(inst.plain)
+        constraints = {len(inst.plain): cpath}
         fixed = set(forced_path_matching(ref, cpath, drop_start=not primed))
         on_path = set(cpath)
         below = {v for v in host.vertices
@@ -108,18 +108,18 @@ def _build_side(n: int, variant: str, inst: TransportInstance,
         fixed |= set(below_matchings[0].edges)
         keep = {v for v in host.vertices if v not in on_path and v not in below}
         fixed = frozenset(fixed)
-    cells = {}
-    for v in keep:
-        cells[_scaled(host.vertices[v].pos)] = v
+    cells = {_scaled(host.vertices[v].pos): v for v in keep}
     graph, vid = _region_graph(set(cells))
-    region_to_host = {vid[c]: cells[c] for c in cells}
-    # the region dual must be the induced host subgraph, cell by cell
+    to_host = {vid[c]: v for c, v in cells.items()}
+    # the region dual must be the induced host subgraph, edge by edge
+    images = {e.id: host.edge_between(to_host[e.u], to_host[e.v])
+              for e in graph.edges.values()}
     induced_edges = sum(1 for e in host.edges.values()
                         if e.u in keep and e.v in keep)
-    if len(graph.edges) != induced_edges:
+    if any(h is None for h in images.values()) or len(images) != induced_edges:
         raise LiftFailed("region adjacency does not match the refinement subgraph")
     return AztecInstance(inst, host, graph, tuple(sorted(cells)),
-                         region_to_host, cindex, cpath, fixed)
+                         {r: h.id for r, h in images.items()}, constraints, fixed)
 
 
 @lru_cache(maxsize=None)
@@ -151,33 +151,18 @@ def lift_to_host(instance: AztecInstance, mu: Matching) -> Matching:
     if mu.host != instance.graph.graph_id:
         raise LiftFailed("matching does not belong to this region")
     mu.cover_map(instance.graph)
-    edges = set(instance.fixed_edges)
-    for eid in mu.edges:
-        e = instance.graph.edges[eid]
-        hu = instance.region_to_host[e.u]
-        hv = instance.region_to_host[e.v]
-        h_edge = instance.host.edge_between(hu, hv)
-        if h_edge is None:
-            raise LiftFailed(f"region edge {eid} has no refinement image")
-        edges.add(h_edge.id)
-    return Matching(instance.host.graph_id, frozenset(edges))
+    images = frozenset(instance.host_edge[e] for e in mu.edges)
+    return Matching(instance.host.graph_id, instance.fixed_edges | images)
 
 
 def project_from_host(instance: AztecInstance, mu: Matching) -> Matching:
     """Inverse of :func:`lift_to_host`: keep the edges inside the region."""
     mu.cover_map(instance.host)
-    host_to_region = {h: r for r, h in instance.region_to_host.items()}
-    edges = set()
-    leftovers = set(mu.edges)
-    for eid in mu.edges:
-        e = instance.host.edges[eid]
-        if e.u in host_to_region and e.v in host_to_region:
-            r = instance.graph.edge_between(host_to_region[e.u], host_to_region[e.v])
-            edges.add(r.id)
-            leftovers.discard(eid)
-    if leftovers != set(instance.fixed_edges):
+    region_edge = {h: r for r, h in instance.host_edge.items()}
+    if mu.edges.difference(region_edge) != instance.fixed_edges:
         raise LiftFailed("host matching does not respect the forced edges")
-    return Matching(instance.graph.graph_id, frozenset(edges))
+    return Matching(instance.graph.graph_id,
+                    frozenset(region_edge[e] for e in mu.edges if e in region_edge))
 
 
 def aztec_bijection(n: int, mu: Matching) -> Matching:
@@ -190,13 +175,8 @@ def aztec_bijection(n: int, mu: Matching) -> Matching:
         src, dst = tp, t
     else:
         raise LiftFailed("matching belongs to neither region variant")
-    lifted = lift_to_host(src, mu)
-    if n % 2 == 1:
-        paths = {src.constraint_index: src.constraint_path}
-        moved = tea_transport(src.transport, lifted, {src.constraint_index}, paths)
-    else:
-        moved = tea_transport(src.transport, lifted)
-    return project_from_host(dst, moved)
+    return project_from_host(dst, tea_transport(src.transport, lift_to_host(src, mu),
+                                                src.constraints))
 
 
 # ---------------------------------------------------------------------------

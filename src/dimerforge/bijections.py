@@ -274,29 +274,25 @@ def forced_path_matching(ref: DualRefinement, h_path, drop_start: bool) -> froze
 
 
 def tea_transport(instance: TransportInstance, mu: Matching,
-                  chosen: frozenset[int] | set[int] = frozenset(),
-                  constraint_paths: dict[int, tuple[int, ...]] | None = None) -> Matching:
+                  constraints: dict[int, tuple[int, ...]] | None = None) -> Matching:
     """Glide from every mark of the side opposite to the matching's host,
     verify the constrained glide paths, and shift along the glides' edges
     plus the half-edge from each glide's last midpoint to its blocking mark.
 
-    ``constraint_paths`` maps indices in ``chosen`` (1-based positions in the
-    alternating mark sequence) to refinement vertex paths from the plain mark
-    to the primed mark.  The matching must also hold the forced edges of
-    each chosen path (``forced_path_matching`` of the path minus the mark
-    absent from the matching's host), and that needs no check of its own.
-    Without its blocking mark a glide path has an odd number of edges, so
-    when it equals the constraint path the forced set is the glide's edges
-    at even positions from its start: the matched edges ``cover[site]``.  A
-    matching that lacks a forced edge therefore never glides along the
-    constraint path, and the path-equality check raises
-    ConstraintPathMismatch for it.
+    ``constraints`` maps mark indices (1-based positions in the alternating
+    mark sequence) to refinement vertex paths from the plain mark to the
+    primed mark; glide i must run along ``constraints[i]`` exactly when i is
+    a key.  The matching must also hold the forced edges of each constraint
+    path (``forced_path_matching`` of the path minus the mark absent from the
+    matching's host), and that needs no check of its own.  Without its
+    blocking mark a glide path has an odd number of edges, so when it equals
+    the constraint path the forced set is the glide's edges at even
+    positions from its start: the matched edges ``cover[site]``.  A matching
+    that lacks a forced edge therefore never glides along the constraint
+    path, and the path-equality check raises ConstraintPathMismatch for it.
     """
-    constraint_paths = constraint_paths or {}
+    constraints = constraints or {}
     ref = instance.smashed.refinement
-    chosen = frozenset(chosen)
-    if chosen and not all(i in constraint_paths for i in chosen):
-        raise ConstraintPathMismatch("missing constraint path")
     # glides start from the marks the source host keeps and end at the ones
     # it deletes
     if mu.host == instance.host_prime.graph_id:
@@ -317,8 +313,8 @@ def tea_transport(instance: TransportInstance, mu: Matching,
             raise PreconditionViolated(
                 f"glide from mark {i} ended at {gp.blocked_target}, expected {expect}")
         full = gp.vertices + (expect,)
-        if i in chosen:
-            want = constraint_paths[i]
+        if i in constraints:
+            want = constraints[i]
             if not primed_source:
                 want = tuple(reversed(want))
             if full != want:

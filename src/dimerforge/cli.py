@@ -16,7 +16,14 @@ import click
 from . import aztec as aztec_mod
 from . import bijections, generators, refine, report, trees
 from ._geom import frac_str, parse_frac
-from .errors import ConfigError, DimerforgeError, NotAMatching, NumberTooLong, ParseError
+from .errors import (
+    ConfigError,
+    ConstraintPathMismatch,
+    DimerforgeError,
+    NotAMatching,
+    NumberTooLong,
+    ParseError,
+)
 from .matchings import (
     Matching,
     count_matchings,
@@ -309,7 +316,6 @@ def tea_transport_cmd(file, matchings_file, plain, prime, subset, constraint):
     inst = bijections.transport_instance(_load(file), plain, prime)
     paths = {idx: bijections.site_path_to_refinement(inst.smashed.refinement, sites)
              for idx, sites in constraint}
-    chosen = set(subset)
     for host in (inst.host_prime, inst.host_plain):
         try:
             mus = _read_matchings(matchings_file, host)
@@ -318,8 +324,11 @@ def tea_transport_cmd(file, matchings_file, plain, prime, subset, constraint):
             continue
     else:
         raise _Fail("matchings fit neither host")
+    constraints = {i: paths[i] for i in subset if i in paths}
+    if mus and constraints.keys() != set(subset):
+        raise ConstraintPathMismatch("missing constraint path")
     for mu in mus:
-        out = bijections.tea_transport(inst, mu, chosen, paths)
+        out = bijections.tea_transport(inst, mu, constraints)
         click.echo(" ".join(map(str, out.sorted_edges())))
 
 

@@ -30,7 +30,7 @@ from .trees import split_seed
 WEIGHT_POOL = [Fraction(1), Fraction(1), Fraction(1), Fraction(2),
                Fraction(1, 2), Fraction(3), Fraction(1, 3)]
 MAX_SECTION2_REFINEMENT = 30  # most vertices of a random_section2 refinement
-MAX_VERTICES = 12             # most vertices of a random_symmetric or random_plane_graph
+MAX_VERTICES = 12             # most vertices of a random_plane_graph, as of a random_symmetric box
 
 
 # ---------------------------------------------------------------------------
@@ -157,17 +157,13 @@ def random_section2(seed: int):
         wanted = rng.randint(0, max(0, (len(points) - cols) // 2))
         while wanted > 0 or len(edges) > edge_budget:
             # the strip stays connected, so a peel keeps it connected
-            # exactly when it takes no cut vertex
+            # exactly when it takes no cut vertex; a point above the bottom
+            # row and farthest from it is never one, so a candidate remains
             cut = _cut_vertices(points, edges)
-            candidates = [p for p in sorted(points) if p[1] > 0 and p not in cut]
-            if not candidates:
-                break
-            p = rng.choice(candidates)
+            p = rng.choice([p for p in sorted(points) if p[1] > 0 and p not in cut])
             points -= {p}
             edges = {e for e in edges if p not in e}
             wanted -= 1
-        if len(edges) > edge_budget:
-            continue
         try:
             inst = _section2_instance(frozenset(points), frozenset(edges), cols)
         except DimerforgeError:
@@ -191,8 +187,8 @@ def _section2_instance(points: frozenset, edges: frozenset, cols: int):
 
 def random_symmetric(seed: int, need_matchings: bool = False):
     """A random horizontally symmetric graph with exact rational weights
-    constant on reflection orbits; retries until connected (and, optionally,
-    until perfect matchings exist)."""
+    constant on reflection orbits, connected by construction; retries, when
+    asked, until perfect matchings exist."""
     from .matchings import count_matchings
 
     for attempt in range(300):
@@ -204,11 +200,10 @@ def random_symmetric(seed: int, need_matchings: bool = False):
             # every removal keeps the set connected: the axis row y = 0 is
             # never removed and forms a path, and each point left at y = +-1
             # sits on its column's axis point; at most four removals from a
-            # top row of four always leave a candidate
+            # top row of four always leave a candidate, and the 12 points of
+            # the 4 x 3 box lose 2 each, so 4 to 12 points remain
             p = rng.choice([p for p in sorted(points) if p[1] > 0])
             points -= {p, (p[0], -p[1])}
-        if len(points) > MAX_VERTICES or len(points) < 4:
-            continue
         edge_pairs = _grid_edges(points)
         weights = {}
         for a, b in sorted(edge_pairs):
@@ -325,54 +320,42 @@ def random_transport(seed: int, require_plain_path: bool = True):
     for attempt in range(100):
         rng = random.Random(split_seed(seed, attempt))
         shape = rng.choice(["grid0", "hex1", "ladder", "ladder", "hex2"])
+        # each shape gives its graph, its two runs of marks (grid0 draws them
+        # after the weights) and, by lattice position, the sites of
+        # constraint paths 1 and 3 and the cells of path 2
+        rows = ()
+        if shape == "grid0":
+            g = grid_graph(*rng.choice([(2, 2), (3, 2), (3, 3)]))
+        elif shape == "ladder":
+            length = rng.choice([4, 5, 6])
+            g = grid_graph(length, 2)
+            runs = ([(1, 1), (0, 1), (0, 0)],
+                    [(length - 1, 1), (length - 1, 0), (length - 2, 0)])
+            bottom = [(x, 0) for x in range(length - 1)]
+            rows = ([(x, 1) for x in range(1, length)], bottom, bottom)
+        else:
+            g, plain, prime = hexagon_graph(1 if shape == "hex1" else 2)
+            if shape == "hex2":
+                rows = ([(1, 5), (2, 5)], [(0, 4), (1, 4), (2, 4)],
+                        [(0, 4), (1, 4), (2, 4), (3, 4)])
+        g = _reweight(g, {e.id: rng.choice(WEIGHT_POOL) for e in g.edges.values()})
+        vid = {(int(v.pos[0]), int(v.pos[1])): v.id for v in g.vertices.values()}
+        if shape == "grid0":
+            boundary = list(dict.fromkeys(v for v, _ in g.ccw_boundary()))
+            i = rng.randrange(len(boundary))
+            j = (i + rng.randrange(1, len(boundary))) % len(boundary)
+            plain, prime = [boundary[i]], [boundary[j]]
+        elif shape == "ladder":
+            plain, prime = ([vid[p] for p in run] for run in runs)
         try:
-            if shape == "grid0":
-                cols, rows = rng.choice([(2, 2), (3, 2), (3, 3)])
-                g = grid_graph(cols, rows)
-                weights = {e.id: rng.choice(WEIGHT_POOL) for e in g.edges.values()}
-                g = _reweight(g, weights)
-                boundary = list(dict.fromkeys(v for v, _ in g.ccw_boundary()))
-                i = rng.randrange(len(boundary))
-                j = (i + rng.randrange(1, len(boundary))) % len(boundary)
-                inst = transport_instance(g, [boundary[i]], [boundary[j]],
-                                          require_plain_path=require_plain_path)
-                paths = {}
-            elif shape == "ladder":
-                length = rng.choice([4, 5, 6])
-                g = grid_graph(length, 2)
-                weights = {e.id: rng.choice(WEIGHT_POOL) for e in g.edges.values()}
-                g = _reweight(g, weights)
-                vid = {(int(v.pos[0]), int(v.pos[1])): v.id for v in g.vertices.values()}
-                plain = [vid[(1, 1)], vid[(0, 1)], vid[(0, 0)]]
-                prime = [vid[(length - 1, 1)], vid[(length - 1, 0)], vid[(length - 2, 0)]]
-                inst = transport_instance(g, plain, prime,
-                                          require_plain_path=require_plain_path)
+            inst = transport_instance(g, plain, prime, require_plain_path=require_plain_path)
+            paths = {}
+            if rows:
                 ref = inst.smashed.refinement
-                top = site_path_to_refinement(ref, [vid[(x, 1)] for x in range(1, length)])
-                bottom = site_path_to_refinement(ref, [vid[(x, 0)] for x in range(0, length - 1)])
-                cells = _cell_faces(g, [(x, 0) for x in range(length - 1)])
-                middle = face_path_to_refinement(ref, cells)
-                paths = {1: top, 2: middle, 3: bottom}
-            else:
-                m = 1 if shape == "hex1" else 2
-                g, plain, prime = hexagon_graph(m)
-                weights = {e.id: rng.choice(WEIGHT_POOL) for e in g.edges.values()}
-                g = _reweight(g, weights)
-                inst = transport_instance(g, plain, prime,
-                                          require_plain_path=require_plain_path)
-                paths = {}
-                if m == 2:
-                    ref = inst.smashed.refinement
-                    vpos = {v.id: (int(v.pos[0]), int(v.pos[1]))
-                            for v in g.vertices.values()}
-                    vid = {p: i for i, p in vpos.items()}
-                    paths = {
-                        1: site_path_to_refinement(ref, [vid[(1, 5)], vid[(2, 5)]]),
-                        2: face_path_to_refinement(
-                            ref, _cell_faces(g, [(0, 4), (1, 4), (2, 4)])),
-                        3: site_path_to_refinement(
-                            ref, [vid[(0, 4)], vid[(1, 4)], vid[(2, 4)], vid[(3, 4)]]),
-                    }
+                top, cells, bottom = rows
+                paths = {1: site_path_to_refinement(ref, [vid[p] for p in top]),
+                         2: face_path_to_refinement(ref, _cell_faces(g, cells)),
+                         3: site_path_to_refinement(ref, [vid[p] for p in bottom])}
             return inst, paths
         except DimerforgeError:
             continue

@@ -135,9 +135,9 @@ def transport_fault(inst, paths):
     equal weight, and transport is an involution on the primed host.
     Returns (primed host matchings, fault).
 
-    The image of ``tea_transport`` does not depend on ``chosen``, which only
-    adds checks, so each matching goes there and back once, with every
-    index whose forced edges it holds chosen: that checks the glide paths
+    The image of ``tea_transport`` does not depend on its constraints, which
+    only add checks, so each matching goes there and back once, constrained
+    at every index whose forced edges it holds: that checks the glide paths
     against the constraint paths and the image's forced edges for every
     subset class the matching belongs to."""
     from .bijections import forced_path_matching, tea_transport
@@ -155,8 +155,8 @@ def transport_fault(inst, paths):
         if wa != wb:
             return len(mus), (f"constrained weights differ for {chosen}", f"{wa} vs {wb}")
     for mu in mus:
-        move = partial(tea_transport, inst, constraint_paths=paths,
-                       chosen={i for i in indices if forced_b[i] <= mu.edges})
+        move = partial(tea_transport, inst, constraints={
+            i: paths[i] for i in indices if forced_b[i] <= mu.edges})
         fault = _round_trip_fault([mu], move, move)
         if fault:
             return len(mus), fault

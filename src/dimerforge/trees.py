@@ -52,7 +52,8 @@ def _search_parents(g: PlanarGraph, edges, roots) -> RootedForest:
     """Search the edge set outward from each root in turn; every vertex
     reached, other than a root, exits along the edge it was first reached
     by.  A search from the roots is a forest by construction, so the result
-    is a ``RootedForest``."""
+    is a ``RootedForest``.  ``edges`` come in ascending id order, and so does
+    each vertex's list of them."""
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
     for eid in edges:
         e = g.edges.get(eid)
@@ -71,7 +72,7 @@ def _search_parents(g: PlanarGraph, edges, roots) -> RootedForest:
         stack = [r]
         while stack:
             v = stack.pop()
-            for eid, w in sorted(adj[v]):
+            for eid, w in adj[v]:
                 if w not in seen:
                     seen.add(w)
                     assignments.append((w, eid, v))
@@ -442,12 +443,13 @@ def _forest_to_matching(ref, host: PlanarGraph, forest: RootedForest, dual: Dual
             root, eid = candidates[0]
             chosen.add(ref.across[ref.mid_of_edge[eid]][ref.center_of_face[root]][1])
         # depth-first from the root face: each newly reached face takes the
-        # half-edge from its center to the midpoint of the edge crossed into it
+        # half-edge from its center to the midpoint of the edge crossed into
+        # it; the dual forest lists its edges, so each face's, by ascending id
         seen = {root}
         stack = [root]
         while stack:
             f = stack.pop()
-            for eid, other in sorted(dual_adj.get(f, ())):
+            for eid, other in dual_adj.get(f, ()):
                 if other not in seen:
                     seen.add(other)
                     stack.append(other)

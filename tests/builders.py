@@ -71,6 +71,9 @@ def section2_family() -> list[tuple[frozenset, frozenset, int]]:
                     if wanted > 0 or len(es) > budget:
                         cut = _cut_vertices(pts, es)
                         candidates = [p for p in pts if p[1] > 0 and p not in cut]
+                        # a point above the bottom row and farthest from it
+                        # is never a cut vertex, so no draw's peel is stuck
+                        assert candidates, (sorted(pts), wanted)
                     if not candidates:
                         ends.add((pts, es))
                     for p in candidates:
@@ -81,8 +84,8 @@ def section2_family() -> list[tuple[frozenset, frozenset, int]]:
                             reached.add(state)
                 frontier = reached
             for pts, es in sorted(ends, key=lambda k: (sorted(k[0]), sorted(k[1]))):
-                if len(es) > budget:
-                    continue
+                # peels continue while over budget, so no end state is
+                assert len(es) <= budget, sorted(es)
                 try:
                     inst = _section2_instance(pts, es, cols)
                 except DimerforgeError:

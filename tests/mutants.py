@@ -183,10 +183,19 @@ MUTANTS = (
             "tests/test_bijections.py::test_reflect_swap_class_transition",
             "tests/test_report.py::test_default_suite_report_is_byte_identical")),
     Mutant("aztec-constraint-index-off-by-one", "src/dimerforge/aztec.py",
-           "moved = tea_transport(src.transport, lifted, {src.constraint_index}, paths)",
-           "moved = tea_transport(src.transport, lifted, {src.constraint_index - 1}, paths)",
+           "constraints = {len(inst.plain): cpath}",
+           "constraints = {len(inst.plain) - 1: cpath}",
            ("tests/test_aztec.py::test_bijection_roundtrip",
             "tests/test_report.py::test_default_suite_report_is_byte_identical")),
+    # the lift without the staircase and strip edges an odd order forces
+    Mutant("aztec-lift-drops-fixed", "src/dimerforge/aztec.py",
+           "return Matching(instance.host.graph_id, instance.fixed_edges | images)",
+           "return Matching(instance.host.graph_id, images)",
+           ("tests/test_aztec.py::test_bijection_roundtrip",)),
+    # the command line's one check that each constrained index has a path
+    Mutant("tea-cli-missing-constraint-unchecked", "src/dimerforge/cli.py",
+           "if mus and constraints.keys() != set(subset):", "if False:",
+           ("tests/test_cli.py::test_tea_transport_needs_a_path_for_each_constrained_index",)),
     Mutant("interior-count-takes-the-cycle", "src/dimerforge/parity.py",
            "v_in = 0", "v_in = len(cycle)",
            ("tests/test_parity.py::test_square_cycle_itself",

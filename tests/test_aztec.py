@@ -3,6 +3,7 @@
 import pytest
 
 from dimerforge.aztec import (
+    _scaled,
     aztec_bijection,
     aztec_formula,
     aztec_graph,
@@ -46,17 +47,18 @@ def test_enumeration_matches_formula():
 def test_region_is_isomorphic_to_refinement_subgraph():
     for n in (2, 3, 4):
         inst = aztec_graph(n, "T")
-        # vertex-by-vertex position map onto the host, edge sets must agree
-        assert len(inst.region_to_host) == len(inst.graph.vertices)
-        host_pairs = set()
-        keep = set(inst.region_to_host.values())
-        for e in inst.host.edges.values():
-            if e.u in keep and e.v in keep:
-                host_pairs.add(frozenset((e.u, e.v)))
-        region_pairs = {
-            frozenset((inst.region_to_host[e.u], inst.region_to_host[e.v]))
-            for e in inst.graph.edges.values()}
-        assert region_pairs == host_pairs
+        # edge-by-edge map onto the host: each region edge goes to the host
+        # edge between the same two cells, and the images are exactly the
+        # host edges between region cells
+        cells = set(inst.cells)
+        keep = {v for v, x in inst.host.vertices.items() if _scaled(x.pos) in cells}
+        assert len(keep) == len(inst.graph.vertices)
+        host_ids = {e.id for e in inst.host.edges.values() if e.u in keep and e.v in keep}
+        assert sorted(inst.host_edge) == sorted(inst.graph.edges)
+        assert set(inst.host_edge.values()) == host_ids and len(host_ids) == len(inst.host_edge)
+        for r, h in inst.host_edge.items():
+            assert ({inst.graph.vertices[v].pos for v in inst.graph.edges[r].ends}
+                    == {_scaled(inst.host.vertices[v].pos) for v in inst.host.edges[h].ends})
 
 
 def test_lift_project_inverse():
@@ -90,10 +92,10 @@ def test_bijection_rejects_an_edge_foreign_to_the_region():
 
 def test_odd_order_forced_strip():
     inst = aztec_graph(3, "T")
-    assert inst.constraint_index is not None
+    assert inst.constraints.keys() == {len(inst.transport.plain)}
     assert inst.fixed_edges
     # forced edges never touch the region cells
-    region_hosts = set(inst.region_to_host.values())
+    region_hosts = {v for h in inst.host_edge.values() for v in inst.host.edges[h].ends}
     for eid in inst.fixed_edges:
         e = inst.host.edges[eid]
         assert e.u not in region_hosts and e.v not in region_hosts

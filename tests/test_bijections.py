@@ -356,7 +356,7 @@ def test_transport_constrained_counts_ladder():
     sel = [m for m in mus
            if forced_path_matching(ref, top, drop_start=False) <= m.edges]
     for mu in sel:
-        out = tea_transport(inst, mu, {1}, {1: top})
+        out = tea_transport(inst, mu, {1: top})
         assert forced_path_matching(ref, top, drop_start=True) <= out.edges
 
 
@@ -392,19 +392,19 @@ def test_transport_missing_forced_edges_reported():
             break
     assert bad is not None
     with pytest.raises(errors.ConstraintPathMismatch):
-        tea_transport(inst, bad, {1}, {1: p1})
+        tea_transport(inst, bad, {1: p1})
 
 
 def test_transport_images_are_pinned():
-    # with every constraint index whose forced edges the matching holds chosen
+    # constrained at every index whose forced edges the matching holds
     rows = []
     for seed in range(6):
         inst, paths = random_transport(seed)
         ref = inst.smashed.refinement
         for mu in islice(enumerate_matchings(inst.host_prime), 200):
-            chosen = {i for i in paths
-                      if forced_path_matching(ref, paths[i], False) <= mu.edges}
-            rows.append((seed, tea_transport(inst, mu, chosen, paths).sorted_edges()))
+            held = {i: paths[i] for i in paths
+                    if forced_path_matching(ref, paths[i], False) <= mu.edges}
+            rows.append((seed, tea_transport(inst, mu, held).sorted_edges()))
     assert len(rows) == 410
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
         "b1405b91105b1906cdb6b573444674a8e657a4eb1bd07743d337a478d13a4b9f"
@@ -421,10 +421,10 @@ def test_transport_rejects_exactly_the_matchings_missing_forced_edges():
                 for i in paths:
                     holds = forced_path_matching(ref, paths[i], drop_start=plain) <= mu.edges
                     if holds:
-                        tea_transport(inst, mu, {i}, paths)
+                        tea_transport(inst, mu, {i: paths[i]})
                     else:
                         with pytest.raises(errors.ConstraintPathMismatch):
-                            tea_transport(inst, mu, {i}, paths)
+                            tea_transport(inst, mu, {i: paths[i]})
                     outcomes[holds] += 1
     assert min(outcomes.values()) >= 20, outcomes
 

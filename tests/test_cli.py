@@ -271,6 +271,28 @@ def test_malformed_id_files_exit_1_without_traceback(tmp_path, square_file,
     assert "Traceback" not in res.stderr
 
 
+def test_tea_transport_needs_a_path_for_each_constrained_index(tmp_path):
+    # the rule is checked once the matchings are read, before any is moved,
+    # so an empty matchings file passes it
+    g, plain, prime = hexagon_graph(1)
+    inst = transport_instance(g, plain, prime)
+    hexfile = tmp_path / "hex.txt"
+    hexfile.write_text(dump_graph(g))
+    mfile = tmp_path / "prime.txt"
+    mfile.write_text("".join(" ".join(map(str, mu.sorted_edges())) + "\n"
+                             for mu in enumerate_matchings(inst.host_prime)))
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    options = ["--plain", ",".join(map(str, plain)), "--prime", ",".join(map(str, prime)),
+               "--I", "1"]
+    res = _main("tea-transport", str(hexfile), str(mfile), *options)
+    assert res.returncode == 1, res.stderr
+    assert res.stderr == "error: ConstraintPathMismatch: missing constraint path\n"
+    assert res.stdout == ""
+    res = _main("tea-transport", str(hexfile), str(empty), *options)
+    assert res.returncode == 0 and res.stdout == "", res.stderr
+
+
 @pytest.mark.parametrize("command, option", [
     (["build", "plus", "SQUARE", "--path", "0,x"], "--path"),
     (["build", "smash", "SQUARE", "--targets", "1;2"], "--targets"),

@@ -272,20 +272,20 @@ def test_symmetrize_deletes_no_vertices(monkeypatch):
 
 
 def test_transport_fault_moves_each_matching_there_and_back_once(monkeypatch):
-    # with every constraint index whose forced edges the matching holds chosen
+    # constrained at every index whose forced edges the matching holds
     inst, paths = random_transport(1)
     ref = inst.smashed.refinement
     real, calls = bijections.tea_transport, []
 
-    def recording(instance, mu, chosen=frozenset(), constraint_paths=None):
-        calls.append((mu.edges, frozenset(chosen)))
-        return real(instance, mu, chosen, constraint_paths)
+    def recording(instance, mu, constraints=None):
+        calls.append((mu.edges, dict(constraints or {})))
+        return real(instance, mu, constraints)
 
     monkeypatch.setattr(bijections, "tea_transport", recording)
     count, fault = rp.transport_fault(inst, paths)
     assert fault is None and len(calls) == 2 * count
     for (edges, chosen), (_, back) in zip(calls[0::2], calls[1::2]):
-        assert chosen == back == {i for i in paths if bijections.forced_path_matching(
+        assert chosen == back == {i: paths[i] for i in paths if bijections.forced_path_matching(
             ref, paths[i], False) <= edges}
     assert any(chosen for _, chosen in calls)
 
