@@ -290,6 +290,9 @@ def tea_transport(instance: TransportInstance, mu: Matching,
     positions from its start: the matched edges ``cover[site]``.  A matching
     that lacks a forced edge therefore never glides along the constraint
     path, and the path-equality check raises ConstraintPathMismatch for it.
+    A key that is no mark index, or a path that does not run from plain mark
+    i to primed mark i (as deleted from the refinement), raises it before
+    any glide.
     """
     constraints = constraints or {}
     ref = instance.smashed.refinement
@@ -303,6 +306,12 @@ def tea_transport(instance: TransportInstance, mu: Matching,
         starts, expected_ends = instance.prime_removal, instance.plain_removal
     else:
         raise PreconditionViolated("matching belongs to neither host")
+    for i, want in constraints.items():
+        if not 1 <= i <= len(starts):
+            raise ConstraintPathMismatch(f"constraint index {i} is not in 1..{len(starts)}")
+        ends = (instance.plain_removal[i - 1], instance.prime_removal[i - 1])
+        if not want or (want[0], want[-1]) != ends:
+            raise ConstraintPathMismatch(f"constraint path {i} does not run between marks {i}")
     cover = mu.cover_map(source)
     paths = []
     shifts = []

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 
 from .errors import DimerforgeError, GenerationExhausted
@@ -272,10 +272,22 @@ def random_plane_graph(seed: int, weighted: bool = False) -> PlanarGraph:
             points -= {rng.choice([p for p in sorted(points) if p not in cut])}
         if len(points) > MAX_VERTICES or len(points) < 2:
             continue
+        if not weighted:
+            return _plane_graph(frozenset(points))
         edge_pairs = _grid_edges(points)
-        weights = _random_weights(rng, sorted(edge_pairs)) if weighted else None
+        weights = _random_weights(rng, sorted(edge_pairs))
         return build_from_points(points, edge_pairs, weights)[0]
     raise GenerationExhausted(f"no valid plane graph for seed {seed}")
+
+
+@cache
+def _plane_graph(points: frozenset) -> PlanarGraph:
+    """The unweighted grid subgraph on a drawn point set.  The draws reach
+    about 1 000 sets, so each is built once per process and every later
+    draw of it shares the graph, which nothing mutates.  The unbounded cache
+    relies on that finite family (subsets of at most a 4 x 3 box): a wider
+    draw must bound it."""
+    return build_from_points(points, _grid_edges(points))[0]
 
 
 def random_trimmed(seed: int, n: int | None = None, require_connected: bool = False):
@@ -304,7 +316,16 @@ def random_trimmed(seed: int, n: int | None = None, require_connected: bool = Fa
             break
         present -= set(quad)
         removals.append(peak)
-    return _square_graph(2 * n, _mirrored(present)), n, removals
+    return _trimmed_graph(2 * n, frozenset(_mirrored(present))), n, removals
+
+
+@lru_cache(maxsize=256)
+def _trimmed_graph(side: int, present: frozenset) -> PlanarGraph:
+    """The drawing of a mirrored stage, shared by every draw of it in the
+    process; nothing mutates it.  The stages grow with a caller's ``n`` (1,
+    2, 5, 14, 42 and 132 of them for n = 1 to 6), so the cache is bounded;
+    256 holds all 196 to n = 6."""
+    return _square_graph(side, present)
 
 
 def random_transport(seed: int, require_plain_path: bool = True):

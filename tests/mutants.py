@@ -196,6 +196,13 @@ MUTANTS = (
     Mutant("tea-cli-missing-constraint-unchecked", "src/dimerforge/cli.py",
            "if mus and constraints.keys() != set(subset):", "if False:",
            ("tests/test_cli.py::test_tea_transport_needs_a_path_for_each_constrained_index",)),
+    # the library's refusal of a constraint that names no mark or does not
+    # run between its marks
+    Mutant("tea-constraint-marks-unchecked", "src/dimerforge/bijections.py",
+           "for i, want in constraints.items():", "for i, want in {}.items():",
+           ("tests/test_cli.py::test_tea_transport_refuses_a_constraint_off_its_marks",
+            "tests/test_bijections.py::"
+            "test_transport_refuses_constraints_off_the_marks_before_gliding")),
     Mutant("interior-count-takes-the-cycle", "src/dimerforge/parity.py",
            "v_in = 0", "v_in = len(cycle)",
            ("tests/test_parity.py::test_square_cycle_itself",
@@ -213,8 +220,8 @@ MUTANTS = (
             "tests/test_acceptance.py::test_criterion_01_kasteleyn_grid_identity",
             "tests/test_report.py::test_default_suite_report_is_byte_identical")),
     Mutant("trimmed-square-unmirrored", "src/dimerforge/generators.py",
-           "return _square_graph(2 * n, _mirrored(present)), n, removals",
-           "return _square_graph(2 * n, present), n, removals",
+           "return _trimmed_graph(2 * n, frozenset(_mirrored(present))), n, removals",
+           "return _trimmed_graph(2 * n, frozenset(present)), n, removals",
            ("tests/test_generators.py::test_random_trimmed_draws_and_stages_are_pinned",
             "tests/test_acceptance.py::test_criterion_05_trimmed_squares_squarish",
             "tests/test_report.py::test_default_suite_report_is_byte_identical")),

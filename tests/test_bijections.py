@@ -8,7 +8,7 @@ from itertools import islice
 import pytest
 
 from builders import diamond_graph, fan_square
-from dimerforge import errors
+from dimerforge import bijections, errors
 from dimerforge.bijections import (
     build_path_family,
     forced_path_matching,
@@ -393,6 +393,24 @@ def test_transport_missing_forced_edges_reported():
     assert bad is not None
     with pytest.raises(errors.ConstraintPathMismatch):
         tea_transport(inst, bad, {1: p1})
+
+
+def test_transport_refuses_constraints_off_the_marks_before_gliding(monkeypatch):
+    # a key that names no mark, and a path that does not run from plain mark
+    # i to primed mark i, are refused from either host before any glide
+    inst, paths = random_transport(2)
+    assert set(paths) == {1, 2, 3}
+    mus = [next(enumerate_matchings(inst.host_prime)), next(enumerate_matchings(inst.host_plain))]
+
+    def no_glide(*args):
+        raise AssertionError("glided")
+
+    monkeypatch.setattr(bijections, "glide", no_glide)
+    for mu in mus:
+        for bad in ({0: paths[1]}, {4: paths[3]}, {1: paths[1][::-1]}, {2: paths[2][:-1]},
+                    {3: paths[3][1:]}, {1: ()}, {1: paths[1], 2: paths[3]}):
+            with pytest.raises(errors.ConstraintPathMismatch):
+                tea_transport(inst, mu, bad)
 
 
 def test_transport_images_are_pinned():

@@ -293,6 +293,29 @@ def test_tea_transport_needs_a_path_for_each_constrained_index(tmp_path):
     assert res.returncode == 0 and res.stdout == "", res.stderr
 
 
+@pytest.mark.parametrize("constraint, message", [
+    ("9=0-1", "constraint index 9 is not in 1..1"),
+    ("1=0-1", "constraint path 1 does not run between marks 1"),
+])
+def test_tea_transport_refuses_a_constraint_off_its_marks(tmp_path, constraint, message):
+    # hexagon_graph(1) has one mark a side: index 9 names no mark, and the
+    # path 0-1 does not run from the plain mark 2 to the primed mark 4
+    g, plain, prime = hexagon_graph(1)
+    inst = transport_instance(g, plain, prime)
+    hexfile = tmp_path / "hex.txt"
+    hexfile.write_text(dump_graph(g))
+    mfile = tmp_path / "prime.txt"
+    mfile.write_text("".join(" ".join(map(str, mu.sorted_edges())) + "\n"
+                             for mu in enumerate_matchings(inst.host_prime)))
+    index = constraint.split("=")[0]
+    assert (plain, prime) == ((2,), (4,))
+    res = _main("tea-transport", str(hexfile), str(mfile), "--plain", "2", "--prime", "4",
+                "--I", index, "--constraint", constraint)
+    assert res.returncode == 1, res.stdout
+    assert res.stderr == f"error: ConstraintPathMismatch: {message}\n"
+    assert res.stdout == ""
+
+
 @pytest.mark.parametrize("command, option", [
     (["build", "plus", "SQUARE", "--path", "0,x"], "--path"),
     (["build", "smash", "SQUARE", "--targets", "1;2"], "--targets"),

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from builders import reachable_stages
 from dimerforge import generators, planar
 from dimerforge.errors import DimerforgeError, GenerationExhausted
 from dimerforge.generators import (
@@ -20,7 +21,7 @@ from dimerforge.generators import (
 )
 from dimerforge.matchings import count_matchings
 from dimerforge.planar import check_reflection_symmetry, validate_boundary_path
-from dimerforge.refine import _peaks, _replay, section_instance
+from dimerforge.refine import _mirrored, _peaks, _replay, section_instance
 from dimerforge.trees import split_seed
 
 
@@ -300,7 +301,9 @@ def test_random_trimmed_draws_and_stages_are_pinned():
 
 def test_random_trimmed_draws_one_graph(monkeypatch):
     # the stages are walked on vertex sets; only the final mirrored square
-    # is drawn, whatever the number of removals or connectivity checks
+    # is drawn, whatever the number of removals or connectivity checks.
+    # Each draw starts from an empty cache of drawings, so it builds its
+    # square; the same draw again shares that square and builds nothing
     init = planar.PlanarGraph.__init__
     built = []
 
@@ -312,12 +315,56 @@ def test_random_trimmed_draws_one_graph(monkeypatch):
     steps = 0
     for require_connected in (False, True):
         for k in range(12):
+            generators._trimmed_graph.cache_clear()
             built.clear()
-            _, _, removals = random_trimmed(split_seed(5, k), n=3,
+            g, _, removals = random_trimmed(split_seed(5, k), n=3,
                                             require_connected=require_connected)
             assert len(built) == 1
+            built.clear()
+            assert random_trimmed(split_seed(5, k), n=3,
+                                  require_connected=require_connected)[0] is g
+            assert built == []
             steps += len(removals)
     assert steps > 0
+
+
+def _drawing(g):
+    return planar.dump_graph(g), g.graph_id, sorted(g.rotation.items())
+
+
+def test_shared_trimmed_and_plane_drawings_are_built_as_from_scratch():
+    # the shared drawing of every trimmed stage to n = 6 and of every plane
+    # draw is the one an uncached build gives, and drawing it again returns
+    # that very graph
+    for n in range(1, 7):
+        for present in reachable_stages(n):
+            key = (2 * n, frozenset(_mirrored(set(present))))
+            g = generators._trimmed_graph(*key)
+            fresh = generators._trimmed_graph.__wrapped__(*key)
+            assert fresh is not g and _drawing(fresh) == _drawing(g)
+            assert generators._trimmed_graph(*key) is g
+    for k in range(3000):
+        g = random_plane_graph(split_seed(17, k))
+        points = frozenset(g.lattice().points.values())
+        fresh = generators._plane_graph.__wrapped__(points)
+        assert fresh is not g and _drawing(fresh) == _drawing(g)
+        assert random_plane_graph(split_seed(17, k)) is g
+
+
+def test_shared_trimmed_and_plane_drawings_are_never_mutated():
+    # the checks that draw them read them and change nothing, so the graph
+    # a later draw shares is as built
+    from dimerforge.report import check_cycle_parity, check_trimmed_squarish
+
+    seed, count = 2026, 40
+    trimmed = [random_trimmed(split_seed(seed, k))[0] for k in range(count)]
+    plane = [random_plane_graph(split_seed(seed, k)) for k in range(count)]
+    before = [_drawing(g) for g in trimmed + plane]
+    assert check_trimmed_squarish(count, seed)[0]
+    assert check_cycle_parity(count, seed)[0]
+    assert all(random_trimmed(split_seed(seed, k))[0] is g for k, g in enumerate(trimmed))
+    assert all(random_plane_graph(split_seed(seed, k)) is g for k, g in enumerate(plane))
+    assert [_drawing(g) for g in trimmed + plane] == before
 
 
 def test_random_plane_graph_sizes():
