@@ -1,8 +1,12 @@
 """Standard graph builders and seeded random instance generators.
 
 Every generator is deterministic in its seed and only emits instances that
-pass the validators of the constructions they feed (retrying with derived
-sub-seeds up to a fixed budget).
+pass the validators of the constructions they feed.  Most draw once: every
+drawing that ``random_section2``, ``random_plane_graph`` and
+``random_transport`` can reach is valid, as the census tests check member by
+member.  ``random_symmetric`` (when asked for perfect matchings) and
+``random_exit_side`` can refuse a draw, so they retry with derived sub-seeds
+up to a fixed budget.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .trees import split_seed
 WEIGHT_POOL = [Fraction(1), Fraction(1), Fraction(1), Fraction(2),
                Fraction(1, 2), Fraction(3), Fraction(1, 3)]
 MAX_SECTION2_REFINEMENT = 30  # most vertices of a random_section2 refinement
-MAX_VERTICES = 12             # most vertices of a random_plane_graph, as of a random_symmetric box
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +98,6 @@ def hexagon_graph(m: int):
 # ---------------------------------------------------------------------------
 
 
-def _random_weights(rng: random.Random, pairs) -> dict:
-    return {p: rng.choice(WEIGHT_POOL) for p in pairs}
-
-
 def _cut_vertices(points, edges) -> set:
     """The cut vertices of the connected graph that ``edges`` draw on
     ``points``, from one depth-first search with low points (Hopcroft and
@@ -138,39 +137,35 @@ def _cut_vertices(points, edges) -> set:
 
 def random_section2(seed: int):
     """A random marked-boundary instance: a grid strip whose even-indexed
-    bottom vertices have no upward edges, randomly peeled from above."""
-    edge_budget = (MAX_SECTION2_REFINEMENT - 5) // 2
-    for attempt in range(200):
-        rng = random.Random(split_seed(seed, attempt))
-        n = rng.choice([1, 2, 2, 3, 3])
-        cols = 2 * n - 1
-        h = rng.choice([1, 2, 2])
-        points = {(x, y) for x in range(cols) for y in range(h + 1)}
+    bottom vertices have no upward edges, randomly peeled from above.
 
-        # the odd-column path vertices (even-indexed on the path) have no
-        # upward step, so they stay degree 2; every row is joined left to
-        # right and column 0 joins the rows, so the strip is connected
-        edges = {(p, q) for p, q in _grid_edges(points)
-                 if not (q == (p[0], 1) and p[0] % 2 == 1)}
-        # random peeling, then keep peeling until the refinement fits the
-        # vertex budget
-        wanted = rng.randint(0, max(0, (len(points) - cols) // 2))
-        while wanted > 0 or len(edges) > edge_budget:
-            # the strip stays connected, so a peel keeps it connected
-            # exactly when it takes no cut vertex; a point above the bottom
-            # row and farthest from it is never one, so a candidate remains
-            cut = _cut_vertices(points, edges)
-            p = rng.choice([p for p in sorted(points) if p[1] > 0 and p not in cut])
-            points -= {p}
-            edges = {e for e in edges if p not in e}
-            wanted -= 1
-        try:
-            inst = _section2_instance(frozenset(points), frozenset(edges), cols)
-        except DimerforgeError:
-            continue
-        if len(inst.refinement.graph.vertices) <= MAX_SECTION2_REFINEMENT:
-            return inst
-    raise GenerationExhausted(f"no valid marked-boundary instance for seed {seed}")
+    The refinement of a strip with E edges has 2E + 5 vertices, so the edge
+    budget keeps it within ``MAX_SECTION2_REFINEMENT``."""
+    edge_budget = (MAX_SECTION2_REFINEMENT - 5) // 2
+    rng = random.Random(split_seed(seed, 0))
+    n = rng.choice([1, 2, 2, 3, 3])
+    cols = 2 * n - 1
+    h = rng.choice([1, 2, 2])
+    points = {(x, y) for x in range(cols) for y in range(h + 1)}
+
+    # the odd-column path vertices (even-indexed on the path) have no
+    # upward step, so they stay degree 2; every row is joined left to
+    # right and column 0 joins the rows, so the strip is connected
+    edges = {(p, q) for p, q in _grid_edges(points)
+             if not (q == (p[0], 1) and p[0] % 2 == 1)}
+    # random peeling, then keep peeling until the refinement fits the
+    # vertex budget
+    wanted = rng.randint(0, max(0, (len(points) - cols) // 2))
+    while wanted > 0 or len(edges) > edge_budget:
+        # the strip stays connected, so a peel keeps it connected
+        # exactly when it takes no cut vertex; a point above the bottom
+        # row and farthest from it is never one, so a candidate remains
+        cut = _cut_vertices(points, edges)
+        p = rng.choice([p for p in sorted(points) if p[1] > 0 and p not in cut])
+        points -= {p}
+        edges = {e for e in edges if p not in e}
+        wanted -= 1
+    return _section2_instance(frozenset(points), frozenset(edges), cols)
 
 
 @lru_cache(maxsize=None)
@@ -178,9 +173,9 @@ def _section2_instance(points: frozenset, edges: frozenset, cols: int):
     """The plus/minus instance of a drawn strip, marked along its bottom row
     of ``cols`` points.  The draws reach a few hundred strips, so each is
     built once per process and every later draw of it shares the instance,
-    which nothing mutates; a refusal raises again on every call.  The
-    unbounded cache relies on that finite family (``cols`` at most 5 and
-    at most 2 rows above the bottom one): a wider draw must bound it."""
+    which nothing mutates.  The unbounded cache relies on that finite
+    family (``cols`` at most 5 and at most 2 rows above the bottom one): a
+    wider draw must bound it."""
     g, vid = build_from_points(points, edges)
     return section_instance(g, [vid[(x, 0)] for x in range(cols)])
 
@@ -256,28 +251,24 @@ def random_exit_side(seed: int, end: int):
 
 
 def random_plane_graph(seed: int, weighted: bool = False) -> PlanarGraph:
-    """A random connected grid subgraph with at most ``MAX_VERTICES``
+    """A random connected grid subgraph of at most a 4 x 3 box, with 3 to 12
     vertices (and optional random rational weights)."""
-    for attempt in range(200):
-        rng = random.Random(split_seed(seed, attempt))
-        cols = rng.choice([2, 3, 4])
-        rows = rng.choice([2, 3])
-        points = {(x, y) for x in range(cols) for y in range(rows)}
-        for _ in range(rng.randint(0, len(points) // 2)):
-            if len(points) <= 3:
-                break
-            # the set stays connected, so a removal keeps it connected
-            # exactly when it takes no cut vertex
-            cut = _cut_vertices(points, _grid_edges(points))
-            points -= {rng.choice([p for p in sorted(points) if p not in cut])}
-        if len(points) > MAX_VERTICES or len(points) < 2:
-            continue
-        if not weighted:
-            return _plane_graph(frozenset(points))
-        edge_pairs = _grid_edges(points)
-        weights = _random_weights(rng, sorted(edge_pairs))
-        return build_from_points(points, edge_pairs, weights)[0]
-    raise GenerationExhausted(f"no valid plane graph for seed {seed}")
+    rng = random.Random(split_seed(seed, 0))
+    cols = rng.choice([2, 3, 4])
+    rows = rng.choice([2, 3])
+    points = {(x, y) for x in range(cols) for y in range(rows)}
+    for _ in range(rng.randint(0, len(points) // 2)):
+        if len(points) <= 3:
+            break
+        # the set stays connected, so a removal keeps it connected
+        # exactly when it takes no cut vertex
+        cut = _cut_vertices(points, _grid_edges(points))
+        points -= {rng.choice([p for p in sorted(points) if p not in cut])}
+    if not weighted:
+        return _plane_graph(frozenset(points))
+    edge_pairs = _grid_edges(points)
+    weights = {p: rng.choice(WEIGHT_POOL) for p in sorted(edge_pairs)}
+    return build_from_points(points, edge_pairs, weights)[0]
 
 
 @cache
@@ -338,49 +329,44 @@ def random_transport(seed: int, require_plain_path: bool = True):
         transport_instance,
     )
 
-    for attempt in range(100):
-        rng = random.Random(split_seed(seed, attempt))
-        shape = rng.choice(["grid0", "hex1", "ladder", "ladder", "hex2"])
-        # each shape gives its graph, its two runs of marks (grid0 draws them
-        # after the weights) and, by lattice position, the sites of
-        # constraint paths 1 and 3 and the cells of path 2
-        rows = ()
-        if shape == "grid0":
-            g = grid_graph(*rng.choice([(2, 2), (3, 2), (3, 3)]))
-        elif shape == "ladder":
-            length = rng.choice([4, 5, 6])
-            g = grid_graph(length, 2)
-            runs = ([(1, 1), (0, 1), (0, 0)],
-                    [(length - 1, 1), (length - 1, 0), (length - 2, 0)])
-            bottom = [(x, 0) for x in range(length - 1)]
-            rows = ([(x, 1) for x in range(1, length)], bottom, bottom)
-        else:
-            g, plain, prime = hexagon_graph(1 if shape == "hex1" else 2)
-            if shape == "hex2":
-                rows = ([(1, 5), (2, 5)], [(0, 4), (1, 4), (2, 4)],
-                        [(0, 4), (1, 4), (2, 4), (3, 4)])
-        g = _reweight(g, {e.id: rng.choice(WEIGHT_POOL) for e in g.edges.values()})
-        vid = {(int(v.pos[0]), int(v.pos[1])): v.id for v in g.vertices.values()}
-        if shape == "grid0":
-            boundary = list(dict.fromkeys(v for v, _ in g.ccw_boundary()))
-            i = rng.randrange(len(boundary))
-            j = (i + rng.randrange(1, len(boundary))) % len(boundary)
-            plain, prime = [boundary[i]], [boundary[j]]
-        elif shape == "ladder":
-            plain, prime = ([vid[p] for p in run] for run in runs)
-        try:
-            inst = transport_instance(g, plain, prime, require_plain_path=require_plain_path)
-            paths = {}
-            if rows:
-                ref = inst.smashed.refinement
-                top, cells, bottom = rows
-                paths = {1: site_path_to_refinement(ref, [vid[p] for p in top]),
-                         2: face_path_to_refinement(ref, _cell_faces(g, cells)),
-                         3: site_path_to_refinement(ref, [vid[p] for p in bottom])}
-            return inst, paths
-        except DimerforgeError:
-            continue
-    raise GenerationExhausted(f"no valid transport instance for seed {seed}")
+    rng = random.Random(split_seed(seed, 0))
+    shape = rng.choice(["grid0", "hex1", "ladder", "ladder", "hex2"])
+    # each shape gives its graph, its two runs of marks (grid0 draws them
+    # after the weights) and, by lattice position, the sites of
+    # constraint paths 1 and 3 and the cells of path 2
+    rows = ()
+    if shape == "grid0":
+        g = grid_graph(*rng.choice([(2, 2), (3, 2), (3, 3)]))
+    elif shape == "ladder":
+        length = rng.choice([4, 5, 6])
+        g = grid_graph(length, 2)
+        runs = ([(1, 1), (0, 1), (0, 0)],
+                [(length - 1, 1), (length - 1, 0), (length - 2, 0)])
+        bottom = [(x, 0) for x in range(length - 1)]
+        rows = ([(x, 1) for x in range(1, length)], bottom, bottom)
+    else:
+        g, plain, prime = hexagon_graph(1 if shape == "hex1" else 2)
+        if shape == "hex2":
+            rows = ([(1, 5), (2, 5)], [(0, 4), (1, 4), (2, 4)],
+                    [(0, 4), (1, 4), (2, 4), (3, 4)])
+    g = _reweight(g, {e.id: rng.choice(WEIGHT_POOL) for e in g.edges.values()})
+    vid = {(int(v.pos[0]), int(v.pos[1])): v.id for v in g.vertices.values()}
+    if shape == "grid0":
+        boundary = list(dict.fromkeys(v for v, _ in g.ccw_boundary()))
+        i = rng.randrange(len(boundary))
+        j = (i + rng.randrange(1, len(boundary))) % len(boundary)
+        plain, prime = [boundary[i]], [boundary[j]]
+    elif shape == "ladder":
+        plain, prime = ([vid[p] for p in run] for run in runs)
+    inst = transport_instance(g, plain, prime, require_plain_path=require_plain_path)
+    paths = {}
+    if rows:
+        ref = inst.smashed.refinement
+        top, cells, bottom = rows
+        paths = {1: site_path_to_refinement(ref, [vid[p] for p in top]),
+                 2: face_path_to_refinement(ref, _cell_faces(g, cells)),
+                 3: site_path_to_refinement(ref, [vid[p] for p in bottom])}
+    return inst, paths
 
 
 def _reweight(g: PlanarGraph, weights: dict[int, Fraction]) -> PlanarGraph:

@@ -3,8 +3,13 @@ member of each is checked once here."""
 
 import pathlib
 
-from builders import reachable_stages, section2_family
-from dimerforge.generators import _section2_instance, random_section2
+from builders import plane_family, reachable_stages, section2_family, transport_family
+from dimerforge.generators import (
+    _plane_graph,
+    _section2_instance,
+    random_plane_graph,
+    random_section2,
+)
 from dimerforge.matchings import count_matchings, squarish
 from dimerforge.refine import _mirrored, _square_graph
 from dimerforge.report import (
@@ -49,6 +54,32 @@ def test_section2_identities_hold_on_every_drawing():
         assert tree_swap_fault(inst) is None, key
         plus_total += plus
     assert plus_total == 1415
+
+
+def test_every_plane_point_set_builds_and_holds_the_draws():
+    # every reachable point set is in size and builds, so random_plane_graph
+    # never needs a second draw
+    family = plane_family()
+    assert len(family) == 995
+    for points in family:
+        assert 3 <= len(points) <= 12, sorted(points)
+        g = _plane_graph(points)
+        assert len(g.vertices) == len(points) and g.is_connected(), sorted(points)
+    drawn = {frozenset((int(v.pos[0]), int(v.pos[1])) for v in g.vertices.values())
+             for g in (random_plane_graph(split_seed(99, k), weighted=k % 2 == 1)
+                       for k in range(3000))}
+    assert drawn <= set(family)
+
+
+def test_every_transport_catalog_draw_builds():
+    # every shape, size, ordered pair of grid0 marks and require_plain_path
+    # value builds its instance and constraint paths, so random_transport
+    # never needs a second draw
+    family = transport_family()
+    assert len(family) == 206
+    for (_, (shape, *_)), (inst, paths) in family.items():
+        assert len(inst.host_plain.vertices) == len(inst.host_prime.vertices)
+        assert set(paths) == ({1, 2, 3} if shape in ("ladder", "hex2") else set()), shape
 
 
 def test_every_trimmed_stage_up_to_half_side_six_is_squarish():

@@ -7,12 +7,13 @@ from itertools import combinations
 import pytest
 
 from builders import reachable_stages
-from dimerforge import generators, planar
-from dimerforge.errors import DimerforgeError, GenerationExhausted
+from dimerforge import generators, matchings, planar
+from dimerforge.errors import GenerationExhausted
 from dimerforge.generators import (
     diagonal_grid,
     grid_graph,
     hexagon_graph,
+    random_exit_side,
     random_plane_graph,
     random_section2,
     random_symmetric,
@@ -218,19 +219,15 @@ def test_random_plane_and_symmetric_draws_are_pinned():
 
 
 def test_generators_raise_generation_exhausted_when_every_attempt_fails(monkeypatch):
-    def fail(*args):
-        raise DimerforgeError("rejected")
-
-    # the uncached build reaches the patched section_instance whatever ran
-    # earlier in the process, and keeps the refusals out of the cache
-    monkeypatch.setattr(generators, "section_instance", fail)
-    monkeypatch.setattr(generators, "_section2_instance",
-                        generators._section2_instance.__wrapped__)
-    with pytest.raises(GenerationExhausted, match="marked-boundary instance for seed 5"):
-        random_section2(5)
-    monkeypatch.setattr(generators, "MAX_VERTICES", 1)
-    with pytest.raises(GenerationExhausted, match="plane graph for seed 5"):
-        random_plane_graph(5)
+    # only these two generators can refuse a draw: the others draw from
+    # families whose every member builds (tests/test_census.py)
+    monkeypatch.setattr(matchings, "count_matchings", lambda g: 0)
+    with pytest.raises(GenerationExhausted, match="symmetric instance for seed 5"):
+        random_symmetric(5, need_matchings=True)
+    monkeypatch.setattr(generators, "_components",
+                        lambda vertices, edges: {v: v for v in vertices})
+    with pytest.raises(GenerationExhausted, match="exit-side instance for seed 5"):
+        random_exit_side(5, 0)
 
 
 def test_random_transport_valid():
