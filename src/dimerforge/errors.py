@@ -101,6 +101,10 @@ class NotAMatching(DimerforgeError):
     """An edge set is not a perfect matching of the graph it names."""
 
 
+class FrontierTooWide(DimerforgeError):
+    """A graph's counting plan needs more frontier slots than the limit."""
+
+
 class ConstraintPathMismatch(DimerforgeError):
     pass
 

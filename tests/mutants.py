@@ -300,6 +300,24 @@ MUTANTS = (
            "or mu_edges.isdisjoint(even) and mu_edges.issuperset(odd)):", "or True):",
            ("tests/test_stress.py::test_shift_rejects_non_alternating_path",
             "tests/test_tables.py::test_shift_accepts_exactly_the_alternating_paths")),
+    # a state holding two vertices that can wait no longer pairs one of them
+    Mutant("must-pairs-one-of-two", "src/dimerforge/matchings.py",
+           "if not m & (m - 1):", "if True:",
+           ("tests/test_matchings.py::test_count_examples",
+            "tests/test_matchings.py::test_count_matches_enumeration_on_every_untested_family",
+            "tests/test_matchings.py::test_kasteleyn_agrees_with_direct_count")),
+    # a vertex that can wait no longer may still wait, or pair elsewhere
+    Mutant("must-pairing-optional", "src/dimerforge/matchings.py",
+           "continue", "pass",
+           ("tests/test_matchings.py::test_count_examples",
+            "tests/test_matchings.py::test_count_matches_enumeration_on_random_graphs",
+            "tests/test_matchings.py::test_count_matches_enumeration_on_every_untested_family")),
+    # no slot is reused: every count stays right, but each waiting vertex
+    # takes a slot of its own, so the plans widen past the limit
+    Mutant("slots-never-freed", "src/dimerforge/matchings.py",
+           "used ^= must", "pass",
+           ("tests/test_matchings.py::test_count_plan_width_of_the_square_grid_is_its_side",
+            "tests/test_matchings.py::test_count_reaches_the_16x16_grid")),
 )
 
 

@@ -10,8 +10,9 @@ import pytest
 from click.testing import CliRunner
 
 import dimerforge
+from dimerforge import matchings
 from dimerforge.bijections import transport_instance
-from dimerforge.cli import cli
+from dimerforge.cli import cli, main
 from dimerforge.errors import ConfigError, NumberTooLong
 from dimerforge.generators import (grid_graph, hexagon_graph, random_exit_side,
                                    random_plane_graph, random_symmetric)
@@ -269,6 +270,20 @@ def test_malformed_id_files_exit_1_without_traceback(tmp_path, square_file,
     assert res.returncode == 1, res.stderr
     assert res.stderr.startswith(f"error: {error}: "), res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_counts_wider_than_the_limit_exit_1_without_traceback(monkeypatch, capsys,
+                                                             square_file):
+    # in this process, so that the limit can be lowered: the 2 x 2 grid
+    # needs 2 frontier slots and the order-2 Aztec regions 3
+    monkeypatch.setattr(matchings, "MAX_COUNT_WIDTH", 1)
+    for args, width in ((["count", square_file], 2), (["aztec", "count", "2"], 3)):
+        monkeypatch.setattr(sys, "argv", ["dimerforge", *args])
+        with pytest.raises(SystemExit) as stop:
+            main()
+        assert stop.value.code == 1
+        assert capsys.readouterr() == ("", f"error: FrontierTooWide: counting needs {width} "
+                                           "frontier slots, more than the limit of 1\n")
 
 
 def test_tea_transport_needs_a_path_for_each_constrained_index(tmp_path):

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 import enumeration_oracle as oracle
 from builders import diamond_graph, fan_square
+from dimerforge import matchings
 from dimerforge.aztec import aztec_graph, aztec_pair
-from dimerforge.errors import NotAMatching
+from dimerforge.bijections import temperley_instance
+from dimerforge.errors import FrontierTooWide, NotAMatching
 from dimerforge.generators import (
     _reweight,
     diagonal_grid,
@@ -31,7 +33,7 @@ from dimerforge.matchings import (
     squarish,
 )
 from dimerforge.planar import Edge, PlanarGraph, Vertex, parse_graph, remove_vertices
-from dimerforge.refine import trimmed_square
+from dimerforge.refine import dual_refinement, symmetrize, trimmed_square
 
 
 def test_enumerate_square():
@@ -183,6 +185,63 @@ def test_count_matches_enumeration_on_random_graphs():
         assert count_matchings(g) == by_enum
     assert count_matchings(isolated_pair) == 0
     assert count_matchings(empty) == 1
+
+
+def _count_differential_families():
+    """(label, graph) for one member of each family whose count no other
+    test compares with the enumerator."""
+    inst = random_section2(3)
+    yield from (("section2-plus", inst.plus), ("section2-minus", inst.minus),
+                ("section2-doubled", symmetrize(inst)))
+    yield "trimmed-stage", random_trimmed(0)[0]
+    yield "diagonal4", diagonal_grid(4)
+    yield "hexagon1", hexagon_graph(1)[0]
+    for n in (1, 2, 3):
+        yield from ((f"aztec-{variant}{n}", side.graph)
+                    for variant, side in zip(("T", "Tp"), aztec_pair(n)))
+    yield "temperley-host", temperley_instance(dual_refinement(grid_graph(3, 3)), 0).host
+    yield "grid4x4-zero-edge", _reweight(grid_graph(4, 4), {0: Fraction(0), 5: Fraction(2, 3)})
+
+
+def test_count_matches_enumeration_on_every_untested_family():
+    counts = {}
+    for label, g in _count_differential_families():
+        counts[label] = count_matchings(g)
+        assert counts[label] == sum(m.weight(g) for m in enumerate_matchings(g)), label
+    assert counts["section2-doubled"] == 2 ** 3 * counts["section2-plus"] ** 2 == 392
+    assert counts["aztec-T3"] == counts["aztec-Tp3"] == 60
+    assert counts["temperley-host"] == 192 and counts["hexagon1"] == 0
+    assert counts["grid4x4-zero-edge"] not in (0, 36)
+
+
+@pytest.mark.parametrize("k", [2, 4, 8, 16])
+def test_count_plan_width_of_the_square_grid_is_its_side(k):
+    assert matchings._count_plan(grid_graph(k, k))[1] == k
+
+
+def test_count_reaches_the_16x16_grid():
+    assert count_matchings(grid_graph(16, 16)) == kasteleyn_grid_count(8, 8)
+
+
+class _Unread(tuple):
+    """Plan steps that fail when a layer of the count reads them."""
+
+    def __iter__(self):
+        raise AssertionError("a counting layer ran")
+
+
+def test_a_plan_wider_than_the_limit_is_refused_before_any_layer(monkeypatch):
+    real = matchings._count_plan
+    monkeypatch.setattr(matchings, "_count_plan", lambda g: (_Unread(real(g)[0]), *real(g)[1:]))
+    monkeypatch.setattr(matchings, "MAX_COUNT_WIDTH", 3)
+    with pytest.raises(FrontierTooWide, match="needs 4 frontier slots, more than the limit of 3"):
+        count_matchings(grid_graph(4, 4))
+    # a plan exactly as wide as the limit is counted
+    monkeypatch.setattr(matchings, "MAX_COUNT_WIDTH", 4)
+    with pytest.raises(AssertionError, match="a counting layer ran"):
+        count_matchings(grid_graph(4, 4))
+    monkeypatch.setattr(matchings, "_count_plan", real)
+    assert count_matchings(grid_graph(4, 4)) == 36
 
 
 def test_disconnected_count():
